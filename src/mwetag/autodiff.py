@@ -11,6 +11,10 @@ forward pass (the evaluation path).
 Gradients accumulate: a parameter's .grad collects contributions across
 backward calls until zero_grad. backward may run once per tape.
 
+Most operations are single array primitives. The BiLSTM is the exception: it
+is one fused operation that records a single tape node per call, whatever the
+sequence length, and runs backprop through time by hand (see bilstm).
+
 Every differentiable operation here is validated against central finite
 differences (grad_check), which is also the verification entry point exposed
 to callers.
@@ -182,15 +186,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data * b.data, (a, b), back)
 
 
-def hadamard_const(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Elementwise product with a constant array (dropout masks)."""
-
-    def back(g):
-        _accumulate(x, g * mask)
-
-    return _emit(x.data * mask, (x,), back)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     def back(g):
         _accumulate(x, g * c)
@@ -214,8 +209,12 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out_data, (x,), back)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
+    out_data = _sigmoid(x.data)
 
     def back(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -230,26 +229,6 @@ def identity(x: Tensor) -> Tensor:
 ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid, "identity": identity}
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    def back(g):
-        if _wants_grad(x):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[i] += g[0]
-
-    return _emit(x.data[i : i + 1].copy(), (x,), back)
-
-
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    def back(g):
-        if _wants_grad(x):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, lo:hi] += g
-
-    return _emit(x.data[:, lo:hi].copy(), (x,), back)
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     widths = [p.data.shape[1] for p in parts]
 
@@ -260,14 +239,6 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
             offset += w
 
     return _emit(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
-
-
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    def back(g):
-        for i, r in enumerate(rows):
-            _accumulate(r, g[i : i + 1])
-
-    return _emit(np.vstack([r.data for r in rows]), tuple(rows), back)
 
 
 def gather_rows(table: Tensor, indices, tape: Tape | None = None) -> Tensor:
@@ -397,26 +368,76 @@ class LstmParams:
         return [self.wx, self.wh, self.b]
 
 
-def _lstm_direction(x: Tensor, p: LstmParams, order, in_mask, rec_mask) -> list[Tensor]:
+def _lstm_direction(x: np.ndarray, p: LstmParams, order, in_mask, rec_mask):
+    """Run one direction over the rows of x, visiting positions in order.
+
+    The input projection of every position is one GEMM; the loop carries only
+    the recurrent product and the gate math. Returns the n x h outputs and a
+    function mapping their gradient to the gradient of x, which accumulates
+    the wx, wh and b gradients on the way. It keeps the masked input, the
+    gate activations (n x 4h), the cell and (masked) hidden state entering
+    each step and tanh of each new cell state (n x h each)."""
     h = p.hidden
-    tape = _tape_of(x, *p.tensors())
-    h_prev = Tensor(np.zeros((1, h)), tape=tape)
-    c_prev = Tensor(np.zeros((1, h)), tape=tape)
-    outputs: dict[int, Tensor] = {}
-    for i in order:
-        x_t = row(x, i)
-        if in_mask is not None:
-            x_t = hadamard_const(x_t, in_mask)
-        h_in = h_prev if rec_mask is None else hadamard_const(h_prev, rec_mask)
-        z = add(add(matmul(x_t, p.wx), matmul(h_in, p.wh)), p.b)
-        gate_i = sigmoid(slice_cols(z, 0, h))
-        gate_f = sigmoid(slice_cols(z, h, 2 * h))
-        gate_g = tanh(slice_cols(z, 2 * h, 3 * h))
-        gate_o = sigmoid(slice_cols(z, 3 * h, 4 * h))
-        c_prev = add(mul(gate_f, c_prev), mul(gate_i, gate_g))
-        h_prev = mul(gate_o, tanh(c_prev))
-        outputs[i] = h_prev
-    return [outputs[i] for i in range(len(order))]
+    n = x.shape[0]
+    wh = p.wh.data
+    xm = x if in_mask is None else x * in_mask
+    zx = xm @ p.wx.data + p.b.data
+    acts = np.empty((n, 4 * h))
+    c_in = np.empty((n, h))
+    h_in = np.empty((n, h))
+    tanh_c = np.empty((n, h))
+    out = np.empty((n, h))
+    h_prev = np.zeros(h)
+    c_prev = np.zeros(h)
+    for t in order:
+        if rec_mask is not None:
+            h_prev = h_prev * rec_mask
+        h_in[t] = h_prev
+        c_in[t] = c_prev
+        z = zx[t] + h_prev @ wh
+        a = acts[t]
+        a[: 2 * h] = _sigmoid(z[: 2 * h])
+        a[2 * h : 3 * h] = np.tanh(z[2 * h : 3 * h])
+        a[3 * h :] = _sigmoid(z[3 * h :])
+        c_prev = a[h : 2 * h] * c_prev + a[:h] * a[2 * h : 3 * h]
+        tanh_c[t] = np.tanh(c_prev)
+        h_prev = out[t] = a[3 * h :] * tanh_c[t]
+
+    def back(d_out: np.ndarray) -> np.ndarray:
+        gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
+        # per position: d(cell)/d(output), and the factor taking d(cell) to
+        # the i, f, g pre-activations and d(output) to the o pre-activation;
+        # only the two carries below need the sequential loop
+        dc_dh = go * (1.0 - tanh_c**2)
+        coef = np.concatenate(
+            [
+                gg * gi * (1.0 - gi),
+                c_in * gf * (1.0 - gf),
+                gi * (1.0 - gg**2),
+                tanh_c * go * (1.0 - go),
+            ],
+            axis=1,
+        ).reshape(n, 4, h)
+        d_z = np.empty((n, 4, h))
+        dh_next = np.zeros(h)
+        dc_next = np.zeros(h)
+        for t in reversed(order):
+            dh = d_out[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            d_z[t, :3] = coef[t, :3] * dc
+            d_z[t, 3] = coef[t, 3] * dh
+            dc_next = dc * gf[t]
+            dh_next = wh @ d_z[t].reshape(-1)
+            if rec_mask is not None:
+                dh_next *= rec_mask
+        d_z = d_z.reshape(n, 4 * h)
+        _accumulate(p.wx, xm.T @ d_z)
+        _accumulate(p.wh, h_in.T @ d_z)
+        _accumulate(p.b, d_z.sum(axis=0))
+        d_x = d_z @ p.wx.data.T
+        return d_x if in_mask is None else d_x * in_mask
+
+    return out, back
 
 
 def bilstm(
@@ -437,6 +458,12 @@ def bilstm(
     order forward-input, forward-recurrent, backward-input, backward-recurrent).
     Masks follow the inverted convention (scaled by 1/keep at train time), so
     eval mode applies no masks and no scaling.
+
+    The whole layer is one fused operation and records one tape node. Per
+    direction it keeps the masked input, the gate activations, the cell and
+    (masked) hidden state entering each step and tanh of each new cell state;
+    backward runs backprop through time over them by hand, then takes each of
+    the wx, wh, b and x gradients from a single product over all positions.
     """
     if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
         raise ValueError("dropout rates must lie in [0, 1)")
@@ -449,17 +476,27 @@ def bilstm(
             return None, None
         if dropout > 0.0 and rng is None:
             raise ValueError("train-mode dropout needs an RngStream")
-        in_mask = rng.keep_mask(dropout, (1, d)) if dropout > 0.0 else None
+        in_mask = rng.keep_mask(dropout, d) if dropout > 0.0 else None
         rec_mask = (
-            rng.keep_mask(recurrent_dropout, (1, p.hidden))
+            rng.keep_mask(recurrent_dropout, p.hidden)
             if recurrent_dropout > 0.0
             else None
         )
         return in_mask, rec_mask
 
-    fwd = _lstm_direction(x, forward_params, range(n), *masks(forward_params))
-    bwd = _lstm_direction(x, backward_params, range(n - 1, -1, -1), *masks(backward_params))
-    return concat_cols([stack_rows(fwd), stack_rows(bwd)])
+    fwd_out, fwd_back = _lstm_direction(
+        x.data, forward_params, range(n), *masks(forward_params)
+    )
+    bwd_out, bwd_back = _lstm_direction(
+        x.data, backward_params, range(n - 1, -1, -1), *masks(backward_params)
+    )
+    h = forward_params.hidden
+
+    def back(g):
+        _accumulate(x, fwd_back(g[:, :h]) + bwd_back(g[:, h:]))
+
+    inputs = (x, *forward_params.tensors(), *backward_params.tensors())
+    return _emit(np.concatenate([fwd_out, bwd_out], axis=1), inputs, back)
 
 
 # ---------------------------------------------------------------------------

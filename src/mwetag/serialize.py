@@ -22,7 +22,7 @@ from .autodiff import param
 from .baseline import VARIANTS, BaselineModel
 from .embed import EmbeddingTable
 from .errors import ModelFormatError
-from .tagger import OptimizerConfig, TaggerConfig, TaggerModel
+from .tagger import OptimizerConfig, TaggerConfig, TaggerModel, param_shapes
 
 FORMAT_VERSION = 1
 
@@ -37,19 +37,15 @@ def _array_entry(name: str, arr: np.ndarray) -> dict:
     }
 
 
-def _read_array(entry, expected_name: str | None = None) -> np.ndarray:
+def _read_array(entry) -> tuple[str, np.ndarray]:
     try:
         name, shape, values = entry["name"], entry["shape"], entry["values"]
-    except (TypeError, KeyError) as exc:
+        arr = np.array(values, dtype=np.float64).reshape(shape)
+    except (TypeError, KeyError, ValueError) as exc:
         raise ModelFormatError(f"malformed parameter entry: {exc}") from exc
-    if expected_name is not None and name != expected_name:
-        raise ModelFormatError(f"expected parameter {expected_name!r}, found {name!r}")
-    arr = np.array(values, dtype=np.float64)
-    if arr.size != int(np.prod(shape)):
-        raise ModelFormatError(
-            f"parameter {name!r}: {arr.size} values for shape {shape}"
-        )
-    return arr.reshape(shape)
+    if not isinstance(name, str):
+        raise ModelFormatError(f"parameter name {name!r} is not a string")
+    return name, arr
 
 
 def model_to_dict(model) -> dict:
@@ -105,22 +101,48 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
         config = TaggerConfig(**raw_config)
     except (TypeError, KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad tagger config: {exc}") from exc
-    params = {}
-    for entry in _require(data, "params"):
-        arr = _read_array(entry)
-        params[entry["name"]] = param(arr)
+    emb_dim = _require(data, "emb_dim")
+    tag_vocab = _require(data, "tag_vocab")
+    pos_vocab = _require(data, "pos_vocab")
     word_vocab = data.get("word_vocab")
-    emb_dim = int(_require(data, "emb_dim"))
+    if not isinstance(emb_dim, int) or emb_dim < 1:
+        raise ModelFormatError(f"bad emb_dim {emb_dim!r}")
+    for key, vocab in (("tag_vocab", tag_vocab), ("pos_vocab", pos_vocab)):
+        if not isinstance(vocab, list) or not vocab:
+            raise ModelFormatError(f"{key} must be a non-empty list")
+    if config.embedding_mode == "random_trainable" and not isinstance(word_vocab, list):
+        raise ModelFormatError("random_trainable model has no word_vocab list")
     if embeddings is not None and embeddings.dimension != emb_dim:
         raise ModelFormatError(
             f"model expects {emb_dim}-dimensional embeddings, "
             f"table has {embeddings.dimension}"
         )
+    # every parameter the forward pass indexes must be present with the shape
+    # the config and vocabularies imply; a mismatch would otherwise surface
+    # mid-inference as a KeyError or a matmul shape error
+    expected = param_shapes(
+        config, emb_dim, len(pos_vocab), len(tag_vocab),
+        len(word_vocab) if word_vocab else None,
+    )
+    params = {}
+    for entry in _require(data, "params"):
+        name, arr = _read_array(entry)
+        if name not in expected or name in params:
+            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
+        if arr.shape != expected[name]:
+            raise ModelFormatError(
+                f"parameter {name!r} has shape {list(arr.shape)}, "
+                f"expected {list(expected[name])}"
+            )
+        params[name] = param(arr)
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise ModelFormatError(f"missing parameter(s) {missing}")
     return TaggerModel(
         config=config,
         emb_dim=emb_dim,
-        tag_vocab=tuple(_require(data, "tag_vocab")),
-        pos_vocab=tuple(_require(data, "pos_vocab")),
+        tag_vocab=tuple(tag_vocab),
+        pos_vocab=tuple(pos_vocab),
         params=params,
         embeddings=embeddings or EmbeddingTable(emb_dim, {}),
         word_vocab=tuple(word_vocab) if word_vocab else None,
@@ -133,7 +155,8 @@ def _baseline_from_dict(data: dict) -> BaselineModel:
         raise ModelFormatError(f"unknown baseline variant {variant!r}")
     arrays = {}
     for entry in _require(data, "params"):
-        arrays[_require(entry, "name")] = _read_array(entry)
+        name, arr = _read_array(entry)
+        arrays[name] = arr
     for needed in ("weights", "trans", "trans_start", "trans_stop"):
         if needed not in arrays:
             raise ModelFormatError(f"missing parameter {needed!r}")

@@ -183,6 +183,39 @@ def _glorot(rng: RngStream, shape, fan_in: int, fan_out: int) -> Tensor:
     return param(rng.uniform(-limit, limit, shape))
 
 
+def param_shapes(
+    config: TaggerConfig,
+    emb_dim: int,
+    pos_count: int,
+    tag_count: int,
+    word_count: int | None = None,
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a model with these sizes, in the
+    order build draws them. word_count is the word vocabulary size, needed in
+    random_trainable mode only."""
+    in_dim = emb_dim + N_SHAPE_FEATURES
+    f_count = config.filters_per_width
+    hidden = config.lstm_hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+    for width in config.filter_widths:
+        shapes[f"conv{width}_kernels"] = (f_count, width, in_dim)
+        shapes[f"conv{width}_bias"] = (f_count,)
+    lstm_in = f_count * len(config.filter_widths) + pos_count
+    for direction in ("fwd", "bwd"):
+        shapes[f"lstm_{direction}_wx"] = (lstm_in, 4 * hidden)
+        shapes[f"lstm_{direction}_wh"] = (hidden, 4 * hidden)
+        shapes[f"lstm_{direction}_b"] = (4 * hidden,)
+    shapes["proj_w"] = (2 * hidden, tag_count)
+    shapes["proj_b"] = (tag_count,)
+    if config.head == "crf":
+        shapes["trans"] = (tag_count, tag_count)
+        shapes["trans_start"] = (tag_count,)
+        shapes["trans_stop"] = (tag_count,)
+    if config.embedding_mode == "random_trainable":
+        shapes["word_table"] = (word_count, emb_dim)
+    return shapes
+
+
 def build(
     config: TaggerConfig,
     emb_dim: int,
@@ -208,39 +241,26 @@ def build(
     if pos_vocab is None:
         pos_vocab = tuple(f"POS{i}" for i in range(pos_count))
 
-    in_dim = emb_dim + N_SHAPE_FEATURES
-    f_count = config.filters_per_width
-    hidden = config.lstm_hidden
-    params: dict[str, Tensor] = {}
-    for width in config.filter_widths:
-        params[f"conv{width}_kernels"] = _glorot(
-            rng, (f_count, width, in_dim), width * in_dim, width * f_count
-        )
-        params[f"conv{width}_bias"] = param(np.zeros(f_count))
-    lstm_in = f_count * len(config.filter_widths) + pos_count
-    for direction in ("fwd", "bwd"):
-        params[f"lstm_{direction}_wx"] = _glorot(
-            rng, (lstm_in, 4 * hidden), lstm_in, 4 * hidden
-        )
-        params[f"lstm_{direction}_wh"] = _glorot(
-            rng, (hidden, 4 * hidden), hidden, 4 * hidden
-        )
-        params[f"lstm_{direction}_b"] = param(np.zeros(4 * hidden))
-    params["proj_w"] = _glorot(rng, (2 * hidden, tag_count), 2 * hidden, tag_count)
-    params["proj_b"] = param(np.zeros(tag_count))
-    if config.head == "crf":
-        params["trans"] = param(np.zeros((tag_count, tag_count)))
-        params["trans_start"] = param(np.zeros(tag_count))
-        params["trans_stop"] = param(np.zeros(tag_count))
     if config.embedding_mode == "random_trainable":
         if word_vocab is None:
             raise ValueError("random_trainable mode needs a word vocabulary")
         if word_vocab[0] != UNK_WORD:
             raise ValueError(f"word vocabulary must start with {UNK_WORD!r}")
-        scale = np.sqrt(3.0 / emb_dim)
-        params["word_table"] = param(
-            rng.uniform(-scale, scale, (len(word_vocab), emb_dim))
-        )
+    shapes = param_shapes(
+        config, emb_dim, pos_count, tag_count, len(word_vocab) if word_vocab else None
+    )
+    params: dict[str, Tensor] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1 or name == "trans":
+            params[name] = param(np.zeros(shape))
+        elif name == "word_table":
+            limit = np.sqrt(3.0 / emb_dim)
+            params[name] = param(rng.uniform(-limit, limit, shape))
+        elif len(shape) == 3:  # conv kernels, filters x width x channels
+            f_count, width, in_dim = shape
+            params[name] = _glorot(rng, shape, width * in_dim, width * f_count)
+        else:
+            params[name] = _glorot(rng, shape, *shape)
     if embeddings is None:
         embeddings = EmbeddingTable(emb_dim, {})
     elif embeddings.dimension != emb_dim:

@@ -20,17 +20,13 @@ from mwetag.autodiff import (
     dense,
     gather_rows,
     grad_check,
-    hadamard_const,
     matmul,
     mul,
     param,
     relu,
-    row,
     scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
-    stack_rows,
     sum_all,
     tanh,
 )
@@ -233,8 +229,9 @@ def test_cross_entropy_rejects_bad_gold():
         cross_entropy(probs, [0, 3])
 
 
-def scalar_lstm_reference(x, wx, wh, b):
-    """Plain-loop LSTM with gates packed [i, f, g, o]."""
+def scalar_lstm_reference(x, wx, wh, b, rec_mask=None):
+    """Plain-loop LSTM with gates packed [i, f, g, o]; rec_mask, if given,
+    scales the hidden state entering every step."""
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -244,7 +241,8 @@ def scalar_lstm_reference(x, wx, wh, b):
     c = np.zeros(h_size)
     outs = []
     for t in range(x.shape[0]):
-        z = x[t] @ wx + h @ wh + b
+        h_in = h if rec_mask is None else h * rec_mask
+        z = x[t] @ wx + h_in @ wh + b
         i = sig(z[0:h_size])
         f = sig(z[h_size : 2 * h_size])
         g = np.tanh(z[2 * h_size : 3 * h_size])
@@ -263,17 +261,61 @@ def make_lstm_params(rng, d, h):
     )
 
 
-def test_bilstm_matches_scalar_reference_both_directions():
+# (sequence length, input width, hidden size): one token, and a hidden size
+# that differs from the input width, next to the plain case
+@pytest.mark.parametrize(
+    "n, d, h", [(3, 2, 2), (1, 2, 2), (4, 3, 5)], ids=["n3-d2-h2", "n1-d2-h2", "n4-d3-h5"]
+)
+def test_bilstm_matches_scalar_reference_both_directions(n, d, h):
     rng = np.random.default_rng(42)
-    x = rng.normal(size=(3, 2))
-    fwd = make_lstm_params(rng, 2, 2)
-    bwd = make_lstm_params(rng, 2, 2)
+    x = rng.normal(size=(n, d))
+    fwd = make_lstm_params(rng, d, h)
+    bwd = make_lstm_params(rng, d, h)
     out = bilstm(param(x), fwd, bwd)
-    assert out.shape == (3, 4)
+    assert out.shape == (n, 2 * h)
     expect_fwd = scalar_lstm_reference(x, fwd.wx.data, fwd.wh.data, fwd.b.data)
     expect_bwd = scalar_lstm_reference(x[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data)[::-1]
-    np.testing.assert_allclose(out.data[:, :2], expect_fwd, atol=1e-12)
-    np.testing.assert_allclose(out.data[:, 2:], expect_bwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[:, :h], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[:, h:], expect_bwd, atol=1e-12)
+
+
+def test_bilstm_train_masks_follow_documented_draw_order():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 3))
+    fwd = make_lstm_params(rng, 3, 4)
+    bwd = make_lstm_params(rng, 3, 4)
+    out = bilstm(
+        param(x), fwd, bwd, dropout=0.5, recurrent_dropout=0.2, mode="train",
+        rng=RngStream(21),
+    )
+    # one mask per sequence per direction: forward-input, forward-recurrent,
+    # backward-input, backward-recurrent
+    draws = RngStream(21)
+    in_fwd = draws.keep_mask(0.5, (3,))
+    rec_fwd = draws.keep_mask(0.2, (4,))
+    in_bwd = draws.keep_mask(0.5, (3,))
+    rec_bwd = draws.keep_mask(0.2, (4,))
+    expect_fwd = scalar_lstm_reference(
+        x * in_fwd, fwd.wx.data, fwd.wh.data, fwd.b.data, rec_fwd
+    )
+    expect_bwd = scalar_lstm_reference(
+        (x * in_bwd)[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data, rec_bwd
+    )[::-1]
+    np.testing.assert_allclose(out.data[:, :4], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[:, 4:], expect_bwd, atol=1e-12)
+
+
+def test_bilstm_records_one_tape_node_whatever_the_length():
+    rng = np.random.default_rng(4)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    counts = []
+    for n in (1, 12):
+        tape = Tape()
+        bilstm(attach(rng.normal(size=(n, 3)), tape), fwd, bwd)
+        counts.append(len(tape))
+    assert counts == [1, 1]
+    assert bilstm(param(rng.normal(size=(12, 3))), fwd, bwd).tape is None
 
 
 def test_bilstm_eval_mode_ignores_dropout():
@@ -400,36 +442,20 @@ def test_grad_activations_and_scale():
     check(build, [w])
 
 
-def test_grad_row_slice_concat_stack():
+def test_grad_concat_cols():
     rng = np.random.default_rng(7)
     w = param(rng.normal(size=(4, 6)))
+    u = param(rng.normal(size=(4, 2)))
     x_data = rng.normal(size=(3, 4))
 
     def build():
         tape = Tape()
         x = attach(x_data, tape)
-        h = matmul(x, w)
-        left = slice_cols(h, 0, 2)
-        right = slice_cols(h, 2, 6)
-        joined = concat_cols([right, left])
-        rows = [row(joined, i) for i in range(3)]
-        return sum_all(mul(stack_rows(rows), stack_rows(list(reversed(rows)))))
+        # unequal widths: a wrong column offset in backward changes the result
+        joined = concat_cols([matmul(x, u), matmul(x, w)])
+        return sum_all(mul(joined, joined))
 
-    check(build, [w])
-
-
-def test_grad_hadamard_const_mask():
-    rng = np.random.default_rng(8)
-    w = param(rng.normal(size=(3, 3)))
-    mask = RngStream(0).keep_mask(0.5, (2, 3))
-    x_data = rng.normal(size=(2, 3))
-
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        return sum_all(hadamard_const(matmul(x, w), mask))
-
-    check(build, [w])
+    check(build, [w, u])
 
 
 def test_grad_softmax_cross_entropy():
@@ -479,12 +505,16 @@ def test_grad_gather_rows():
     check(build, [table])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_grad_bilstm_eval(seed):
+@pytest.mark.parametrize(
+    "seed, n, h",
+    [(0, 3, 2), (1, 3, 2), (2, 3, 2), (3, 1, 2), (4, 3, 4)],
+    ids=["0", "1", "2", "n1-h2", "n3-h4"],
+)
+def test_grad_bilstm_eval(seed, n, h):
     rng = np.random.default_rng(seed)
-    fwd = make_lstm_params(rng, 3, 2)
-    bwd = make_lstm_params(rng, 3, 2)
-    x_data = rng.normal(size=(3, 3))
+    fwd = make_lstm_params(rng, 3, h)
+    bwd = make_lstm_params(rng, 3, h)
+    x_data = rng.normal(size=(n, 3))
 
     def build():
         tape = Tape()

@@ -9,7 +9,9 @@ import pytest
 from mwetag.cli import DEFAULTS, RunConfig, resolve, run, _build_parser
 from mwetag.corpus import Sentence, Token, VmweInstance, write_cupt_file
 from mwetag.errors import UsageError
+from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
+from mwetag.tagger import TaggerConfig, build_for_corpus
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +184,61 @@ def test_tag_without_embeddings_for_pretrained_model_exits_two(
               "--output", p(tmp_path / "x.cupt")])
     assert rc == 2
     assert "--embeddings" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_tagger(workdir, tmp_path_factory):
+    """A tiny untrained tagger file that tags the workdir corpus cleanly."""
+    config = TaggerConfig(filters_per_width=4, lstm_hidden=3)
+    model = build_for_corpus(
+        config, synthetic_corpus(sentences=12, seed=3),
+        embeddings=synthetic_embeddings(dim=8, seed=1),
+    )
+    path = tmp_path_factory.mktemp("small") / "small.json"
+    save_model(model, p(path))
+    assert run(["tag", "--model", p(path), "--input", p(workdir / "train.cupt"),
+                "--output", p(path.with_suffix(".cupt")),
+                "--embeddings", p(workdir / "vecs.vec")]) == 0
+    return path
+
+
+def _drop_proj_b(params):
+    return [e for e in params if e["name"] != "proj_b"]
+
+
+def _transpose(name):
+    def mutate(params):
+        for e in params:
+            if e["name"] == name:
+                rows, cols = e["shape"]
+                e["values"] = np.array(e["values"]).reshape(rows, cols).T.ravel().tolist()
+                e["shape"] = [cols, rows]
+        return params
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(_drop_proj_b, "proj_b"), (_transpose("proj_w"), "proj_w"),
+     (_transpose("lstm_fwd_wx"), "lstm_fwd_wx")],
+    ids=["missing-proj_b", "transposed-proj_w", "transposed-lstm_fwd_wx"],
+)
+def test_tag_with_malformed_tagger_file_exits_two(
+    workdir, small_tagger, tmp_path, capsys, mutate, message
+):
+    data = json.loads(small_tagger.read_text())
+    data["params"] = mutate(data["params"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = run(["tag", "--model", p(bad),
+              "--input", p(workdir / "train.cupt"),
+              "--output", p(tmp_path / "x.cupt"),
+              "--embeddings", p(workdir / "vecs.vec")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.cupt").exists()
 
 
 def test_same_seed_training_is_byte_identical(workdir, tmp_path):

@@ -205,6 +205,37 @@ def test_shape_value_mismatch_rejected(tagger_model):
         model_from_dict(data)
 
 
+def _add_extra(data):
+    data["params"].append({"name": "extra", "shape": [1], "values": [0.0]})
+
+
+def _repeat_first(data):
+    data["params"].append(dict(data["params"][0]))
+
+
+def _shrink_tags(data):
+    data["tag_vocab"] = data["tag_vocab"][:-1]
+
+
+def _drop_word_vocab(data):
+    data["word_vocab"] = None
+
+
+@pytest.mark.parametrize(
+    "model_name, mutate, message",
+    [("tagger_model", _add_extra, "extra"),
+     ("tagger_model", _repeat_first, "repeated"),
+     ("tagger_model", _shrink_tags, "shape"),
+     ("trainable_model", _drop_word_vocab, "word_vocab")],
+    ids=["extra-param", "repeated-param", "vocab-shape-mismatch", "no-word-vocab"],
+)
+def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):
+    data = model_to_dict(request.getfixturevalue(model_name))
+    mutate(data)
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(data)
+
+
 def test_unknown_kind_rejected(tagger_model):
     data = model_to_dict(tagger_model)
     data["kind"] = "ensemble"
