@@ -25,17 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import RngStream
-from .chaincrf import (
-    Emissions,
-    Transitions,
-    forward_backward,
-    log_partition,
-    score_path,
-    viterbi,
-)
+from .chaincrf import forward_backward, log_partition, nll_gradient, score_path, viterbi
 from .corpus import Corpus, Sentence, TagSequence, tag_vocabulary, to_tags
 from .embed import EmbeddingTable
-from .errors import TrainingDataError
+from .errors import NonFiniteError, TrainingDataError
 
 WINDOW = (-2, -1, 0, 1, 2)
 SENTINELS = {-2: "BOS2", -1: "BOS", 0: "EOS", 1: "EOS2"}
@@ -133,17 +126,6 @@ class BaselineModel:
     dense: np.ndarray | None = None  # (5*dim) x T, turian only
     emb_dim: int | None = None
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        for arr in (self.weights, self.trans, self.trans_start, self.trans_stop):
-            if not np.isfinite(arr).all():
-                raise ValueError("model weights must be finite")
-        if self.dense is not None and not np.isfinite(self.dense).all():
-            raise ValueError("model weights must be finite")
-
     def dense_weights(self) -> list[np.ndarray] | None:
         """Per-window-offset weight matrices (views into the dense block)."""
         if self.dense is None:
@@ -208,10 +190,7 @@ class BaselineProblem:
                 [[self.feature_index[f] for f in feats] for feats in rows], dtype=int
             )
             dense = np.vstack(dense_rows) if dense_rows else None
-            observed_trans = np.zeros((len(self.tag_vocab),) * 2)
-            if len(gold) > 1:
-                np.add.at(observed_trans, (gold[:-1], gold[1:]), 1.0)
-            self.sentences.append((ids, dense, gold, observed_trans))
+            self.sentences.append((ids, dense, gold))
 
         t_count = len(self.tag_vocab)
         self.f_count = len(self.feature_index)
@@ -243,37 +222,32 @@ class BaselineProblem:
         return e
 
     def loss(self, w: np.ndarray) -> float:
-        weights, dense_w, trans, start, stop = self.split(w)
-        t = Transitions(trans, start, stop)
+        weights, dense_w, *chain = self.split(w)
         total = float(w @ w) / (2.0 * self.sigma**2)
-        for ids, dense, gold, _ in self.sentences:
-            e = Emissions(self._emissions(weights, dense_w, ids, dense))
-            total += log_partition(e, t) - score_path(e, t, gold)
+        for ids, dense, gold in self.sentences:
+            scores = self._emissions(weights, dense_w, ids, dense)
+            total += log_partition(scores, *chain) - score_path(scores, *chain, gold)
         return total
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        weights, dense_w, trans, start, stop = self.split(w)
-        t_struct = Transitions(trans, start, stop)
+        weights, dense_w, *chain = self.split(w)
         grad = w / self.sigma**2
-        g_weights, g_dense, g_trans, g_start, g_stop = self.split(grad)
+        g_weights, g_dense, *g_chain = self.split(grad)
         total = float(w @ w) / (2.0 * self.sigma**2)
-        for ids, dense, gold, observed_trans in self.sentences:
-            e = Emissions(self._emissions(weights, dense_w, ids, dense))
-            gamma, xi, log_z = forward_backward(e, t_struct)
-            total += log_z - score_path(e, t_struct, gold)
-            diff = gamma.copy()
-            diff[np.arange(len(gold)), gold] -= 1.0
+        for ids, dense, gold in self.sentences:
+            scores = self._emissions(weights, dense_w, ids, dense)
+            gamma, xi, log_z = forward_backward(scores, *chain)
+            total += log_z - score_path(scores, *chain, gold)
+            d_scores, *d_chain = nll_gradient(gamma, xi, gold)
             np.add.at(
                 g_weights,
                 ids.reshape(-1),
-                np.repeat(diff, ids.shape[1], axis=0),
+                np.repeat(d_scores, ids.shape[1], axis=0),
             )
             if g_dense is not None:
-                g_dense += dense.T @ diff
-            if len(gold) > 1:
-                g_trans += xi.sum(axis=0) - observed_trans
-            g_start += diff[0]
-            g_stop += diff[-1]
+                g_dense += dense.T @ d_scores
+            for g, d in zip(g_chain, d_chain):
+                g += d
         return total, grad
 
     def to_model(self, w: np.ndarray) -> BaselineModel:
@@ -312,27 +286,38 @@ def train_baseline(
 ) -> BaselineModel:
     """Minimize the regularized NLL by gradient descent with backtracking
     (Armijo) line search. The objective is convex, so any start point reaches
-    the same optimum; the seed only jitters the start."""
+    the same optimum; the seed only jitters the start. An objective value
+    that overflows or becomes NaN raises NonFiniteError."""
     options = options or BaselineTrainOptions()
     problem = BaselineProblem(corpus, variant, sigma, table)
     rng = RngStream(options.seed)
     w = rng.uniform(-options.init_scale, options.init_scale, problem.size)
+
+    def finite(value: float, iteration: int) -> float:
+        if not np.isfinite(value):
+            raise NonFiniteError(
+                f"iteration {iteration}: baseline objective is {value} "
+                "(huge or non-finite input vectors?)"
+            )
+        return value
+
     value, grad = problem.loss_and_grad(w)
+    finite(value, 0)
     step = 1.0
-    for _ in range(options.max_iterations):
+    for iteration in range(1, options.max_iterations + 1):
         if np.abs(grad).max() < options.grad_tolerance:
             break
         descent = float(grad @ grad)
         while True:
             candidate = w - step * grad
-            cand_value = problem.loss(candidate)
+            cand_value = finite(problem.loss(candidate), iteration)
             if cand_value <= value - 1e-4 * step * descent:
                 break
             step *= 0.5
             if step < 1e-14:
                 return problem.to_model(w)  # no further progress possible
         w = candidate
-        value, grad = problem.loss_and_grad(w)
+        value, grad = problem.loss_and_grad(w)  # the checked cand_value again
         step = min(step * 2.0, 1.0)
     return problem.to_model(w)
 
@@ -341,7 +326,8 @@ def tag_baseline(
     model: BaselineModel, sentence: Sentence, table: EmbeddingTable | None = None
 ) -> TagSequence:
     """Viterbi decoding over summed feature weights. Feature strings unseen
-    in training contribute nothing."""
+    in training contribute nothing. Scores that overflow (huge dense input
+    vectors) raise NonFiniteError."""
     if model.variant == "turian" and table is None:
         raise ValueError("turian variant needs an embedding table")
     t_count = len(model.tag_vocab)
@@ -354,8 +340,8 @@ def tag_baseline(
                 scores[i] += model.weights[idx]
         if dense is not None:
             scores[i] += dense @ model.dense
-    path, _ = viterbi(
-        Emissions(scores),
-        Transitions(model.trans, model.trans_start, model.trans_stop),
-    )
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("baseline emission scores are not finite "
+                             "(huge or non-finite input vectors?)")
+    path, _ = viterbi(scores, model.trans, model.trans_start, model.trans_stop)
     return [model.tag_vocab[k] for k in path]

@@ -2,14 +2,19 @@
 
 Scores live in log-space. A labeling y of an n-token sentence scores
 
-    start[y_0] + sum_i e[i, y_i] + sum_i trans[y_{i-1}, y_i] + stop[y_{n-1}]
+    start[y_0] + sum_i scores[i, y_i] + sum_i trans[y_{i-1}, y_i] + stop[y_{n-1}]
 
-with explicit start/stop vectors instead of padded boundary labels. The
-emission matrix may come from any source: the neural tagger's projection
-layer or a sparse feature dot product. crf_nll is differentiable with respect
-to emissions and transition scores through the tape; the sparse baseline
-instead consumes forward_backward marginals directly to form
-expected-minus-observed feature counts.
+with explicit start/stop vectors instead of padded boundary labels. Every
+function takes the same plain float arrays: scores (n x T, n, T >= 1), trans
+(T x T), start and stop (T). The emission scores may come from any source: the
+neural tagger's projection layer or a sparse feature dot product. Shapes and
+finiteness are the callers' business: they are checked where the numbers
+enter or arise (model loading, the tagger's forward pass, the baseline
+objective), not here.
+
+nll_gradient is the one place that turns forward_backward marginals and a
+gold path into expected-minus-observed counts. crf_nll, the autodiff op, runs
+it in its backward pass; the sparse baseline calls it directly.
 
 No transition is masked as impossible (for example O followed by a
 continuation label): decoding may emit such sequences and the corpus-level
@@ -18,75 +23,9 @@ orphan filter repairs them afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import Tape, Tensor
-
-
-def _array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def _check_finite(name: str, arr: np.ndarray):
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class Emissions:
-    """Per-position label scores, n x T. scores may be a plain array or a
-    Tensor (for the differentiable loss path)."""
-
-    scores: object
-
-    def __post_init__(self):
-        arr = _array(self.scores)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"emission scores must be n x T with n,T >= 1, got {arr.shape}")
-        _check_finite("emission scores", arr)
-
-    @property
-    def n(self) -> int:
-        return _array(self.scores).shape[0]
-
-    @property
-    def label_count(self) -> int:
-        return _array(self.scores).shape[1]
-
-
-@dataclass(frozen=True)
-class Transitions:
-    """trans[a, b] scores label a followed by label b; start/stop score the
-    first and last label of a sequence. Fields may be arrays or Tensors."""
-
-    trans: object
-    start: object
-    stop: object
-
-    def __post_init__(self):
-        trans, start, stop = _array(self.trans), _array(self.start), _array(self.stop)
-        t = trans.shape[0] if trans.ndim == 2 else -1
-        if trans.ndim != 2 or trans.shape != (t, t):
-            raise ValueError(f"transition matrix must be square, got {trans.shape}")
-        if start.shape != (t,) or stop.shape != (t,):
-            raise ValueError("start/stop vectors must match the transition matrix width")
-        for name, arr in (("trans", trans), ("start", start), ("stop", stop)):
-            _check_finite(name, arr)
-
-    @property
-    def label_count(self) -> int:
-        return _array(self.trans).shape[0]
-
-
-def _unpack(e: Emissions, t: Transitions):
-    scores = _array(e.scores)
-    if scores.shape[1] != t.label_count:
-        raise ValueError(
-            f"emissions have {scores.shape[1]} labels, transitions {t.label_count}"
-        )
-    return scores, _array(t.trans), _array(t.start), _array(t.stop)
+from .autodiff import Tensor, _accumulate, _emit
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -94,8 +33,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def score_path(e: Emissions, t: Transitions, path) -> float:
-    scores, trans, start, stop = _unpack(e, t)
+def score_path(scores, trans, start, stop, path) -> float:
     path = np.asarray(path, dtype=int)
     n = scores.shape[0]
     if path.shape != (n,):
@@ -106,10 +44,9 @@ def score_path(e: Emissions, t: Transitions, path) -> float:
     return float(total)
 
 
-def viterbi(e: Emissions, t: Transitions) -> tuple[list[int], float]:
+def viterbi(scores, trans, start, stop) -> tuple[list[int], float]:
     """Highest-scoring label sequence and its score. Ties break toward the
     lower label index at every backpointer (first maximum)."""
-    scores, trans, start, stop = _unpack(e, t)
     n, t_count = scores.shape
     delta = start + scores[0]
     backptr = np.zeros((n, t_count), dtype=int)
@@ -127,17 +64,16 @@ def viterbi(e: Emissions, t: Transitions) -> tuple[list[int], float]:
     return path, best_score
 
 
-def log_partition(e: Emissions, t: Transitions) -> float:
+def log_partition(scores, trans, start, stop) -> float:
     """log of the summed exponentiated scores over all T^n paths, by the
     forward recursion with max-subtracted log-sum-exp."""
-    scores, trans, start, stop = _unpack(e, t)
     alpha = start + scores[0]
     for i in range(1, scores.shape[0]):
         alpha = _logsumexp(alpha[:, None] + trans, axis=0) + scores[i]
     return float(_logsumexp(alpha + stop, axis=0))
 
 
-def forward_backward(e: Emissions, t: Transitions):
+def forward_backward(scores, trans, start, stop):
     """Posterior marginals under the CRF distribution.
 
     Returns (gamma, xi, logZ): gamma[i, a] = P(y_i = a), an n x T matrix whose
@@ -145,7 +81,6 @@ def forward_backward(e: Emissions, t: Transitions):
     (n-1) x T x T block. These are exactly the gradient of logZ with respect
     to emissions and transition counts.
     """
-    scores, trans, start, stop = _unpack(e, t)
     n, t_count = scores.shape
     alpha = np.empty((n, t_count))
     alpha[0] = start + scores[0]
@@ -165,14 +100,24 @@ def forward_backward(e: Emissions, t: Transitions):
     return gamma, xi, log_z
 
 
-def crf_nll(e: Emissions, t: Transitions, gold) -> Tensor:
-    """Negative log-likelihood of the gold path: log_partition - score(gold).
+def nll_gradient(gamma, xi, gold):
+    """Gradient of log_partition - score_path(gold) from forward_backward's
+    marginals: expected minus observed counts, as (d_scores, d_trans,
+    d_start, d_stop)."""
+    n, t_count = gamma.shape
+    d_scores = gamma.copy()
+    d_scores[np.arange(n), gold] -= 1.0
+    observed_trans = np.bincount(
+        gold[:-1] * t_count + gold[1:], minlength=t_count * t_count
+    ).reshape(t_count, t_count)
+    d_trans = xi.sum(axis=0) - observed_trans
+    return d_scores, d_trans, d_scores[0], d_scores[-1]
 
-    Returned as a Tensor; when emissions or transition fields are
-    tape-attached Tensors the node records a fused backward whose gradient is
-    expected counts (forward-backward marginals) minus observed gold counts.
-    """
-    scores, trans, start, stop = _unpack(e, t)
+
+def crf_nll(scores: Tensor, trans: Tensor, start: Tensor, stop: Tensor, gold) -> Tensor:
+    """Negative log-likelihood of the gold path: log_partition - score(gold),
+    as a scalar Tensor whose backward pass is nll_gradient."""
+    arrays = (scores.data, trans.data, start.data, stop.data)
     n, t_count = scores.shape
     gold = np.asarray(gold, dtype=int)
     if gold.shape != (n,):
@@ -180,56 +125,20 @@ def crf_nll(e: Emissions, t: Transitions, gold) -> Tensor:
     if gold.min() < 0 or gold.max() >= t_count:
         raise ValueError("gold label index out of range")
 
-    gamma, xi, log_z = forward_backward(e, t)
-    loss = log_z - score_path(e, t, gold)
+    gamma, xi, log_z = forward_backward(*arrays)
+    loss = log_z - score_path(*arrays, gold)
 
-    tensors = [
-        x for x in (e.scores, t.trans, t.start, t.stop) if isinstance(x, Tensor)
-    ]
-    tape = None
-    for x in tensors:
-        if x.tape is not None:
-            if tape is not None and tape is not x.tape:
-                raise ValueError("operation mixes tensors from two tapes")
-            tape = x.tape
-    out = Tensor(np.asarray(loss), tape=tape)
-    if tape is not None:
-        observed_e = np.zeros_like(scores)
-        observed_e[np.arange(n), gold] = 1.0
+    def back(g):
+        for x, grad in zip((scores, trans, start, stop), nll_gradient(gamma, xi, gold)):
+            _accumulate(x, g * grad)
 
-        def node():
-            if out.grad is None:
-                return
-            g = float(out.grad)
-
-            def push(x, grad_value):
-                if isinstance(x, Tensor) and (x.requires_grad or x.tape is not None):
-                    if x.grad is None:
-                        x.grad = np.zeros_like(x.data)
-                    x.grad += g * grad_value
-
-            push(e.scores, gamma - observed_e)
-            expected_trans = xi.sum(axis=0) if n > 1 else np.zeros_like(trans)
-            observed_trans = np.zeros_like(trans)
-            if n > 1:
-                np.add.at(observed_trans, (gold[:-1], gold[1:]), 1.0)
-            push(t.trans, expected_trans - observed_trans)
-            start_grad = gamma[0].copy()
-            start_grad[gold[0]] -= 1.0
-            push(t.start, start_grad)
-            stop_grad = gamma[-1].copy()
-            stop_grad[gold[-1]] -= 1.0
-            push(t.stop, stop_grad)
-
-        tape.record(node)
-    return out
+    return _emit(np.asarray(loss), (scores, trans, start, stop), back)
 
 
-def brute_force(e: Emissions, t: Transitions) -> tuple[list[int], float, float]:
+def brute_force(scores, trans, start, stop) -> tuple[list[int], float, float]:
     """Exhaustive enumeration over all T^n paths: (best path, best score,
     log partition). Testing ground truth for viterbi and log_partition;
     refuses instances with more than 10^6 paths."""
-    scores, trans, start, stop = _unpack(e, t)
     n, t_count = scores.shape
     if t_count**n > 10**6:
         raise ValueError(f"instance too large for enumeration: {t_count}^{n} paths")

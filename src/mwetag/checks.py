@@ -30,7 +30,7 @@ from .autodiff import (
     softmax_rows,
     sum_all,
 )
-from .chaincrf import Emissions, Transitions, crf_nll
+from .chaincrf import crf_nll
 from .embed import N_SHAPE_FEATURES, SentenceEncoding
 from .tagger import TaggerConfig, build, loss
 
@@ -141,9 +141,7 @@ def _check_crf_nll(stream: RngStream) -> float:
     def build_loss():
         tape = Tape()
         carrier = _attach(np.zeros((n, t_count)), tape)
-        return crf_nll(
-            Emissions(add(e_scores, carrier)), Transitions(trans, start, stop), gold
-        )
+        return crf_nll(add(e_scores, carrier), trans, start, stop, gold)
 
     return grad_check(build_loss, [e_scores, trans, start, stop], eps=_EPS)
 

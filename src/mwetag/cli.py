@@ -32,12 +32,6 @@ from .tagger import (
 )
 
 VARIANTS = ("neural", "baseline-standard", "baseline-turian")
-DEFAULTS = {
-    "head": "crf",
-    "filter": True,
-    "seed": 1,
-    "variant": "neural",
-}
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
-    """CLI flag, else config-file value, else built-in default."""
+    """CLI flag, else config-file value, else the RunConfig field default."""
     overrides = _load_config_file(args.config) if getattr(args, "config", None) else {}
     values = {"subcommand": args.subcommand}
     for name in _FIELD_NAMES:
@@ -175,8 +169,6 @@ def resolve(args: argparse.Namespace) -> RunConfig:
             values[name] = given
         elif name in overrides:
             values[name] = overrides[name]
-        elif name in DEFAULTS:
-            values[name] = DEFAULTS[name]
     try:
         config = RunConfig(**values)
     except TypeError as exc:
@@ -189,16 +181,12 @@ def resolve(args: argparse.Namespace) -> RunConfig:
 # subcommand bodies
 
 
-def _read_corpus(path: str):
-    return read_cupt(path)
-
-
 def _load_table(path: str):
     return load_vec_file(path, sniff_vec_dim(path))
 
 
 def _cmd_convert(cfg: RunConfig) -> int:
-    corpus = _read_corpus(cfg.input)
+    corpus = read_cupt(cfg.input)
     blocks = []
     for sentence in corpus:
         tags = to_tags(sentence)
@@ -226,11 +214,11 @@ def _dump_json(path: str, payload: dict):
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    train_corpus = _read_corpus(cfg.train)
+    train_corpus = read_cupt(cfg.train)
     report_path = cfg.report or cfg.model + ".train.json"
     if cfg.variant == "neural":
         table = _load_table(cfg.embeddings)
-        dev_corpus = _read_corpus(cfg.dev) if cfg.dev else None
+        dev_corpus = read_cupt(cfg.dev) if cfg.dev else None
         tagger_config = TaggerConfig(
             head=cfg.head,
             seed=cfg.seed,
@@ -271,7 +259,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 def _cmd_tag(cfg: RunConfig) -> int:
     table = _load_table(cfg.embeddings) if cfg.embeddings else None
     model = load_model(cfg.model, embeddings=table)
-    corpus = _read_corpus(cfg.input)
+    corpus = read_cupt(cfg.input)
     if isinstance(model, TaggerModel):
         if model.config.embedding_mode == "pretrained" and table is None:
             raise DataError(
@@ -293,13 +281,13 @@ def _cmd_tag(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    gold = _read_corpus(cfg.gold)
-    pred = _read_corpus(cfg.pred)
+    gold = read_cupt(cfg.gold)
+    pred = read_cupt(cfg.pred)
     report = evaluate(gold, pred)
     payload = {"overall": report_to_dict(report)}
     print(format_report(report, "overall"))
     if cfg.train:
-        train_corpus = _read_corpus(cfg.train)
+        train_corpus = read_cupt(cfg.train)
         partition, seen_report, unseen_report = seen_unseen(train_corpus, gold, pred)
         payload["seen_fraction"] = partition.seen_fraction
         payload["seen"] = report_to_dict(seen_report)

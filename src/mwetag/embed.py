@@ -56,8 +56,8 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
     line, then `word v1 v2 ... v_dim` per line (space separated).
 
     Duplicate words keep their first vector (with a warning); a wrong value
-    count or a header dimension other than expected_dim is a VecLoadError
-    naming the line.
+    count, a nan/inf value or a header dimension other than expected_dim is a
+    VecLoadError naming the line.
     """
     entries: dict[str, np.ndarray] = {}
     first = True
@@ -89,6 +89,8 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
             vector = np.array(values, dtype=np.float64)
         except ValueError:
             raise VecLoadError(f"non-numeric value for {word!r}", line_number) from None
+        if not np.isfinite(vector).all():
+            raise VecLoadError(f"non-finite value for {word!r}", line_number)
         if word in entries:
             log.warning("duplicate vector for %r at line %d ignored", word, line_number)
             continue

@@ -38,6 +38,11 @@ class TrainingDataError(DataError):
     pass
 
 
+class NonFiniteError(DataError):
+    """Scores or an objective value that overflowed or became NaN, usually
+    from huge or non-finite input vectors."""
+
+
 class UsageError(Exception):
     """Bad or missing command-line flags; callers map this to exit code 1
     where data problems map to 2."""

@@ -13,7 +13,7 @@ denominator are defined as 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, Sentence
 from .errors import EvaluationError
@@ -87,41 +87,56 @@ def _instances(corpus: Corpus, category: str | None):
                 yield sent_idx, inst
 
 
-def _mwe_counts(gold: Corpus, pred: Corpus, category: str | None):
-    gold_keys = {(i, frozenset(inst.token_positions)) for i, inst in _instances(gold, category)}
-    pred_keys = {(i, frozenset(inst.token_positions)) for i, inst in _instances(pred, category)}
+def _items(corpus: Corpus, category: str | None):
+    """(sentence index, token positions) of each instance, as the counters
+    below take them."""
+    return [(i, inst.token_positions) for i, inst in _instances(corpus, category)]
+
+
+def _mwe_counts(gold_items, pred_items):
+    gold_keys = {(i, frozenset(positions)) for i, positions in gold_items}
+    pred_keys = {(i, frozenset(positions)) for i, positions in pred_items}
     tp = len(gold_keys & pred_keys)
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
 
-def _token_counts(gold: Corpus, pred: Corpus, category: str | None):
-    tp = pred_total = gold_total = 0
-    for g, p in zip(gold, pred):
-        g_set = set()
-        for inst in g.vmwes:
-            if category is None or inst.category == category:
-                g_set.update(inst.token_positions)
-        p_set = set()
-        for inst in p.vmwes:
-            if category is None or inst.category == category:
-                p_set.update(inst.token_positions)
-        tp += len(g_set & p_set)
-        pred_total += len(p_set)
-        gold_total += len(g_set)
+def _unions(items) -> dict[int, set]:
+    union: dict[int, set] = {}
+    for i, positions in items:
+        union.setdefault(i, set()).update(positions)
+    return union
+
+
+def _token_counts(gold_items, pred_items):
+    g_union, p_union = _unions(gold_items), _unions(pred_items)
+    tp = sum(len(s & p_union[i]) for i, s in g_union.items() if i in p_union)
+    pred_total = sum(len(s) for s in p_union.values())
+    gold_total = sum(len(s) for s in g_union.values())
     return tp, pred_total - tp, gold_total - tp
+
+
+def _report(gold_items, pred_items) -> EvalReport:
+    return EvalReport(
+        token=BasisScores.from_counts(*_token_counts(gold_items, pred_items)),
+        mwe=BasisScores.from_counts(*_mwe_counts(gold_items, pred_items)),
+    )
 
 
 def mwe_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
     """Strict scores: an instance counts iff its exact position set appears on
     the other side (category ignored unless one is requested)."""
     _check_aligned(gold, pred)
-    return BasisScores.from_counts(*_mwe_counts(gold, pred, category))
+    return BasisScores.from_counts(
+        *_mwe_counts(_items(gold, category), _items(pred, category))
+    )
 
 
 def token_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
     """Fuzzy scores over per-sentence unions of annotated token positions."""
     _check_aligned(gold, pred)
-    return BasisScores.from_counts(*_token_counts(gold, pred, category))
+    return BasisScores.from_counts(
+        *_token_counts(_items(gold, category), _items(pred, category))
+    )
 
 
 def per_category_scores(gold: Corpus, pred: Corpus) -> dict[str, EvalReport]:
@@ -129,10 +144,7 @@ def per_category_scores(gold: Corpus, pred: Corpus) -> dict[str, EvalReport]:
     categories = {inst.category for _, inst in _instances(gold, None)}
     categories |= {inst.category for _, inst in _instances(pred, None)}
     return {
-        cat: EvalReport(
-            token=BasisScores.from_counts(*_token_counts(gold, pred, cat)),
-            mwe=BasisScores.from_counts(*_mwe_counts(gold, pred, cat)),
-        )
+        cat: _report(_items(gold, cat), _items(pred, cat))
         for cat in sorted(categories)
     }
 
@@ -140,11 +152,8 @@ def per_category_scores(gold: Corpus, pred: Corpus) -> dict[str, EvalReport]:
 def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
     """Overall token- and MWE-based scores plus per-category breakdown."""
     _check_aligned(gold, pred)
-    return EvalReport(
-        token=token_scores(gold, pred),
-        mwe=mwe_scores(gold, pred),
-        per_category=per_category_scores(gold, pred),
-    )
+    overall = _report(_items(gold, None), _items(pred, None))
+    return replace(overall, per_category=per_category_scores(gold, pred))
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +211,9 @@ def seen_unseen(train: Corpus, gold_test: Corpus, pred: Corpus):
         pred_partition[side].append((i, inst))
 
     def side_report(side: str, gold_refs: list) -> EvalReport:
-        gold_keys = {(i, frozenset(positions)) for i, positions, _ in gold_refs}
-        pred_keys = {
-            (i, frozenset(inst.token_positions)) for i, inst in pred_partition[side]
-        }
-        tp = len(gold_keys & pred_keys)
-        mwe = BasisScores.from_counts(tp, len(pred_keys) - tp, len(gold_keys) - tp)
-        g_union: dict[int, set] = {}
-        for i, positions, _ in gold_refs:
-            g_union.setdefault(i, set()).update(positions)
-        p_union: dict[int, set] = {}
-        for i, inst in pred_partition[side]:
-            p_union.setdefault(i, set()).update(inst.token_positions)
-        t_tp = sum(
-            len(g_union.get(i, set()) & p_union.get(i, set()))
-            for i in g_union.keys() | p_union.keys()
-        )
-        t_pred = sum(len(s) for s in p_union.values())
-        t_gold = sum(len(s) for s in g_union.values())
-        token = BasisScores.from_counts(t_tp, t_pred - t_tp, t_gold - t_tp)
-        return EvalReport(token=token, mwe=mwe)
+        gold_items = [(i, positions) for i, positions, _ in gold_refs]
+        pred_items = [(i, inst.token_positions) for i, inst in pred_partition[side]]
+        return _report(gold_items, pred_items)
 
     total = len(seen_refs) + len(unseen_refs)
     partition = SeenUnseenPartition(
@@ -233,40 +225,7 @@ def seen_unseen(train: Corpus, gold_test: Corpus, pred: Corpus):
 
 
 # ---------------------------------------------------------------------------
-# aggregation and rendering
-
-
-def macro_average(reports: list[EvalReport]) -> EvalReport:
-    """Mean of each P/R/F1 field across reports; F1 is averaged directly, not
-    recomputed from the averaged P and R. Counts are summed. A category's mean
-    runs over the reports that contain it."""
-    if not reports:
-        raise EvaluationError("cannot macro-average an empty report list")
-
-    def mean_basis(parts: list[BasisScores]) -> BasisScores:
-        k = len(parts)
-        return BasisScores(
-            precision=sum(b.precision for b in parts) / k,
-            recall=sum(b.recall for b in parts) / k,
-            f1=sum(b.f1 for b in parts) / k,
-            tp=sum(b.tp for b in parts),
-            fp=sum(b.fp for b in parts),
-            fn=sum(b.fn for b in parts),
-        )
-
-    categories = sorted({c for r in reports for c in r.per_category})
-    per_category = {}
-    for cat in categories:
-        present = [r.per_category[cat] for r in reports if cat in r.per_category]
-        per_category[cat] = EvalReport(
-            token=mean_basis([p.token for p in present]),
-            mwe=mean_basis([p.mwe for p in present]),
-        )
-    return EvalReport(
-        token=mean_basis([r.token for r in reports]),
-        mwe=mean_basis([r.mwe for r in reports]),
-        per_category=per_category,
-    )
+# rendering
 
 
 def percent(value: float) -> str:

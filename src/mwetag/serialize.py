@@ -12,6 +12,7 @@ target directory and rename into place, so failures never leave partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict
@@ -19,12 +20,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .autodiff import param
-from .baseline import VARIANTS, BaselineModel
+from .baseline import VARIANTS, WINDOW, BaselineModel
 from .embed import EmbeddingTable
 from .errors import ModelFormatError
 from .tagger import OptimizerConfig, TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
@@ -45,7 +46,30 @@ def _read_array(entry) -> tuple[str, np.ndarray]:
         raise ModelFormatError(f"malformed parameter entry: {exc}") from exc
     if not isinstance(name, str):
         raise ModelFormatError(f"parameter name {name!r} is not a string")
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"parameter {name!r} contains non-finite values")
     return name, arr
+
+
+def _read_params(entries, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Every parameter the model indexes, present once with the shape its
+    config and vocabularies imply; a mismatch would otherwise surface
+    mid-inference as a KeyError or a shape error."""
+    params = {}
+    for entry in entries:
+        name, arr = _read_array(entry)
+        if name not in expected or name in params:
+            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
+        if arr.shape != expected[name]:
+            raise ModelFormatError(
+                f"parameter {name!r} has shape {list(arr.shape)}, "
+                f"expected {list(expected[name])}"
+            )
+        params[name] = arr
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise ModelFormatError(f"missing parameter(s) {missing}")
+    return params
 
 
 def model_to_dict(model) -> dict:
@@ -92,6 +116,20 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _require_list(data: dict, key: str) -> list:
+    value = _require(data, key)
+    if not isinstance(value, list) or not value:
+        raise ModelFormatError(f"{key} must be a non-empty list")
+    return value
+
+
+def _require_emb_dim(data: dict) -> int:
+    emb_dim = _require(data, "emb_dim")
+    if not isinstance(emb_dim, int) or emb_dim < 1:
+        raise ModelFormatError(f"bad emb_dim {emb_dim!r}")
+    return emb_dim
+
+
 def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerModel:
     raw_config = _require(data, "config")
     try:
@@ -101,15 +139,10 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
         config = TaggerConfig(**raw_config)
     except (TypeError, KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad tagger config: {exc}") from exc
-    emb_dim = _require(data, "emb_dim")
-    tag_vocab = _require(data, "tag_vocab")
-    pos_vocab = _require(data, "pos_vocab")
+    emb_dim = _require_emb_dim(data)
+    tag_vocab = _require_list(data, "tag_vocab")
+    pos_vocab = _require_list(data, "pos_vocab")
     word_vocab = data.get("word_vocab")
-    if not isinstance(emb_dim, int) or emb_dim < 1:
-        raise ModelFormatError(f"bad emb_dim {emb_dim!r}")
-    for key, vocab in (("tag_vocab", tag_vocab), ("pos_vocab", pos_vocab)):
-        if not isinstance(vocab, list) or not vocab:
-            raise ModelFormatError(f"{key} must be a non-empty list")
     if config.embedding_mode == "random_trainable" and not isinstance(word_vocab, list):
         raise ModelFormatError("random_trainable model has no word_vocab list")
     if embeddings is not None and embeddings.dimension != emb_dim:
@@ -117,33 +150,17 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
             f"model expects {emb_dim}-dimensional embeddings, "
             f"table has {embeddings.dimension}"
         )
-    # every parameter the forward pass indexes must be present with the shape
-    # the config and vocabularies imply; a mismatch would otherwise surface
-    # mid-inference as a KeyError or a matmul shape error
     expected = param_shapes(
         config, emb_dim, len(pos_vocab), len(tag_vocab),
         len(word_vocab) if word_vocab else None,
     )
-    params = {}
-    for entry in _require(data, "params"):
-        name, arr = _read_array(entry)
-        if name not in expected or name in params:
-            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
-        if arr.shape != expected[name]:
-            raise ModelFormatError(
-                f"parameter {name!r} has shape {list(arr.shape)}, "
-                f"expected {list(expected[name])}"
-            )
-        params[name] = param(arr)
-    missing = sorted(expected.keys() - params.keys())
-    if missing:
-        raise ModelFormatError(f"missing parameter(s) {missing}")
+    params = _read_params(_require(data, "params"), expected)
     return TaggerModel(
         config=config,
         emb_dim=emb_dim,
         tag_vocab=tuple(tag_vocab),
         pos_vocab=tuple(pos_vocab),
-        params=params,
+        params={name: param(arr) for name, arr in params.items()},
         embeddings=embeddings or EmbeddingTable(emb_dim, {}),
         word_vocab=tuple(word_vocab) if word_vocab else None,
     )
@@ -153,25 +170,36 @@ def _baseline_from_dict(data: dict) -> BaselineModel:
     variant = _require(data, "variant")
     if variant not in VARIANTS:
         raise ModelFormatError(f"unknown baseline variant {variant!r}")
-    arrays = {}
-    for entry in _require(data, "params"):
-        name, arr = _read_array(entry)
-        arrays[name] = arr
-    for needed in ("weights", "trans", "trans_start", "trans_stop"):
-        if needed not in arrays:
-            raise ModelFormatError(f"missing parameter {needed!r}")
-    emb_dim = data.get("emb_dim")
+    sigma = _require(data, "sigma")
+    if not isinstance(sigma, (int, float)) or not (math.isfinite(sigma) and sigma > 0):
+        raise ModelFormatError(f"sigma must be a positive number, got {sigma!r}")
+    tag_vocab = _require_list(data, "tag_vocab")
+    feature_names = _require(data, "feature_names")
+    if not isinstance(feature_names, list):
+        raise ModelFormatError("feature_names must be a list")
+    t_count = len(tag_vocab)
+    expected = {
+        "weights": (len(feature_names), t_count),
+        "trans": (t_count, t_count),
+        "trans_start": (t_count,),
+        "trans_stop": (t_count,),
+    }
+    emb_dim = None
+    if variant == "turian":
+        emb_dim = _require_emb_dim(data)
+        expected["dense"] = (len(WINDOW) * emb_dim, t_count)
+    arrays = _read_params(_require(data, "params"), expected)
     return BaselineModel(
         variant=variant,
-        sigma=float(_require(data, "sigma")),
-        tag_vocab=tuple(_require(data, "tag_vocab")),
-        feature_index={n: k for k, n in enumerate(_require(data, "feature_names"))},
+        sigma=float(sigma),
+        tag_vocab=tuple(tag_vocab),
+        feature_index={n: k for k, n in enumerate(feature_names)},
         weights=arrays["weights"],
         trans=arrays["trans"],
         trans_start=arrays["trans_start"],
         trans_stop=arrays["trans_stop"],
         dense=arrays.get("dense"),
-        emb_dim=int(emb_dim) if emb_dim is not None else None,
+        emb_dim=emb_dim,
     )
 
 
@@ -181,7 +209,8 @@ def model_from_dict(data, embeddings: EmbeddingTable | None = None):
     version = _require(data, "format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported format version {version} (this build reads {FORMAT_VERSION})"
+            f"unsupported format version {version} (this build reads "
+            f"{FORMAT_VERSION}); retrain the model with this version"
         )
     kind = _require(data, "kind")
     if kind == "tagger":

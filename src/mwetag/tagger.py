@@ -43,10 +43,10 @@ from .autodiff import (
     param,
     softmax_rows,
 )
-from .chaincrf import Emissions, Transitions, crf_nll, viterbi
+from .chaincrf import crf_nll, viterbi
 from .corpus import Corpus, TagSequence, from_tags, to_tags
 from .embed import N_SHAPE_FEATURES, EmbeddingTable, SentenceEncoding, encode
-from .errors import TrainingDataError
+from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
 
 UNK_WORD = "<unk>"
@@ -54,15 +54,12 @@ UNK_WORD = "<unk>"
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    name: str = "adam"
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.name != "adam":
-            raise ValueError(f"unknown optimizer {self.name!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("optimizer betas must lie in [0, 1)")
         if self.learning_rate <= 0.0 or self.epsilon <= 0.0:
@@ -79,8 +76,6 @@ class TaggerConfig:
     conv_activation: str = "relu"
     head: str = "crf"
     epochs: int = 100
-    pos_merge: str = "before_lstm"
-    embeddings_trainable: bool = False
     embedding_mode: str = "pretrained"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     batch_size: int = 32
@@ -100,12 +95,8 @@ class TaggerConfig:
             raise ValueError(f"unknown activation {self.conv_activation!r}")
         if self.head not in ("softmax", "crf"):
             raise ValueError(f"unknown head {self.head!r}")
-        if self.pos_merge != "before_lstm":
-            raise ValueError(f"unsupported pos_merge {self.pos_merge!r}")
         if self.embedding_mode not in ("pretrained", "random_trainable"):
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
-        if self.embeddings_trainable and self.embedding_mode == "pretrained":
-            raise ValueError("pretrained embeddings are frozen; use random_trainable")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
 
@@ -142,13 +133,6 @@ class TaggerModel:
             wx=self.params[f"lstm_{direction}_wx"],
             wh=self.params[f"lstm_{direction}_wh"],
             b=self.params[f"lstm_{direction}_b"],
-        )
-
-    def transitions(self) -> Transitions:
-        return Transitions(
-            trans=self.params["trans"],
-            start=self.params["trans_start"],
-            stop=self.params["trans_stop"],
         )
 
     def trainable(self) -> list[Tensor]:
@@ -317,10 +301,11 @@ def forward(
     mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
-) -> Emissions:
+) -> Tensor:
     """Per-position label scores, n x T. Raw scores for both heads: the
     softmax head normalizes at loss/prediction time. Pass a tape to record
-    for backward; without one the pass is pure."""
+    for backward; without one the pass is pure. Scores that overflowed or
+    became NaN raise NonFiniteError."""
     cfg = model.config
     expected = model.emb_dim + N_SHAPE_FEATURES
     if enc.word_input.shape[1] != expected:
@@ -359,7 +344,11 @@ def forward(
         mode=mode,
         rng=rng,
     )
-    return Emissions(dense(h, model.params["proj_w"], model.params["proj_b"]))
+    scores = dense(h, model.params["proj_w"], model.params["proj_b"])
+    if not np.isfinite(scores.data).all():
+        raise NonFiniteError("emission scores are not finite (huge or non-finite "
+                             "input vectors?)")
+    return scores
 
 
 def _gold_indices(model: TaggerModel, gold: TagSequence) -> np.ndarray:
@@ -386,20 +375,24 @@ def loss(
             f"{len(gold)} labels for {enc.word_input.shape[0]} tokens"
         )
     indices = _gold_indices(model, gold)
-    emissions = forward(model, enc, mode=mode, rng=rng, tape=tape)
+    scores = forward(model, enc, mode=mode, rng=rng, tape=tape)
     if model.config.head == "softmax":
-        return cross_entropy(softmax_rows(emissions.scores), indices)
-    return crf_nll(emissions, model.transitions(), indices)
+        return cross_entropy(softmax_rows(scores), indices)
+    p = model.params
+    return crf_nll(scores, p["trans"], p["trans_start"], p["trans_stop"], indices)
 
 
 def predict(model: TaggerModel, enc: SentenceEncoding) -> TagSequence:
     """Most likely label sequence: row argmax (softmax head) or viterbi path
     (CRF head). Ties go to the lower label index either way."""
-    emissions = forward(model, enc, mode="eval")
+    scores = forward(model, enc, mode="eval").data
     if model.config.head == "softmax":
-        indices = np.asarray(emissions.scores.data).argmax(axis=1)
+        indices = scores.argmax(axis=1)
     else:
-        indices, _ = viterbi(emissions, model.transitions())
+        p = model.params
+        indices, _ = viterbi(
+            scores, p["trans"].data, p["trans_start"].data, p["trans_stop"].data
+        )
     return [model.tag_vocab[i] for i in indices]
 
 
@@ -492,10 +485,15 @@ def train(
                 p.zero_grad()
             for i in batch:
                 tape = Tape()
-                value = loss(
-                    model, encodings[i], gold[i], mode="train",
-                    rng=dropout_rng, tape=tape,
-                )
+                try:
+                    value = loss(
+                        model, encodings[i], gold[i], mode="train",
+                        rng=dropout_rng, tape=tape,
+                    )
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
+                    ) from None
                 backward(tape, value)
                 epoch_loss += value.item()
             for p in params:

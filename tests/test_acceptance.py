@@ -12,7 +12,7 @@ import pytest
 
 from mwetag.autodiff import RngStream
 from mwetag.baseline import SYMBOLIC_TEMPLATE_COUNT, BaselineTrainOptions, extract_features, tag_baseline, train_baseline
-from mwetag.chaincrf import Emissions, Transitions, brute_force, log_partition, score_path, viterbi
+from mwetag.chaincrf import brute_force, log_partition, score_path, viterbi
 from mwetag.checks import SUITE_TOLERANCE, gradient_suite
 from mwetag.cli import run
 from mwetag.corpus import (
@@ -55,17 +55,17 @@ def test_criterion_2_crf_matches_enumeration():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         t_count = int(rng.integers(1, 5))
-        e = Emissions(rng.uniform(-2.0, 2.0, (n, t_count)))
-        t = Transitions(
+        crf = (
+            rng.uniform(-2.0, 2.0, (n, t_count)),
             rng.uniform(-2.0, 2.0, (t_count, t_count)),
             rng.uniform(-2.0, 2.0, t_count),
             rng.uniform(-2.0, 2.0, t_count),
         )
-        oracle_path, oracle_best, oracle_log_z = brute_force(e, t)
-        path, score = viterbi(e, t)
+        oracle_path, oracle_best, oracle_log_z = brute_force(*crf)
+        path, score = viterbi(*crf)
         assert abs(score - oracle_best) < 1e-8
-        assert abs(score_path(e, t, path) - oracle_best) < 1e-8
-        assert abs(log_partition(e, t) - oracle_log_z) < 1e-8
+        assert abs(score_path(*crf, path) - oracle_best) < 1e-8
+        assert abs(log_partition(*crf) - oracle_log_z) < 1e-8
     assert time.monotonic() - started < 10.0
 
 

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from mwetag.autodiff import Tape, Tensor, add, grad_check, param
 from mwetag.chaincrf import (
-    Emissions,
-    Transitions,
     brute_force,
     crf_nll,
     forward_backward,
@@ -22,20 +20,26 @@ from mwetag.chaincrf import (
 
 
 def make_instance(rng, n, t):
+    """(scores, trans, start, stop), the argument order of every chaincrf
+    function."""
     return (
-        Emissions(rng.normal(scale=2.0, size=(n, t))),
-        Transitions(
-            trans=rng.normal(scale=2.0, size=(t, t)),
-            start=rng.normal(scale=2.0, size=t),
-            stop=rng.normal(scale=2.0, size=t),
-        ),
+        rng.normal(scale=2.0, size=(n, t)),
+        rng.normal(scale=2.0, size=(t, t)),
+        rng.normal(scale=2.0, size=t),
+        rng.normal(scale=2.0, size=t),
     )
 
 
-def enumerate_scores(e, t):
+def zero_chain(t):
+    return np.zeros((t, t)), np.zeros(t), np.zeros(t)
+
+
+def tensors(*arrays):
+    return [Tensor(a) for a in arrays]
+
+
+def enumerate_scores(scores, trans, start, stop):
     """Scalar-loop path table, the oracle for everything below."""
-    scores, trans = np.asarray(e.scores), np.asarray(t.trans)
-    start, stop = np.asarray(t.start), np.asarray(t.stop)
     n, labels = scores.shape
     table = {}
     for path in itertools.product(range(labels), repeat=n):
@@ -55,42 +59,12 @@ def oracle_log_z(table):
 
 
 # ---------------------------------------------------------------------------
-# construction guards
-
-
-def test_emissions_reject_bad_shape_and_nonfinite():
-    with pytest.raises(ValueError):
-        Emissions(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        Emissions(np.zeros(3))
-    with pytest.raises(ValueError):
-        Emissions(np.array([[0.0, np.inf]]))
-
-
-def test_transitions_reject_bad_shapes_and_nonfinite():
-    with pytest.raises(ValueError):
-        Transitions(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        Transitions(np.zeros((2, 2)), np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        Transitions(np.full((2, 2), np.nan), np.zeros(2), np.zeros(2))
-
-
-def test_label_count_mismatch_rejected():
-    e = Emissions(np.zeros((2, 3)))
-    t = Transitions(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        viterbi(e, t)
-
-
-# ---------------------------------------------------------------------------
 # viterbi
 
 
 def test_viterbi_single_position_is_argmax_of_sums():
-    e = Emissions(np.array([[1.0, 5.0, 2.0]]))
-    t = Transitions(np.zeros((3, 3)), np.array([0.0, 0.0, 4.0]), np.zeros(3))
-    path, score = viterbi(e, t)
+    chain = np.zeros((3, 3)), np.array([0.0, 0.0, 4.0]), np.zeros(3)
+    path, score = viterbi(np.array([[1.0, 5.0, 2.0]]), *chain)
     assert path == [2]
     assert score == pytest.approx(6.0)
 
@@ -98,27 +72,23 @@ def test_viterbi_single_position_is_argmax_of_sums():
 def test_viterbi_zero_transitions_is_rowwise_argmax():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(6, 4))
-    e = Emissions(scores)
-    t = Transitions(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    path, _ = viterbi(e, t)
+    path, _ = viterbi(scores, *zero_chain(4))
     assert path == list(scores.argmax(axis=1))
 
 
 def test_viterbi_ties_break_to_lowest_index():
     # every path scores zero, so the lowest-index choice wins everywhere
-    e = Emissions(np.zeros((4, 3)))
-    t = Transitions(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-    path, score = viterbi(e, t)
+    path, score = viterbi(np.zeros((4, 3)), *zero_chain(3))
     assert path == [0, 0, 0, 0]
     assert score == 0.0
 
 
 def test_viterbi_matches_exhaustive_n4_t3():
-    e, t = make_instance(np.random.default_rng(7), 4, 3)
-    table = enumerate_scores(e, t)
-    path, score = viterbi(e, t)
+    crf = make_instance(np.random.default_rng(7), 4, 3)
+    table = enumerate_scores(*crf)
+    path, score = viterbi(*crf)
     assert score == pytest.approx(max(table.values()), abs=1e-8)
-    assert score == pytest.approx(score_path(e, t, path), abs=1e-10)
+    assert score == pytest.approx(score_path(*crf, path), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +96,36 @@ def test_viterbi_matches_exhaustive_n4_t3():
 
 
 def test_log_partition_two_labels_zero_scores_is_ln2():
-    e = Emissions(np.zeros((1, 2)))
-    t = Transitions(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    assert log_partition(e, t) == pytest.approx(np.log(2.0))
+    assert log_partition(np.zeros((1, 2)), *zero_chain(2)) == pytest.approx(np.log(2.0))
 
 
 def test_log_partition_matches_oracle_n5_t4():
-    e, t = make_instance(np.random.default_rng(8), 5, 4)
-    assert log_partition(e, t) == pytest.approx(
-        oracle_log_z(enumerate_scores(e, t)), abs=1e-8
+    crf = make_instance(np.random.default_rng(8), 5, 4)
+    assert log_partition(*crf) == pytest.approx(
+        oracle_log_z(enumerate_scores(*crf)), abs=1e-8
     )
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_log_partition_dominates_viterbi(n, t_count, seed):
-    e, t = make_instance(np.random.default_rng(seed), n, t_count)
-    _, best = viterbi(e, t)
-    assert log_partition(e, t) >= best - 1e-10
+    crf = make_instance(np.random.default_rng(seed), n, t_count)
+    _, best = viterbi(*crf)
+    assert log_partition(*crf) >= best - 1e-10
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**31 - 1))
 def test_constant_emission_shift_moves_logz_not_argmax(n, t_count, seed):
-    e, t = make_instance(np.random.default_rng(seed), n, t_count)
+    scores, *chain = make_instance(np.random.default_rng(seed), n, t_count)
     shift_pos = n // 2
-    shifted = np.array(e.scores, copy=True)
+    shifted = np.array(scores, copy=True)
     shifted[shift_pos] += 3.7
-    e2 = Emissions(shifted)
-    assert log_partition(e2, t) == pytest.approx(log_partition(e, t) + 3.7, abs=1e-8)
-    p1, s1 = viterbi(e, t)
-    p2, s2 = viterbi(e2, t)
+    assert log_partition(shifted, *chain) == pytest.approx(
+        log_partition(scores, *chain) + 3.7, abs=1e-8
+    )
+    p1, s1 = viterbi(scores, *chain)
+    p2, s2 = viterbi(shifted, *chain)
     assert s2 == pytest.approx(s1 + 3.7, abs=1e-8)
     assert p1 == p2
 
@@ -166,15 +135,12 @@ def test_constant_emission_shift_moves_logz_not_argmax(n, t_count, seed):
 
 
 def test_brute_force_hand_enumerated_four_paths():
-    e = Emissions(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    t = Transitions(
-        np.array([[0.5, -1.0], [2.0, 0.0]]),
-        np.array([0.1, 0.2]),
-        np.array([-0.3, 0.6]),
-    )
+    scores = np.array([[1.0, 2.0], [3.0, 4.0]])
+    trans = np.array([[0.5, -1.0], [2.0, 0.0]])
+    start, stop = np.array([0.1, 0.2]), np.array([-0.3, 0.6])
     # (0,0): .1+1+.5+3-.3 = 4.3   (0,1): .1+1-1+4+.6 = 4.7
     # (1,0): .2+2+2+3-.3 = 6.9    (1,1): .2+2+0+4+.6 = 6.8
-    path, best, log_z = brute_force(e, t)
+    path, best, log_z = brute_force(scores, trans, start, stop)
     assert path == [1, 0]
     assert best == pytest.approx(6.9)
     hand = np.array([4.3, 4.7, 6.9, 6.8])
@@ -184,18 +150,16 @@ def test_brute_force_hand_enumerated_four_paths():
 
 
 def test_brute_force_single_position_agrees_with_viterbi():
-    e, t = make_instance(np.random.default_rng(9), 1, 4)
-    path, best, log_z = brute_force(e, t)
-    v_path, v_best = viterbi(e, t)
+    crf = make_instance(np.random.default_rng(9), 1, 4)
+    path, best, log_z = brute_force(*crf)
+    v_path, v_best = viterbi(*crf)
     assert path == v_path and best == pytest.approx(v_best)
-    assert log_z == pytest.approx(log_partition(e, t))
+    assert log_z == pytest.approx(log_partition(*crf))
 
 
 def test_brute_force_refuses_large_instances():
-    e = Emissions(np.zeros((30, 4)))
-    t = Transitions(np.zeros((4, 4)), np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
-        brute_force(e, t)
+        brute_force(np.zeros((30, 4)), *zero_chain(4))
 
 
 def test_viterbi_and_partition_agree_with_brute_force_seeded_sweep():
@@ -203,13 +167,13 @@ def test_viterbi_and_partition_agree_with_brute_force_seeded_sweep():
     for _ in range(200):
         n = rng.integers(1, 6)
         t_count = rng.integers(1, 5)
-        e, t = make_instance(rng, n, t_count)
-        b_path, b_best, b_log_z = brute_force(e, t)
-        v_path, v_best = viterbi(e, t)
+        crf = make_instance(rng, n, t_count)
+        b_path, b_best, b_log_z = brute_force(*crf)
+        v_path, v_best = viterbi(*crf)
         assert abs(v_best - b_best) < 1e-8
-        assert abs(log_partition(e, t) - b_log_z) < 1e-8
+        assert abs(log_partition(*crf) - b_log_z) < 1e-8
         # the decoded path must itself attain the best score
-        assert abs(score_path(e, t, v_path) - b_best) < 1e-8
+        assert abs(score_path(*crf, v_path) - b_best) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +199,19 @@ def oracle_marginals(table, n, labels):
 def test_marginals_match_enumeration(seed):
     rng = np.random.default_rng(seed)
     n, t_count = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    e, t = make_instance(rng, n, t_count)
-    gamma, xi, log_z = forward_backward(e, t)
-    o_gamma, o_xi = oracle_marginals(enumerate_scores(e, t), n, t_count)
+    crf = make_instance(rng, n, t_count)
+    gamma, xi, log_z = forward_backward(*crf)
+    o_gamma, o_xi = oracle_marginals(enumerate_scores(*crf), n, t_count)
     np.testing.assert_allclose(gamma, o_gamma, atol=1e-10)
     np.testing.assert_allclose(xi, o_xi, atol=1e-10)
-    assert log_z == pytest.approx(log_partition(e, t), abs=1e-10)
+    assert log_z == pytest.approx(log_partition(*crf), abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_marginal_rows_sum_to_one(n, t_count, seed):
-    e, t = make_instance(np.random.default_rng(seed), n, t_count)
-    gamma, xi, _ = forward_backward(e, t)
+    crf = make_instance(np.random.default_rng(seed), n, t_count)
+    gamma, xi, _ = forward_backward(*crf)
     np.testing.assert_allclose(gamma.sum(axis=1), np.ones(n), atol=1e-10)
     # pairwise marginals are consistent with the unary ones
     for i in range(n - 1):
@@ -260,9 +224,8 @@ def test_marginal_rows_sum_to_one(n, t_count, seed):
 
 
 def test_nll_zero_scores_single_position_is_ln2():
-    e = Emissions(np.zeros((1, 2)))
-    t = Transitions(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-    assert crf_nll(e, t, [0]).item() == pytest.approx(np.log(2.0))
+    crf = tensors(np.zeros((1, 2)), *zero_chain(2))
+    assert crf_nll(*crf, [0]).item() == pytest.approx(np.log(2.0))
 
 
 def test_nll_approaches_zero_when_gold_path_dominates():
@@ -271,31 +234,28 @@ def test_nll_approaches_zero_when_gold_path_dominates():
     gold = [2, 0, 1]
     for i, y in enumerate(gold):
         scores[i, y] = 0.0
-    e = Emissions(scores)
-    t = Transitions(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-    assert abs(crf_nll(e, t, gold).item()) < 1e-6
+    assert abs(crf_nll(*tensors(scores, *zero_chain(3)), gold).item()) < 1e-6
 
 
 def test_nll_matches_enumeration_and_is_nonnegative():
     rng = np.random.default_rng(10)
     for _ in range(50):
         n, t_count = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        e, t = make_instance(rng, n, t_count)
+        crf = make_instance(rng, n, t_count)
         gold = rng.integers(0, t_count, size=n)
-        table = enumerate_scores(e, t)
+        table = enumerate_scores(*crf)
         expected = oracle_log_z(table) - table[tuple(gold)]
-        loss = crf_nll(e, t, gold).item()
+        loss = crf_nll(*tensors(*crf), gold).item()
         assert loss == pytest.approx(expected, abs=1e-8)
         assert loss >= -1e-10
 
 
 def test_nll_rejects_bad_gold():
-    e = Emissions(np.zeros((2, 2)))
-    t = Transitions(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+    crf = tensors(np.zeros((2, 2)), *zero_chain(2))
     with pytest.raises(ValueError):
-        crf_nll(e, t, [0])
+        crf_nll(*crf, [0])
     with pytest.raises(ValueError):
-        crf_nll(e, t, [0, 2])
+        crf_nll(*crf, [0, 2])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -311,9 +271,7 @@ def test_nll_gradient_matches_finite_differences(seed):
     def build():
         tape = Tape()
         carrier = Tensor(np.zeros((n, t_count)), tape=tape)
-        e = Emissions(add(e_scores, carrier))
-        t = Transitions(trans, start, stop)
-        return crf_nll(e, t, gold)
+        return crf_nll(add(e_scores, carrier), trans, start, stop, gold)
 
     assert grad_check(build, [e_scores, trans, start, stop]) < 1e-4
 
@@ -328,9 +286,7 @@ def test_nll_gradient_single_position_start_stop():
     def build():
         tape = Tape()
         carrier = Tensor(np.zeros((1, 3)), tape=tape)
-        return crf_nll(
-            Emissions(add(e_scores, carrier)), Transitions(trans, start, stop), [1]
-        )
+        return crf_nll(add(e_scores, carrier), trans, start, stop, [1])
 
     # n=1 has no transitions: trans gradient must be exactly zero
     assert grad_check(build, [e_scores, start, stop]) < 1e-4

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mwetag.cli import DEFAULTS, RunConfig, resolve, run, _build_parser
+from mwetag.cli import RunConfig, resolve, run, _build_parser
 from mwetag.corpus import Sentence, Token, VmweInstance, write_cupt_file
 from mwetag.errors import UsageError
 from mwetag.serialize import save_model
@@ -73,7 +73,7 @@ def test_resolve_precedence_flag_over_config_over_default(tmp_path):
     cfg = resolve(args)
     assert cfg.seed == 3  # flag beats config file
     assert cfg.head == "softmax"  # config file beats default
-    assert cfg.variant == DEFAULTS["variant"]  # default fills the rest
+    assert cfg.variant == RunConfig.variant  # the field default fills the rest
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -239,6 +239,152 @@ def test_tag_with_malformed_tagger_file_exits_two(
     assert rc == 2
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "x.cupt").exists()
+
+
+# ---------------------------------------------------------------------------
+# bad numbers and malformed model files: exit 2, never a traceback
+
+
+def _write_vec(path, values):
+    """Every vocabulary word gets the same 8 values (strings, written as is)."""
+    path.write_text("".join(f"{w} {' '.join(values)}\n" for w in vocabulary()))
+    return path
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(workdir, small_tagger, tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    files = {
+        "nan_vec": _write_vec(root / "nan.vec", ["nan"] * 8),
+        "inf_vec": _write_vec(root / "inf.vec", ["inf"] * 8),
+        # finite, but conv and dense products overflow to inf and inf - inf
+        "huge_vec": _write_vec(root / "huge.vec", ["1.7e308", "-1.7e308"] * 4),
+        "tagger": small_tagger,
+    }
+    for variant in ("standard", "turian"):
+        files[variant] = root / f"{variant}.json"
+        assert run(["train", "--train", p(workdir / "train.cupt"),
+                    "--embeddings", p(workdir / "vecs.vec"),
+                    "--model", p(files[variant]), "--variant", f"baseline-{variant}",
+                    "--epochs", "3"]) == 0
+    return files
+
+
+def _entry(data, name):
+    return next(e for e in data["params"] if e["name"] == name)
+
+
+def _zeros(data, name, shape):
+    entry = _entry(data, name)
+    entry["shape"] = list(shape)
+    entry["values"] = [0.0] * int(np.prod(shape))
+
+
+def _tags(data):
+    return len(data["tag_vocab"])
+
+
+def _drop(name):
+    def mutate(data):
+        data["params"] = [e for e in data["params"] if e["name"] != name]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _nan_proj_b(data):
+    _entry(data, "proj_b")["values"][0] = float("nan")
+
+
+def _short_trans(data):
+    _zeros(data, "trans", (_tags(data) - 1, _tags(data) - 1))
+
+
+def _short_weights(data):
+    rows, cols = _entry(data, "weights")["shape"]
+    _zeros(data, "weights", (rows - 1, cols))
+
+
+def _long_start(data):
+    _zeros(data, "trans_start", (_tags(data) + 1,))
+
+
+def _dense_in_standard(data):
+    data["params"].append({"name": "dense", "shape": [40, _tags(data)],
+                           "values": [0.0] * 40 * _tags(data)})
+
+
+def _transposed_dense(data):
+    rows, cols = _entry(data, "dense")["shape"]
+    _zeros(data, "dense", (cols, rows))
+
+
+def _unknown_param(data):
+    data["params"].append({"name": "bias", "shape": [1], "values": [0.0]})
+
+
+def _repeated_trans(data):
+    data["params"].append(dict(_entry(data, "trans")))
+
+
+TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
+TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cupt"]
+
+
+@pytest.mark.parametrize(
+    "argv, model, mutate, message",
+    [
+        (TRAIN + ["--embeddings", "{nan_vec}"], None, None, "non-finite value"),
+        (TRAIN + ["--embeddings", "{inf_vec}"], None, None, "non-finite value"),
+        (TRAIN + ["--embeddings", "{huge_vec}"], None, None, "epoch 1, batch 1"),
+        (TAG + ["--embeddings", "{huge_vec}"], "tagger", None, "not finite"),
+        (TRAIN + ["--embeddings", "{huge_vec}", "--variant", "baseline-turian"],
+         None, None, "objective"),
+        (TAG + ["--embeddings", "{huge_vec}"], "turian", None, "not finite"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _nan_proj_b, "non-finite"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _set("format_version", 1),
+         "retrain"),
+        (TAG, "standard", _short_trans, "'trans'"),
+        (TAG, "standard", _short_weights, "'weights'"),
+        (TAG, "standard", _long_start, "'trans_start'"),
+        (TAG, "standard", _dense_in_standard, "'dense'"),
+        (TAG + ["--embeddings", "{vecs}"], "turian", _drop("dense"), "'dense'"),
+        (TAG + ["--embeddings", "{vecs}"], "turian", _transposed_dense, "'dense'"),
+        (TAG, "standard", _set("sigma", 0.0), "sigma"),
+        (TAG, "standard", _unknown_param, "'bias'"),
+        (TAG, "standard", _repeated_trans, "repeated"),
+    ],
+    ids=[
+        "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
+        "turian-train-huge-vec", "turian-tag-huge-vec", "tagger-nan-proj_b",
+        "tagger-format-v1", "baseline-short-trans", "baseline-short-weights",
+        "baseline-long-start", "baseline-dense-in-standard",
+        "turian-without-dense", "turian-transposed-dense", "baseline-zero-sigma",
+        "baseline-unknown-param", "baseline-repeated-param",
+    ],
+)
+def test_bad_numbers_and_malformed_models_exit_two(
+    workdir, bad_inputs, tmp_path, capsys, argv, model, mutate, message
+):
+    paths = {name: p(path) for name, path in bad_inputs.items()}
+    if model is not None:
+        data = json.loads(bad_inputs[model].read_text())
+        if mutate is not None:
+            mutate(data)
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        paths["model"] = p(tmp_path / "model.json")
+    paths.update(train=p(workdir / "train.cupt"), vecs=p(workdir / "vecs.vec"),
+                 out=p(tmp_path / "out"))
+    rc = run([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.cupt").exists()
 
 
 def test_same_seed_training_is_byte_identical(workdir, tmp_path):

@@ -53,6 +53,12 @@ def test_load_vec_wrong_count_names_line():
         load_vec(io.StringIO("cat 1 0 0\ndog 1 0\n"), expected_dim=3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_vec_non_finite_names_line(value):
+    with pytest.raises(VecLoadError, match="line 2: non-finite value for 'dog'"):
+        load_vec(io.StringIO(f"cat 1 0 0\ndog 1 {value} 0\n"), expected_dim=3)
+
+
 def test_load_vec_header_dim_mismatch():
     with pytest.raises(VecLoadError, match="line 1"):
         load_vec(io.StringIO("5 4\ncat 1 0 0 0\n"), expected_dim=3)

@@ -9,12 +9,9 @@ import pytest
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags
 from mwetag.errors import EvaluationError
 from mwetag.evaluation import (
-    BasisScores,
-    EvalReport,
     evaluate,
     f1,
     format_report,
-    macro_average,
     mwe_scores,
     per_category_scores,
     percent,
@@ -258,50 +255,6 @@ def test_seen_unseen_two_two_partition():
     assert unseen_rep.mwe.tp == 1 and unseen_rep.mwe.fn == 1
     assert seen_rep.mwe.recall == pytest.approx(0.5)
     assert unseen_rep.mwe.recall == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
-# macro average
-
-
-def basis(p, r, tp=0, fp=0, fn=0):
-    return BasisScores(p, r, f1(p, r), tp, fp, fn)
-
-
-def test_macro_single_report_is_itself():
-    rep = EvalReport(token=basis(0.5, 0.25), mwe=basis(0.8, 0.4))
-    out = macro_average([rep])
-    assert out.token == rep.token and out.mwe == rep.mwe
-
-
-def test_macro_two_reports_mean_f1():
-    a = EvalReport(token=basis(0.4, 0.4), mwe=basis(0.4, 0.4))
-    b = EvalReport(token=basis(0.6, 0.6), mwe=basis(0.6, 0.6))
-    out = macro_average([a, b])
-    assert out.mwe.f1 == pytest.approx(0.5)
-    assert out.token.precision == pytest.approx(0.5)
-
-
-def test_macro_three_reports_hand_means_and_direct_f1_average():
-    reports = [
-        EvalReport(token=basis(0.2, 0.4), mwe=basis(1.0, 0.5)),
-        EvalReport(token=basis(0.4, 0.1), mwe=basis(0.0, 0.0)),
-        EvalReport(token=basis(0.9, 0.7), mwe=basis(0.5, 1.0)),
-    ]
-    out = macro_average(reports)
-    assert out.token.precision == pytest.approx((0.2 + 0.4 + 0.9) / 3)
-    assert out.token.recall == pytest.approx((0.4 + 0.1 + 0.7) / 3)
-    # F1 is the mean of member F1s, not f1 of the means
-    expected_f1 = (f1(1.0, 0.5) + f1(0.0, 0.0) + f1(0.5, 1.0)) / 3
-    assert out.mwe.f1 == pytest.approx(expected_f1)
-    assert out.mwe.f1 != pytest.approx(
-        f1(out.mwe.precision, out.mwe.recall), abs=1e-6
-    )
-
-
-def test_macro_empty_list_raises():
-    with pytest.raises(EvaluationError):
-        macro_average([])
 
 
 # ---------------------------------------------------------------------------

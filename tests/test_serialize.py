@@ -46,7 +46,7 @@ def tagger_model(corpus, table):
 
 @pytest.fixture(scope="module")
 def trainable_model(corpus):
-    cfg = small_config(embedding_mode="random_trainable", embeddings_trainable=True)
+    cfg = small_config(embedding_mode="random_trainable")
     return build_for_corpus(cfg, corpus, emb_dim=6)
 
 

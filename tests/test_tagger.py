@@ -80,10 +80,8 @@ def test_config_defaults_match_contract():
     assert cfg.recurrent_dropout == 0.2
     assert cfg.conv_activation == "relu"
     assert cfg.epochs == 100
-    assert cfg.pos_merge == "before_lstm"
-    assert cfg.embeddings_trainable is False
     assert cfg.embedding_mode == "pretrained"
-    assert cfg.optimizer == OptimizerConfig("adam", 0.001, 0.9, 0.999, 1e-8)
+    assert cfg.optimizer == OptimizerConfig(0.001, 0.9, 0.999, 1e-8)
     assert cfg.batch_size == 32
 
 
@@ -99,11 +97,9 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         TaggerConfig(filter_widths=())
     with pytest.raises(ValueError):
-        TaggerConfig(pos_merge="after_lstm")
+        TaggerConfig(embedding_mode="frozen")
     with pytest.raises(ValueError):
-        TaggerConfig(embeddings_trainable=True)  # pretrained stays frozen
-    with pytest.raises(ValueError):
-        TaggerConfig(optimizer=OptimizerConfig(name="sgd"))
+        TaggerConfig(optimizer=OptimizerConfig(beta1=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +163,17 @@ def test_forward_shapes_and_eval_purity():
     enc = encodings_for(corpus, model)[0]
     e1 = forward(model, enc)
     e2 = forward(model, enc)
-    assert e1.scores.data.shape == (3, model.label_count)
-    np.testing.assert_array_equal(e1.scores.data, e2.scores.data)
+    assert e1.data.shape == (3, model.label_count)
+    np.testing.assert_array_equal(e1.data, e2.data)
 
 
 def test_forward_train_mode_seeded_masks():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
-    a = forward(model, enc, mode="train", rng=RngStream(5)).scores.data
-    b = forward(model, enc, mode="train", rng=RngStream(5)).scores.data
-    c = forward(model, enc, mode="train", rng=RngStream(6)).scores.data
+    a = forward(model, enc, mode="train", rng=RngStream(5)).data
+    b = forward(model, enc, mode="train", rng=RngStream(5)).data
+    c = forward(model, enc, mode="train", rng=RngStream(6)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
