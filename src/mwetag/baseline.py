@@ -12,14 +12,17 @@ window offset.
 
 Emissions are linear in the weights, so the CRF NLL plus the L2 term
 1/(2*sigma^2)*||w||^2 (all weights penalized, transitions included) is
-convex; training is batch gradient descent with backtracking line search,
-stopping when the gradient max-norm drops under the tolerance or at the
-iteration cap. Gradients are expected-minus-observed counts from
-forward-backward.
+convex; training is L-BFGS with a backtracking line search, stopping when the
+gradient max-norm drops under the tolerance (converged: the optimum is then
+seed-independent) or at the iteration cap or a line-search stall (not
+converged).
+Gradients are expected-minus-observed counts from forward-backward, run once
+per objective evaluation over the whole corpus as one padded batch.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,15 +187,27 @@ class BaselineProblem:
             raw.append((rows, dense_rows, gold))
         self.feature_index = {name: k for k, name in enumerate(sorted(names))}
 
-        self.sentences = []
-        for rows, dense_rows, gold in raw:
-            ids = np.array(
-                [[self.feature_index[f] for f in feats] for feats in rows], dtype=int
-            )
-            dense = np.vstack(dense_rows) if dense_rows else None
-            self.sentences.append((ids, dense, gold))
-
+        # the corpus as one padded B x n block: gold labels (0 past each
+        # end), lengths, and the feature ids and dense rows of the real
+        # positions in row-major order, indexed into the block by _live
+        self.lengths = np.array([len(gold) for _, _, gold in raw])
+        live = np.arange(self.lengths.max()) < self.lengths[:, None]
+        self._live = np.flatnonzero(live)
+        self.gold = np.zeros(live.shape, dtype=int)
+        self.gold[live] = np.concatenate([gold for _, _, gold in raw])
+        self.ids = np.array(
+            [[self.feature_index[f] for f in feats] for rows, _, _ in raw for feats in rows],
+            dtype=int,
+        )
         t_count = len(self.tag_vocab)
+        # flat g_weights slot of every (position, feature, tag) triple
+        self._slots = (self.ids[:, :, None] * t_count + np.arange(t_count)).reshape(-1)
+        self.dense = (
+            np.vstack([d for _, dense_rows, _ in raw for d in dense_rows])
+            if variant == "turian"
+            else None
+        )
+
         self.f_count = len(self.feature_index)
         self.dense_size = len(WINDOW) * self.emb_dim if self.emb_dim else 0
         self.size = (
@@ -215,40 +230,47 @@ class BaselineProblem:
             parts[4],
         )
 
-    def _emissions(self, weights, dense_w, ids, dense):
-        e = weights[ids].sum(axis=1)
+    def _scores(self, weights, dense_w):
+        """Emission scores of the whole corpus as the padded B x n x T block
+        (zero past each sentence's end)."""
+        flat = weights[self.ids].sum(axis=1)
         if dense_w is not None:
-            e = e + dense @ dense_w
-        return e
+            flat += self.dense @ dense_w
+        block = np.zeros((self.gold.size, flat.shape[1]))
+        block[self._live] = flat
+        return block.reshape(*self.gold.shape, -1)
+
+    def _penalty(self, w: np.ndarray) -> float:
+        return float(w @ w) / (2.0 * self.sigma**2)
 
     def loss(self, w: np.ndarray) -> float:
         weights, dense_w, *chain = self.split(w)
-        total = float(w @ w) / (2.0 * self.sigma**2)
-        for ids, dense, gold in self.sentences:
-            scores = self._emissions(weights, dense_w, ids, dense)
-            total += log_partition(scores, *chain) - score_path(scores, *chain, gold)
-        return total
+        scores = self._scores(weights, dense_w)
+        nll = log_partition(scores, *chain, self.lengths) - score_path(
+            scores, *chain, self.gold, self.lengths
+        )
+        return self._penalty(w) + float(nll.sum())
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
         weights, dense_w, *chain = self.split(w)
         grad = w / self.sigma**2
         g_weights, g_dense, *g_chain = self.split(grad)
-        total = float(w @ w) / (2.0 * self.sigma**2)
-        for ids, dense, gold in self.sentences:
-            scores = self._emissions(weights, dense_w, ids, dense)
-            gamma, xi, log_z = forward_backward(scores, *chain)
-            total += log_z - score_path(scores, *chain, gold)
-            d_scores, *d_chain = nll_gradient(gamma, xi, gold)
-            np.add.at(
-                g_weights,
-                ids.reshape(-1),
-                np.repeat(d_scores, ids.shape[1], axis=0),
-            )
-            if g_dense is not None:
-                g_dense += dense.T @ d_scores
-            for g, d in zip(g_chain, d_chain):
-                g += d
-        return total, grad
+        scores = self._scores(weights, dense_w)
+        gamma, xi, log_z = forward_backward(scores, *chain, self.lengths)
+        nll = log_z - score_path(scores, *chain, self.gold, self.lengths)
+        d_scores, *d_chain = nll_gradient(gamma, xi, self.gold, self.lengths)
+        t_count = d_scores.shape[2]
+        d_flat = d_scores.reshape(-1, t_count)[self._live]
+        # scatter-add d_flat[p] into g_weights[f] for each feature f at p
+        per_slot = np.broadcast_to(d_flat[:, None, :], self.ids.shape + (t_count,))
+        g_weights += np.bincount(
+            self._slots, weights=per_slot.reshape(-1), minlength=g_weights.size
+        ).reshape(g_weights.shape)
+        if g_dense is not None:
+            g_dense += self.dense.T @ d_flat
+        for g, d in zip(g_chain, d_chain):
+            g += d
+        return self._penalty(w) + float(nll.sum()), grad
 
     def to_model(self, w: np.ndarray) -> BaselineModel:
         weights, dense_w, trans, start, stop = self.split(w)
@@ -277,17 +299,58 @@ class BaselineProblem:
         return np.concatenate(pieces)
 
 
-def train_baseline(
+@dataclass(frozen=True)
+class BaselineFit:
+    """A fitted model and how its fit ended: the objective and gradient
+    max-norm at the returned weights, the L-BFGS iterations taken, and
+    whether the gradient max-norm fell under the tolerance (False when the
+    iteration cap stopped the fit first, or a stall: no trial step down to
+    1e-14 decreased the objective enough, or the accepted one not at all,
+    which happens once the decrease is below round-off)."""
+
+    model: BaselineModel
+    objective: float
+    grad_max_norm: float
+    iterations: int
+    converged: bool
+
+
+LBFGS_HISTORY = 10  # stored (s, y) pairs
+# a pair whose s.y/y.y (its H0 scale) is at or under this carries no usable
+# curvature, only round-off, and is skipped
+CURVATURE_EPS = 1e-10
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the two-loop recursion over (s, y, 1/(s.y)) pairs, oldest
+    first, with H0 = (s.y)/(y.y) from the newest pair (steepest descent
+    when there is none)."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
+def fit_baseline(
     corpus: Corpus,
     variant: str = "standard",
     sigma: float = 2.0,
     table: EmbeddingTable | None = None,
     options: BaselineTrainOptions | None = None,
-) -> BaselineModel:
-    """Minimize the regularized NLL by gradient descent with backtracking
-    (Armijo) line search. The objective is convex, so any start point reaches
-    the same optimum; the seed only jitters the start. An objective value
-    that overflows or becomes NaN raises NonFiniteError."""
+) -> BaselineFit:
+    """Minimize the regularized NLL by L-BFGS (Liu & Nocedal 1989) with a
+    backtracking (Armijo) line search: each trial is one value-only
+    objective evaluation, the accepted point gets one evaluation with the
+    gradient. The objective is convex, so at convergence the optimum does not
+    depend on the seed, which only jitters the start. An objective value that
+    overflows or becomes NaN raises NonFiniteError."""
     options = options or BaselineTrainOptions()
     problem = BaselineProblem(corpus, variant, sigma, table)
     rng = RngStream(options.seed)
@@ -301,25 +364,59 @@ def train_baseline(
             )
         return value
 
-    value, grad = problem.loss_and_grad(w)
-    finite(value, 0)
-    step = 1.0
-    for iteration in range(1, options.max_iterations + 1):
-        if np.abs(grad).max() < options.grad_tolerance:
-            break
-        descent = float(grad @ grad)
-        while True:
-            candidate = w - step * grad
-            cand_value = finite(problem.loss(candidate), iteration)
-            if cand_value <= value - 1e-4 * step * descent:
-                break
-            step *= 0.5
-            if step < 1e-14:
-                return problem.to_model(w)  # no further progress possible
-        w = candidate
-        value, grad = problem.loss_and_grad(w)  # the checked cand_value again
-        step = min(step * 2.0, 1.0)
-    return problem.to_model(w)
+    pairs: deque = deque(maxlen=LBFGS_HISTORY)
+    iterations = 0
+    # non-finite values are reported by finite(), not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = problem.loss_and_grad(w)
+        finite(value, 0)
+        while (
+            np.abs(grad).max() >= options.grad_tolerance
+            and iterations < options.max_iterations
+        ):
+            direction = _lbfgs_direction(grad, pairs)
+            slope = float(grad @ direction)
+            if not slope < 0:  # round-off made the curvature model useless
+                pairs.clear()
+                direction, slope = -grad, -float(grad @ grad)
+            # a unit step suits the quasi-Newton direction; without curvature
+            # pairs the first trial moves each weight by at most 1
+            step = 1.0 if pairs else min(1.0, 1.0 / np.abs(grad).max())
+            while step >= 1e-14:
+                candidate = w + step * direction
+                cand_value = finite(problem.loss(candidate), iterations + 1)
+                if cand_value <= value + 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            if step < 1e-14 or cand_value >= value:
+                break  # stalled
+            new_value, new_grad = problem.loss_and_grad(candidate)  # cand_value again
+            s, y = candidate - w, new_grad - grad
+            sy = float(s @ y)
+            if sy > CURVATURE_EPS * float(y @ y):
+                pairs.append((s, y, 1.0 / sy))
+            w, value, grad = candidate, new_value, new_grad
+            iterations += 1
+    grad_max_norm = float(np.abs(grad).max())
+    return BaselineFit(
+        model=problem.to_model(w),
+        objective=value,
+        grad_max_norm=grad_max_norm,
+        iterations=iterations,
+        converged=grad_max_norm < options.grad_tolerance,
+    )
+
+
+def train_baseline(
+    corpus: Corpus,
+    variant: str = "standard",
+    sigma: float = 2.0,
+    table: EmbeddingTable | None = None,
+    options: BaselineTrainOptions | None = None,
+) -> BaselineModel:
+    """The model that fit_baseline fits (L-BFGS to the gradient tolerance or
+    the iteration cap)."""
+    return fit_baseline(corpus, variant, sigma, table, options).model
 
 
 def tag_baseline(
@@ -339,7 +436,8 @@ def tag_baseline(
             if idx is not None:
                 scores[i] += model.weights[idx]
         if dense is not None:
-            scores[i] += dense @ model.dense
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                scores[i] += dense @ model.dense
     if not np.isfinite(scores).all():
         raise NonFiniteError("baseline emission scores are not finite "
                              "(huge or non-finite input vectors?)")

@@ -6,7 +6,11 @@ Scores live in log-space. A labeling y of an n-token sentence scores
 
 with explicit start/stop vectors instead of padded boundary labels. Every
 function takes the same plain float arrays: scores (n x T, n, T >= 1), trans
-(T x T), start and stop (T). The emission scores may come from any source: the
+(T x T), start and stop (T). score_path, log_partition, forward_backward and
+nll_gradient also take a padded B x n x T block of B sentences with their
+lengths; one n x T sentence is the B = 1 block of the same code, so a batch
+costs one pass of n vectorized steps instead of B passes. Entries past a
+sentence's length are ignored. The emission scores may come from any source: the
 neural tagger's projection layer or a sparse feature dot product. Shapes and
 finiteness are the callers' business: they are checked where the numbers
 enter or arise (model loading, the tagger's forward pass, the baseline
@@ -33,15 +37,36 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def score_path(scores, trans, start, stop, path) -> float:
-    path = np.asarray(path, dtype=int)
-    n = scores.shape[0]
-    if path.shape != (n,):
-        raise ValueError(f"path length {path.shape} does not match {n} positions")
-    total = start[path[0]] + stop[path[-1]] + scores[np.arange(n), path].sum()
-    if n > 1:
-        total += trans[path[:-1], path[1:]].sum()
-    return float(total)
+def _batch(scores, lengths):
+    """A padded B x n x T block, its per-sentence lengths (B) and the B x n
+    mask of real positions. One n x T sentence is the B = 1 block; a block
+    without lengths is all full length."""
+    if scores.ndim == 2:
+        scores = scores[None]
+    b_count, n = scores.shape[:2]
+    lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
+    return scores, lengths, np.arange(n) < lengths[:, None]
+
+
+def score_path(scores, trans, start, stop, path, lengths=None):
+    """Score of a labeling: a float for one n x T sentence and an n-long
+    path; for a padded block, B scores of a B x n path block (padding
+    entries of the block and the paths are ignored)."""
+    single = scores.ndim == 2
+    block, lengths, live = _batch(scores, lengths)
+    b_count, n = live.shape
+    paths = np.asarray(path, dtype=int)
+    if paths.shape != ((n,) if single else (b_count, n)):
+        raise ValueError(f"path shape {paths.shape} does not match {n} positions")
+    paths = paths.reshape(b_count, n)
+    rows = np.arange(b_count)
+    total = (
+        start[paths[:, 0]]
+        + stop[paths[rows, lengths - 1]]
+        + np.where(live, block[rows[:, None], np.arange(n), paths], 0.0).sum(axis=1)
+    )
+    total += np.where(live[:, 1:], trans[paths[:, :-1], paths[:, 1:]], 0.0).sum(axis=1)
+    return float(total[0]) if single else total
 
 
 def viterbi(scores, trans, start, stop) -> tuple[list[int], float]:
@@ -64,54 +89,83 @@ def viterbi(scores, trans, start, stop) -> tuple[list[int], float]:
     return path, best_score
 
 
-def log_partition(scores, trans, start, stop) -> float:
+def log_partition(scores, trans, start, stop, lengths=None):
     """log of the summed exponentiated scores over all T^n paths, by the
-    forward recursion with max-subtracted log-sum-exp."""
-    alpha = start + scores[0]
-    for i in range(1, scores.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + trans, axis=0) + scores[i]
-    return float(_logsumexp(alpha + stop, axis=0))
+    forward recursion with max-subtracted log-sum-exp: a float for one n x T
+    sentence, B values for a padded B x n x T block with lengths. A finished
+    sentence carries its last alpha through the padding."""
+    single = scores.ndim == 2
+    block, _, live = _batch(scores, lengths)
+    alpha = start + block[:, 0]
+    for i in range(1, block.shape[1]):
+        step = _logsumexp(alpha[:, :, None] + trans, axis=1) + block[:, i]
+        alpha = np.where(live[:, i, None], step, alpha)
+    log_z = _logsumexp(alpha + stop, axis=1)
+    return float(log_z[0]) if single else log_z
 
 
-def forward_backward(scores, trans, start, stop):
+def forward_backward(scores, trans, start, stop, lengths=None):
     """Posterior marginals under the CRF distribution.
 
     Returns (gamma, xi, logZ): gamma[i, a] = P(y_i = a), an n x T matrix whose
     rows sum to 1, and xi[i, a, b] = P(y_i = a, y_{i+1} = b), an
     (n-1) x T x T block. These are exactly the gradient of logZ with respect
-    to emissions and transition counts.
+    to emissions and transition counts. For a padded B x n x T block with
+    lengths each gains a leading B axis, logZ is B values, and gamma and xi
+    are zero past each sentence's end.
     """
-    n, t_count = scores.shape
-    alpha = np.empty((n, t_count))
-    alpha[0] = start + scores[0]
+    single = scores.ndim == 2
+    block, _, live = _batch(scores, lengths)
+    n = block.shape[1]
+    alpha = np.empty_like(block)
+    alpha[:, 0] = start + block[:, 0]
     for i in range(1, n):
-        alpha[i] = _logsumexp(alpha[i - 1][:, None] + trans, axis=0) + scores[i]
-    beta = np.empty((n, t_count))
-    beta[n - 1] = stop
+        step = _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1) + block[:, i]
+        alpha[:, i] = np.where(live[:, i, None], step, alpha[:, i - 1])
+    beta = np.empty_like(block)
+    beta[:, n - 1] = stop
     for i in range(n - 2, -1, -1):
-        beta[i] = _logsumexp(trans + (scores[i + 1] + beta[i + 1])[None, :], axis=1)
-    log_z = float(_logsumexp(alpha[n - 1] + stop, axis=0))
-    gamma = np.exp(alpha + beta - log_z)
-    xi = np.empty((max(n - 1, 0), t_count, t_count))
-    for i in range(n - 1):
-        xi[i] = np.exp(
-            alpha[i][:, None] + trans + (scores[i + 1] + beta[i + 1])[None, :] - log_z
-        )
+        step = _logsumexp(trans + (block[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2)
+        beta[:, i] = np.where(live[:, i + 1, None], step, stop)
+    log_z = _logsumexp(alpha[:, n - 1] + stop, axis=1)
+    gamma = np.where(
+        live[:, :, None], np.exp(alpha + beta - log_z[:, None, None]), 0.0
+    )
+    xi = np.where(
+        live[:, 1:, None, None],
+        np.exp(
+            alpha[:, :-1, :, None]
+            + trans
+            + (block[:, 1:] + beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
+        ),
+        0.0,
+    )
+    if single:
+        return gamma[0], xi[0], float(log_z[0])
     return gamma, xi, log_z
 
 
-def nll_gradient(gamma, xi, gold):
+def nll_gradient(gamma, xi, gold, lengths=None):
     """Gradient of log_partition - score_path(gold) from forward_backward's
     marginals: expected minus observed counts, as (d_scores, d_trans,
-    d_start, d_stop)."""
-    n, t_count = gamma.shape
-    d_scores = gamma.copy()
-    d_scores[np.arange(n), gold] -= 1.0
+    d_start, d_stop). For a padded batch (gold B x n, with lengths) d_scores
+    is B x n x T, zero past each end, and the chain gradients are summed
+    over the batch."""
+    single = gamma.ndim == 2
+    gold = np.asarray(gold, dtype=int).reshape(-1, gamma.shape[-2])
+    d_scores, lengths, live = _batch(gamma.copy(), lengths)
+    t_count = d_scores.shape[2]
+    rows, cols = np.nonzero(live)
+    d_scores[rows, cols, gold[rows, cols]] -= 1.0
+    pairs = live[:, 1:]
     observed_trans = np.bincount(
-        gold[:-1] * t_count + gold[1:], minlength=t_count * t_count
+        gold[:, :-1][pairs] * t_count + gold[:, 1:][pairs], minlength=t_count * t_count
     ).reshape(t_count, t_count)
-    d_trans = xi.sum(axis=0) - observed_trans
-    return d_scores, d_trans, d_scores[0], d_scores[-1]
+    d_trans = xi.reshape(-1, t_count, t_count).sum(axis=0) - observed_trans
+    d_start = d_scores[:, 0].sum(axis=0)
+    d_stop = d_scores[np.arange(len(lengths)), lengths - 1].sum(axis=0)
+    return (d_scores[0] if single else d_scores), d_trans, d_start, d_stop
 
 
 def crf_nll(scores: Tensor, trans: Tensor, start: Tensor, stop: Tensor, gold) -> Tensor:

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .baseline import BaselineProblem, BaselineTrainOptions, tag_baseline, train_baseline
+from .baseline import BaselineTrainOptions, fit_baseline, tag_baseline
 from .checks import SUITE_TOLERANCE, format_suite, gradient_suite
 from .corpus import filter_orphans, from_tags, read_cupt, to_tags, write_cupt
 from .embed import load_vec_file, sniff_vec_dim
@@ -241,17 +241,28 @@ def _cmd_train(cfg: RunConfig) -> int:
         else BaselineTrainOptions().max_iterations,
         seed=cfg.seed,
     )
-    model = train_baseline(train_corpus, variant=variant, table=table,
-                           options=options)
-    problem = BaselineProblem(train_corpus, variant, model.sigma, table,
-                              tag_vocab=model.tag_vocab)
-    objective, grad = problem.loss_and_grad(problem.pack_model(model))
-    save_model(model, cfg.model)
+    fit = fit_baseline(train_corpus, variant=variant, table=table, options=options)
+    # how the fit ended goes to stderr, as a warning when it did not converge;
+    # the report keeps the four keys perfbench's copy of this command writes
+    summary = (
+        f"{fit.iterations} iterations, objective {fit.objective:.10g}, "
+        f"gradient max-norm {fit.grad_max_norm:.3g}"
+    )
+    if fit.converged:
+        print(f"baseline fit converged: {summary}", file=sys.stderr)
+    else:
+        print(
+            f"warning: baseline fit did not converge ({summary}, tolerance "
+            f"{options.grad_tolerance:g}); its optimum is seed-independent only "
+            "at convergence",
+            file=sys.stderr,
+        )
+    save_model(fit.model, cfg.model)
     _dump_json(report_path, {
         "variant": cfg.variant,
-        "final_objective": objective,
-        "grad_max_norm": float(abs(grad).max()),
-        "feature_count": len(model.feature_index),
+        "final_objective": fit.objective,
+        "grad_max_norm": fit.grad_max_norm,
+        "feature_count": len(fit.model.feature_index),
     })
     return 0
 

@@ -324,27 +324,29 @@ def forward(
         x = Tensor(enc.word_input, tape=tape)
 
     activate = ACTIVATIONS[cfg.conv_activation]
-    banks = [
-        activate(
-            conv1d_same(
-                x,
-                model.params[f"conv{width}_kernels"],
-                model.params[f"conv{width}_bias"],
+    # overflow shows up as the NonFiniteError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        banks = [
+            activate(
+                conv1d_same(
+                    x,
+                    model.params[f"conv{width}_kernels"],
+                    model.params[f"conv{width}_bias"],
+                )
             )
+            for width in cfg.filter_widths
+        ]
+        h = concat_cols(banks + [Tensor(enc.pos_input, tape=tape)])
+        h = bilstm(
+            h,
+            model.lstm("fwd"),
+            model.lstm("bwd"),
+            dropout=cfg.dropout,
+            recurrent_dropout=cfg.recurrent_dropout,
+            mode=mode,
+            rng=rng,
         )
-        for width in cfg.filter_widths
-    ]
-    h = concat_cols(banks + [Tensor(enc.pos_input, tape=tape)])
-    h = bilstm(
-        h,
-        model.lstm("fwd"),
-        model.lstm("bwd"),
-        dropout=cfg.dropout,
-        recurrent_dropout=cfg.recurrent_dropout,
-        mode=mode,
-        rng=rng,
-    )
-    scores = dense(h, model.params["proj_w"], model.params["proj_b"])
+        scores = dense(h, model.params["proj_w"], model.params["proj_b"])
     if not np.isfinite(scores.data).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
                              "input vectors?)")

@@ -13,12 +13,14 @@ from mwetag.baseline import (
     BaselineProblem,
     BaselineTrainOptions,
     extract_features,
+    fit_baseline,
     tag_baseline,
     train_baseline,
 )
 from mwetag.corpus import Sentence, Token, VmweInstance, to_tags
 from mwetag.embed import EmbeddingTable
 from mwetag.errors import TrainingDataError
+from mwetag.synth import synthetic_corpus
 
 
 def make_sentence(words, instances=()):
@@ -217,6 +219,57 @@ def test_convex_objective_seed_independent_optimum():
         )
         losses.append(problem.loss(problem.pack_model(model)))
     assert abs(losses[0] - losses[1]) < 1e-4
+
+
+def test_fit_converges_and_seeds_agree():
+    corpus = synthetic_corpus(50, 2024)
+    fits = [
+        fit_baseline(corpus, options=BaselineTrainOptions(grad_tolerance=1e-6, seed=seed))
+        for seed in (0, 1)
+    ]
+    problem = BaselineProblem(corpus)
+    for fit in fits:
+        assert fit.converged and fit.grad_max_norm < 1e-6
+        assert 0 < fit.iterations < BaselineTrainOptions().max_iterations
+        value, grad = problem.loss_and_grad(problem.pack_model(fit.model))
+        assert (value, float(np.abs(grad).max())) == (fit.objective, fit.grad_max_norm)
+    a, b = (problem.pack_model(fit.model) for fit in fits)
+    assert np.abs(a - b).max() < 1e-5
+
+
+def test_fit_needs_few_objective_evaluations(monkeypatch):
+    # gradient descent with the same line search took 1,110 evaluations here
+    calls = []
+    for name in ("loss", "loss_and_grad"):
+        method = getattr(BaselineProblem, name)
+        monkeypatch.setattr(
+            BaselineProblem, name,
+            lambda self, w, method=method: calls.append(1) or method(self, w),
+        )
+    fit = fit_baseline(synthetic_corpus(50, 2024))
+    assert fit.converged
+    assert len(calls) <= 150
+
+
+def test_fit_converges_on_200_sentences_within_the_default_cap():
+    fit = fit_baseline(synthetic_corpus(200, 2024))
+    assert fit.converged and fit.grad_max_norm < BaselineTrainOptions().grad_tolerance
+
+
+def test_fit_at_the_cap_reports_not_converged():
+    fit = fit_baseline(synthetic_corpus(50, 2024),
+                       options=BaselineTrainOptions(max_iterations=3))
+    assert (fit.iterations, fit.converged) == (3, False)
+    assert fit.grad_max_norm >= BaselineTrainOptions().grad_tolerance
+
+
+def test_fit_stops_when_the_objective_stops_decreasing():
+    # no fit reaches a zero tolerance; this one must stop at round-off, not
+    # spend the whole iteration cap on steps that change nothing
+    fit = fit_baseline(toy_training_corpus(),
+                       options=BaselineTrainOptions(grad_tolerance=0.0))
+    assert not fit.converged
+    assert fit.iterations < 100 and fit.grad_max_norm < 1e-6
 
 
 def test_turian_training_runs_and_tags():

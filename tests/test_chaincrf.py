@@ -14,6 +14,7 @@ from mwetag.chaincrf import (
     crf_nll,
     forward_backward,
     log_partition,
+    nll_gradient,
     score_path,
     viterbi,
 )
@@ -217,6 +218,40 @@ def test_marginal_rows_sum_to_one(n, t_count, seed):
     for i in range(n - 1):
         np.testing.assert_allclose(xi[i].sum(axis=1), gamma[i], atol=1e-10)
         np.testing.assert_allclose(xi[i].sum(axis=0), gamma[i + 1], atol=1e-10)
+
+
+def test_padded_batch_matches_single_sentences_and_enumeration():
+    rng = np.random.default_rng(12)
+    t_count, lengths = 3, np.arange(1, 7)
+    _, *chain = make_instance(rng, 1, t_count)
+    # entries past each length are large noise that must not leak in
+    block = rng.normal(scale=50.0, size=(len(lengths), lengths.max(), t_count))
+    gold = rng.integers(0, t_count, size=block.shape[:2])
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(scale=2.0, size=(n, t_count))
+    log_z = log_partition(block, *chain, lengths)
+    gamma, xi, fb_log_z = forward_backward(block, *chain, lengths)
+    golds = score_path(block, *chain, gold, lengths)
+    d_scores, *d_chain = nll_gradient(gamma, xi, gold, lengths)
+    summed = [np.zeros_like(c) for c in chain]
+    for b, n in enumerate(lengths):
+        crf = (block[b, :n], *chain)
+        _, _, b_log_z = brute_force(*crf)
+        assert abs(log_z[b] - log_partition(*crf)) < 1e-12
+        assert abs(log_z[b] - b_log_z) < 1e-12
+        assert abs(fb_log_z[b] - b_log_z) < 1e-12
+        assert abs(golds[b] - score_path(*crf, gold[b, :n])) < 1e-12
+        s_gamma, s_xi, _ = forward_backward(*crf)
+        np.testing.assert_allclose(gamma[b, :n], s_gamma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xi[b, : n - 1], s_xi, rtol=0, atol=1e-12)
+        assert not gamma[b, n:].any() and not xi[b, n - 1 :].any()
+        s_d_scores, *s_d_chain = nll_gradient(s_gamma, s_xi, gold[b, :n])
+        np.testing.assert_allclose(d_scores[b, :n], s_d_scores, rtol=0, atol=1e-12)
+        assert not d_scores[b, n:].any()
+        for total, part in zip(summed, s_d_chain):
+            total += part
+    for batched, total in zip(d_chain, summed):
+        np.testing.assert_allclose(batched, total, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

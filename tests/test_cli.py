@@ -2,6 +2,7 @@
 output formats, config-file precedence, and byte-level determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -379,10 +380,14 @@ def test_bad_numbers_and_malformed_models_exit_two(
         paths["model"] = p(tmp_path / "model.json")
     paths.update(train=p(workdir / "train.cupt"), vecs=p(workdir / "vecs.vec"),
                  out=p(tmp_path / "out"))
-    rc = run([arg.format(**paths) for arg in argv])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and "Traceback" not in err
+    # numpy overflow warnings would reach a terminal user's stderr
+    assert "Warning" not in err and [str(w.message) for w in caught] == []
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.cupt").exists()
 
@@ -422,6 +427,23 @@ def test_baseline_standard_pipeline(workdir, tmp_path):
                 "--report", p(out)]) == 0
     # 60 L2-regularized iterations fully fit 12 templated sentences
     assert json.loads(out.read_text())["overall"]["mwe"]["f1"] == 1.0
+
+
+def test_baseline_fit_reports_how_it_ended(workdir, tmp_path, capsys):
+    def train(name, *extra):
+        model = tmp_path / name
+        assert run(["train", "--train", p(workdir / "train.cupt"),
+                    "--model", p(model), "--variant", "baseline-standard",
+                    "--seed", "4", *extra]) == 0
+        return (model.read_bytes(), (tmp_path / (name + ".train.json")).read_bytes(),
+                capsys.readouterr().err)
+
+    capped = [train(name, "--epochs", "2") for name in ("c1.json", "c2.json")]
+    assert "warning: baseline fit did not converge (2 iterations" in capped[0][2]
+    assert capped[0] == capped[1]  # model, report and message repeat bytewise
+    _, report, err = train("full.json")
+    assert err.startswith("baseline fit converged:") and "warning" not in err
+    assert json.loads(report)["grad_max_norm"] < 1e-5
 
 
 def test_baseline_turian_requires_embeddings_to_tag(workdir, tmp_path, capsys):
