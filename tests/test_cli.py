@@ -14,6 +14,8 @@ from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus
 
+from test_serialize import as_format_v2, decoded, non_base64_proj_b, reencode
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -211,9 +213,7 @@ def _transpose(name):
     def mutate(params):
         for e in params:
             if e["name"] == name:
-                rows, cols = e["shape"]
-                e["values"] = np.array(e["values"]).reshape(rows, cols).T.ravel().tolist()
-                e["shape"] = [cols, rows]
+                reencode(e, decoded(e).T)
         return params
 
     return mutate
@@ -276,9 +276,7 @@ def _entry(data, name):
 
 
 def _zeros(data, name, shape):
-    entry = _entry(data, name)
-    entry["shape"] = list(shape)
-    entry["values"] = [0.0] * int(np.prod(shape))
+    reencode(_entry(data, name), np.zeros(shape))
 
 
 def _tags(data):
@@ -298,7 +296,10 @@ def _set(key, value):
 
 
 def _nan_proj_b(data):
-    _entry(data, "proj_b")["values"][0] = float("nan")
+    entry = _entry(data, "proj_b")
+    values = decoded(entry)
+    values[0] = float("nan")
+    reencode(entry, values)
 
 
 def _short_trans(data):
@@ -315,8 +316,7 @@ def _long_start(data):
 
 
 def _dense_in_standard(data):
-    data["params"].append({"name": "dense", "shape": [40, _tags(data)],
-                           "values": [0.0] * 40 * _tags(data)})
+    data["params"].append(reencode({"name": "dense"}, np.zeros((40, _tags(data)))))
 
 
 def _transposed_dense(data):
@@ -325,11 +325,18 @@ def _transposed_dense(data):
 
 
 def _unknown_param(data):
-    data["params"].append({"name": "bias", "shape": [1], "values": [0.0]})
+    data["params"].append(reencode({"name": "bias"}, [0.0]))
 
 
 def _repeated_trans(data):
     data["params"].append(dict(_entry(data, "trans")))
+
+
+def _short_payload_trans(data):
+    entry = _entry(data, "trans")
+    shape = entry["shape"]
+    reencode(entry, decoded(entry).ravel()[:-1])
+    entry["shape"] = shape
 
 
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
@@ -358,6 +365,10 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         (TAG, "standard", _set("sigma", 0.0), "sigma"),
         (TAG, "standard", _unknown_param, "'bias'"),
         (TAG, "standard", _repeated_trans, "repeated"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", non_base64_proj_b, "base64"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v2, "retrain"),
+        (TAG, "standard", _short_payload_trans, "bytes"),
+        (TAG, "standard", as_format_v2, "retrain"),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -366,6 +377,8 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         "baseline-long-start", "baseline-dense-in-standard",
         "turian-without-dense", "turian-transposed-dense", "baseline-zero-sigma",
         "baseline-unknown-param", "baseline-repeated-param",
+        "tagger-non-base64", "tagger-format-v2", "baseline-short-payload",
+        "baseline-format-v2",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(

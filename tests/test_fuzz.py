@@ -1,0 +1,220 @@
+"""Mutation fuzzing of the three readers of outside input.
+
+A valid input is mutated a few times (values replaced, entries deleted,
+characters inserted, removed or replaced, lines dropped, repeated or
+swapped). The oracle is the error contract: a reader either returns or
+raises a DataError subclass, which the CLI reports as exit 2; anything else
+would reach a user as a traceback.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwetag.baseline import BaselineTrainOptions, train_baseline
+from mwetag.corpus import parse_cupt, write_cupt
+from mwetag.embed import EmbeddingTable, load_vec
+from mwetag.errors import DataError
+from mwetag.serialize import model_from_dict, model_to_dict
+from mwetag.synth import synthetic_corpus
+from mwetag.tagger import build_for_corpus
+
+from test_tagger import small_config, toy_corpus, toy_table
+
+JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+JSON = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# base64, cupt and vector-file syntax, and a few characters none of them allow
+CHARS = st.sampled_from("AZaz09+/=*-_.:;#\t\n eEé٣")
+
+
+def _edit_text(draw, text: str) -> str:
+    position = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if op == "insert" or not text:
+        return text[:position] + draw(CHARS) + text[position:]
+    position = min(position, len(text) - 1)
+    tail = text[position + 1:]
+    return text[:position] + (draw(CHARS) if op == "replace" else "") + tail
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_dict(draw, base: dict) -> dict:
+    data = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        # half the time a top-level field first, so that scalars such as
+        # emb_dim are hit as often as the long lists that hold most paths
+        if draw(st.booleans()):
+            top = draw(st.sampled_from(sorted(data)))
+            path = draw(st.sampled_from([(top,), *_paths(data[top], (top,))]))
+        else:
+            path = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["replace", "delete", "edit"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "edit" and isinstance(value, str):
+            parent[key] = _edit_text(draw, value)
+        elif op == "edit" and isinstance(value, (int, float)):
+            parent[key] = draw(st.sampled_from(
+                [0, -1, value + 1, -value, 0.5, True, 10**30, float("nan")]
+            ))
+        else:
+            parent[key] = draw(JSON)
+    return data
+
+
+@st.composite
+def mutated_lines(draw, base: list[str]) -> list[str]:
+    lines = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["edit", "edit", "delete", "repeat", "swap", "new"]))
+        if op == "edit":
+            lines[i] = _edit_text(draw, lines[i])
+        elif op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = draw(st.text(CHARS, max_size=20)) + "\n"
+    return lines
+
+
+@pytest.fixture(scope="module")
+def model_dicts():
+    corpus = toy_corpus()
+    tagger = build_for_corpus(
+        small_config(head="crf", filters_per_width=2, lstm_hidden=2),
+        corpus, embeddings=toy_table(corpus, dim=1),
+    )
+    baseline = train_baseline(
+        corpus[:2], variant="standard",
+        options=BaselineTrainOptions(max_iterations=3, seed=0),
+    )
+    return {"tagger": model_to_dict(tagger), "baseline": model_to_dict(baseline)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_from_dict_raises_only_data_errors(model_dicts, data):
+    base = model_dicts[data.draw(st.sampled_from(sorted(model_dicts)))]
+    try:
+        model_from_dict(data.draw(mutated_dict(base)))
+    except DataError:
+        pass
+
+
+_SYNTH_LINES = write_cupt(synthetic_corpus(sentences=3, seed=5)).splitlines(True)
+# a multiword-token range row and an empty node, kept as raw rows
+EDGE_VALUES = [None, True, False, 0, 1, -1, 1.5, 10**30, float("nan"), float("inf"),
+               "", "x", [], {}, ["x"], [[]], [0], {"x": 0}]
+_DELETE = object()
+
+
+def _field_paths(data: dict):
+    """Every top-level field, every field of the config and optimizer
+    dicts, and every field of the first parameter entry."""
+    for key, value in data.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, inner) for inner in value)
+            if isinstance(value.get("optimizer"), dict):
+                yield from ((key, "optimizer", inner) for inner in value["optimizer"])
+    yield from (("params", 0, key) for key in data["params"][0])
+
+
+def test_model_from_dict_every_field_replaced(model_dicts):
+    """Exhaustive companion of the random fuzz: each field in turn replaced
+    by each edge value, or deleted."""
+    for base in model_dicts.values():
+        for path in _field_paths(base):
+            for value in [*EDGE_VALUES, _DELETE]:
+                data = copy.deepcopy(base)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is _DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+                try:
+                    model_from_dict(data)
+                except DataError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{path} = {value!r}: {exc!r}")
+
+
+CUPT_LINES = (
+    ["# text = ab x\n", "1-2\tab" + "\t_" * 8 + "\t*\n"]
+    + _SYNTH_LINES[:1]
+    + ["1.1\tx" + "\t_" * 8 + "\t*\n"]
+    + _SYNTH_LINES[1:]
+)
+
+
+def test_cupt_fuzz_base_is_valid():
+    corpus = parse_cupt(CUPT_LINES)
+    assert len(corpus) == 3 and any(s.vmwes for s in corpus)
+    assert len(corpus[0].raw_rows) == 2 and corpus[0].source_comments
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_lines(CUPT_LINES))
+def test_parse_cupt_raises_only_data_errors(lines):
+    try:
+        parse_cupt(lines)
+    except DataError:
+        pass
+
+
+VEC_LINES = ["3 3\n", "cat 0.5 -1 2e-3\n", "dog 1 2 3\n", "Cat 0 0 0\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_lines(VEC_LINES))
+def test_load_vec_raises_only_data_errors(lines):
+    try:
+        table = load_vec(lines, expected_dim=3)
+    except DataError:
+        return
+    assert isinstance(table, EmbeddingTable)
+    for vector in table.entries.values():
+        assert vector.shape == (3,) and np.isfinite(vector).all()

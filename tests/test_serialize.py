@@ -1,11 +1,12 @@
 """Round-trip fidelity of the JSON model container.
 
 Oracles here are equality itself: load(save(m)) must reproduce every array
-bit for bit (JSON shortest-repr floats round-trip doubles exactly), the
-serialized bytes must be a pure function of the model, and predictions
+bit for bit (parameters are stored as their little-endian float64 bytes),
+the serialized bytes must be a pure function of the model, and predictions
 through a round-trip must match the original on every sentence.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from mwetag.serialize import (
     model_to_dict,
     save_model,
 )
-from mwetag.tagger import TaggerConfig, build_for_corpus, predict
+from mwetag.tagger import AdamOptimizer, TaggerConfig, build_for_corpus, predict
 
 from test_tagger import make_sentence, small_config, toy_corpus, toy_table
 
@@ -54,6 +55,22 @@ def trainable_model(corpus):
 def baseline_model(corpus):
     opts = BaselineTrainOptions(max_iterations=30, seed=3)
     return train_baseline(corpus, variant="standard", options=opts)
+
+
+def reencode(entry, values):
+    """Make a model-file parameter entry hold `values` (array-like; its shape
+    becomes the entry's), encoded independently of the writer: base64 of the
+    little-endian float64 bytes in C order. Returns the entry."""
+    arr = np.asarray(values, dtype="<f8")
+    entry["shape"] = list(arr.shape)
+    entry["f64le"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return entry
+
+
+def decoded(entry) -> np.ndarray:
+    """The writable array a model-file parameter entry holds."""
+    raw = base64.b64decode(entry["f64le"])
+    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
 
 
 def random_sentences(rng, count):
@@ -118,6 +135,36 @@ def test_round_trip_predictions_bit_identical(tmp_path, tagger_model, table):
     for sentence in random_sentences(rng, 10):
         enc = encode(sentence, table, pos_vocab)
         assert predict(loaded, enc) == predict(tagger_model, enc)
+
+
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_extreme_values_round_trip_bit_exact(tmp_path, tagger_model, table):
+    model = model_from_dict(model_to_dict(tagger_model), embeddings=table)
+    model.params["proj_w"].data.reshape(-1)[: len(EXTREMES)] = EXTREMES
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(model, str(p1))
+    loaded = load_model(str(p1), embeddings=table)
+    head = loaded.params["proj_w"].data.reshape(-1)[: len(EXTREMES)]
+    assert head.tobytes() == np.array(EXTREMES).tobytes()
+    for name, tensor in model.params.items():
+        assert loaded.params[name].data.tobytes() == tensor.data.tobytes(), name
+    save_model(loaded, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loaded_params_are_writable(tmp_path, tagger_model, table):
+    path = str(tmp_path / "m.json")
+    save_model(tagger_model, path)
+    loaded = load_model(path, embeddings=table)
+    params = loaded.trainable()
+    for tensor in params:
+        assert tensor.data.flags.writeable
+        tensor.grad[...] = 1.0
+    AdamOptimizer(params, loaded.config.optimizer).step()
+    for name, tensor in loaded.params.items():
+        assert not np.array_equal(tensor.data, tagger_model.params[name].data), name
 
 
 def test_embedding_dimension_mismatch_rejected(tmp_path, tagger_model):
@@ -200,13 +247,98 @@ def test_missing_field_rejected(tmp_path, tagger_model):
 
 def test_shape_value_mismatch_rejected(tagger_model):
     data = model_to_dict(tagger_model)
-    data["params"][0]["values"] = data["params"][0]["values"][:-1]
+    entry = data["params"][0]
+    shape = entry["shape"]
+    reencode(entry, decoded(entry).ravel()[:-1])
+    entry["shape"] = shape
     with pytest.raises(ModelFormatError, match="shape"):
         model_from_dict(data)
 
 
+def _proj_b(data):
+    return next(e for e in data["params"] if e["name"] == "proj_b")
+
+
+def _with_values(edit):
+    """proj_b re-encoded as edit(its values), keeping the stored shape."""
+    def mutate(data):
+        entry = _proj_b(data)
+        shape = entry["shape"]
+        reencode(entry, edit(decoded(entry)))
+        entry["shape"] = shape
+    return mutate
+
+
+def _set_entry(key, value):
+    def mutate(data):
+        _proj_b(data)[key] = value
+    return mutate
+
+
+def non_base64_proj_b(data):
+    entry = _proj_b(data)
+    entry["f64le"] = "*" + entry["f64le"][1:]
+
+
+def _drop_payload(data):
+    del _proj_b(data)["f64le"]
+
+
+def _empty_huge_shape(data):
+    """Zero elements, so the byte count agrees, but numpy cannot make it."""
+    _proj_b(data).update(shape=[0, 10**30], f64le="")
+
+
+def as_format_v2(data):
+    """The previous format: each parameter a flat list of decimal floats."""
+    data["format_version"] = 2
+    for entry in data["params"]:
+        entry["values"] = decoded(entry).ravel().tolist()
+        del entry["f64le"]
+
+
+def _set_at(index, value):
+    def edit(a):
+        a.reshape(-1)[index] = value
+        return a
+    return edit
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (non_base64_proj_b, "base64"),
+        (_set_entry("f64le", "AAAA AAAAAAA="), "base64"),
+        (_with_values(lambda a: np.append(a, 0.0)), "bytes"),
+        (_set_entry("f64le", "AAAA"), "bytes"),
+        (_set_entry("f64le", [0.0]), "base64 string"),
+        (_set_entry("f64le", None), "base64 string"),
+        (_set_entry("shape", [-3]), "non-negative integers"),
+        (_set_entry("shape", [3.0]), "non-negative integers"),
+        (_set_entry("shape", [True]), "non-negative integers"),
+        (_set_entry("shape", "3"), "non-negative integers"),
+        (_empty_huge_shape, "has shape"),
+        (_with_values(_set_at(0, float("nan"))), "non-finite"),
+        (_with_values(_set_at(-1, float("inf"))), "non-finite"),
+        (_drop_payload, "malformed parameter entry"),
+        (as_format_v2, "retrain"),
+    ],
+    ids=[
+        "non-base64-char", "inner-space", "byte-count-long",
+        "byte-count-not-multiple-of-8", "payload-list", "payload-null",
+        "negative-dim", "float-dim", "bool-dim", "shape-string", "huge-empty-shape",
+        "nan", "plus-inf", "no-payload", "format-v2-values",
+    ],
+)
+def test_malformed_parameter_payload_rejected(tagger_model, mutate, message):
+    data = model_to_dict(tagger_model)
+    mutate(data)
+    with pytest.raises(ModelFormatError, match=message):
+        model_from_dict(data)
+
+
 def _add_extra(data):
-    data["params"].append({"name": "extra", "shape": [1], "values": [0.0]})
+    data["params"].append(reencode({"name": "extra"}, [0.0]))
 
 
 def _repeat_first(data):
@@ -221,13 +353,29 @@ def _drop_word_vocab(data):
     data["word_vocab"] = None
 
 
+def _unhashable_tag(data):
+    data["tag_vocab"][0] = [data["tag_vocab"][0]]
+
+
+def _params_not_a_list(data):
+    data["params"] = None
+
+
+def _bool_emb_dim(data):
+    data["emb_dim"] = True
+
+
 @pytest.mark.parametrize(
     "model_name, mutate, message",
     [("tagger_model", _add_extra, "extra"),
      ("tagger_model", _repeat_first, "repeated"),
      ("tagger_model", _shrink_tags, "shape"),
-     ("trainable_model", _drop_word_vocab, "word_vocab")],
-    ids=["extra-param", "repeated-param", "vocab-shape-mismatch", "no-word-vocab"],
+     ("trainable_model", _drop_word_vocab, "word_vocab"),
+     ("tagger_model", _unhashable_tag, "tag_vocab must be a non-empty list of strings"),
+     ("tagger_model", _params_not_a_list, "params must be a list"),
+     ("tagger_model", _bool_emb_dim, "emb_dim")],
+    ids=["extra-param", "repeated-param", "vocab-shape-mismatch", "no-word-vocab",
+         "unhashable-tag", "params-not-a-list", "bool-emb_dim"],
 )
 def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):
     data = model_to_dict(request.getfixturevalue(model_name))
