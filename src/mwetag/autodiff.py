@@ -56,7 +56,8 @@ def param(data) -> Tensor:
 
 
 class Tape:
-    """Ordered operation record for one reverse traversal."""
+    """Ordered operation record for one reverse traversal; backward empties
+    it as it runs."""
 
     def __init__(self):
         self._nodes = []
@@ -144,8 +145,13 @@ def backward(tape: Tape, loss: Tensor):
         raise ValueError("loss must be a scalar")
     tape._used = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
-        node()
+    # Each node closes over its output tensor, whose .tape points back here.
+    # Dropping a node once it has run breaks that cycle, so the activations
+    # and gradients it holds are freed by reference counting right away and
+    # not whenever the cyclic garbage collector next runs.
+    nodes, tape._nodes = tape._nodes, []
+    while nodes:
+        nodes.pop()()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tape mechanics, primitive correctness against hand oracles, and finite
 difference validation for every differentiable operation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,25 @@ def test_backward_twice_raises():
     backward(tape, loss)
     with pytest.raises(RuntimeError):
         backward(tape, loss)
+
+
+def test_backward_frees_activations_without_the_cycle_collector():
+    """backward drops each node once it has run, so nothing recorded on the
+    tape waits for a gc pass: how much memory a later step sees must not
+    depend on when the collector last ran."""
+    w = param(np.ones((2, 2)))
+    tape = Tape()
+    gc.disable()
+    try:
+        hidden = relu(matmul(attach(np.ones((1, 2)), tape), w))
+        freed = weakref.ref(hidden.data)
+        backward(tape, sum_all(hidden))
+        del hidden
+        assert freed() is None
+        assert len(tape) == 0
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(w.grad, np.ones((2, 2)))
 
 
 def test_backward_rejects_foreign_or_nonscalar_loss():
