@@ -13,7 +13,13 @@ backward calls until zero_grad. backward may run once per tape.
 
 Most operations are single array primitives. The BiLSTM is the exception: it
 is one fused operation that records a single tape node per call, whatever the
-sequence length, and runs backprop through time by hand (see bilstm).
+sequence length or batch size, and runs backprop through time by hand (see
+bilstm).
+
+The layers take one sentence as an n x d array, or a padded batch of B
+sentences as a B x n x d block; the sequence layers (bilstm, cross_entropy)
+also take the sentence lengths. One sentence is the B = 1 case of the same
+code.
 
 Every differentiable operation here is validated against central finite
 differences (grad_check), which is also the verification entry point exposed
@@ -159,14 +165,19 @@ def backward(tape: Tape, loss: Tensor):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b, where the leading axes of a (a padded batch of sentences) are
+    one stack of rows: a single product over all of them."""
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+    rows = a.data.reshape(-1, a.data.shape[-1])
 
     def back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        g = g.reshape(-1, g.shape[-1])
+        _accumulate(a, (g @ b.data.T).reshape(a.data.shape))
+        _accumulate(b, rows.T @ g)
 
-    return _emit(a.data @ b.data, (a, b), back)
+    out = rows @ b.data
+    return _emit(out.reshape(*a.data.shape[:-1], out.shape[-1]), (a, b), back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -176,7 +187,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if b.data.ndim < g.ndim else g)
+        if b.data.ndim < g.ndim:  # a bias, summed over every row
+            g = g.reshape(-1, g.shape[-1]).sum(axis=0)
+        _accumulate(b, g)
 
     return _emit(a.data + b.data, (a, b), back)
 
@@ -236,32 +249,36 @@ ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid, "identity": ident
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    widths = [p.data.shape[1] for p in parts]
+    """Concatenation along the last axis."""
+    widths = [p.data.shape[-1] for p in parts]
 
     def back(g):
         offset = 0
         for p, w in zip(parts, widths):
-            _accumulate(p, g[:, offset : offset + w])
+            _accumulate(p, g[..., offset : offset + w])
             offset += w
 
-    return _emit(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+    return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
 def gather_rows(table: Tensor, indices, tape: Tape | None = None) -> Tensor:
-    """Rows of a lookup table by index; gradients scatter-add back.
+    """Rows of a lookup table by index, for an index array of any shape;
+    gradients scatter-add back. A negative index gathers a zero row that
+    takes no gradient (the padding of a batch).
 
     The indices are plain integers and cannot carry a tape, so when the table
     is a bare parameter the recording tape must be passed explicitly."""
     indices = np.asarray(indices, dtype=int)
+    real = indices >= 0
     tape = tape if tape is not None else _tape_of(table)
 
     def back(g):
         if _wants_grad(table):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, indices, g)
+            np.add.at(table.grad, indices[real], g[real])
 
-    out = Tensor(table.data[indices], tape=tape)
+    out = Tensor(np.where(real[..., None], table.data[indices], 0.0), tape=tape)
     if tape is not None:
 
         def node():
@@ -280,34 +297,43 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max subtraction; rows sum to 1."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
 
     def back(g):
-        dot = (g * probs).sum(axis=1, keepdims=True)
+        dot = (g * probs).sum(axis=-1, keepdims=True)
         _accumulate(x, probs * (g - dot))
 
     return _emit(probs, (x,), back)
 
 
-def cross_entropy(probs: Tensor, gold) -> Tensor:
+def cross_entropy(probs: Tensor, gold, lengths=None) -> Tensor:
     """Mean negative log probability of the gold class per row. Expects
-    normalized rows (the output of softmax_rows)."""
+    normalized rows (the output of softmax_rows). For a padded B x n x T
+    block with B x n gold indices and the lengths, the sum over sentences of
+    each one's mean over its own rows; entries past a sentence's end are
+    ignored."""
     gold = np.asarray(gold, dtype=int)
-    n = probs.data.shape[0]
-    if gold.shape != (n,):
-        raise ValueError(f"need {n} gold indices, got shape {gold.shape}")
-    if gold.min() < 0 or gold.max() >= probs.data.shape[1]:
+    if gold.shape != probs.data.shape[:-1]:
+        raise ValueError(f"need {probs.data.shape[:-1]} gold indices, got {gold.shape}")
+    block = probs.data.reshape(-1, *probs.data.shape[-2:])
+    b_count, n, t_count = block.shape
+    lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
+    rows, cols = np.nonzero(np.arange(n) < lengths[:, None])
+    labels = gold.reshape(b_count, n)[rows, cols]
+    if labels.min() < 0 or labels.max() >= t_count:
         raise ValueError("gold index out of range")
-    picked = probs.data[np.arange(n), gold]
-    loss = -np.log(picked).mean()
+    picked = block[rows, cols, labels]
+    logs = np.zeros((b_count, n))
+    logs[rows, cols] = np.log(picked)
+    loss = (-logs.sum(axis=1) / lengths).sum()
 
     def back(g):
-        gp = np.zeros_like(probs.data)
-        gp[np.arange(n), gold] = -float(g) / (n * picked)
-        _accumulate(probs, gp)
+        gp = np.zeros_like(block)
+        gp[rows, cols, labels] = -float(g) / (lengths[rows] * picked)
+        _accumulate(probs, gp.reshape(probs.data.shape))
 
     return _emit(np.asarray(loss), (probs,), back)
 
@@ -327,34 +353,41 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     x is n x d, kernels is f x k x d, bias is f; output is n x f with zero
     padding of floor((k-1)/2) rows on the left and ceil((k-1)/2) on the right
     (an even k pads only on the right, keeping output row i aligned with
-    input row i).
+    input row i). A padded B x n x d block of sentences gives B x n x f, each
+    sentence convolved on its own; its rows past a sentence's end must be
+    zero, so that they act as that sentence's right padding.
     """
-    n, d = x.data.shape
+    *lead, n, d = x.data.shape
     f, k, d_k = kernels.data.shape
     if d_k != d:
         raise ValueError(f"conv channel mismatch: input {d}, kernels {d_k}")
     left = (k - 1) // 2
-    right = k - 1 - left
-    padded = np.zeros((n + left + right, d))
-    padded[left : left + n] = x.data
-    out = np.tile(bias.data, (n, 1))
+    block = x.data.reshape(-1, n, d)
+    padded = np.zeros((block.shape[0], n + k - 1, d))
+    padded[:, left : left + n] = block
+
+    def window(j):  # the input rows under kernel column j, one per output row
+        return padded[:, j : j + n].reshape(-1, d)
+
+    out = np.tile(bias.data, (block.shape[0] * n, 1))
     for j in range(k):
-        out += padded[j : j + n] @ kernels.data[:, j, :].T
+        out += window(j) @ kernels.data[:, j, :].T
 
     def back(g):
+        g = g.reshape(-1, f)
         _accumulate(bias, g.sum(axis=0))
         if _wants_grad(kernels):
             gk = np.empty_like(kernels.data)
             for j in range(k):
-                gk[:, j, :] = g.T @ padded[j : j + n]
+                gk[:, j, :] = g.T @ window(j)
             _accumulate(kernels, gk)
         if _wants_grad(x):
             gp = np.zeros_like(padded)
             for j in range(k):
-                gp[j : j + n] += g @ kernels.data[:, j, :]
-            _accumulate(x, gp[left : left + n])
+                gp[:, j : j + n] += (g @ kernels.data[:, j, :]).reshape(-1, n, d)
+            _accumulate(x, gp[:, left : left + n].reshape(x.data.shape))
 
-    return _emit(out, (x, kernels, bias), back)
+    return _emit(out.reshape(*lead, n, f), (x, kernels, bias), back)
 
 
 @dataclass
@@ -374,45 +407,60 @@ class LstmParams:
         return [self.wx, self.wh, self.b]
 
 
-def _lstm_direction(x: np.ndarray, p: LstmParams, order, in_mask, rec_mask):
-    """Run one direction over the rows of x, visiting positions in order.
+def _lstm_direction(x: np.ndarray, p: LstmParams, active, in_mask, rec_mask, record):
+    """Run one direction over packed rows.
 
-    The input projection of every position is one GEMM; the loop carries only
-    the recurrent product and the gate math. Returns the n x h outputs and a
-    function mapping their gradient to the gradient of x, which accumulates
-    the wx, wh and b gradients on the way. It keeps the masked input, the
-    gate activations (n x 4h), the cell and (masked) hidden state entering
-    each step and tanh of each new cell state (n x h each)."""
+    x holds each step's rows in turn: step t has one row for each of the
+    active[t] sentences still running, longest sentence first, so a step's
+    sentences are a prefix of the previous step's. The input projection of
+    every row is one GEMM; the loop carries only the (k x h) @ wh product
+    over the k running sentences and the gate math. in_mask (one row per x
+    row) and rec_mask (one row per sentence, longest first) are
+    inverted-dropout masks or None.
+
+    Returns the outputs (one h-wide row per x row) and, when record is set,
+    a function mapping their gradient to the gradient of x, which
+    accumulates the wx, wh and b gradients on the way. Only then does it
+    keep the gate activations (4h per row), the cell and (masked) hidden
+    state entering each step and tanh of each new cell state (h per row)."""
     h = p.hidden
-    n = x.shape[0]
     wh = p.wh.data
     xm = x if in_mask is None else x * in_mask
-    zx = xm @ p.wx.data + p.b.data
-    acts = np.empty((n, 4 * h))
-    c_in = np.empty((n, h))
-    h_in = np.empty((n, h))
-    tanh_c = np.empty((n, h))
-    out = np.empty((n, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in order:
-        if rec_mask is not None:
-            h_prev = h_prev * rec_mask
-        h_in[t] = h_prev
-        c_in[t] = c_prev
-        z = zx[t] + h_prev @ wh
-        a = acts[t]
-        a[: 2 * h] = _sigmoid(z[: 2 * h])
-        a[2 * h : 3 * h] = np.tanh(z[2 * h : 3 * h])
-        a[3 * h :] = _sigmoid(z[3 * h :])
-        c_prev = a[h : 2 * h] * c_prev + a[:h] * a[2 * h : 3 * h]
-        tanh_c[t] = np.tanh(c_prev)
-        h_prev = out[t] = a[3 * h :] * tanh_c[t]
+    zx = xm @ p.wx.data
+    zx += p.b.data
+    bounds = np.concatenate([[0], np.cumsum(active)])
+    widest = active.max(initial=0)
+    out = np.empty((len(x), h))
+    if record:
+        acts = np.empty((len(x), 4 * h))
+        c_in = np.empty((len(x), h))
+        h_in = np.empty((len(x), h))
+        tanh_c = np.empty((len(x), h))
+    h_prev = c_prev = np.zeros((widest, h))
+    for t, k in enumerate(active):
+        lo, hi = bounds[t], bounds[t + 1]
+        hp = h_prev[:k] if rec_mask is None else h_prev[:k] * rec_mask[:k]
+        z = zx[lo:hi] + hp @ wh
+        a = acts[lo:hi] if record else np.empty((k, 4 * h))
+        a[:, : 2 * h] = _sigmoid(z[:, : 2 * h])
+        a[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
+        a[:, 3 * h :] = _sigmoid(z[:, 3 * h :])
+        c = a[:, h : 2 * h] * c_prev[:k] + a[:, :h] * a[:, 2 * h : 3 * h]
+        tc = np.tanh(c)
+        if record:
+            h_in[lo:hi] = hp
+            c_in[lo:hi] = c_prev[:k]
+            tanh_c[lo:hi] = tc
+        h_prev = out[lo:hi] = a[:, 3 * h :] * tc
+        c_prev = c
+    if not record:
+        return out, None
 
     def back(d_out: np.ndarray) -> np.ndarray:
+        rows = len(x)
         gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
-        # per position: d(cell)/d(output), and the factor taking d(cell) to
-        # the i, f, g pre-activations and d(output) to the o pre-activation;
+        # per row: d(cell)/d(output), and the factor taking d(cell) to the
+        # i, f, g pre-activations and d(output) to the o pre-activation;
         # only the two carries below need the sequential loop
         dc_dh = go * (1.0 - tanh_c**2)
         coef = np.concatenate(
@@ -423,20 +471,22 @@ def _lstm_direction(x: np.ndarray, p: LstmParams, order, in_mask, rec_mask):
                 tanh_c * go * (1.0 - go),
             ],
             axis=1,
-        ).reshape(n, 4, h)
-        d_z = np.empty((n, 4, h))
-        dh_next = np.zeros(h)
-        dc_next = np.zeros(h)
-        for t in reversed(order):
-            dh = d_out[t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            d_z[t, :3] = coef[t, :3] * dc
-            d_z[t, 3] = coef[t, 3] * dh
-            dc_next = dc * gf[t]
-            dh_next = wh @ d_z[t].reshape(-1)
+        ).reshape(rows, 4, h)
+        d_z = np.empty((rows, 4, h))
+        # a sentence's carries are zero until its last step is reached
+        dh_next = np.zeros((widest, h))
+        dc_next = np.zeros_like(dh_next)
+        for t in range(len(active) - 1, -1, -1):
+            k, lo, hi = active[t], bounds[t], bounds[t + 1]
+            dh = d_out[lo:hi] + dh_next[:k]
+            dc = dh * dc_dh[lo:hi] + dc_next[:k]
+            d_z[lo:hi, :3] = coef[lo:hi, :3] * dc[:, None]
+            d_z[lo:hi, 3] = coef[lo:hi, 3] * dh
+            dc_next[:k] = dc * gf[lo:hi]
+            dh_next[:k] = d_z[lo:hi].reshape(k, 4 * h) @ wh.T
             if rec_mask is not None:
-                dh_next *= rec_mask
-        d_z = d_z.reshape(n, 4 * h)
+                dh_next[:k] *= rec_mask[:k]
+        d_z = d_z.reshape(rows, 4 * h)
         _accumulate(p.wx, xm.T @ d_z)
         _accumulate(p.wh, h_in.T @ d_z)
         _accumulate(p.b, d_z.sum(axis=0))
@@ -454,55 +504,91 @@ def bilstm(
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: RngStream | None = None,
+    lengths=None,
 ) -> Tensor:
     """Bidirectional LSTM over the rows of x; per-position outputs of the two
-    directions are concatenated to n x 2h.
+    directions are concatenated to n x 2h. A padded B x n x d block with the
+    sentence lengths gives B x n x 2h: each sentence runs on its own, rows
+    past its end are ignored on input and zero on output, and a sentence
+    finished early simply stops taking part in the steps.
 
-    In train mode, input dropout applies one mask per sequence to x at every
-    step and recurrent dropout applies one mask per sequence to the hidden
-    state entering the recurrence (each direction draws its own masks, in the
-    order forward-input, forward-recurrent, backward-input, backward-recurrent).
-    Masks follow the inverted convention (scaled by 1/keep at train time), so
-    eval mode applies no masks and no scaling.
+    In train mode, input dropout applies one mask per sentence to x at every
+    step and recurrent dropout applies one mask per sentence to the hidden
+    state entering the recurrence. Each direction has its own masks; they
+    are drawn sentence by sentence in block order, each sentence in the
+    order forward-input, forward-recurrent, backward-input,
+    backward-recurrent, so a block draws what its sentences would draw one
+    at a time. Masks follow the inverted convention (scaled by 1/keep at
+    train time), so eval mode applies no masks and no scaling.
 
-    The whole layer is one fused operation and records one tape node. Per
-    direction it keeps the masked input, the gate activations, the cell and
-    (masked) hidden state entering each step and tanh of each new cell state;
-    backward runs backprop through time over them by hand, then takes each of
-    the wx, wh, b and x gradients from a single product over all positions.
+    The whole layer is one fused operation and records one tape node. Each
+    step runs every sentence still going as one (k x h) @ wh product. When
+    a tape records the call, each direction keeps the masked input, the gate
+    activations, the cell and (masked) hidden state entering each step and
+    tanh of each new cell state; backward runs backprop through time over
+    them by hand, again k sentences per step, then takes each of the wx, wh,
+    b and x gradients from a single product over all positions. Tape-free
+    calls keep none of them.
     """
     if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
         raise ValueError("dropout rates must lie in [0, 1)")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    n, d = x.data.shape
-
-    def masks(p: LstmParams):
-        if mode != "train":
-            return None, None
-        if dropout > 0.0 and rng is None:
-            raise ValueError("train-mode dropout needs an RngStream")
-        in_mask = rng.keep_mask(dropout, d) if dropout > 0.0 else None
-        rec_mask = (
-            rng.keep_mask(recurrent_dropout, p.hidden)
-            if recurrent_dropout > 0.0
-            else None
-        )
-        return in_mask, rec_mask
-
-    fwd_out, fwd_back = _lstm_direction(
-        x.data, forward_params, range(n), *masks(forward_params)
-    )
-    bwd_out, bwd_back = _lstm_direction(
-        x.data, backward_params, range(n - 1, -1, -1), *masks(backward_params)
-    )
+    single = x.data.ndim == 2
+    block = x.data[None] if single else x.data
+    b_count, n, d = block.shape
+    lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
+    params = (forward_params, backward_params)
+    inputs = (x, *forward_params.tensors(), *backward_params.tensors())
     h = forward_params.hidden
 
-    def back(g):
-        _accumulate(x, fwd_back(g[:, :h]) + bwd_back(g[:, h:]))
+    def draw(rate, size):
+        if mode != "train" or rate == 0.0:
+            return None
+        if rng is None:
+            raise ValueError("train-mode dropout needs an RngStream")
+        return rng.keep_mask(rate, size)
 
-    inputs = (x, *forward_params.tensors(), *backward_params.tensors())
-    return _emit(np.concatenate([fwd_out, bwd_out], axis=1), inputs, back)
+    # (input, recurrent) masks of each sentence and direction, in draw order
+    draws = [
+        (draw(dropout, d), draw(recurrent_dropout, p.hidden))
+        for _ in range(b_count)
+        for p in params
+    ]
+
+    # packed rows: step by step, the sentences still running, longest first
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(lengths.max(initial=0))[:, None]  # step x slot
+    step, slot = np.nonzero(running)
+    sentence = order[slot]
+    record = _tape_of(*inputs) is not None
+
+    out = np.zeros((b_count, n, 2 * h))
+    backs = []
+    for direction, p in enumerate(params):
+        pos = step if direction == 0 else lengths[sentence] - 1 - step
+        cols = slice(direction * h, (direction + 1) * h)
+        in_masks, rec_masks = zip(*draws[direction::2])
+        rows, back_rows = _lstm_direction(
+            block[sentence, pos], p, running.sum(axis=1),
+            _stack(in_masks, sentence), _stack(rec_masks, order), record,
+        )
+        out[sentence, pos, cols] = rows
+        backs.append((pos, cols, back_rows))
+
+    def back(g):
+        g = g.reshape(out.shape)
+        d_x = np.zeros_like(block)
+        for pos, cols, back_rows in backs:
+            d_x[sentence, pos] += back_rows(g[sentence, pos, cols])
+        _accumulate(x, d_x.reshape(x.data.shape))
+
+    return _emit(out[0] if single else out, inputs, back)
+
+
+def _stack(masks, index):
+    """Per-sentence masks (or Nones) stacked and picked in index order."""
+    return None if masks[0] is None else np.array(masks)[index]
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,14 @@ Scores live in log-space. A labeling y of an n-token sentence scores
 
 with explicit start/stop vectors instead of padded boundary labels. Every
 function takes the same plain float arrays: scores (n x T, n, T >= 1), trans
-(T x T), start and stop (T). score_path, log_partition, forward_backward and
-nll_gradient also take a padded B x n x T block of B sentences with their
-lengths; one n x T sentence is the B = 1 block of the same code, so a batch
-costs one pass of n vectorized steps instead of B passes. Entries past a
-sentence's length are ignored. The emission scores may come from any source: the
-neural tagger's projection layer or a sparse feature dot product. Shapes and
-finiteness are the callers' business: they are checked where the numbers
-enter or arise (model loading, the tagger's forward pass, the baseline
-objective), not here.
+(T x T), start and stop (T). All but brute_force also take a padded
+B x n x T block of B sentences with their lengths; one n x T sentence is the
+B = 1 block of the same code, so a batch costs one pass of n vectorized
+steps instead of B passes. Entries past a sentence's length are ignored. The
+emission scores may come from any source: the neural tagger's projection
+layer or a sparse feature dot product. Shapes and finiteness are the
+callers' business: they are checked where the numbers enter or arise (model
+loading, the tagger's forward pass, the baseline objective), not here.
 
 nll_gradient is the one place that turns forward_backward marginals and a
 gold path into expected-minus-observed counts. crf_nll, the autodiff op, runs
@@ -38,14 +37,20 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _batch(scores, lengths):
-    """A padded B x n x T block, its per-sentence lengths (B) and the B x n
-    mask of real positions. One n x T sentence is the B = 1 block; a block
-    without lengths is all full length."""
+    """A padded B x n x T block and its per-sentence lengths (B). One n x T
+    sentence is the B = 1 block; a block without lengths is all full
+    length."""
     if scores.ndim == 2:
         scores = scores[None]
     b_count, n = scores.shape[:2]
     lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
-    return scores, lengths, np.arange(n) < lengths[:, None]
+    return scores, lengths
+
+
+def _masked(scores, lengths):
+    """_batch, plus the B x n mask of real positions."""
+    block, lengths = _batch(scores, lengths)
+    return block, lengths, np.arange(block.shape[1]) < lengths[:, None]
 
 
 def score_path(scores, trans, start, stop, path, lengths=None):
@@ -53,12 +58,12 @@ def score_path(scores, trans, start, stop, path, lengths=None):
     path; for a padded block, B scores of a B x n path block (padding
     entries of the block and the paths are ignored)."""
     single = scores.ndim == 2
-    block, lengths, live = _batch(scores, lengths)
+    block, lengths, live = _masked(scores, lengths)
     b_count, n = live.shape
     paths = np.asarray(path, dtype=int)
     if paths.shape != ((n,) if single else (b_count, n)):
         raise ValueError(f"path shape {paths.shape} does not match {n} positions")
-    paths = paths.reshape(b_count, n)
+    paths = np.where(live, paths.reshape(b_count, n), 0)
     rows = np.arange(b_count)
     total = (
         start[paths[:, 0]]
@@ -69,24 +74,43 @@ def score_path(scores, trans, start, stop, path, lengths=None):
     return float(total[0]) if single else total
 
 
-def viterbi(scores, trans, start, stop) -> tuple[list[int], float]:
-    """Highest-scoring label sequence and its score. Ties break toward the
-    lower label index at every backpointer (first maximum)."""
-    n, t_count = scores.shape
-    delta = start + scores[0]
-    backptr = np.zeros((n, t_count), dtype=int)
-    for i in range(1, n):
-        cand = delta[:, None] + trans  # cand[a, b]: best-through-a then b
-        backptr[i] = cand.argmax(axis=0)
-        delta = cand.max(axis=0) + scores[i]
-    delta = delta + stop
-    last = int(delta.argmax())
-    best_score = float(delta[last])
-    path = [last]
-    for i in range(n - 1, 0, -1):
-        path.append(int(backptr[i, path[-1]]))
-    path.reverse()
-    return path, best_score
+def viterbi(scores, trans, start, stop, lengths=None):
+    """Highest-scoring label sequence and its score: (path, score) for one
+    n x T sentence; for a padded B x n x T block with lengths, B paths (each
+    as long as its sentence) and B scores. Ties break toward the lower label
+    index at every backpointer (first maximum)."""
+    block, lengths = _batch(scores, lengths)
+    b_count, n, t_count = block.shape
+    width = b_count * t_count
+    # time-major, starting as a copy of the emissions: delta[i, s, b] becomes
+    # the best score of sentence s up to position i ending in label b. Each
+    # step reduces over the rows of one 2-D view of cand. A finished
+    # sentence's entries run on through its padding unread.
+    delta = block.transpose(1, 0, 2).copy()
+    delta[0] += start
+    backptr = np.empty((n, width), dtype=np.intp)
+    cand = np.empty((b_count, t_count, t_count))  # cand[s, b, a]: through a, then b
+    rows = cand.reshape(width, t_count)
+    into = trans.T
+    steps = zip(delta[:, :, None, :], delta.reshape(n, width)[1:], backptr[1:])
+    for prev, cur, pointer in steps:
+        np.add(prev, into, out=cand)
+        rows.argmax(axis=1, out=pointer)
+        cur += rows.max(axis=1)
+    pointers = backptr.tolist()
+    paths, best = [], []
+    for s, length in enumerate(lengths.tolist()):
+        end = delta[length - 1, s] + stop
+        path = [int(end.argmax())]
+        best.append(float(end[path[0]]))
+        offset = s * t_count
+        for i in range(length - 1, 0, -1):
+            path.append(pointers[i][offset + path[-1]])
+        path.reverse()
+        paths.append(path)
+    if scores.ndim == 2:
+        return paths[0], best[0]
+    return paths, np.array(best)
 
 
 def log_partition(scores, trans, start, stop, lengths=None):
@@ -95,7 +119,7 @@ def log_partition(scores, trans, start, stop, lengths=None):
     sentence, B values for a padded B x n x T block with lengths. A finished
     sentence carries its last alpha through the padding."""
     single = scores.ndim == 2
-    block, _, live = _batch(scores, lengths)
+    block, _, live = _masked(scores, lengths)
     alpha = start + block[:, 0]
     for i in range(1, block.shape[1]):
         step = _logsumexp(alpha[:, :, None] + trans, axis=1) + block[:, i]
@@ -115,7 +139,7 @@ def forward_backward(scores, trans, start, stop, lengths=None):
     are zero past each sentence's end.
     """
     single = scores.ndim == 2
-    block, _, live = _batch(scores, lengths)
+    block, _, live = _masked(scores, lengths)
     n = block.shape[1]
     alpha = np.empty_like(block)
     alpha[:, 0] = start + block[:, 0]
@@ -154,7 +178,7 @@ def nll_gradient(gamma, xi, gold, lengths=None):
     over the batch."""
     single = gamma.ndim == 2
     gold = np.asarray(gold, dtype=int).reshape(-1, gamma.shape[-2])
-    d_scores, lengths, live = _batch(gamma.copy(), lengths)
+    d_scores, lengths, live = _masked(gamma.copy(), lengths)
     t_count = d_scores.shape[2]
     rows, cols = np.nonzero(live)
     d_scores[rows, cols, gold[rows, cols]] -= 1.0
@@ -168,22 +192,31 @@ def nll_gradient(gamma, xi, gold, lengths=None):
     return (d_scores[0] if single else d_scores), d_trans, d_start, d_stop
 
 
-def crf_nll(scores: Tensor, trans: Tensor, start: Tensor, stop: Tensor, gold) -> Tensor:
+def crf_nll(
+    scores: Tensor, trans: Tensor, start: Tensor, stop: Tensor, gold, lengths=None
+) -> Tensor:
     """Negative log-likelihood of the gold path: log_partition - score(gold),
-    as a scalar Tensor whose backward pass is nll_gradient."""
+    as a scalar Tensor whose backward pass is nll_gradient. For a padded
+    B x n x T block with B x n gold paths and the lengths, the sum of the B
+    sentences' values, from one forward_backward and one score_path call."""
     arrays = (scores.data, trans.data, start.data, stop.data)
-    n, t_count = scores.shape
+    _, lengths, live = _masked(scores.data, lengths)
     gold = np.asarray(gold, dtype=int)
-    if gold.shape != (n,):
-        raise ValueError(f"gold path length {gold.shape} does not match {n} positions")
-    if gold.min() < 0 or gold.max() >= t_count:
+    if gold.shape != scores.shape[:-1]:
+        raise ValueError(
+            f"gold path shape {gold.shape} does not match scores {scores.shape}"
+        )
+    labels = gold.reshape(live.shape)[live]
+    if labels.min() < 0 or labels.max() >= scores.shape[-1]:
         raise ValueError("gold label index out of range")
 
-    gamma, xi, log_z = forward_backward(*arrays)
-    loss = log_z - score_path(*arrays, gold)
+    gamma, xi, log_z = forward_backward(*arrays, lengths)
+    loss = np.sum(log_z - score_path(*arrays, gold, lengths))
 
     def back(g):
-        for x, grad in zip((scores, trans, start, stop), nll_gradient(gamma, xi, gold)):
+        for x, grad in zip(
+            (scores, trans, start, stop), nll_gradient(gamma, xi, gold, lengths)
+        ):
             _accumulate(x, g * grad)
 
     return _emit(np.asarray(loss), (scores, trans, start, stop), back)

@@ -2,8 +2,9 @@
 
 The network consumes two inputs per sentence: a word matrix made of the
 pretrained embedding of each token followed by 7 binary shape features, and a
-one-hot POS matrix. Embedding tables are immutable after loading and lookups
-are total (unknown words map to the zero vector).
+one-hot POS matrix; a batch stacks them into zero-padded blocks. Embedding
+tables are immutable after loading and lookups are total (unknown words map
+to the zero vector).
 """
 
 from __future__ import annotations
@@ -177,14 +178,45 @@ class SentenceEncoding:
     word_input: np.ndarray
     pos_input: np.ndarray
     forms: tuple[str, ...]
+    lengths = None  # one sentence is the B = 1 case of a Batch
 
 
-def encode(sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str]) -> SentenceEncoding:
+@dataclass
+class Batch:
+    """Network inputs for B sentences as padded blocks: word_input is
+    B x n x (dim+7) and pos_input B x n x |P|, both zero past each
+    sentence's length; forms holds each sentence's token forms."""
+
+    word_input: np.ndarray
+    pos_input: np.ndarray
+    forms: tuple[tuple[str, ...], ...]
+    lengths: np.ndarray
+
+
+def pad(encodings: list[SentenceEncoding]) -> Batch:
+    """Stack sentence encodings into zero-padded blocks as long as the
+    longest sentence."""
+    lengths = np.array([len(e.word_input) for e in encodings])
+    b_count, n = len(encodings), lengths.max(initial=0)
+    word_input = np.zeros((b_count, n, encodings[0].word_input.shape[1]))
+    pos_input = np.zeros((b_count, n, encodings[0].pos_input.shape[1]))
+    for b, e in enumerate(encodings):
+        word_input[b, : lengths[b]] = e.word_input
+        pos_input[b, : lengths[b]] = e.pos_input
+    return Batch(word_input, pos_input, tuple(e.forms for e in encodings), lengths)
+
+
+def encode(
+    sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str], lookup: bool = True
+) -> SentenceEncoding:
+    """The inputs of one sentence. lookup=False leaves the embedding columns
+    zero, for models that gather rows of their own table instead."""
     n = len(sentence.tokens)
     word_input = np.zeros((n, table.dimension + N_SHAPE_FEATURES))
     pos_input = np.zeros((n, len(pos_vocab)))
     for i, token in enumerate(sentence.tokens):
-        word_input[i, : table.dimension] = table.lookup(token.form)
+        if lookup:
+            word_input[i, : table.dimension] = table.lookup(token.form)
         word_input[i, table.dimension :] = shape_features(token.form)
         pos_input[i, pos_index(pos_vocab, token.upos)] = 1.0
     return SentenceEncoding(word_input, pos_input, tuple(t.form for t in sentence.tokens))

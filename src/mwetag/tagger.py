@@ -1,11 +1,14 @@
 """ConvNet + BiLSTM sequence tagger with a softmax or chain-CRF head.
 
-Per sentence: the word input (embedding + shape features, n x (dim+7)) runs
-through one convolution bank per filter width, the banks' activations are
-concatenated together with the POS one-hot block, a bidirectional LSTM reads
-the result, and a dense projection maps each position to per-label scores.
-The softmax head trains with mean cross-entropy and predicts by row argmax;
-the CRF head trains with sequence NLL and predicts with viterbi.
+The network runs on a padded batch of sentences; one sentence is the B = 1
+case of the same code. The word input (embedding + shape features,
+B x n x (dim+7), zero past each sentence's end) runs through one convolution
+bank per filter width, the banks' activations are concatenated together with
+the POS one-hot block, a bidirectional LSTM reads each sentence up to its
+length, and a dense projection maps each position to per-label scores. The
+softmax head trains with each sentence's mean cross-entropy and predicts by
+row argmax; the CRF head trains with sequence NLL and predicts with viterbi.
+A batch's loss is the sum of its sentences' losses.
 
 Pretrained embeddings are read through the encoding and never updated. The
 random_trainable mode instead learns an embedding matrix over the training
@@ -13,17 +16,18 @@ vocabulary (unknown index 0), gathered per token at forward time; the shape
 feature columns stay as computed.
 
 Training is plain stochastic optimization with a moment-based (Adam-style)
-optimizer: seeded epoch shuffle, gradients averaged per batch. Within one
-batch, sentences are processed in corpus order, which makes a full-batch run
-independent of the shuffle. With a dev corpus, the returned snapshot is the
-epoch with the best dev MWE-based F1 (ties to the earlier epoch); without
-one, the final state.
+optimizer: seeded epoch shuffle, one forward pass, tape and step per batch,
+gradients averaged over the batch. Within one batch, sentences are stacked in
+corpus order, which makes a full-batch run independent of the shuffle. With a
+dev corpus, the returned snapshot is the epoch with the best dev MWE-based F1
+(ties to the earlier epoch); without one, the final state. Tagging runs
+batch_size sentences per forward pass.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +49,8 @@ from .autodiff import (
 )
 from .chaincrf import crf_nll, viterbi
 from .corpus import Corpus, TagSequence, from_tags, to_tags
-from .embed import N_SHAPE_FEATURES, EmbeddingTable, SentenceEncoding, encode
+from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, SentenceEncoding, encode
+from .embed import pad
 from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
 
@@ -139,18 +144,8 @@ class TaggerModel:
         return [self.params[name] for name in sorted(self.params)]
 
     def copy(self) -> "TaggerModel":
-        return TaggerModel(
-            config=self.config,
-            emb_dim=self.emb_dim,
-            tag_vocab=self.tag_vocab,
-            pos_vocab=self.pos_vocab,
-            params={
-                name: param(np.array(p.data, copy=True))
-                for name, p in self.params.items()
-            },
-            embeddings=self.embeddings,
-            word_vocab=self.word_vocab,
-        )
+        params = {name: param(p.data.copy()) for name, p in self.params.items()}
+        return replace(self, params=params)
 
 
 @dataclass
@@ -295,119 +290,132 @@ def build_for_corpus(
     )
 
 
+def _encode(model: TaggerModel, sentence) -> SentenceEncoding:
+    # a random_trainable model gathers its own rows in forward
+    pretrained = model.config.embedding_mode == "pretrained"
+    return encode(sentence, model.embeddings, list(model.pos_vocab), lookup=pretrained)
+
+
+def _word_ids(model: TaggerModel, inputs: SentenceEncoding | Batch) -> np.ndarray:
+    """Word-table row of every token; -1 (a zero row) past a sentence's end."""
+    sentences = (inputs.forms,) if inputs.lengths is None else inputs.forms
+    ids = np.full((len(sentences), inputs.word_input.shape[-2]), -1)
+    for row, forms in zip(ids, sentences):
+        row[: len(forms)] = [model.word_id(form) for form in forms]
+    return ids.reshape(inputs.word_input.shape[:-1])
+
+
 def forward(
     model: TaggerModel,
-    enc: SentenceEncoding,
+    inputs: SentenceEncoding | Batch,
     mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Per-position label scores, n x T. Raw scores for both heads: the
-    softmax head normalizes at loss/prediction time. Pass a tape to record
-    for backward; without one the pass is pure. Scores that overflowed or
-    became NaN raise NonFiniteError."""
-    cfg = model.config
-    expected = model.emb_dim + N_SHAPE_FEATURES
-    if enc.word_input.shape[1] != expected:
-        raise ValueError(
-            f"word input has {enc.word_input.shape[1]} columns, expected {expected}"
-        )
-    if enc.pos_input.shape[1] != len(model.pos_vocab):
+    """Per-position label scores: n x T for one sentence, B x n x T for a
+    padded batch (rows past a sentence's end are not its scores). Raw scores
+    for both heads: the softmax head normalizes at loss/prediction time. Pass
+    a tape to record for backward; without one the pass is pure. Scores that
+    overflowed or became NaN raise NonFiniteError."""
+    cfg, p = model.config, model.params
+    width, expected = inputs.word_input.shape[-1], model.emb_dim + N_SHAPE_FEATURES
+    if width != expected:
+        raise ValueError(f"word input has {width} columns, expected {expected}")
+    if inputs.pos_input.shape[-1] != len(model.pos_vocab):
         raise ValueError("POS input does not match the model's POS vocabulary")
 
     if cfg.embedding_mode == "random_trainable":
-        ids = [model.word_id(form) for form in enc.forms]
-        emb_block = gather_rows(model.params["word_table"], ids, tape=tape)
-        shape_block = Tensor(enc.word_input[:, model.emb_dim :], tape=tape)
+        emb_block = gather_rows(p["word_table"], _word_ids(model, inputs), tape=tape)
+        shape_block = Tensor(inputs.word_input[..., model.emb_dim :], tape=tape)
         x = concat_cols([emb_block, shape_block])
     else:
-        x = Tensor(enc.word_input, tape=tape)
+        x = Tensor(inputs.word_input, tape=tape)
 
     activate = ACTIVATIONS[cfg.conv_activation]
     # overflow shows up as the NonFiniteError below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         banks = [
-            activate(
-                conv1d_same(
-                    x,
-                    model.params[f"conv{width}_kernels"],
-                    model.params[f"conv{width}_bias"],
-                )
-            )
-            for width in cfg.filter_widths
+            activate(conv1d_same(x, p[f"conv{w}_kernels"], p[f"conv{w}_bias"]))
+            for w in cfg.filter_widths
         ]
-        h = concat_cols(banks + [Tensor(enc.pos_input, tape=tape)])
-        h = bilstm(
-            h,
-            model.lstm("fwd"),
-            model.lstm("bwd"),
-            dropout=cfg.dropout,
-            recurrent_dropout=cfg.recurrent_dropout,
-            mode=mode,
-            rng=rng,
-        )
-        scores = dense(h, model.params["proj_w"], model.params["proj_b"])
+        h = concat_cols(banks + [Tensor(inputs.pos_input, tape=tape)])
+        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), cfg.dropout,
+                   cfg.recurrent_dropout, mode, rng, inputs.lengths)
+        scores = dense(h, p["proj_w"], p["proj_b"])
     if not np.isfinite(scores.data).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
                              "input vectors?)")
     return scores
 
 
-def _gold_indices(model: TaggerModel, gold: TagSequence) -> np.ndarray:
-    indices = []
-    for tag in gold:
-        idx = model.tag_index.get(tag)
-        if idx is None:
-            raise TrainingDataError(f"label {tag!r} is not in the tag vocabulary")
-        indices.append(idx)
-    return np.array(indices, dtype=int)
+def _gold_indices(model: TaggerModel, gold: TagSequence) -> list[int]:
+    unknown = [tag for tag in gold if tag not in model.tag_index]
+    if unknown:
+        raise TrainingDataError(f"label {unknown[0]!r} is not in the tag vocabulary")
+    return [model.tag_index[tag] for tag in gold]
 
 
 def loss(
     model: TaggerModel,
-    enc: SentenceEncoding,
-    gold: TagSequence,
+    inputs: SentenceEncoding | Batch,
+    gold,
     mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Mean per-token cross-entropy (softmax head) or sequence NLL (CRF)."""
-    if len(gold) != enc.word_input.shape[0]:
-        raise TrainingDataError(
-            f"{len(gold)} labels for {enc.word_input.shape[0]} tokens"
-        )
-    indices = _gold_indices(model, gold)
-    scores = forward(model, enc, mode=mode, rng=rng, tape=tape)
+    """Mean per-token cross-entropy (softmax head) or sequence NLL (CRF) of
+    one sentence and its tag sequence; for a batch and a list of tag
+    sequences, the sum of the sentences' values."""
+    golds = [gold] if inputs.lengths is None else gold
+    lengths = [len(inputs.word_input)] if inputs.lengths is None else inputs.lengths
+    indices = np.zeros(inputs.word_input.shape[:-1], dtype=int)
+    for row, tags, length in zip(indices.reshape(len(golds), -1), golds, lengths):
+        if len(tags) != length:
+            raise TrainingDataError(f"{len(tags)} labels for {length} tokens")
+        row[:length] = _gold_indices(model, tags)
+    scores = forward(model, inputs, mode=mode, rng=rng, tape=tape)
     if model.config.head == "softmax":
-        return cross_entropy(softmax_rows(scores), indices)
-    p = model.params
-    return crf_nll(scores, p["trans"], p["trans_start"], p["trans_stop"], indices)
+        return cross_entropy(softmax_rows(scores), indices, inputs.lengths)
+    chain = [model.params[name] for name in ("trans", "trans_start", "trans_stop")]
+    return crf_nll(scores, *chain, indices, inputs.lengths)
+
+
+def _predict_batch(model: TaggerModel, batch: Batch) -> list[TagSequence]:
+    scores = forward(model, batch).data
+    if model.config.head == "softmax":
+        paths = scores.argmax(axis=-1)
+    else:
+        p = model.params
+        paths, _ = viterbi(scores, p["trans"].data, p["trans_start"].data,
+                           p["trans_stop"].data, batch.lengths)
+    vocab = model.tag_vocab
+    return [[vocab[i] for i in path[:n]] for path, n in zip(paths, batch.lengths)]
 
 
 def predict(model: TaggerModel, enc: SentenceEncoding) -> TagSequence:
     """Most likely label sequence: row argmax (softmax head) or viterbi path
     (CRF head). Ties go to the lower label index either way."""
-    scores = forward(model, enc, mode="eval").data
-    if model.config.head == "softmax":
-        indices = scores.argmax(axis=1)
-    else:
-        p = model.params
-        indices, _ = viterbi(
-            scores, p["trans"].data, p["trans_start"].data, p["trans_stop"].data
-        )
-    return [model.tag_vocab[i] for i in indices]
+    return _predict_batch(model, pad([enc]))[0]
+
+
+def _predict_tags(model: TaggerModel, corpus: Corpus) -> list[TagSequence]:
+    """predict for every sentence, batch_size sentences at a time."""
+    size = model.config.batch_size
+    tags = []
+    for lo in range(0, len(corpus), size):
+        batch = pad([_encode(model, s) for s in corpus[lo : lo + size]])
+        tags += _predict_batch(model, batch)
+    return tags
 
 
 def predict_corpus(
     model: TaggerModel, corpus: Corpus, apply_filter: bool = True
 ) -> Corpus:
     """Re-annotate every sentence with predicted expressions."""
-    out = []
-    for sentence in corpus:
-        enc = encode(sentence, model.embeddings, list(model.pos_vocab))
-        tags = predict(model, enc)
-        out.append(from_tags(tags, sentence, apply_filter=apply_filter))
-    return out
+    return [
+        from_tags(tags, sentence, apply_filter=apply_filter)
+        for tags, sentence in zip(_predict_tags(model, corpus), corpus)
+    ]
 
 
 class AdamOptimizer:
@@ -433,16 +441,10 @@ class AdamOptimizer:
 
 
 def _dev_metrics(model: TaggerModel, dev: Corpus) -> tuple[float, float]:
-    correct = total = 0
-    predicted = []
-    for sentence in dev:
-        enc = encode(sentence, model.embeddings, list(model.pos_vocab))
-        tags = predict(model, enc)
-        gold_tags = to_tags(sentence)
-        correct += sum(1 for a, b in zip(tags, gold_tags) if a == b)
-        total += len(gold_tags)
-        predicted.append(from_tags(tags, sentence, apply_filter=True))
-    token_acc = correct / total if total else 0.0
+    tagged = _predict_tags(model, dev)
+    pairs = [(a, b) for tags, s in zip(tagged, dev) for a, b in zip(tags, to_tags(s))]
+    token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
+    predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]
     return token_acc, mwe_scores(dev, predicted).f1
 
 
@@ -454,16 +456,14 @@ def train(
 ) -> tuple[TaggerModel, TrainReport]:
     """Optimize in place and return (best snapshot, report).
 
-    Each epoch visits a seeded shuffle of the sentences in batches; inside a
-    batch sentences run in corpus order and their gradients are averaged for
-    one optimizer step.
+    Each epoch visits a seeded shuffle of the sentences in batches; a batch
+    stacks its sentences in corpus order, and the gradient of its summed loss
+    over the batch size makes one optimizer step.
     """
     cfg = config or model.config
     if not train_corpus:
         raise TrainingDataError("training corpus is empty")
-    encodings = [
-        encode(s, model.embeddings, list(model.pos_vocab)) for s in train_corpus
-    ]
+    encodings = [_encode(model, s) for s in train_corpus]
     gold = [to_tags(s) for s in train_corpus]
     for tags in gold:
         _gold_indices(model, tags)  # validate up front
@@ -485,19 +485,18 @@ def train(
             batch = sorted(order[lo : lo + cfg.batch_size])
             for p in params:
                 p.zero_grad()
-            for i in batch:
-                tape = Tape()
-                try:
-                    value = loss(
-                        model, encodings[i], gold[i], mode="train",
-                        rng=dropout_rng, tape=tape,
-                    )
-                except NonFiniteError as exc:
-                    raise NonFiniteError(
-                        f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
-                    ) from None
-                backward(tape, value)
-                epoch_loss += value.item()
+            tape = Tape()
+            try:
+                value = loss(
+                    model, pad([encodings[i] for i in batch]), [gold[i] for i in batch],
+                    mode="train", rng=dropout_rng, tape=tape,
+                )
+            except NonFiniteError as exc:
+                raise NonFiniteError(
+                    f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
+                ) from None
+            backward(tape, value)
+            epoch_loss += value.item()
             for p in params:
                 p.grad /= len(batch)
             optimizer.step()

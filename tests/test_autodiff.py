@@ -2,6 +2,7 @@
 difference validation for every differentiable operation."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -299,6 +300,82 @@ def test_bilstm_matches_scalar_reference_both_directions(n, d, h):
     expect_bwd = scalar_lstm_reference(x[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data)[::-1]
     np.testing.assert_allclose(out.data[:, :h], expect_fwd, atol=1e-12)
     np.testing.assert_allclose(out.data[:, h:], expect_bwd, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_bilstm_matches_scalar_reference_padded_batch(mode):
+    rng = np.random.default_rng(8)
+    d, h, lengths = 3, 4, [1, 4, 2]
+    fwd = make_lstm_params(rng, d, h)
+    bwd = make_lstm_params(rng, d, h)
+    params = fwd.tensors() + bwd.tensors()
+    # rows past each length are large noise that must not leak in
+    block = rng.normal(scale=50.0, size=(3, 4, d))
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(size=(n, d))
+    weights = rng.normal(size=(3, 4, 2 * h))
+
+    def run(x_data, w, draws, lengths=None):
+        for p in params:
+            p.zero_grad()
+        tape = Tape()
+        x = attach(x_data, tape)
+        out = bilstm(x, fwd, bwd, dropout=0.5, recurrent_dropout=0.2, mode=mode,
+                     rng=draws, lengths=lengths)
+        assert len(tape) == 1
+        backward(tape, sum_all(mul(out, Tensor(w))))
+        return out.data, x.grad, [p.grad.copy() for p in params]
+
+    out, d_x, grads = run(block, weights, RngStream(21), lengths)
+    assert out.shape == (3, 4, 2 * h)
+    # one stream for the sentences one at a time: the batch must draw the
+    # same masks, sentence by sentence in the documented order
+    singles, masks = RngStream(21), RngStream(21)
+    summed = [np.zeros_like(g) for g in grads]
+    for b, n in enumerate(lengths):
+        s_out, s_d_x, s_grads = run(block[b, :n], weights[b, :n], singles)
+        np.testing.assert_allclose(out[b, :n], s_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_x[b, :n], s_d_x, rtol=0, atol=1e-12)
+        assert not out[b, n:].any() and not d_x[b, n:].any()
+        for total, g in zip(summed, s_grads):
+            total += g
+        x = block[b, :n]
+        if mode == "train":
+            in_fwd, rec_fwd = masks.keep_mask(0.5, (d,)), masks.keep_mask(0.2, (h,))
+            in_bwd, rec_bwd = masks.keep_mask(0.5, (d,)), masks.keep_mask(0.2, (h,))
+        else:
+            in_fwd = in_bwd = np.ones(d)
+            rec_fwd = rec_bwd = None
+        expect_fwd = scalar_lstm_reference(x * in_fwd, fwd.wx.data, fwd.wh.data,
+                                           fwd.b.data, rec_fwd)
+        expect_bwd = scalar_lstm_reference((x * in_bwd)[::-1], bwd.wx.data, bwd.wh.data,
+                                           bwd.b.data, rec_bwd)[::-1]
+        np.testing.assert_allclose(out[b, :n, :h], expect_fwd, atol=1e-12)
+        np.testing.assert_allclose(out[b, :n, h:], expect_bwd, atol=1e-12)
+    for g, total in zip(grads, summed):
+        np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)
+
+
+def test_bilstm_without_tape_keeps_no_backprop_state():
+    rng = np.random.default_rng(9)
+    fwd = make_lstm_params(rng, 10, 50)
+    bwd = make_lstm_params(rng, 10, 50)
+    block = rng.normal(size=(8, 20, 10))
+    lengths = rng.integers(10, 21, size=8)
+
+    def peak(tape):
+        tracemalloc.start()
+        try:
+            bilstm(Tensor(block, tape=tape), fwd, bwd, lengths=lengths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a recorded call keeps 7h floats per token and direction (gate
+    # activations, cell and hidden state in, tanh of the cell) for backprop
+    # through time; a tape-free call must not allocate them at all
+    kept = 2 * lengths.sum() * 7 * 50 * 8
+    assert peak(Tape()) - peak(None) > 0.9 * kept
 
 
 def test_bilstm_train_masks_follow_documented_draw_order():

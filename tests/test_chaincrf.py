@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwetag.autodiff import Tape, Tensor, add, grad_check, param
+from mwetag.autodiff import Tape, Tensor, add, backward, grad_check, param
 from mwetag.chaincrf import (
     brute_force,
     crf_nll,
@@ -254,6 +254,42 @@ def test_padded_batch_matches_single_sentences_and_enumeration():
         np.testing.assert_allclose(batched, total, rtol=0, atol=1e-12)
 
 
+def test_viterbi_padded_batch_matches_single_sentences_and_enumeration():
+    rng = np.random.default_rng(13)
+    t_count, lengths = 3, np.arange(1, 7)
+    _, *chain = make_instance(rng, 1, t_count)
+    # entries past each length are large noise that must not leak in
+    block = rng.normal(scale=50.0, size=(len(lengths), lengths.max(), t_count))
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(scale=2.0, size=(n, t_count))
+    paths, best = viterbi(block, *chain, lengths)
+    assert len(paths) == len(lengths) and best.shape == (len(lengths),)
+    for b, n in enumerate(lengths):
+        crf = (block[b, :n], *chain)
+        path, score = viterbi(*crf)
+        b_path, b_best, _ = brute_force(*crf)
+        assert paths[b] == path == b_path
+        assert abs(best[b] - score) < 1e-12
+        assert abs(best[b] - b_best) < 1e-12
+
+
+def test_viterbi_padded_batch_breaks_ties_to_lowest_index():
+    rng = np.random.default_rng(14)
+    lengths = [2, 4, 1]
+    block = rng.normal(scale=50.0, size=(3, 4, 3))
+    # with a zero chain, labels 0 and 1 tie at position 0 and labels 1 and 2
+    # at position 1 of every sentence; the rest is a unique argmax
+    block[0, :2] = [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]]
+    block[1, :4] = [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    block[2, :1] = [[1.0, 1.0, 0.0]]
+    paths, best = viterbi(block, *zero_chain(3), lengths)
+    assert paths == [[0, 1], [0, 1, 0, 2], [0]]
+    np.testing.assert_array_equal(best, [3.0, 7.0, 1.0])
+    for b, n in enumerate(lengths):
+        assert viterbi(block[b, :n], *zero_chain(3)) == (paths[b], best[b])
+        assert brute_force(block[b, :n], *zero_chain(3))[0] == paths[b]
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -291,6 +327,40 @@ def test_nll_rejects_bad_gold():
         crf_nll(*crf, [0])
     with pytest.raises(ValueError):
         crf_nll(*crf, [0, 2])
+
+
+def test_nll_of_padded_batch_is_sum_of_sentences():
+    rng = np.random.default_rng(15)
+    t_count, lengths = 3, [3, 1, 4]
+    _, *chain = make_instance(rng, 1, t_count)
+    block = rng.normal(scale=50.0, size=(3, 4, t_count))
+    gold = rng.integers(0, t_count, size=(3, 4))
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(scale=2.0, size=(n, t_count))
+    # padding gold entries may hold anything
+    gold[1, 1:] = -7
+    scores, *chain_t = [param(a) for a in (block, *chain)]
+    tape = Tape()
+    batched = crf_nll(add(scores, Tensor(np.zeros_like(block), tape=tape)), *chain_t,
+                      gold, lengths)
+    backward(tape, batched)
+    grads = [t.grad.copy() for t in (scores, *chain_t)]
+    total = 0.0
+    summed = [np.zeros_like(g) for g in grads[1:]]
+    for b, n in enumerate(lengths):
+        single = [param(a) for a in (block[b, :n], *chain)]
+        tape = Tape()
+        value = crf_nll(add(single[0], Tensor(np.zeros((n, t_count)), tape=tape)),
+                        *single[1:], gold[b, :n])
+        backward(tape, value)
+        total += value.item()
+        np.testing.assert_allclose(grads[0][b, :n], single[0].grad, rtol=0, atol=1e-12)
+        assert not grads[0][b, n:].any()
+        for acc, t in zip(summed, single[1:]):
+            acc += t.grad
+    assert abs(batched.item() - total) < 1e-12
+    for g, acc in zip(grads[1:], summed):
+        np.testing.assert_allclose(g, acc, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

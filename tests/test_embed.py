@@ -11,6 +11,7 @@ from mwetag.embed import (
     EmbeddingTable,
     encode,
     load_vec,
+    pad,
     load_vec_file,
     pos_index,
     pos_vocabulary,
@@ -147,3 +148,32 @@ def test_encode_copies_embeddings():
     enc = encode(sentence_of(["a"], ["X"]), table, ["UNK", "X"])
     enc.word_input[0, 0] = -1.0
     np.testing.assert_array_equal(table.lookup("a"), [5, 6])
+
+
+def test_encode_without_lookup_leaves_embedding_columns_zero():
+    table = EmbeddingTable(3, {"cat": np.array([1.0, 2.0, 3.0])})
+    vocab = ["UNK", "NOUN", "VERB"]
+    sent = sentence_of(["cat", "Purrs"], ["NOUN", "VERB"])
+    full = encode(sent, table, vocab)
+    bare = encode(sent, table, vocab, lookup=False)
+    assert not bare.word_input[:, :3].any()
+    np.testing.assert_array_equal(bare.word_input[:, 3:], full.word_input[:, 3:])
+    np.testing.assert_array_equal(bare.pos_input, full.pos_input)
+
+
+def test_pad_stacks_sentences_zero_past_each_end():
+    table = EmbeddingTable(2, {"a": np.array([5.0, 6.0])})
+    vocab = ["UNK", "X"]
+    encodings = [
+        encode(sentence_of(forms, ["X"] * len(forms)), table, vocab)
+        for forms in (["a", "b"], ["a"], ["b", "a", "A"])
+    ]
+    batch = pad(encodings)
+    np.testing.assert_array_equal(batch.lengths, [2, 1, 3])
+    assert batch.word_input.shape == (3, 3, 9) and batch.pos_input.shape == (3, 3, 2)
+    assert batch.forms == (("a", "b"), ("a",), ("b", "a", "A"))
+    for b, enc in enumerate(encodings):
+        n = len(enc.forms)
+        np.testing.assert_array_equal(batch.word_input[b, :n], enc.word_input)
+        np.testing.assert_array_equal(batch.pos_input[b, :n], enc.pos_input)
+        assert not batch.word_input[b, n:].any() and not batch.pos_input[b, n:].any()

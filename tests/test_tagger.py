@@ -1,13 +1,16 @@
 """Tagger structure, loss oracles (closed-form uniform losses), gradient
 checks through the whole network, and training-loop determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream, Tape, grad_check
-from mwetag.corpus import Sentence, Token, VmweInstance, to_tags
-from mwetag.embed import EmbeddingTable, SentenceEncoding, encode, pos_vocabulary
+from mwetag.autodiff import RngStream, Tape, backward, grad_check
+from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
+from mwetag.embed import EmbeddingTable, SentenceEncoding, encode, pad, pos_vocabulary
 from mwetag.errors import TrainingDataError
+from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
     OptimizerConfig,
     TaggerConfig,
@@ -189,6 +192,40 @@ def test_forward_rejects_wrong_input_width():
         forward(model, bad)
 
 
+@pytest.mark.parametrize(
+    "head, embedding_mode",
+    [("softmax", "pretrained"), ("crf", "pretrained"), ("crf", "random_trainable")],
+)
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_batched_loss_is_sum_of_sentence_losses(head, embedding_mode, mode):
+    corpus = synthetic_corpus(sentences=5, seed=4)
+    config = small_config(head=head, embedding_mode=embedding_mode)
+    model = build_for_corpus(config, corpus, synthetic_embeddings(dim=8))
+    encodings = encodings_for(corpus, model)
+    golds = [to_tags(s) for s in corpus]
+    assert len({len(g) for g in golds}) > 1  # the batch is padded
+    params = model.trainable()
+
+    def run(inputs, gold, rng):
+        tape = Tape()
+        value = loss(model, inputs, gold, mode=mode, rng=rng, tape=tape)
+        backward(tape, value)
+        return value.item()
+
+    for p in params:
+        p.zero_grad()
+    # train mode: the batch must draw the masks its sentences draw one at a time
+    batched = run(pad(encodings), golds, RngStream(5))
+    batch_grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    draws = RngStream(5)
+    total = sum(run(enc, gold, draws) for enc, gold in zip(encodings, golds))
+    assert abs(batched - total) < 1e-12
+    for g, p in zip(batch_grads, params):
+        np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # loss oracles
 
@@ -311,6 +348,27 @@ def test_predict_corpus_round_trips_shapes():
         assert len(pred.tokens) == len(orig.tokens)
 
 
+@pytest.mark.parametrize("head", ["softmax", "crf"])
+def test_tags_do_not_depend_on_batch_neighbours(head):
+    # part-trained, so that predictions are neither empty nor perfect
+    corpus = synthetic_corpus()
+    config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head=head, epochs=4,
+                          batch_size=8, seed=5, optimizer=OptimizerConfig(learning_rate=0.01))
+    model, _ = train(build_for_corpus(config, corpus, synthetic_embeddings()), corpus)
+    alone = [predict(model, enc) for enc in encodings_for(corpus, model)]
+    assert 0 < sum(tag != "O" for tags in alone for tag in tags) < 200
+    for apply_filter in (True, False):
+        full = predict_corpus(model, corpus, apply_filter=apply_filter)
+        assert full == [
+            from_tags(tags, s, apply_filter=apply_filter) for tags, s in zip(alone, corpus)
+        ]
+        for k in (1, 8, 13):
+            assert predict_corpus(model, corpus[:k], apply_filter=apply_filter) == full[:k]
+        for size in (1, 7, 32):
+            resized = replace(model, config=replace(model.config, batch_size=size))
+            assert predict_corpus(resized, corpus, apply_filter=apply_filter) == full
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -400,3 +458,18 @@ def test_random_trainable_mode_updates_word_table():
     assert np.isfinite(report.losses).all()
     out = predict_corpus(model, corpus)
     assert len(out) == len(corpus)
+
+
+def test_random_trainable_inputs_look_nothing_up(monkeypatch):
+    corpus = toy_corpus()
+    cfg = small_config(embedding_mode="random_trainable", epochs=2)
+    model = build_for_corpus(cfg, corpus, toy_table(corpus))
+    before = predict_corpus(model, corpus)
+
+    def refuse(self, word):
+        raise AssertionError(f"looked up {word!r}")
+
+    monkeypatch.setattr(EmbeddingTable, "lookup", refuse)
+    assert predict_corpus(model, corpus) == before
+    _, report = train(model, corpus, dev_corpus=corpus)
+    assert np.isfinite(report.losses).all()
