@@ -18,6 +18,13 @@ seed-independent) or at the iteration cap or a line-search stall (not
 converged).
 Gradients are expected-minus-observed counts from forward-backward, run once
 per objective evaluation over the whole corpus as one padded batch.
+
+Fitting and tagging score emissions by one path: _collect runs
+extract_features over every position of a list of sentences, _feature_ids
+maps the strings to ids (a feature unseen in training adds nothing) and
+_emissions returns the padded B x n x T block of summed weight rows plus the
+dense product. The fit scores its corpus as one block; tag_baseline scores
+one sentence as the B = 1 block.
 """
 
 from __future__ import annotations
@@ -129,14 +136,51 @@ class BaselineModel:
     dense: np.ndarray | None = None  # (5*dim) x T, turian only
     emb_dim: int | None = None
 
-    def dense_weights(self) -> list[np.ndarray] | None:
-        """Per-window-offset weight matrices (views into the dense block)."""
-        if self.dense is None:
-            return None
-        return [
-            self.dense[k * self.emb_dim : (k + 1) * self.emb_dim]
-            for k in range(len(WINDOW))
-        ]
+
+def _collect(sentences: Corpus, variant: str, table: EmbeddingTable | None):
+    """One pass over every position: the 26 feature strings of each, in
+    row-major order as one flat list, the turian dense rows stacked (None
+    for the standard variant) and the sentence lengths."""
+    names, dense_rows = [], []
+    for sentence in sentences:
+        for i in range(len(sentence.tokens)):
+            feats, dense = extract_features(sentence, i, variant, table)
+            names += feats
+            dense_rows.append(dense)
+    dense = np.vstack(dense_rows) if variant == "turian" else None
+    return names, dense, np.array([len(s.tokens) for s in sentences])
+
+
+def _feature_ids(names: list[str], feature_index: dict[str, int]) -> np.ndarray:
+    """positions x 26 ids of _collect's strings; an unseen feature gets
+    len(feature_index), one past the last weight row."""
+    unseen = len(feature_index)
+    ids = np.fromiter((feature_index.get(f, unseen) for f in names), np.intp, len(names))
+    return ids.reshape(-1, SYMBOLIC_TEMPLATE_COUNT)
+
+
+def _emissions(weights, ids, lengths, dense_w=None, dense=None) -> np.ndarray:
+    """Emission scores as the padded B x n x T block, zero past each
+    sentence's end: per position the sum of the weight rows of its feature
+    ids in template order (an id past the last row adds nothing), plus
+    dense @ dense_w."""
+    by_template = ids.T
+    seen = by_template < len(weights)
+    # an unseen id reads row 0 and is zeroed (a model without features has
+    # no row 0, and every id is unseen)
+    rows = (
+        weights[np.where(seen, by_template, 0)]
+        if len(weights)
+        else np.zeros(seen.shape + weights.shape[1:])
+    )
+    rows[~seen] = 0.0
+    flat = rows.sum(axis=0)
+    if dense_w is not None:
+        flat += dense @ dense_w
+    live = np.arange(lengths.max()) < lengths[:, None]
+    block = np.zeros(live.shape + flat.shape[1:])
+    block[live] = flat
+    return block
 
 
 @dataclass(frozen=True)
@@ -161,52 +205,26 @@ class BaselineProblem:
     ):
         if not corpus:
             raise TrainingDataError("training corpus is empty")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        if variant == "turian" and table is None:
-            raise ValueError("turian variant needs an embedding table")
         self.variant = variant
         self.sigma = sigma
         self.tag_vocab = tuple(tag_vocab or tag_vocabulary(corpus))
         tag_index = {t: k for k, t in enumerate(self.tag_vocab)}
+
+        # the corpus as one padded B x n block: feature ids and dense rows of
+        # the real positions in row-major order, lengths, and gold labels (0
+        # past each end)
+        names, self.dense, self.lengths = _collect(corpus, variant, table)
         self.emb_dim = table.dimension if variant == "turian" else None
-
-        names: set[str] = set()
-        raw = []
-        for sentence in corpus:
-            rows, dense_rows = [], []
-            for i in range(len(sentence.tokens)):
-                feats, dense = extract_features(sentence, i, variant, table)
-                names.update(feats)
-                rows.append(feats)
-                if dense is not None:
-                    dense_rows.append(dense)
-            gold = np.array([tag_index[t] for t in to_tags(sentence)], dtype=int)
-            raw.append((rows, dense_rows, gold))
-        self.feature_index = {name: k for k, name in enumerate(sorted(names))}
-
-        # the corpus as one padded B x n block: gold labels (0 past each
-        # end), lengths, and the feature ids and dense rows of the real
-        # positions in row-major order, indexed into the block by _live
-        self.lengths = np.array([len(gold) for _, _, gold in raw])
-        live = np.arange(self.lengths.max()) < self.lengths[:, None]
-        self._live = np.flatnonzero(live)
-        self.gold = np.zeros(live.shape, dtype=int)
-        self.gold[live] = np.concatenate([gold for _, _, gold in raw])
-        self.ids = np.array(
-            [[self.feature_index[f] for f in feats] for rows, _, _ in raw for feats in rows],
-            dtype=int,
-        )
+        self.feature_index = {name: k for k, name in enumerate(sorted(set(names)))}
+        self.ids = _feature_ids(names, self.feature_index)
+        self._live = np.arange(self.lengths.max()) < self.lengths[:, None]
+        self.gold = np.zeros(self._live.shape, dtype=int)
+        self.gold[self._live] = [tag_index[t] for s in corpus for t in to_tags(s)]
         t_count = len(self.tag_vocab)
         # flat g_weights slot of every (position, feature, tag) triple
         self._slots = (self.ids[:, :, None] * t_count + np.arange(t_count)).reshape(-1)
-        self.dense = (
-            np.vstack([d for _, dense_rows, _ in raw for d in dense_rows])
-            if variant == "turian"
-            else None
-        )
 
         self.f_count = len(self.feature_index)
         self.dense_size = len(WINDOW) * self.emb_dim if self.emb_dim else 0
@@ -230,22 +248,12 @@ class BaselineProblem:
             parts[4],
         )
 
-    def _scores(self, weights, dense_w):
-        """Emission scores of the whole corpus as the padded B x n x T block
-        (zero past each sentence's end)."""
-        flat = weights[self.ids].sum(axis=1)
-        if dense_w is not None:
-            flat += self.dense @ dense_w
-        block = np.zeros((self.gold.size, flat.shape[1]))
-        block[self._live] = flat
-        return block.reshape(*self.gold.shape, -1)
-
     def _penalty(self, w: np.ndarray) -> float:
         return float(w @ w) / (2.0 * self.sigma**2)
 
     def loss(self, w: np.ndarray) -> float:
         weights, dense_w, *chain = self.split(w)
-        scores = self._scores(weights, dense_w)
+        scores = _emissions(weights, self.ids, self.lengths, dense_w, self.dense)
         nll = log_partition(scores, *chain, self.lengths) - score_path(
             scores, *chain, self.gold, self.lengths
         )
@@ -255,12 +263,12 @@ class BaselineProblem:
         weights, dense_w, *chain = self.split(w)
         grad = w / self.sigma**2
         g_weights, g_dense, *g_chain = self.split(grad)
-        scores = self._scores(weights, dense_w)
+        scores = _emissions(weights, self.ids, self.lengths, dense_w, self.dense)
         gamma, xi, log_z = forward_backward(scores, *chain, self.lengths)
         nll = log_z - score_path(scores, *chain, self.gold, self.lengths)
         d_scores, *d_chain = nll_gradient(gamma, xi, self.gold, self.lengths)
         t_count = d_scores.shape[2]
-        d_flat = d_scores.reshape(-1, t_count)[self._live]
+        d_flat = d_scores[self._live]
         # scatter-add d_flat[p] into g_weights[f] for each feature f at p
         per_slot = np.broadcast_to(d_flat[:, None, :], self.ids.shape + (t_count,))
         g_weights += np.bincount(
@@ -288,15 +296,8 @@ class BaselineProblem:
         )
 
     def pack_model(self, model: BaselineModel) -> np.ndarray:
-        pieces = [model.weights.reshape(-1)]
-        if self.dense_size:
-            pieces.append(model.dense.reshape(-1))
-        pieces += [
-            model.trans.reshape(-1),
-            model.trans_start,
-            model.trans_stop,
-        ]
-        return np.concatenate(pieces)
+        parts = (model.weights, model.dense, model.trans, model.trans_start, model.trans_stop)
+        return np.concatenate([p.reshape(-1) for p in parts if p is not None])
 
 
 @dataclass(frozen=True)
@@ -422,24 +423,16 @@ def train_baseline(
 def tag_baseline(
     model: BaselineModel, sentence: Sentence, table: EmbeddingTable | None = None
 ) -> TagSequence:
-    """Viterbi decoding over summed feature weights. Feature strings unseen
-    in training contribute nothing. Scores that overflow (huge dense input
-    vectors) raise NonFiniteError."""
-    if model.variant == "turian" and table is None:
-        raise ValueError("turian variant needs an embedding table")
-    t_count = len(model.tag_vocab)
-    scores = np.zeros((len(sentence.tokens), t_count))
-    for i in range(len(sentence.tokens)):
-        feats, dense = extract_features(sentence, i, model.variant, table)
-        for feature in feats:
-            idx = model.feature_index.get(feature)
-            if idx is not None:
-                scores[i] += model.weights[idx]
-        if dense is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                scores[i] += dense @ model.dense
+    """Viterbi decoding of the sentence's emission block, scored as the fit
+    scores its corpus. Feature strings unseen in training contribute
+    nothing. Scores that overflow (huge dense input vectors) raise
+    NonFiniteError."""
+    names, dense, lengths = _collect([sentence], model.variant, table)
+    ids = _feature_ids(names, model.feature_index)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scores = _emissions(model.weights, ids, lengths, model.dense, dense)
     if not np.isfinite(scores).all():
         raise NonFiniteError("baseline emission scores are not finite "
                              "(huge or non-finite input vectors?)")
-    path, _ = viterbi(scores, model.trans, model.trans_start, model.trans_stop)
-    return [model.tag_vocab[k] for k in path]
+    paths, _ = viterbi(scores, model.trans, model.trans_start, model.trans_stop, lengths)
+    return [model.tag_vocab[k] for k in paths[0]]

@@ -113,18 +113,25 @@ def viterbi(scores, trans, start, stop, lengths=None):
     return paths, np.array(best)
 
 
+def _alphas(block, trans, start, live):
+    """Forward recursion by max-subtracted log-sum-exp: alpha[:, i, a] sums
+    the paths up to position i that end in label a. A finished sentence
+    carries its last alpha through the padding."""
+    alpha = np.empty_like(block)
+    alpha[:, 0] = start + block[:, 0]
+    for i in range(1, block.shape[1]):
+        step = _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1) + block[:, i]
+        alpha[:, i] = np.where(live[:, i, None], step, alpha[:, i - 1])
+    return alpha
+
+
 def log_partition(scores, trans, start, stop, lengths=None):
     """log of the summed exponentiated scores over all T^n paths, by the
-    forward recursion with max-subtracted log-sum-exp: a float for one n x T
-    sentence, B values for a padded B x n x T block with lengths. A finished
-    sentence carries its last alpha through the padding."""
+    forward recursion: a float for one n x T sentence, B values for a padded
+    B x n x T block with lengths."""
     single = scores.ndim == 2
     block, _, live = _masked(scores, lengths)
-    alpha = start + block[:, 0]
-    for i in range(1, block.shape[1]):
-        step = _logsumexp(alpha[:, :, None] + trans, axis=1) + block[:, i]
-        alpha = np.where(live[:, i, None], step, alpha)
-    log_z = _logsumexp(alpha + stop, axis=1)
+    log_z = _logsumexp(_alphas(block, trans, start, live)[:, -1] + stop, axis=1)
     return float(log_z[0]) if single else log_z
 
 
@@ -141,11 +148,7 @@ def forward_backward(scores, trans, start, stop, lengths=None):
     single = scores.ndim == 2
     block, _, live = _masked(scores, lengths)
     n = block.shape[1]
-    alpha = np.empty_like(block)
-    alpha[:, 0] = start + block[:, 0]
-    for i in range(1, n):
-        step = _logsumexp(alpha[:, i - 1, :, None] + trans, axis=1) + block[:, i]
-        alpha[:, i] = np.where(live[:, i, None], step, alpha[:, i - 1])
+    alpha = _alphas(block, trans, start, live)
     beta = np.empty_like(block)
     beta[:, n - 1] = stop
     for i in range(n - 2, -1, -1):

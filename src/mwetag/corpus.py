@@ -50,7 +50,6 @@ class Token:
     lemma: str
     upos: str
     misc_columns: tuple[str, ...]
-    mwe_annotation: str = "*"
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
             annotation = "*"
         if not _ANNOTATION_RE.match(annotation):
             raise CuptParseError(f"malformed MWE annotation {annotation!r}", line_number)
-        token = Token(token_id, form, columns[2], columns[3], tuple(columns[4:-1]), annotation)
-        tokens.append(token)
+        tokens.append(Token(token_id, form, columns[2], columns[3], tuple(columns[4:-1])))
         if annotation != "*":
             for item in annotation.split(";"):
                 if ":" in item:
@@ -272,7 +270,6 @@ def from_tags(tags: TagSequence, sentence: Sentence, apply_filter: bool = False)
     instances: list[tuple[str, list[int]]] = []  # (category, positions)
     open_by_category: dict[str, list[int]] = {}  # category -> instance indexes
     for position, label in enumerate(tags, start=1):
-        started_here: list[int] = []
         for atom in _split_atoms(label):
             prefix, category = atom[0], atom[2:]
             if prefix == "I":
@@ -283,22 +280,15 @@ def from_tags(tags: TagSequence, sentence: Sentence, apply_filter: bool = False)
                 if candidates:
                     instances[candidates[-1]][1].append(position)
                     continue
-                # orphan continuation: promote to a new singleton instance
-                prefix = "B"
+            # a B-CAT, or an orphan I-CAT promoted to a new singleton instance
             instances.append((category, [position]))
-            started_here.append(len(instances) - 1)
             open_by_category.setdefault(category, []).append(len(instances) - 1)
     instances.sort(key=lambda inst: inst[1][0])
     vmwes = tuple(
         VmweInstance(number, category, tuple(positions))
         for number, (category, positions) in enumerate(instances, start=1)
     )
-    annotations = _annotation_strings(len(sentence.tokens), vmwes)
-    tokens = tuple(
-        replace(token, mwe_annotation=annotation)
-        for token, annotation in zip(sentence.tokens, annotations)
-    )
-    return replace(sentence, tokens=tokens, vmwes=vmwes)
+    return replace(sentence, vmwes=vmwes)
 
 
 def tag_vocabulary(corpus: Corpus) -> list[str]:

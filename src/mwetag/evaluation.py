@@ -12,7 +12,6 @@ denominator are defined as 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, Sentence
@@ -251,10 +250,6 @@ def report_to_dict(report: EvalReport) -> dict:
             cat: report_to_dict(sub) for cat, sub in report.per_category.items()
         },
     }
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def format_report(report: EvalReport, title: str = "TOTAL") -> str:

@@ -26,7 +26,6 @@ batch_size sentences per forward pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,7 +152,6 @@ class TrainReport:
     losses: list[float] = field(default_factory=list)
     dev_token_accuracy: list[float] = field(default_factory=list)
     dev_mwe_f1: list[float] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list)
     selected_epoch: int = -1  # 0-based index into the lists
 
 
@@ -398,13 +396,14 @@ def predict(model: TaggerModel, enc: SentenceEncoding) -> TagSequence:
     return _predict_batch(model, pad([enc]))[0]
 
 
-def _predict_tags(model: TaggerModel, corpus: Corpus) -> list[TagSequence]:
-    """predict for every sentence, batch_size sentences at a time."""
+def _predict_tags(
+    model: TaggerModel, encodings: list[SentenceEncoding]
+) -> list[TagSequence]:
+    """predict for every encoded sentence, batch_size sentences at a time."""
     size = model.config.batch_size
     tags = []
-    for lo in range(0, len(corpus), size):
-        batch = pad([_encode(model, s) for s in corpus[lo : lo + size]])
-        tags += _predict_batch(model, batch)
+    for lo in range(0, len(encodings), size):
+        tags += _predict_batch(model, pad(encodings[lo : lo + size]))
     return tags
 
 
@@ -412,9 +411,10 @@ def predict_corpus(
     model: TaggerModel, corpus: Corpus, apply_filter: bool = True
 ) -> Corpus:
     """Re-annotate every sentence with predicted expressions."""
+    tagged = _predict_tags(model, [_encode(model, s) for s in corpus])
     return [
         from_tags(tags, sentence, apply_filter=apply_filter)
-        for tags, sentence in zip(_predict_tags(model, corpus), corpus)
+        for tags, sentence in zip(tagged, corpus)
     ]
 
 
@@ -440,8 +440,10 @@ class AdamOptimizer:
             p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
-def _dev_metrics(model: TaggerModel, dev: Corpus) -> tuple[float, float]:
-    tagged = _predict_tags(model, dev)
+def _dev_metrics(
+    model: TaggerModel, dev: Corpus, encodings: list[SentenceEncoding]
+) -> tuple[float, float]:
+    tagged = _predict_tags(model, encodings)
     pairs = [(a, b) for tags, s in zip(tagged, dev) for a, b in zip(tags, to_tags(s))]
     token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
     predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]
@@ -464,6 +466,7 @@ def train(
     if not train_corpus:
         raise TrainingDataError("training corpus is empty")
     encodings = [_encode(model, s) for s in train_corpus]
+    dev_encodings = [_encode(model, s) for s in dev_corpus or ()]
     gold = [to_tags(s) for s in train_corpus]
     for tags in gold:
         _gold_indices(model, tags)  # validate up front
@@ -478,7 +481,6 @@ def train(
 
     count = len(train_corpus)
     for epoch in range(cfg.epochs):
-        started = time.perf_counter()
         order = shuffle_rng.permutation(count)
         epoch_loss = 0.0
         for lo in range(0, count, cfg.batch_size):
@@ -502,14 +504,13 @@ def train(
             optimizer.step()
         report.losses.append(epoch_loss / count)
         if dev_corpus is not None:
-            token_acc, dev_f1 = _dev_metrics(model, dev_corpus)
+            token_acc, dev_f1 = _dev_metrics(model, dev_corpus, dev_encodings)
             report.dev_token_accuracy.append(token_acc)
             report.dev_mwe_f1.append(dev_f1)
             if dev_f1 > best_f1:
                 best_f1 = dev_f1
                 best = model.copy()
                 report.selected_epoch = epoch
-        report.epoch_seconds.append(time.perf_counter() - started)
 
     if dev_corpus is None or best is None:
         best = model.copy()

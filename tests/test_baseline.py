@@ -280,7 +280,6 @@ def test_turian_training_runs_and_tags():
     model = train_baseline(corpus, variant="turian", sigma=10.0, table=table)
     assert model.dense is not None
     assert model.dense.shape == (15, len(model.tag_vocab))
-    assert len(model.dense_weights()) == 5
     assert tag_baseline(model, corpus[0], table) == to_tags(corpus[0])
     with pytest.raises(ValueError):
         tag_baseline(model, corpus[0])  # table omitted
@@ -288,6 +287,21 @@ def test_turian_training_runs_and_tags():
 
 # ---------------------------------------------------------------------------
 # tagging edge cases
+
+
+def spy_on(monkeypatch, name):
+    """Record the emission block passed to baseline's binding of name."""
+    import mwetag.baseline as baseline_module
+
+    blocks = []
+    original = getattr(baseline_module, name)
+
+    def spy(scores, *args, **kwargs):
+        blocks.append(np.array(scores, copy=True))
+        return original(scores, *args, **kwargs)
+
+    monkeypatch.setattr(baseline_module, name, spy)
+    return blocks
 
 
 def test_zero_weight_model_tags_lowest_index_everywhere():
@@ -305,12 +319,54 @@ def test_zero_weight_model_tags_lowest_index_everywhere():
     assert tag_baseline(model, FIVE) == ["B-VID"] * 5
 
 
-def test_unseen_features_contribute_nothing():
+def test_unseen_features_contribute_nothing(monkeypatch):
     sentence = toy_training_corpus()[0]
     model = train_baseline([sentence], sigma=10.0)
+    # new words and POS: only features made of sentinels were seen
     novel = make_sentence(
         [("Totally", "totally", "ADV"), ("new", "new", "ADJ")]
     )
     before = np.array(model.weights, copy=True)
+    blocks = spy_on(monkeypatch, "viterbi")
     tag_baseline(model, novel)
     np.testing.assert_array_equal(model.weights, before)  # pure scoring
+    # each position scores exactly the in-order sum of its seen rows
+    expected = np.zeros((2, len(model.tag_vocab)))
+    seen = unseen = 0
+    for i in range(2):
+        feats, _ = extract_features(novel, i)
+        for feature in feats:
+            if feature in model.feature_index:
+                expected[i] += model.weights[model.feature_index[feature]]
+                seen += 1
+            else:
+                unseen += 1
+    assert seen and unseen
+    assert np.array_equal(blocks[0][0], expected)
+
+
+# ---------------------------------------------------------------------------
+# one scoring path for fitting and tagging
+
+
+@pytest.mark.parametrize("variant", ["standard", "turian"])
+def test_tagging_scores_training_sentences_as_the_fit_does(monkeypatch, variant):
+    corpus = toy_training_corpus()
+    rng = np.random.default_rng(5)
+    forms = {t.form for s in corpus for t in s.tokens}
+    table = EmbeddingTable(3, {f: rng.normal(size=3) for f in forms})
+    table = table if variant == "turian" else None
+    model = train_baseline(corpus, variant=variant, sigma=10.0, table=table)
+    problem = BaselineProblem(corpus, variant, model.sigma, table, tag_vocab=model.tag_vocab)
+
+    fit_blocks = spy_on(monkeypatch, "log_partition")
+    problem.loss(problem.pack_model(model))
+    tag_blocks = spy_on(monkeypatch, "viterbi")
+    for sentence in corpus:
+        tag_baseline(model, sentence, table)
+    (fit_block,) = fit_blocks
+    assert len(tag_blocks) == len(corpus)
+    for k, (sentence, tag_block) in enumerate(zip(corpus, tag_blocks)):
+        n = len(sentence.tokens)
+        assert tag_block.shape == (1, n, len(model.tag_vocab))
+        assert np.array_equal(tag_block[0], fit_block[k, :n])

@@ -35,6 +35,12 @@ def cupt_text(rows, comments=("# text = x",)):
     return "\n".join(lines) + "\n\n"
 
 
+def annotation_column(sentence):
+    """The last column of the sentence's token lines as write_cupt writes it."""
+    lines = write_cupt([sentence]).splitlines()
+    return [line.split("\t")[-1] for line in lines if line and not line.startswith("#")]
+
+
 FIVE_TOKEN = cupt_text([
     ("a", "*"), ("b", "2:VID"), ("c", "*"), ("d", "2"), ("e", "*"),
 ])
@@ -65,7 +71,7 @@ def test_parse_overlapping_instances():
 def test_parse_underscore_annotation_means_none():
     sent = parse_cupt(io.StringIO(cupt_text([("a", "_")])))[0]
     assert sent.vmwes == ()
-    assert sent.tokens[0].mwe_annotation == "*"
+    assert annotation_column(sent) == ["*"]
 
 
 def test_parse_too_few_columns_reports_line():
@@ -140,7 +146,7 @@ def test_overlap_structure_round_trip():
     )
     reparsed = parse_cupt(io.StringIO(write_cupt([sent])))[0]
     assert reparsed.vmwes == sent.vmwes
-    assert reparsed.tokens[3].mwe_annotation == "1;2"
+    assert annotation_column(reparsed)[3] == "1;2"
 
 
 def test_write_instance_without_positions_rejected():
@@ -170,7 +176,7 @@ def test_from_tags_inverse():
     sent = make_sentence(list("abcde"))
     rebuilt = from_tags(["O", "B-VID", "O", "I-VID", "O"], sent)
     assert rebuilt.vmwes == (VmweInstance(1, "VID", (2, 4)),)
-    assert [t.mwe_annotation for t in rebuilt.tokens] == ["*", "1:VID", "*", "1", "*"]
+    assert annotation_column(rebuilt) == ["*", "1:VID", "*", "1", "*"]
 
 
 def test_from_tags_orphan_filtered():

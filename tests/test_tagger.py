@@ -10,6 +10,7 @@ from mwetag.autodiff import RngStream, Tape, backward, grad_check
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
 from mwetag.embed import EmbeddingTable, SentenceEncoding, encode, pad, pos_vocabulary
 from mwetag.errors import TrainingDataError
+from mwetag.evaluation import mwe_scores
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
     OptimizerConfig,
@@ -400,6 +401,26 @@ def test_dev_selection_maximizes_mwe_f1_ties_earlier():
     assert len(report.dev_mwe_f1) == 6
     assert report.selected_epoch == int(np.argmax(report.dev_mwe_f1))
     assert best is not model
+
+
+def test_dev_corpus_is_encoded_once(monkeypatch):
+    import mwetag.tagger as tagger_module
+
+    train_corpus, dev = toy_corpus(), toy_corpus()[1:]
+    model = build_for_corpus(small_config(epochs=3), train_corpus, toy_table(train_corpus))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(tagger_module, "encode", counting)
+    best, report = train(model, train_corpus, dev_corpus=dev)
+    assert len(calls) == len(train_corpus) + len(dev)
+    # the recorded dev scores are those of freshly encoded dev sentences
+    selected = report.selected_epoch
+    assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
+    assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
 
 
 def test_no_dev_selects_last_epoch():
