@@ -205,13 +205,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data * b.data, (a, b), back)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    def back(g):
-        _accumulate(x, g * c)
-
-    return _emit(x.data * c, (x,), back)
-
-
 def relu(x: Tensor) -> Tensor:
     def back(g):
         _accumulate(x, g * (x.data > 0))
@@ -219,33 +212,8 @@ def relu(x: Tensor) -> Tensor:
     return _emit(np.maximum(x.data, 0.0), (x,), back)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def back(g):
-        _accumulate(x, g * (1.0 - out_data**2))
-
-    return _emit(out_data, (x,), back)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid(x.data)
-
-    def back(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
-
-    return _emit(out_data, (x,), back)
-
-
-def identity(x: Tensor) -> Tensor:
-    return x
-
-
-ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid, "identity": identity}
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -342,9 +310,9 @@ def cross_entropy(probs: Tensor, gold, lengths=None) -> Tensor:
 # layers
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
-    """act(x @ w + b)."""
-    return ACTIVATIONS[activation](add(matmul(x, w), b))
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b."""
+    return add(matmul(x, w), b)
 
 
 def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:

@@ -188,7 +188,6 @@ class BaselineTrainOptions:
     max_iterations: int = 500
     grad_tolerance: float = 1e-5
     seed: int = 0
-    init_scale: float = 0.01
 
 
 class BaselineProblem:
@@ -317,6 +316,7 @@ class BaselineFit:
 
 
 LBFGS_HISTORY = 10  # stored (s, y) pairs
+INIT_SCALE = 0.01  # the seeded start is uniform in [-INIT_SCALE, INIT_SCALE)
 # a pair whose s.y/y.y (its H0 scale) is at or under this carries no usable
 # curvature, only round-off, and is skipped
 CURVATURE_EPS = 1e-10
@@ -355,7 +355,7 @@ def fit_baseline(
     options = options or BaselineTrainOptions()
     problem = BaselineProblem(corpus, variant, sigma, table)
     rng = RngStream(options.seed)
-    w = rng.uniform(-options.init_scale, options.init_scale, problem.size)
+    w = rng.uniform(-INIT_SCALE, INIT_SCALE, problem.size)
 
     def finite(value: float, iteration: int) -> float:
         if not np.isfinite(value):

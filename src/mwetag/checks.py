@@ -32,7 +32,7 @@ from .autodiff import (
 )
 from .chaincrf import crf_nll
 from .embed import N_SHAPE_FEATURES, SentenceEncoding
-from .tagger import TaggerConfig, build, loss
+from .tagger import DROPOUT, FILTER_WIDTHS, RECURRENT_DROPOUT, TaggerConfig, build, loss
 
 SUITE_TOLERANCE = 1e-4
 DEFAULT_ROUNDS = 5
@@ -59,7 +59,7 @@ def _check_dense(stream: RngStream) -> float:
 
     def build_loss():
         tape = Tape()
-        return sum_all(dense(_attach(x, tape), w_t, b_t, activation="relu"))
+        return sum_all(relu(dense(_attach(x, tape), w_t, b_t)))
 
     return grad_check(build_loss, [w_t, b_t], eps=_EPS)
 
@@ -70,7 +70,7 @@ def _check_conv(stream: RngStream) -> float:
     x = r.uniform(-1.0, 1.0, (5, 3))
     params = []
     banks = []
-    for width in (2, 3):
+    for width in FILTER_WIDTHS:
         k = param(r.uniform(-1.0, 1.0, (2, width, 3)))
         b = param(r.uniform(-0.5, 0.5, 2))
         params += [k, b]
@@ -107,8 +107,9 @@ def _check_bilstm(stream: RngStream, dropped: bool) -> float:
         tape = Tape()
         xt = _attach(x, tape)
         if dropped:
-            out = bilstm(xt, fwd, bwd, dropout=0.5, recurrent_dropout=0.2,
-                         mode="train", rng=RngStream(mask_seed))
+            out = bilstm(xt, fwd, bwd, dropout=DROPOUT,
+                         recurrent_dropout=RECURRENT_DROPOUT, mode="train",
+                         rng=RngStream(mask_seed))
         else:
             out = bilstm(xt, fwd, bwd)
         return sum_all(out)
@@ -151,7 +152,7 @@ def _conv_margin(model, word_input: np.ndarray) -> float:
     the forward pass runs (no tape, pure evaluation)."""
     x = Tensor(word_input)
     margin = np.inf
-    for width in model.config.filter_widths:
+    for width in FILTER_WIDTHS:
         pre = conv1d_same(
             x,
             model.params[f"conv{width}_kernels"],

@@ -114,7 +114,7 @@ def load_vec_file(path, expected_dim: int) -> EmbeddingTable:
 def sniff_vec_dim(path) -> int:
     """Dimension of a vector file: the header's second integer when the
     first line is a `count dim` pair, else the first data line's value
-    count."""
+    count. A header dimension below 1 is a VecLoadError."""
     with _vec_opener(path)(path, "rt", encoding="utf-8") as stream:
         for line_number, line in enumerate(stream, start=1):
             parts = line.rstrip("\n").rstrip().split(" ")
@@ -123,9 +123,14 @@ def sniff_vec_dim(path) -> int:
             if len(parts) == 2:
                 try:
                     int(parts[0])
-                    return int(parts[1])
+                    dim = int(parts[1])
                 except ValueError:
                     pass
+                else:
+                    if dim < 1:
+                        raise VecLoadError(f"header dimension {dim} is not positive",
+                                           line_number)
+                    return dim
             if len(parts) < 2:
                 raise VecLoadError("no vector values on line", line_number)
             return len(parts) - 1

@@ -12,7 +12,7 @@ denominator are defined as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .corpus import Corpus, Sentence
 from .errors import EvaluationError
@@ -231,25 +231,10 @@ def percent(value: float) -> str:
     return f"{value * 100:.2f}"
 
 
-def _basis_dict(b: BasisScores) -> dict:
-    return {
-        "precision": b.precision,
-        "recall": b.recall,
-        "f1": b.f1,
-        "tp": b.tp,
-        "fp": b.fp,
-        "fn": b.fn,
-    }
-
-
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "token": _basis_dict(report.token),
-        "mwe": _basis_dict(report.mwe),
-        "per_category": {
-            cat: report_to_dict(sub) for cat, sub in report.per_category.items()
-        },
-    }
+    """token, mwe and per_category (category -> the same three keys), each
+    basis as its six BasisScores fields."""
+    return asdict(report)
 
 
 def format_report(report: EvalReport, title: str = "TOTAL") -> str:

@@ -29,9 +29,9 @@ from .autodiff import param
 from .baseline import VARIANTS, WINDOW, BaselineModel
 from .embed import EmbeddingTable
 from .errors import ModelFormatError
-from .tagger import OptimizerConfig, TaggerConfig, TaggerModel, param_shapes
+from .tagger import TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
@@ -170,11 +170,8 @@ def _require_emb_dim(data: dict) -> int:
 def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerModel:
     raw_config = _require(data, "config")
     try:
-        raw_config = dict(raw_config)
-        raw_config["optimizer"] = OptimizerConfig(**raw_config["optimizer"])
-        raw_config["filter_widths"] = tuple(raw_config["filter_widths"])
         config = TaggerConfig(**raw_config)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad tagger config: {exc}") from exc
     emb_dim = _require_emb_dim(data)
     tag_vocab = _require_strings(data, "tag_vocab")

@@ -2,26 +2,28 @@
 
 The network runs on a padded batch of sentences; one sentence is the B = 1
 case of the same code. The word input (embedding + shape features,
-B x n x (dim+7), zero past each sentence's end) runs through one convolution
-bank per filter width, the banks' activations are concatenated together with
-the POS one-hot block, a bidirectional LSTM reads each sentence up to its
-length, and a dense projection maps each position to per-label scores. The
-softmax head trains with each sentence's mean cross-entropy and predicts by
-row argmax; the CRF head trains with sequence NLL and predicts with viterbi.
-A batch's loss is the sum of its sentences' losses.
+B x n x (dim+7), zero past each sentence's end) runs through one ReLU
+convolution bank per filter width in FILTER_WIDTHS, the banks' activations
+are concatenated together with the POS one-hot block, a bidirectional LSTM
+with variational dropout reads each sentence up to its length, and a dense
+projection maps each position to per-label scores. The softmax head trains
+with each sentence's mean cross-entropy and predicts by row argmax; the CRF
+head trains with sequence NLL and predicts with viterbi. A batch's loss is
+the sum of its sentences' losses.
 
 Pretrained embeddings are read through the encoding and never updated. The
 random_trainable mode instead learns an embedding matrix over the training
 vocabulary (unknown index 0), gathered per token at forward time; the shape
 feature columns stay as computed.
 
-Training is plain stochastic optimization with a moment-based (Adam-style)
-optimizer: seeded epoch shuffle, one forward pass, tape and step per batch,
-gradients averaged over the batch. Within one batch, sentences are stacked in
-corpus order, which makes a full-batch run independent of the shuffle. With a
-dev corpus, the returned snapshot is the epoch with the best dev MWE-based F1
-(ties to the earlier epoch); without one, the final state. Tagging runs
-batch_size sentences per forward pass.
+Training is plain stochastic optimization with Adam at its standard
+constants (Kingma & Ba 2015): seeded epoch shuffle, one forward pass, tape
+and step per batch, gradients averaged over the batch. Within one batch,
+sentences are stacked in corpus order, which makes a full-batch run
+independent of the shuffle. With a dev corpus, which must not be empty, the
+returned snapshot is the epoch with the best dev MWE-based F1 (ties to the
+earlier epoch); without one, the final state. Tagging runs batch_size
+sentences per forward pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import (
-    ACTIVATIONS,
     LstmParams,
     RngStream,
     Tape,
@@ -44,6 +45,7 @@ from .autodiff import (
     dense,
     gather_rows,
     param,
+    relu,
     softmax_rows,
 )
 from .chaincrf import crf_nll, viterbi
@@ -55,48 +57,29 @@ from .evaluation import mwe_scores
 
 UNK_WORD = "<unk>"
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("optimizer betas must lie in [0, 1)")
-        if self.learning_rate <= 0.0 or self.epsilon <= 0.0:
-            raise ValueError("learning_rate and epsilon must be positive")
+FILTER_WIDTHS = (2, 3)  # one ReLU convolution bank per width
+DROPOUT = 0.5  # BiLSTM input dropout, one mask per sentence and direction
+RECURRENT_DROPOUT = 0.2  # on the hidden state entering the recurrence
+# Adam's standard moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TaggerConfig:
-    filter_widths: tuple[int, ...] = (2, 3)
     filters_per_width: int = 200
     lstm_hidden: int = 300  # per direction
-    dropout: float = 0.5
-    recurrent_dropout: float = 0.2
-    conv_activation: str = "relu"
     head: str = "crf"
     epochs: int = 100
     embedding_mode: str = "pretrained"
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "filter_widths", tuple(self.filter_widths))
-        if not self.filter_widths or any(w < 1 for w in self.filter_widths):
-            raise ValueError("filter widths must be positive")
-        if len(set(self.filter_widths)) != len(self.filter_widths):
-            raise ValueError("filter widths must be distinct")
         if self.filters_per_width < 1 or self.lstm_hidden < 1:
             raise ValueError("layer sizes must be positive")
-        if not (0.0 <= self.dropout < 1.0 and 0.0 <= self.recurrent_dropout < 1.0):
-            raise ValueError("dropout rates must lie in [0, 1)")
-        if self.conv_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.conv_activation!r}")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.head not in ("softmax", "crf"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.embedding_mode not in ("pretrained", "random_trainable"):
@@ -174,10 +157,10 @@ def param_shapes(
     f_count = config.filters_per_width
     hidden = config.lstm_hidden
     shapes: dict[str, tuple[int, ...]] = {}
-    for width in config.filter_widths:
+    for width in FILTER_WIDTHS:
         shapes[f"conv{width}_kernels"] = (f_count, width, in_dim)
         shapes[f"conv{width}_bias"] = (f_count,)
-    lstm_in = f_count * len(config.filter_widths) + pos_count
+    lstm_in = f_count * len(FILTER_WIDTHS) + pos_count
     for direction in ("fwd", "bwd"):
         shapes[f"lstm_{direction}_wx"] = (lstm_in, 4 * hidden)
         shapes[f"lstm_{direction}_wh"] = (hidden, 4 * hidden)
@@ -315,30 +298,29 @@ def forward(
     for both heads: the softmax head normalizes at loss/prediction time. Pass
     a tape to record for backward; without one the pass is pure. Scores that
     overflowed or became NaN raise NonFiniteError."""
-    cfg, p = model.config, model.params
+    p = model.params
     width, expected = inputs.word_input.shape[-1], model.emb_dim + N_SHAPE_FEATURES
     if width != expected:
         raise ValueError(f"word input has {width} columns, expected {expected}")
     if inputs.pos_input.shape[-1] != len(model.pos_vocab):
         raise ValueError("POS input does not match the model's POS vocabulary")
 
-    if cfg.embedding_mode == "random_trainable":
+    if model.config.embedding_mode == "random_trainable":
         emb_block = gather_rows(p["word_table"], _word_ids(model, inputs), tape=tape)
         shape_block = Tensor(inputs.word_input[..., model.emb_dim :], tape=tape)
         x = concat_cols([emb_block, shape_block])
     else:
         x = Tensor(inputs.word_input, tape=tape)
 
-    activate = ACTIVATIONS[cfg.conv_activation]
     # overflow shows up as the NonFiniteError below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         banks = [
-            activate(conv1d_same(x, p[f"conv{w}_kernels"], p[f"conv{w}_bias"]))
-            for w in cfg.filter_widths
+            relu(conv1d_same(x, p[f"conv{w}_kernels"], p[f"conv{w}_bias"]))
+            for w in FILTER_WIDTHS
         ]
         h = concat_cols(banks + [Tensor(inputs.pos_input, tape=tape)])
-        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), cfg.dropout,
-                   cfg.recurrent_dropout, mode, rng, inputs.lengths)
+        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), DROPOUT,
+                   RECURRENT_DROPOUT, mode, rng, inputs.lengths)
         scores = dense(h, p["proj_w"], p["proj_b"])
     if not np.isfinite(scores.data).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
@@ -421,30 +403,32 @@ def predict_corpus(
 class AdamOptimizer:
     """Bias-corrected moment estimates, one step per batch."""
 
-    def __init__(self, params: list[Tensor], cfg: OptimizerConfig):
+    def __init__(self, params: list[Tensor], learning_rate: float):
         self.params = params
-        self.cfg = cfg
+        self.learning_rate = learning_rate
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
     def step(self):
-        cfg = self.cfg
         self.t += 1
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1**self.t)
-            v_hat = v / (1.0 - cfg.beta2**self.t)
-            p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**self.t)
+            v_hat = v / (1.0 - ADAM_BETA2**self.t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def _dev_metrics(
-    model: TaggerModel, dev: Corpus, encodings: list[SentenceEncoding]
+    model: TaggerModel,
+    dev: Corpus,
+    encodings: list[SentenceEncoding],
+    gold: list[TagSequence],
 ) -> tuple[float, float]:
     tagged = _predict_tags(model, encodings)
-    pairs = [(a, b) for tags, s in zip(tagged, dev) for a, b in zip(tags, to_tags(s))]
+    pairs = [(a, b) for tags, labels in zip(tagged, gold) for a, b in zip(tags, labels)]
     token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
     predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]
     return token_acc, mwe_scores(dev, predicted).f1
@@ -465,14 +449,17 @@ def train(
     cfg = config or model.config
     if not train_corpus:
         raise TrainingDataError("training corpus is empty")
+    if dev_corpus is not None and not dev_corpus:
+        raise TrainingDataError("dev corpus is empty")
     encodings = [_encode(model, s) for s in train_corpus]
     dev_encodings = [_encode(model, s) for s in dev_corpus or ()]
     gold = [to_tags(s) for s in train_corpus]
+    dev_gold = [to_tags(s) for s in dev_corpus or ()]
     for tags in gold:
         _gold_indices(model, tags)  # validate up front
 
     params = model.trainable()
-    optimizer = AdamOptimizer(params, cfg.optimizer)
+    optimizer = AdamOptimizer(params, cfg.learning_rate)
     shuffle_rng = RngStream(cfg.seed).child(1)
     dropout_rng = RngStream(cfg.seed).child(2)
     report = TrainReport()
@@ -504,7 +491,7 @@ def train(
             optimizer.step()
         report.losses.append(epoch_loss / count)
         if dev_corpus is not None:
-            token_acc, dev_f1 = _dev_metrics(model, dev_corpus, dev_encodings)
+            token_acc, dev_f1 = _dev_metrics(model, dev_corpus, dev_encodings, dev_gold)
             report.dev_token_accuracy.append(token_acc)
             report.dev_mwe_f1.append(dev_f1)
             if dev_f1 > best_f1:

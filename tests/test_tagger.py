@@ -13,7 +13,12 @@ from mwetag.errors import TrainingDataError
 from mwetag.evaluation import mwe_scores
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
-    OptimizerConfig,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    DROPOUT,
+    FILTER_WIDTHS,
+    RECURRENT_DROPOUT,
     TaggerConfig,
     build,
     build_for_corpus,
@@ -76,34 +81,30 @@ def small_config(**overrides):
 
 
 def test_config_defaults_match_contract():
+    assert FILTER_WIDTHS == (2, 3)
+    assert (DROPOUT, RECURRENT_DROPOUT) == (0.5, 0.2)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
     cfg = TaggerConfig()
-    assert cfg.filter_widths == (2, 3)
     assert cfg.filters_per_width == 200
     assert cfg.lstm_hidden == 300
-    assert cfg.dropout == 0.5
-    assert cfg.recurrent_dropout == 0.2
-    assert cfg.conv_activation == "relu"
     assert cfg.epochs == 100
     assert cfg.embedding_mode == "pretrained"
-    assert cfg.optimizer == OptimizerConfig(0.001, 0.9, 0.999, 1e-8)
+    assert cfg.learning_rate == 0.001
     assert cfg.batch_size == 32
 
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        TaggerConfig(dropout=1.0)
-    with pytest.raises(ValueError):
-        TaggerConfig(recurrent_dropout=-0.1)
+        TaggerConfig(lstm_hidden=0)
     with pytest.raises(ValueError):
         TaggerConfig(head="argmax")
     with pytest.raises(ValueError):
         TaggerConfig(epochs=0)
     with pytest.raises(ValueError):
-        TaggerConfig(filter_widths=())
-    with pytest.raises(ValueError):
         TaggerConfig(embedding_mode="frozen")
-    with pytest.raises(ValueError):
-        TaggerConfig(optimizer=OptimizerConfig(beta1=1.0))
+    for rate in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TaggerConfig(learning_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def test_tags_do_not_depend_on_batch_neighbours(head):
     # part-trained, so that predictions are neither empty nor perfect
     corpus = synthetic_corpus()
     config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head=head, epochs=4,
-                          batch_size=8, seed=5, optimizer=OptimizerConfig(learning_rate=0.01))
+                          batch_size=8, seed=5, learning_rate=0.01)
     model, _ = train(build_for_corpus(config, corpus, synthetic_embeddings()), corpus)
     alone = [predict(model, enc) for enc in encodings_for(corpus, model)]
     assert 0 < sum(tag != "O" for tags in alone for tag in tags) < 200
@@ -421,6 +422,37 @@ def test_dev_corpus_is_encoded_once(monkeypatch):
     selected = report.selected_epoch
     assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
     assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
+
+
+def test_dev_labels_are_built_once(monkeypatch):
+    import mwetag.tagger as tagger_module
+
+    train_corpus, dev = toy_corpus(), toy_corpus()[1:]
+    model = build_for_corpus(small_config(epochs=3), train_corpus, toy_table(train_corpus))
+    calls = []
+
+    def counting(sentence):
+        calls.append(sentence)
+        return to_tags(sentence)
+
+    monkeypatch.setattr(tagger_module, "to_tags", counting)
+    best, report = train(model, train_corpus, dev_corpus=dev)
+    assert len(calls) == len(train_corpus) + len(dev)
+    # the selected epoch's scores are those of labels built afresh
+    selected = report.selected_epoch
+    assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
+    assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
+    predicted = [predict(best, enc) for enc in encodings_for(dev, best)]
+    pairs = [(a, b) for tags, s in zip(predicted, dev) for a, b in zip(tags, to_tags(s))]
+    accuracy = sum(a == b for a, b in pairs) / len(pairs)
+    assert report.dev_token_accuracy[selected] == accuracy
+
+
+def test_empty_dev_corpus_rejected():
+    corpus = toy_corpus()
+    model = build_for_corpus(small_config(), corpus, toy_table(corpus))
+    with pytest.raises(TrainingDataError, match="dev corpus is empty"):
+        train(model, corpus, dev_corpus=[])
 
 
 def test_no_dev_selects_last_epoch():
