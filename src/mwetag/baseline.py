@@ -50,22 +50,43 @@ def _offset_name(d: int) -> str:
     return f"{d:+d}" if d else "0"
 
 
-def _window_values(sentence: Sentence, i: int) -> list[tuple[str, str, str]]:
-    """(form, lemma, pos) for offsets -2..+2; out-of-range slots become
-    sentinel triples."""
+def _slot(d: int, kind: str) -> int:
+    """Index of offset d's form ("w"), lemma ("l") or POS ("p") in the
+    flat window of _window_values."""
+    return 3 * WINDOW.index(d) + "wlp".index(kind)
+
+
+# The 26 symbolic templates as (prefix, window slots), built once, in feature
+# order: the 15 unigram prefixes follow the window's own order.
+_UNIGRAM_PREFIXES = tuple(f"{kind}[{_offset_name(d)}]:" for d in WINDOW for kind in "wlp")
+_BIGRAMS = tuple(
+    (f"{kind}[{_offset_name(a)}]{kind}[{_offset_name(b)}]:", _slot(a, kind), _slot(b, kind))
+    for a, b, kind in ((-1, 0, "w"), (-1, 0, "l"), (0, 1, "w"), (0, 1, "l"),
+                       (-2, -1, "p"), (-1, 0, "p"), (0, 1, "p"), (1, 2, "p"))
+)
+_TRIGRAMS = tuple(
+    (f"p[{_offset_name(a)}]p[{_offset_name(b)}]p[{_offset_name(c)}]:",
+     _slot(a, "p"), _slot(b, "p"), _slot(c, "p"))
+    for a, b, c in ((-2, -1, 0), (-1, 0, 1), (0, 1, 2))
+)
+
+
+def _window_values(sentence: Sentence, i: int) -> list[str]:
+    """Form, lemma and POS of each offset -2..+2, flat (15 values);
+    out-of-range slots read their sentinel three times."""
     n = len(sentence.tokens)
     values = []
     for d in WINDOW:
         j = i + d
         if j < 0:
             name = SENTINELS[max(j, -2)]
-            values.append((name, name, name))
+            values += (name, name, name)
         elif j >= n:
             name = SENTINELS[min(j - n, 1)]
-            values.append((name, name, name))
+            values += (name, name, name)
         else:
             token = sentence.tokens[j]
-            values.append((token.form, token.lemma, token.upos))
+            values += (token.form, token.lemma, token.upos)
     return values
 
 
@@ -85,29 +106,10 @@ def extract_features(
     if variant == "turian" and table is None:
         raise ValueError("turian variant needs an embedding table")
 
-    window = _window_values(sentence, i)
-    by_offset = dict(zip(WINDOW, window))
-    features = []
-    for d in WINDOW:
-        form, lemma, pos = by_offset[d]
-        off = _offset_name(d)
-        features.append(f"w[{off}]:{form}")
-        features.append(f"l[{off}]:{lemma}")
-        features.append(f"p[{off}]:{pos}")
-    for a, b in ((-1, 0), (0, 1)):
-        oa, ob = _offset_name(a), _offset_name(b)
-        features.append(f"w[{oa}]w[{ob}]:{by_offset[a][0]}|{by_offset[b][0]}")
-        features.append(f"l[{oa}]l[{ob}]:{by_offset[a][1]}|{by_offset[b][1]}")
-    for a, b in ((-2, -1), (-1, 0), (0, 1), (1, 2)):
-        features.append(
-            f"p[{_offset_name(a)}]p[{_offset_name(b)}]:"
-            f"{by_offset[a][2]}|{by_offset[b][2]}"
-        )
-    for a, b, c in ((-2, -1, 0), (-1, 0, 1), (0, 1, 2)):
-        features.append(
-            f"p[{_offset_name(a)}]p[{_offset_name(b)}]p[{_offset_name(c)}]:"
-            f"{by_offset[a][2]}|{by_offset[b][2]}|{by_offset[c][2]}"
-        )
+    v = _window_values(sentence, i)
+    features = [prefix + value for prefix, value in zip(_UNIGRAM_PREFIXES, v)]
+    features += [f"{prefix}{v[a]}|{v[b]}" for prefix, a, b in _BIGRAMS]
+    features += [f"{prefix}{v[a]}|{v[b]}|{v[c]}" for prefix, a, b, c in _TRIGRAMS]
 
     dense = None
     if variant == "turian":

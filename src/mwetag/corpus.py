@@ -35,12 +35,12 @@ from .errors import CuptParseError, CuptWriteError
 
 MIN_COLUMNS = 5  # id, form, lemma, upos, ... , mwe annotation
 
-_ANNOTATION_RE = re.compile(r"^\*$|^\d+(:[^\s;:]+)?(;\d+(:[^\s;:]+)?)*$")
+_ANNOTATION_RE = re.compile(r"^\d+(:[^\s;:]+)?(;\d+(:[^\s;:]+)?)*$")
 _RANGE_ID_RE = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID_RE = re.compile(r"^\d+\.\d+$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One taggable token line. ``misc_columns`` keeps every column between
     UPOS and the MWE annotation verbatim so files round-trip byte-identically."""
@@ -52,14 +52,14 @@ class Token:
     misc_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VmweInstance:
     vmwe_id: int
     category: str
     token_positions: tuple[int, ...]  # 1-based token ids, strictly increasing
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     tokens: tuple[Token, ...]
     vmwes: tuple[VmweInstance, ...] = ()
@@ -80,8 +80,9 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     """Parse a .cupt text stream into a list of sentences.
 
     Raises CuptParseError (with a 1-based line number) on malformed lines,
-    on a bare ``k`` that references an expression never opened, and on a
-    repeated ``k:CAT`` opener for the same k.
+    on a bare ``k`` that references an expression never opened, on a
+    repeated ``k:CAT`` opener for the same k, and on a token that lists the
+    same k twice.
     """
     sentences: Corpus = []
     comments: list[str] = []
@@ -127,39 +128,44 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
                 line_number,
             )
         first = columns[0]
-        if _RANGE_ID_RE.match(first) or _EMPTY_NODE_ID_RE.match(first):
+        if first.isdigit() and first.isascii():  # a plain token id, the common case
+            token_id = int(first)
+        elif _RANGE_ID_RE.match(first) or _EMPTY_NODE_ID_RE.match(first):
             raw_rows.append((len(tokens), line))
             continue
-        try:
-            token_id = int(first)
-        except ValueError:
-            raise CuptParseError(f"unparseable token id {first!r}", line_number) from None
+        else:
+            try:
+                token_id = int(first)
+            except ValueError:
+                raise CuptParseError(f"unparseable token id {first!r}", line_number) from None
         form = columns[1]
         if form == "":
             raise CuptParseError("empty FORM column", line_number)
+        tokens.append(Token(token_id, form, columns[2], columns[3], tuple(columns[4:-1])))
         annotation = columns[-1]
-        if annotation == "_":  # underspecified slot in blind data: no annotation
-            annotation = "*"
+        if annotation == "*" or annotation == "_":  # "_": underspecified slot in blind data
+            continue
         if not _ANNOTATION_RE.match(annotation):
             raise CuptParseError(f"malformed MWE annotation {annotation!r}", line_number)
-        tokens.append(Token(token_id, form, columns[2], columns[3], tuple(columns[4:-1])))
-        if annotation != "*":
-            for item in annotation.split(";"):
-                if ":" in item:
-                    k_str, category = item.split(":", 1)
-                    k = int(k_str)
-                    if k in openers:
-                        raise CuptParseError(
-                            f"expression {k} opened twice in one sentence", line_number
-                        )
-                    openers[k] = (category, [token_id], line_number)
-                else:
-                    k = int(item)
-                    if k not in openers:
-                        raise CuptParseError(
-                            f"continuation of expression {k} before its opener", line_number
-                        )
-                    openers[k][1].append(token_id)
+        listed = set()
+        for item in annotation.split(";"):
+            k_str, colon, category = item.partition(":")
+            k = int(k_str)
+            if k in listed:
+                raise CuptParseError(f"expression {k} listed twice on one token", line_number)
+            listed.add(k)
+            if colon:
+                if k in openers:
+                    raise CuptParseError(
+                        f"expression {k} opened twice in one sentence", line_number
+                    )
+                openers[k] = (category, [token_id], line_number)
+            else:
+                if k not in openers:
+                    raise CuptParseError(
+                        f"continuation of expression {k} before its opener", line_number
+                    )
+                openers[k][1].append(token_id)
     flush(line_number + 1)
     return sentences
 

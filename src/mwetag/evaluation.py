@@ -2,12 +2,15 @@
 
 Two bases: token-based (fuzzy) credits every correctly predicted token, via
 per-sentence intersection of position unions; MWE-based (strict) credits only
-instances whose exact token-position set matches. The general MWE score
-ignores the category label; per-category scores restrict both sides to one
-category first. Seen/unseen partitioning keys instances by the multiset of
-their lowercased lemmas against the training corpus. All scores are fractions
-in [0,1]; rendering multiplies by 100 with two decimals. Ratios with zero
-denominator are defined as 0.
+instances whose exact token-position set matches. Both work on match keys:
+an instance's match key is (sentence index, its distinct token positions as a
+sorted tuple), built once per instance, so the order and repeats of positions
+do not matter. The general MWE score ignores the category label;
+per-category scores restrict both sides to one category first. Seen/unseen
+partitioning keys instances by the multiset of their lowercased lemmas
+against the training corpus. All scores are fractions in [0,1]; rendering
+multiplies by 100 with two decimals. Ratios with zero denominator are
+defined as 0.
 """
 
 from __future__ import annotations
@@ -79,80 +82,89 @@ def _check_aligned(gold: Corpus, pred: Corpus):
             )
 
 
-def _instances(corpus: Corpus, category: str | None):
-    for sent_idx, sentence in enumerate(corpus):
+def _keyed(corpus: Corpus):
+    """(sentence index, instance, match key) of every instance, in corpus order."""
+    for i, sentence in enumerate(corpus):
         for inst in sentence.vmwes:
-            if category is None or inst.category == category:
-                yield sent_idx, inst
+            yield i, inst, (i, tuple(sorted(set(inst.token_positions))))
 
 
-def _items(corpus: Corpus, category: str | None):
-    """(sentence index, token positions) of each instance, as the counters
-    below take them."""
-    return [(i, inst.token_positions) for i, inst in _instances(corpus, category)]
+def _by_category(corpus: Corpus) -> dict[str, list]:
+    """The match keys of a corpus grouped by category, in one pass."""
+    groups: dict[str, list] = {}
+    for _, inst, key in _keyed(corpus):
+        groups.setdefault(inst.category, []).append(key)
+    return groups
 
 
-def _mwe_counts(gold_items, pred_items):
-    gold_keys = {(i, frozenset(positions)) for i, positions in gold_items}
-    pred_keys = {(i, frozenset(positions)) for i, positions in pred_items}
+def _select(groups: dict[str, list], category: str | None) -> list:
+    if category is None:
+        return [key for keys in groups.values() for key in keys]
+    return groups.get(category, [])
+
+
+def _aligned_groups(gold: Corpus, pred: Corpus):
+    _check_aligned(gold, pred)
+    return _by_category(gold), _by_category(pred)
+
+
+def _mwe_counts(gold_keys, pred_keys):
+    gold_keys, pred_keys = set(gold_keys), set(pred_keys)
     tp = len(gold_keys & pred_keys)
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
 
-def _unions(items) -> dict[int, set]:
+def _unions(keys) -> dict[int, set]:
     union: dict[int, set] = {}
-    for i, positions in items:
+    for i, positions in keys:
         union.setdefault(i, set()).update(positions)
     return union
 
 
-def _token_counts(gold_items, pred_items):
-    g_union, p_union = _unions(gold_items), _unions(pred_items)
+def _token_counts(gold_keys, pred_keys):
+    g_union, p_union = _unions(gold_keys), _unions(pred_keys)
     tp = sum(len(s & p_union[i]) for i, s in g_union.items() if i in p_union)
     pred_total = sum(len(s) for s in p_union.values())
     gold_total = sum(len(s) for s in g_union.values())
     return tp, pred_total - tp, gold_total - tp
 
 
-def _report(gold_items, pred_items) -> EvalReport:
+def _report(gold_keys, pred_keys) -> EvalReport:
     return EvalReport(
-        token=BasisScores.from_counts(*_token_counts(gold_items, pred_items)),
-        mwe=BasisScores.from_counts(*_mwe_counts(gold_items, pred_items)),
+        token=BasisScores.from_counts(*_token_counts(gold_keys, pred_keys)),
+        mwe=BasisScores.from_counts(*_mwe_counts(gold_keys, pred_keys)),
     )
+
+
+def _per_category(gold_groups: dict, pred_groups: dict) -> dict[str, EvalReport]:
+    return {
+        cat: _report(gold_groups.get(cat, []), pred_groups.get(cat, []))
+        for cat in sorted(gold_groups.keys() | pred_groups.keys())
+    }
 
 
 def mwe_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
     """Strict scores: an instance counts iff its exact position set appears on
     the other side (category ignored unless one is requested)."""
-    _check_aligned(gold, pred)
-    return BasisScores.from_counts(
-        *_mwe_counts(_items(gold, category), _items(pred, category))
-    )
+    g, p = _aligned_groups(gold, pred)
+    return BasisScores.from_counts(*_mwe_counts(_select(g, category), _select(p, category)))
 
 
 def token_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
     """Fuzzy scores over per-sentence unions of annotated token positions."""
-    _check_aligned(gold, pred)
-    return BasisScores.from_counts(
-        *_token_counts(_items(gold, category), _items(pred, category))
-    )
+    g, p = _aligned_groups(gold, pred)
+    return BasisScores.from_counts(*_token_counts(_select(g, category), _select(p, category)))
 
 
 def per_category_scores(gold: Corpus, pred: Corpus) -> dict[str, EvalReport]:
-    _check_aligned(gold, pred)
-    categories = {inst.category for _, inst in _instances(gold, None)}
-    categories |= {inst.category for _, inst in _instances(pred, None)}
-    return {
-        cat: _report(_items(gold, cat), _items(pred, cat))
-        for cat in sorted(categories)
-    }
+    return _per_category(*_aligned_groups(gold, pred))
 
 
 def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
     """Overall token- and MWE-based scores plus per-category breakdown."""
-    _check_aligned(gold, pred)
-    overall = _report(_items(gold, None), _items(pred, None))
-    return replace(overall, per_category=per_category_scores(gold, pred))
+    g, p = _aligned_groups(gold, pred)
+    overall = _report(_select(g, None), _select(p, None))
+    return replace(overall, per_category=_per_category(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +182,6 @@ def _lemma_key(sentence: Sentence, positions) -> tuple:
     return tuple(sorted(parts))
 
 
-def _training_keys(train: Corpus) -> set:
-    return {
-        _lemma_key(train[i], inst.token_positions)
-        for i, inst in _instances(train, None)
-    }
-
-
 def seen_unseen(train: Corpus, gold_test: Corpus, pred: Corpus):
     """Partition gold test instances into seen/unseen by training lemma
     multisets and score each side.
@@ -188,39 +193,29 @@ def seen_unseen(train: Corpus, gold_test: Corpus, pred: Corpus):
     belonging to (or assigned to) that partition.
     """
     _check_aligned(gold_test, pred)
-    train_keys = _training_keys(train)
+    train_keys = {_lemma_key(s, inst.token_positions) for s in train for inst in s.vmwes}
 
-    gold_by_key: dict[tuple, str] = {}
-    seen_refs, unseen_refs = [], []
-    for i, inst in _instances(gold_test, None):
-        match_key = (i, frozenset(inst.token_positions))
-        is_seen = _lemma_key(gold_test[i], inst.token_positions) in train_keys
-        gold_by_key[match_key] = "seen" if is_seen else "unseen"
-        ref = (i, tuple(inst.token_positions), inst.category)
-        (seen_refs if is_seen else unseen_refs).append(ref)
+    # each pair of lists is indexed by "is seen": (unseen, seen)
+    refs, gold_keys, pred_keys = ([], []), ([], []), ([], [])
+    seen_by_key: dict[tuple, bool] = {}
+    for i, inst, key in _keyed(gold_test):
+        seen = _lemma_key(gold_test[i], inst.token_positions) in train_keys
+        seen_by_key[key] = seen
+        refs[seen].append((i, tuple(inst.token_positions), inst.category))
+        gold_keys[seen].append(key)
+    for i, inst, key in _keyed(pred):
+        seen = seen_by_key.get(key)
+        if seen is None:
+            seen = _lemma_key(pred[i], inst.token_positions) in train_keys
+        pred_keys[seen].append(key)
 
-    pred_partition: dict[tuple, list] = {"seen": [], "unseen": []}
-    for i, inst in _instances(pred, None):
-        match_key = (i, frozenset(inst.token_positions))
-        if match_key in gold_by_key:
-            side = gold_by_key[match_key]
-        else:
-            own = _lemma_key(pred[i], inst.token_positions)
-            side = "seen" if own in train_keys else "unseen"
-        pred_partition[side].append((i, inst))
-
-    def side_report(side: str, gold_refs: list) -> EvalReport:
-        gold_items = [(i, positions) for i, positions, _ in gold_refs]
-        pred_items = [(i, inst.token_positions) for i, inst in pred_partition[side]]
-        return _report(gold_items, pred_items)
-
-    total = len(seen_refs) + len(unseen_refs)
     partition = SeenUnseenPartition(
-        seen=tuple(seen_refs),
-        unseen=tuple(unseen_refs),
-        seen_fraction=_ratio(len(seen_refs), total),
+        seen=tuple(refs[True]),
+        unseen=tuple(refs[False]),
+        seen_fraction=_ratio(len(refs[True]), len(refs[True]) + len(refs[False])),
     )
-    return partition, side_report("seen", seen_refs), side_report("unseen", unseen_refs)
+    return (partition, _report(gold_keys[True], pred_keys[True]),
+            _report(gold_keys[False], pred_keys[False]))
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,6 @@ def train(
     model: TaggerModel,
     train_corpus: Corpus,
     dev_corpus: Corpus | None = None,
-    config: TaggerConfig | None = None,
 ) -> tuple[TaggerModel, TrainReport]:
     """Optimize in place and return (best snapshot, report).
 
@@ -446,7 +445,7 @@ def train(
     stacks its sentences in corpus order, and the gradient of its summed loss
     over the batch size makes one optimizer step.
     """
-    cfg = config or model.config
+    cfg = model.config
     if not train_corpus:
         raise TrainingDataError("training corpus is empty")
     if dev_corpus is not None and not dev_corpus:

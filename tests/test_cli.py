@@ -195,6 +195,30 @@ def test_tag_without_embeddings_for_pretrained_model_exits_two(
     assert "--embeddings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "train", "tag"])
+def test_expression_listed_twice_on_a_token_exits_two(
+    workdir, trained, tmp_path, capsys, command
+):
+    bad = tmp_path / "bad.cupt"
+    bad.write_text("# text = a b\n"
+                   "1\ta\ta\tX\t_\t_\t0\t_\t_\t_\t1:VID;1\n"
+                   "2\tb\tb\tX\t_\t_\t0\t_\t_\t_\t1\n\n")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--gold", p(bad), "--pred", p(workdir / "gold.cupt"),
+                 "--report", p(out)],
+        "train": ["train", "--train", p(bad), "--embeddings", p(workdir / "vecs.vec"),
+                  "--model", p(out)],
+        "tag": ["tag", "--model", p(trained), "--input", p(bad), "--output", p(out),
+                "--embeddings", p(workdir / "vecs.vec")],
+    }[command]
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "line 2" in err and "listed twice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_tagger(workdir, tmp_path_factory):
     """A tiny untrained tagger file that tags the workdir corpus cleanly."""

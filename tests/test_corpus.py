@@ -91,6 +91,15 @@ def test_parse_repeated_opener():
         parse_cupt(io.StringIO(text))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([("a", "1:VID;1"), ("b", "1")], "line 2: expression 1 listed twice"),
+    ([("a", "2:VID"), ("b", "2;2")], "line 3: expression 2 listed twice"),
+])
+def test_parse_rejects_expression_listed_twice_on_a_token(rows, message):
+    with pytest.raises(CuptParseError, match=message):
+        parse_cupt(io.StringIO(cupt_text(rows)))
+
+
 def test_parse_keeps_noncontiguous_instance_numbers():
     # instance numbering is taken as-is; only openers/continuations are checked
     text = cupt_text([("a", "2:VID"), ("b", "2")])

@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags
 from mwetag.errors import EvaluationError
 from mwetag.evaluation import (
+    BasisScores,
     evaluate,
     f1,
     format_report,
@@ -330,6 +333,135 @@ def test_filtering_never_increases_predicted_tokens_or_mwe_fp():
         m_unf = mwe_scores(gold, unfiltered)
         m_fil = mwe_scores(gold, filtered)
         assert m_fil.fp <= m_unf.fp
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a frozenset-keyed reference
+
+
+def reference_counts(gold_items, pred_items):
+    """((token tp, fp, fn), (MWE tp, fp, fn)) from (sentence index, frozenset)
+    items, the way the scorer once counted them."""
+    def unions(items):
+        union = {}
+        for i, positions in items:
+            union.setdefault(i, set()).update(positions)
+        return union
+
+    g_union, p_union = unions(gold_items), unions(pred_items)
+    token_tp = sum(len(s & p_union.get(i, set())) for i, s in g_union.items())
+    token = (token_tp, sum(map(len, p_union.values())) - token_tp,
+             sum(map(len, g_union.values())) - token_tp)
+    g_keys, p_keys = set(gold_items), set(pred_items)
+    mwe_tp = len(g_keys & p_keys)
+    return token, (mwe_tp, len(p_keys) - mwe_tp, len(g_keys) - mwe_tp)
+
+
+def reference_items(corpus, category=None):
+    return [(i, frozenset(inst.token_positions))
+            for i, sentence in enumerate(corpus) for inst in sentence.vmwes
+            if category is None or inst.category == category]
+
+
+def reference_lemma_key(sentence, positions):
+    tokens = [sentence.tokens[pos - 1] for pos in positions]
+    return tuple(sorted((t.lemma if t.lemma != "_" else t.form).lower() for t in tokens))
+
+
+def reference_seen_unseen(train, gold, pred):
+    """(seen refs, unseen refs, seen counts, unseen counts)."""
+    train_keys = {reference_lemma_key(s, inst.token_positions)
+                  for s in train for inst in s.vmwes}
+    side_of, refs, gold_items = {}, {True: [], False: []}, {True: [], False: []}
+    for i, sentence in enumerate(gold):
+        for inst in sentence.vmwes:
+            seen = reference_lemma_key(sentence, inst.token_positions) in train_keys
+            side_of[(i, frozenset(inst.token_positions))] = seen
+            refs[seen].append((i, tuple(inst.token_positions), inst.category))
+            gold_items[seen].append((i, frozenset(inst.token_positions)))
+    pred_items = {True: [], False: []}
+    for i, sentence in enumerate(pred):
+        for inst in sentence.vmwes:
+            key = (i, frozenset(inst.token_positions))
+            if key in side_of:
+                seen = side_of[key]
+            else:
+                seen = reference_lemma_key(sentence, inst.token_positions) in train_keys
+            pred_items[seen].append(key)
+    return (refs[True], refs[False],
+            reference_counts(gold_items[True], pred_items[True]),
+            reference_counts(gold_items[False], pred_items[False]))
+
+
+def scores_of(counts):
+    token, mwe = counts
+    return BasisScores.from_counts(*token), BasisScores.from_counts(*mwe)
+
+
+@st.composite
+def hand_built_sentence(draw, n, categories):
+    """n tokens over a tiny lemma alphabet (with "_" placeholders and mixed
+    case, so lemma keys collide) and up to four instances whose positions are
+    unsorted, may repeat and may overlap other instances."""
+    tokens = tuple(
+        Token(i, draw(st.sampled_from(["a", "B", "x"])),
+              draw(st.sampled_from(["a", "A", "b", "_"])), "X", ())
+        for i in range(1, n + 1)
+    )
+    instances = draw(st.lists(
+        st.tuples(st.sampled_from(categories),
+                  st.lists(st.integers(1, n), min_size=1, max_size=3)),
+        max_size=4,
+    ))
+    vmwes = tuple(VmweInstance(k, cat, tuple(positions))
+                  for k, (cat, positions) in enumerate(instances, start=1))
+    return Sentence(tokens, vmwes)
+
+
+@st.composite
+def train_gold_pred(draw):
+    """Gold and pred aligned sentence by sentence; category "B" occurs only
+    in gold and "C" only in predictions."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    gold = [draw(hand_built_sentence(n, ["A", "B"])) for n in lengths]
+    pred = [draw(hand_built_sentence(n, ["A", "C"])) for n in lengths]
+    train = [draw(hand_built_sentence(n, ["A"]))
+             for n in draw(st.lists(st.integers(1, 5), max_size=3))]
+    return train, gold, pred
+
+
+@settings(max_examples=300)
+@given(train_gold_pred())
+def test_scores_match_frozenset_reference(corpora):
+    train, gold, pred = corpora
+    token, mwe = scores_of(reference_counts(reference_items(gold), reference_items(pred)))
+    report = evaluate(gold, pred)
+    assert (report.token, report.mwe) == (token, mwe)
+    assert (token_scores(gold, pred), mwe_scores(gold, pred)) == (token, mwe)
+    categories = {inst.category for s in gold + pred for inst in s.vmwes}
+    assert sorted(report.per_category) == sorted(categories)
+    for cat in ("A", "B", "C", "D"):
+        expected = scores_of(reference_counts(reference_items(gold, cat),
+                                              reference_items(pred, cat)))
+        assert (token_scores(gold, pred, cat), mwe_scores(gold, pred, cat)) == expected
+        if cat in categories:
+            cat_report = report.per_category[cat]
+            assert (cat_report.token, cat_report.mwe) == expected
+
+    partition, seen, unseen = seen_unseen(train, gold, pred)
+    seen_refs, unseen_refs, seen_counts, unseen_counts = reference_seen_unseen(
+        train, gold, pred)
+    assert partition.seen == tuple(seen_refs)
+    assert partition.unseen == tuple(unseen_refs)
+    assert (seen.token, seen.mwe) == scores_of(seen_counts)
+    assert (unseen.token, unseen.mwe) == scores_of(unseen_counts)
+
+
+def test_corpus_records_are_slotted():
+    records = (Token(1, "a", "a", "X", ()), VmweInstance(1, "A", (1,)), Sentence(()))
+    for record in records:
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
 
 
 # ---------------------------------------------------------------------------
