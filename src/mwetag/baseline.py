@@ -29,6 +29,7 @@ one sentence as the B = 1 block.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -157,7 +158,9 @@ def _feature_ids(names: list[str], feature_index: dict[str, int]) -> np.ndarray:
     """positions x 26 ids of _collect's strings; an unseen feature gets
     len(feature_index), one past the last weight row."""
     unseen = len(feature_index)
-    ids = np.fromiter((feature_index.get(f, unseen) for f in names), np.intp, len(names))
+    ids = np.fromiter(
+        map(feature_index.get, names, itertools.repeat(unseen)), np.intp, len(names)
+    )
     return ids.reshape(-1, SYMBOLIC_TEMPLATE_COUNT)
 
 

@@ -57,45 +57,53 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
     line, then `word v1 v2 ... v_dim` per line (space separated).
 
     Duplicate words keep their first vector (with a warning); a wrong value
-    count, a nan/inf value or a header dimension other than expected_dim is a
-    VecLoadError naming the line.
+    count, a nan/inf value, a vector whose squared norm overflows or a header
+    dimension other than expected_dim is a VecLoadError naming the line.
     """
     entries: dict[str, np.ndarray] = {}
     first = True
-    for line_number, line in enumerate(stream, start=1):
-        parts = line.rstrip("\n").rstrip().split(" ")
-        if not parts or parts == [""]:
-            continue
-        if first:
-            first = False
-            if len(parts) == 2:
-                try:
-                    _count, dim = int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    if dim != expected_dim:
-                        raise VecLoadError(
-                            f"header dimension {dim} != expected {expected_dim}",
-                            line_number,
-                        )
-                    continue
-        word, values = parts[0], parts[1:]
-        if len(values) != expected_dim:
-            raise VecLoadError(
-                f"{word!r} has {len(values)} values, expected {expected_dim}",
-                line_number,
-            )
-        try:
-            vector = np.array(values, dtype=np.float64)
-        except ValueError:
-            raise VecLoadError(f"non-numeric value for {word!r}", line_number) from None
-        if not np.isfinite(vector).all():
-            raise VecLoadError(f"non-finite value for {word!r}", line_number)
-        if word in entries:
-            log.warning("duplicate vector for %r at line %d ignored", word, line_number)
-            continue
-        entries[word] = vector
+    # overflow in the norm check is reported as a VecLoadError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for line_number, line in enumerate(stream, start=1):
+            parts = line.rstrip("\n").rstrip().split(" ")
+            if not parts or parts == [""]:
+                continue
+            if first:
+                first = False
+                if len(parts) == 2:
+                    try:
+                        _count, dim = int(parts[0]), int(parts[1])
+                    except ValueError:
+                        pass
+                    else:
+                        if dim != expected_dim:
+                            raise VecLoadError(
+                                f"header dimension {dim} != expected {expected_dim}",
+                                line_number,
+                            )
+                        continue
+            word, values = parts[0], parts[1:]
+            if len(values) != expected_dim:
+                raise VecLoadError(
+                    f"{word!r} has {len(values)} values, expected {expected_dim}",
+                    line_number,
+                )
+            try:
+                vector = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise VecLoadError(f"non-numeric value for {word!r}", line_number) from None
+            # a finite squared norm keeps products of the vector with bounded
+            # weights finite; huge values would saturate the network silently
+            if not np.isfinite(vector @ vector):
+                problem = (
+                    "non-finite value" if not np.isfinite(vector).all()
+                    else "squared norm overflows"
+                )
+                raise VecLoadError(f"{problem} for {word!r}", line_number)
+            if word in entries:
+                log.warning("duplicate vector for %r at line %d ignored", word, line_number)
+                continue
+            entries[word] = vector
     return EmbeddingTable(expected_dim, entries)
 
 

@@ -7,7 +7,7 @@ array's little-endian IEEE-754 float64 bytes in C order, so load(save(m))
 reproduces every bit (-0.0 and subnormals included) and predicts
 bit-identically to m. Raw bytes are half the size of shortest-repr decimal
 lists and an order of magnitude quicker to write and read: a paper-size
-tagger (1.73M parameters) is an 18.5 MB file that saves in ~0.14 s and
+tagger (1.73M parameters) is an 18.5 MB file that saves in ~0.09 s and
 loads in ~0.1 s on one 2-vCPU core, against 36.4 MB, ~1.9 s and ~0.8 s as
 decimals. Keys are sorted and separators compact, making the byte output a
 pure function of the model. Writes go to a temp file in the target
@@ -253,10 +253,35 @@ def model_from_dict(data, embeddings: EmbeddingTable | None = None):
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
+_PAYLOAD_MARKER = '"f64le":""'
+
+
 def dumps_model(model) -> str:
-    return json.dumps(
-        model_to_dict(model), sort_keys=True, separators=(",", ":"), allow_nan=False
-    ) + "\n"
+    """The model file's text: model_to_dict as key-sorted compact JSON.
+
+    Base64 never needs escaping, so the payloads skip json's string escaper:
+    the envelope is encoded with every f64le emptied and each payload is
+    spliced back in at its marker, in params order. A JSON string cannot hold
+    the marker unescaped, so the text equals json.dumps of the whole dict.
+    """
+    data = model_to_dict(model)
+    payloads = []
+    for entry in data["params"]:
+        payloads.append(entry["f64le"])
+        entry["f64le"] = ""
+    pieces = json.dumps(
+        data, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).split(_PAYLOAD_MARKER)
+    if len(pieces) != len(payloads) + 1:
+        raise ModelFormatError(
+            f"model text has {len(pieces) - 1} payload markers "
+            f"for {len(payloads)} parameters"
+        )
+    parts = [pieces[0]]
+    for payload, piece in zip(payloads, pieces[1:]):
+        parts += ('"f64le":"', payload, '"', piece)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def atomic_write_text(path: str, text: str):

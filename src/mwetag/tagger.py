@@ -401,7 +401,14 @@ def predict_corpus(
 
 
 class AdamOptimizer:
-    """Bias-corrected moment estimates, one step per batch."""
+    """Bias-corrected moment estimates, one step per batch.
+
+    The step updates m, v and each parameter in place through two scratch
+    buffers sized to the largest parameter, so it allocates nothing per
+    parameter. Its operations and their order are those of the textbook
+    expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr * m_hat) / (sqrt(v_hat) + eps), so every bit matches them.
+    """
 
     def __init__(self, params: list[Tensor], learning_rate: float):
         self.params = params
@@ -409,16 +416,30 @@ class AdamOptimizer:
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
+        size = max((p.data.size for p in params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
         self.t += 1
+        m_scale = 1.0 - ADAM_BETA1**self.t
+        v_scale = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**self.t)
-            v_hat = v / (1.0 - ADAM_BETA2**self.t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch)
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, m_scale, out=a)  # m_hat
+            np.divide(v, v_scale, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            np.add(b, ADAM_EPSILON, out=b)
+            np.multiply(a, self.learning_rate, out=a)
+            np.divide(a, b, out=a)
+            np.subtract(p.data, a, out=p.data)
 
 
 def _dev_metrics(

@@ -19,7 +19,7 @@ from mwetag.baseline import (
 )
 from mwetag.corpus import Sentence, Token, VmweInstance, to_tags
 from mwetag.embed import EmbeddingTable
-from mwetag.errors import TrainingDataError
+from mwetag.errors import NonFiniteError, TrainingDataError
 from mwetag.synth import synthetic_corpus
 
 
@@ -283,6 +283,16 @@ def test_turian_training_runs_and_tags():
     assert tag_baseline(model, corpus[0], table) == to_tags(corpus[0])
     with pytest.raises(ValueError):
         tag_baseline(model, corpus[0])  # table omitted
+
+
+def test_fit_reports_an_overflowing_objective():
+    # load_vec refuses such vectors; a table built in code still reaches the
+    # fit's own check
+    corpus = synthetic_corpus(12, 3)
+    forms = {t.form for s in corpus for t in s.tokens}
+    table = EmbeddingTable(8, {f: np.array([1.7e308, -1.7e308] * 4) for f in forms})
+    with pytest.raises(NonFiniteError, match="iteration 0: baseline objective is"):
+        fit_baseline(corpus, variant="turian", table=table)
 
 
 # ---------------------------------------------------------------------------

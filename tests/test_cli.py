@@ -12,7 +12,7 @@ from mwetag.corpus import Sentence, Token, VmweInstance, write_cupt_file
 from mwetag.errors import UsageError
 from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
-from mwetag.tagger import TaggerConfig, build_for_corpus
+from mwetag.tagger import TaggerConfig, build_for_corpus, train
 
 from test_serialize import (
     as_format_v2,
@@ -288,7 +288,8 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
     files = {
         "nan_vec": _write_vec(root / "nan.vec", ["nan"] * 8),
         "inf_vec": _write_vec(root / "inf.vec", ["inf"] * 8),
-        # finite, but conv and dense products overflow to inf and inf - inf
+        # finite values whose squared norm overflows: rejected at load, before
+        # they could overflow (or silently saturate) the network
         "huge_vec": _write_vec(root / "huge.vec", ["1.7e308", "-1.7e308"] * 4),
         "zero_dim_vec": root / "zero_dim.vec",
         "tagger": small_tagger,
@@ -334,6 +335,16 @@ def _nan_proj_b(data):
     reencode(entry, values)
 
 
+def _huge(*names):
+    """Every value of the named parameters 1.7e308: finite in the file, but
+    the emission scores computed from them overflow."""
+    def mutate(data):
+        for name in names:
+            entry = _entry(data, name)
+            reencode(entry, np.full(entry["shape"], 1.7e308))
+    return mutate
+
+
 def _short_trans(data):
     _zeros(data, "trans", (_tags(data) - 1, _tags(data) - 1))
 
@@ -372,6 +383,7 @@ def _short_payload_trans(data):
 
 
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
+HUGE_VEC = "line 1: squared norm overflows"
 TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cupt"]
 
 
@@ -380,11 +392,14 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
     [
         (TRAIN + ["--embeddings", "{nan_vec}"], None, None, "non-finite value"),
         (TRAIN + ["--embeddings", "{inf_vec}"], None, None, "non-finite value"),
-        (TRAIN + ["--embeddings", "{huge_vec}"], None, None, "epoch 1, batch 1"),
-        (TAG + ["--embeddings", "{huge_vec}"], "tagger", None, "not finite"),
+        (TRAIN + ["--embeddings", "{huge_vec}"], None, None, HUGE_VEC),
+        (TAG + ["--embeddings", "{huge_vec}"], "tagger", None, HUGE_VEC),
         (TRAIN + ["--embeddings", "{huge_vec}", "--variant", "baseline-turian"],
-         None, None, "objective"),
-        (TAG + ["--embeddings", "{huge_vec}"], "turian", None, "not finite"),
+         None, None, HUGE_VEC),
+        (TAG + ["--embeddings", "{huge_vec}"], "turian", None, HUGE_VEC),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _huge("proj_w", "proj_b"),
+         "emission scores are not finite"),
+        (TAG, "standard", _huge("weights"), "emission scores are not finite"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", _nan_proj_b, "non-finite"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", _set("format_version", 1),
          "retrain"),
@@ -408,7 +423,8 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
-        "turian-train-huge-vec", "turian-tag-huge-vec", "tagger-nan-proj_b",
+        "turian-train-huge-vec", "turian-tag-huge-vec", "tagger-huge-proj",
+        "baseline-huge-weights", "tagger-nan-proj_b",
         "tagger-format-v1", "baseline-short-trans", "baseline-short-weights",
         "baseline-long-start", "baseline-dense-in-standard",
         "turian-without-dense", "turian-transposed-dense", "baseline-zero-sigma",
@@ -440,6 +456,25 @@ def test_bad_numbers_and_malformed_models_exit_two(
     assert "Warning" not in err and [str(w.message) for w in caught] == []
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.cupt").exists()
+
+
+def test_tag_rejects_huge_vectors_whatever_the_tagger_size(workdir, tmp_path, capsys):
+    """With every vector value 1.7e308, a 4-filter, 6-hidden tagger trained
+    for 2 epochs used to tag with exit 0: its saturated LSTM gates kept the
+    scores finite. The vector file itself is now refused."""
+    corpus = synthetic_corpus(40, 3)
+    config = TaggerConfig(filters_per_width=4, lstm_hidden=6, epochs=2)
+    model = build_for_corpus(config, corpus, embeddings=synthetic_embeddings(8, seed=1))
+    trained, _ = train(model, corpus)
+    save_model(trained, p(tmp_path / "small.json"))
+    huge = _write_vec(tmp_path / "huge.vec", ["1.7e308"] * 8)
+    rc = run(["tag", "--model", p(tmp_path / "small.json"),
+              "--input", p(workdir / "train.cupt"), "--output", p(tmp_path / "x.cupt"),
+              "--embeddings", p(huge)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert HUGE_VEC in err and "Traceback" not in err
+    assert not (tmp_path / "x.cupt").exists()
 
 
 def test_empty_dev_corpus_exits_two(workdir, tmp_path, capsys):

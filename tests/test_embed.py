@@ -61,6 +61,17 @@ def test_load_vec_non_finite_names_line(value):
         load_vec(io.StringIO(f"cat 1 0 0\ndog 1 {value} 0\n"), expected_dim=3)
 
 
+@pytest.mark.parametrize("values", ["1.7e308 0 0", "1e154 1e154 0", "-2e154 0 0"])
+def test_load_vec_rejects_a_vector_whose_squared_norm_overflows(values):
+    with pytest.raises(VecLoadError, match="line 2: squared norm overflows for 'dog'"):
+        load_vec(io.StringIO(f"cat 1 0 0\ndog {values}\n"), expected_dim=3)
+
+
+def test_load_vec_keeps_large_vectors_whose_squared_norm_is_finite():
+    table = load_vec(io.StringIO("cat 1e150 -1e150 1e-300\n"), expected_dim=3)
+    np.testing.assert_array_equal(table.lookup("cat"), [1e150, -1e150, 1e-300])
+
+
 def test_load_vec_header_dim_mismatch():
     with pytest.raises(VecLoadError, match="line 1"):
         load_vec(io.StringIO("5 4\ncat 1 0 0 0\n"), expected_dim=3)

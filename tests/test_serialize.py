@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from mwetag.autodiff import RngStream
-from mwetag.baseline import BaselineTrainOptions, tag_baseline, train_baseline
+from mwetag import serialize
+from mwetag.baseline import (
+    BaselineModel,
+    BaselineTrainOptions,
+    tag_baseline,
+    train_baseline,
+)
 from mwetag.corpus import Sentence, Token, VmweInstance
 from mwetag.embed import EmbeddingTable, encode, pos_vocabulary
 from mwetag.errors import ModelFormatError
@@ -420,3 +426,65 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, tagger_model):
 
 def test_dumps_ends_with_newline(tagger_model):
     assert dumps_model(tagger_model).endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# dumps_model splices the base64 payloads into the envelope's JSON text
+
+
+TRICKY = ['"f64le":""', 'say "hi"', "back\\slash", "naïve — 名詞", "\\u0000", "tab\tnul\x00",
+          '{"f64le":""}']
+
+
+def _tricky_baseline():
+    tags = ("O", *TRICKY)
+    names = [f"w[0]={text}" for text in TRICKY] + ['"f64le":"",', "f64le"]
+    rng = np.random.default_rng(5)
+    return BaselineModel(
+        variant="standard",
+        sigma=2.0,
+        tag_vocab=tags,
+        feature_index={name: k for k, name in enumerate(names)},
+        weights=rng.normal(size=(len(names), len(tags))),
+        trans=rng.normal(size=(len(tags), len(tags))),
+        trans_start=rng.normal(size=len(tags)),
+        trans_stop=rng.normal(size=len(tags)),
+    )
+
+
+def _demo_tagger(corpus, table):
+    config = TaggerConfig(filters_per_width=16, lstm_hidden=24)
+    return build_for_corpus(config, corpus, embeddings=table)
+
+
+def _fitted_baseline(variant):
+    def make(corpus, table):
+        opts = BaselineTrainOptions(max_iterations=10, seed=3)
+        return train_baseline(corpus, variant=variant, table=table, options=opts)
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_demo_tagger, _fitted_baseline("standard"), _fitted_baseline("turian"),
+     lambda corpus, table: _tricky_baseline()],
+    ids=["demo-tagger", "standard", "turian", "tricky-strings"],
+)
+def test_dumps_model_equals_json_dumps_of_the_dict(corpus, table, make):
+    model = make(corpus, table)
+    assert dumps_model(model) == json.dumps(
+        model_to_dict(model), sort_keys=True, separators=(",", ":"), allow_nan=False
+    ) + "\n"
+
+
+def test_dumps_model_rejects_a_marker_count_mismatch(monkeypatch, tagger_model):
+    real = serialize.model_to_dict
+
+    def with_stray_marker(model):
+        data = real(model)
+        data["config"]["extra"] = {"f64le": ""}
+        return data
+
+    monkeypatch.setattr(serialize, "model_to_dict", with_stray_marker)
+    with pytest.raises(ModelFormatError, match="payload markers"):
+        dumps_model(tagger_model)

@@ -1,15 +1,16 @@
 """Tagger structure, loss oracles (closed-form uniform losses), gradient
 checks through the whole network, and training-loop determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream, Tape, backward, grad_check
+from mwetag.autodiff import RngStream, Tape, backward, grad_check, param
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
 from mwetag.embed import EmbeddingTable, SentenceEncoding, encode, pad, pos_vocabulary
-from mwetag.errors import TrainingDataError
+from mwetag.errors import NonFiniteError, TrainingDataError
 from mwetag.evaluation import mwe_scores
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
@@ -19,6 +20,7 @@ from mwetag.tagger import (
     DROPOUT,
     FILTER_WIDTHS,
     RECURRENT_DROPOUT,
+    AdamOptimizer,
     TaggerConfig,
     build,
     build_for_corpus,
@@ -463,6 +465,15 @@ def test_no_dev_selects_last_epoch():
     assert report.dev_mwe_f1 == []
 
 
+def test_training_names_the_batch_whose_scores_overflow():
+    corpus = toy_corpus()
+    model = build_for_corpus(small_config(), corpus, toy_table(corpus))
+    for name in ("proj_w", "proj_b"):
+        model.params[name].data[...] = 1.7e308
+    with pytest.raises(NonFiniteError, match="epoch 1, batch 1: emission scores"):
+        train(model, corpus)
+
+
 def test_empty_corpus_rejected():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
@@ -526,3 +537,52 @@ def test_random_trainable_inputs_look_nothing_up(monkeypatch):
     assert predict_corpus(model, corpus) == before
     _, report = train(model, corpus, dev_corpus=corpus)
     assert np.isfinite(report.losses).all()
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+ADAM_SHAPES = [(), (1,), (7,), (3, 4), (2, 3, 5), (40, 30)]
+
+
+def test_adam_step_is_bit_exact_against_the_textbook_expression():
+    rng = np.random.default_rng(4)
+    params = [param(rng.normal(size=shape)) for shape in ADAM_SHAPES]
+    lr = 0.01
+    optimizer = AdamOptimizer(params, lr)
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros(shape) for shape in ADAM_SHAPES]
+    ref_v = [np.zeros(shape) for shape in ADAM_SHAPES]
+    for t in range(1, 4):
+        for k, p in enumerate(params):
+            g = rng.normal(scale=10.0 ** (k - 3), size=p.data.shape)
+            p.grad[...] = g
+            # the order of operations the in-place step must keep
+            ref_m[k] = ADAM_BETA1 * ref_m[k] + (1.0 - ADAM_BETA1) * g
+            ref_v[k] = ADAM_BETA2 * ref_v[k] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = ref_m[k] / (1.0 - ADAM_BETA1**t)
+            v_hat = ref_v[k] / (1.0 - ADAM_BETA2**t)
+            ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        optimizer.step()
+        for k, p in enumerate(params):
+            assert np.array_equal(optimizer.m[k], ref_m[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(optimizer.v[k], ref_v[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(p.data, ref_p[k]), (t, ADAM_SHAPES[k])
+
+
+def test_warm_adam_step_allocates_less_than_the_largest_parameter():
+    rng = np.random.default_rng(5)
+    params = [param(rng.normal(size=shape)) for shape in ADAM_SHAPES]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.data.shape)
+    optimizer = AdamOptimizer(params, 0.001)
+    optimizer.step()
+    largest = max(p.data.nbytes for p in params)
+    tracemalloc.start()
+    try:
+        optimizer.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest
