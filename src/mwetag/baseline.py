@@ -311,13 +311,18 @@ class BaselineFit:
     whether the gradient max-norm fell under the tolerance (False when the
     iteration cap stopped the fit first, or a stall: no trial step down to
     1e-14 decreased the objective enough, or the accepted one not at all,
-    which happens once the decrease is below round-off)."""
+    which happens once the decrease is below round-off), and the objective
+    evaluations it made: value-only (backtracking trials) and with the
+    gradient (the start, each first trial, each point accepted after
+    backtracking)."""
 
     model: BaselineModel
     objective: float
     grad_max_norm: float
     iterations: int
     converged: bool
+    value_evaluations: int
+    gradient_evaluations: int
 
 
 LBFGS_HISTORY = 10  # stored (s, y) pairs
@@ -352,10 +357,14 @@ def fit_baseline(
     options: BaselineTrainOptions | None = None,
 ) -> BaselineFit:
     """Minimize the regularized NLL by L-BFGS (Liu & Nocedal 1989) with a
-    backtracking (Armijo) line search: each trial is one value-only
-    objective evaluation, the accepted point gets one evaluation with the
-    gradient. The objective is convex, so at convergence the optimum does not
-    depend on the seed, which only jitters the start. An objective value that
+    backtracking (Armijo) line search. The first trial of each iteration is
+    evaluated with the gradient, which the step reuses when the trial
+    passes; each backtracking trial is value-only, and a point accepted
+    after backtracking gets one more evaluation with the gradient. Since
+    loss and loss_and_grad return the same value bit for bit, the iterates
+    are those of a search that evaluates every trial value-only. The
+    objective is convex, so at convergence the optimum does not depend on
+    the seed, which only jitters the start. An objective value that
     overflows or becomes NaN raises NonFiniteError."""
     options = options or BaselineTrainOptions()
     problem = BaselineProblem(corpus, variant, sigma, table)
@@ -371,7 +380,8 @@ def fit_baseline(
         return value
 
     pairs: deque = deque(maxlen=LBFGS_HISTORY)
-    iterations = 0
+    iterations = value_evals = 0
+    grad_evals = 1
     # non-finite values are reported by finite(), not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = problem.loss_and_grad(w)
@@ -388,15 +398,26 @@ def fit_baseline(
             # a unit step suits the quasi-Newton direction; without curvature
             # pairs the first trial moves each weight by at most 1
             step = 1.0 if pairs else min(1.0, 1.0 / np.abs(grad).max())
+            first = True
             while step >= 1e-14:
                 candidate = w + step * direction
-                cand_value = finite(problem.loss(candidate), iterations + 1)
-                if cand_value <= value + 1e-4 * step * slope:
+                # most first trials pass, so the first one also takes the
+                # gradient; a backtracking trial is value-only
+                if first:
+                    new_value, new_grad = problem.loss_and_grad(candidate)
+                    grad_evals += 1
+                    first = False
+                else:
+                    new_value, new_grad = problem.loss(candidate), None
+                    value_evals += 1
+                if finite(new_value, iterations + 1) <= value + 1e-4 * step * slope:
                     break
                 step *= 0.5
-            if step < 1e-14 or cand_value >= value:
+            if step < 1e-14 or new_value >= value:
                 break  # stalled
-            new_value, new_grad = problem.loss_and_grad(candidate)  # cand_value again
+            if new_grad is None:  # accepted after backtracking
+                new_value, new_grad = problem.loss_and_grad(candidate)
+                grad_evals += 1
             s, y = candidate - w, new_grad - grad
             sy = float(s @ y)
             if sy > CURVATURE_EPS * float(y @ y):
@@ -410,6 +431,8 @@ def fit_baseline(
         grad_max_norm=grad_max_norm,
         iterations=iterations,
         converged=grad_max_norm < options.grad_tolerance,
+        value_evaluations=value_evals,
+        gradient_evaluations=grad_evals,
     )
 
 

@@ -32,6 +32,9 @@ from .tagger import (
 )
 
 VARIANTS = ("neural", "baseline-standard", "baseline-turian")
+# RunConfig annotations (before any " | None") and how a message names them
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool}
+_TYPE_NAMES = {"str": "a string", "int": "an integer", "bool": "true or false"}
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,15 @@ class RunConfig:
             raise UsageError(f"{self.subcommand} requires {flags}")
 
     def validate(self):
+        # each field holds exactly its annotated type, or None where the
+        # annotation allows it: a config file's "3", 2.5 or true is no int
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind, _, optional = field.type.partition(" | ")
+            if type(value) is not _FIELD_TYPES[kind] and not (value is None and optional):
+                raise UsageError(
+                    f"{field.name} must be {_TYPE_NAMES[kind]}, not {value!r}"
+                )
         if self.subcommand == "convert":
             self.require("input", "output")
         elif self.subcommand == "train":
@@ -245,7 +257,9 @@ def _cmd_train(cfg: RunConfig) -> int:
     # how the fit ended goes to stderr, as a warning when it did not converge;
     # the report keeps the four keys perfbench's copy of this command writes
     summary = (
-        f"{fit.iterations} iterations, objective {fit.objective:.10g}, "
+        f"{fit.iterations} iterations, {fit.value_evaluations} value-only and "
+        f"{fit.gradient_evaluations} with-gradient objective evaluations, "
+        f"objective {fit.objective:.10g}, "
         f"gradient max-norm {fit.grad_max_norm:.3g}"
     )
     if fit.converged:

@@ -37,7 +37,8 @@ FORMAT_VERSION = 4
 def _array_entry(name: str, arr: np.ndarray) -> dict:
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"parameter {name!r} contains non-finite values")
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    # b64encode reads the contiguous array's buffer; .tobytes() would copy it
+    raw = np.ascontiguousarray(arr, dtype="<f8")
     return {
         "name": name,
         "shape": list(arr.shape),

@@ -2,16 +2,23 @@
 blocks, finite-difference gradient of the convex objective, and overfit/
 regularization behavior of the trainer."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwetag.autodiff import RngStream
 from mwetag.baseline import (
+    CURVATURE_EPS,
+    INIT_SCALE,
+    LBFGS_HISTORY,
     SYMBOLIC_TEMPLATE_COUNT,
     BaselineModel,
     BaselineProblem,
     BaselineTrainOptions,
+    _lbfgs_direction,
     extract_features,
     fit_baseline,
     tag_baseline,
@@ -157,6 +164,13 @@ def toy_training_corpus():
     ]
 
 
+def toy_table(corpus, seed=5):
+    """Seeded 3-dim vectors for the corpus's forms."""
+    rng = np.random.default_rng(seed)
+    forms = {t.form for s in corpus for t in s.tokens}
+    return EmbeddingTable(3, {f: rng.normal(size=3) for f in forms})
+
+
 @pytest.mark.parametrize("variant", ["standard", "turian"])
 def test_objective_gradient_matches_finite_differences(variant):
     corpus = toy_training_corpus()
@@ -240,15 +254,23 @@ def test_fit_converges_and_seeds_agree():
 def test_fit_needs_few_objective_evaluations(monkeypatch):
     # gradient descent with the same line search took 1,110 evaluations here
     calls = []
-    for name in ("loss", "loss_and_grad"):
+    for name, mark in (("loss", "v"), ("loss_and_grad", "g")):
         method = getattr(BaselineProblem, name)
         monkeypatch.setattr(
             BaselineProblem, name,
-            lambda self, w, method=method: calls.append(1) or method(self, w),
+            lambda self, w, method=method, mark=mark: calls.append(mark) or method(self, w),
         )
     fit = fit_baseline(synthetic_corpus(50, 2024))
     assert fit.converged
     assert len(calls) <= 150
+    # the fit counts what it evaluates; a backtracking run "v...v" ends in
+    # the accepted point's gradient
+    sequence = "".join(calls)
+    accepted_after_backtracking = sequence.count("vg")
+    assert accepted_after_backtracking >= 1
+    assert fit.value_evaluations == sequence.count("v")
+    assert fit.gradient_evaluations == sequence.count("g")
+    assert fit.gradient_evaluations == fit.iterations + 1 + accepted_after_backtracking
 
 
 def test_fit_converges_on_200_sentences_within_the_default_cap():
@@ -274,9 +296,7 @@ def test_fit_stops_when_the_objective_stops_decreasing():
 
 def test_turian_training_runs_and_tags():
     corpus = toy_training_corpus()
-    rng = np.random.default_rng(5)
-    forms = {t.form for s in corpus for t in s.tokens}
-    table = EmbeddingTable(3, {f: rng.normal(size=3) for f in forms})
+    table = toy_table(corpus)
     model = train_baseline(corpus, variant="turian", sigma=10.0, table=table)
     assert model.dense is not None
     assert model.dense.shape == (15, len(model.tag_vocab))
@@ -293,6 +313,96 @@ def test_fit_reports_an_overflowing_objective():
     table = EmbeddingTable(8, {f: np.array([1.7e308, -1.7e308] * 4) for f in forms})
     with pytest.raises(NonFiniteError, match="iteration 0: baseline objective is"):
         fit_baseline(corpus, variant="turian", table=table)
+
+
+# ---------------------------------------------------------------------------
+# one objective evaluation per accepted step
+
+
+def value_then_gradient_fit(corpus, variant="standard", sigma=2.0, table=None,
+                            options=BaselineTrainOptions()):
+    """The fit as a search whose trials are all value-only, each accepted
+    point evaluated once more with its gradient: (model, objective,
+    iterations, converged, iterations that backtracked)."""
+    problem = BaselineProblem(corpus, variant, sigma, table)
+    w = RngStream(options.seed).uniform(-INIT_SCALE, INIT_SCALE, problem.size)
+    pairs = deque(maxlen=LBFGS_HISTORY)
+    iterations = backtracked = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = problem.loss_and_grad(w)
+        while (np.abs(grad).max() >= options.grad_tolerance
+               and iterations < options.max_iterations):
+            direction = _lbfgs_direction(grad, pairs)
+            slope = float(grad @ direction)
+            if not slope < 0:
+                pairs.clear()
+                direction, slope = -grad, -float(grad @ grad)
+            step = 1.0 if pairs else min(1.0, 1.0 / np.abs(grad).max())
+            first_step = step
+            while step >= 1e-14:
+                candidate = w + step * direction
+                cand_value = problem.loss(candidate)
+                if cand_value <= value + 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            if step < 1e-14 or cand_value >= value:
+                break
+            backtracked += step < first_step
+            new_value, new_grad = problem.loss_and_grad(candidate)
+            s, y = candidate - w, new_grad - grad
+            sy = float(s @ y)
+            if sy > CURVATURE_EPS * float(y @ y):
+                pairs.append((s, y, 1.0 / sy))
+            w, value, grad = candidate, new_value, new_grad
+            iterations += 1
+    converged = float(np.abs(grad).max()) < options.grad_tolerance
+    return problem.to_model(w), value, iterations, converged, backtracked
+
+
+FIT_CASES = {
+    "synthetic-seed-0": lambda: (synthetic_corpus(50, 2024), {}, BaselineTrainOptions(seed=0)),
+    "synthetic-seed-1": lambda: (synthetic_corpus(50, 2024), {}, BaselineTrainOptions(seed=1)),
+    "capped": lambda: (synthetic_corpus(50, 2024), {}, BaselineTrainOptions(max_iterations=3)),
+    # the flat objective of test_fit_stops_when_the_objective_stops_decreasing
+    "flat-stall": lambda: (toy_training_corpus(), {}, BaselineTrainOptions(grad_tolerance=0.0)),
+    "turian": lambda: (
+        toy_training_corpus(),
+        {"variant": "turian", "sigma": 10.0, "table": toy_table(toy_training_corpus())},
+        BaselineTrainOptions(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_fit_matches_the_value_then_gradient_search(case):
+    corpus, kwargs, options = FIT_CASES[case]()
+    fit = fit_baseline(corpus, options=options, **kwargs)
+    model, objective, iterations, converged, backtracked = value_then_gradient_fit(
+        corpus, options=options, **kwargs
+    )
+    for name in ("weights", "trans", "trans_start", "trans_stop"):
+        assert np.array_equal(getattr(fit.model, name), getattr(model, name)), name
+    assert (fit.model.dense is None) == (model.dense is None)
+    if model.dense is not None:
+        assert np.array_equal(fit.model.dense, model.dense)
+    assert (fit.objective, fit.iterations, fit.converged) == (objective, iterations, converged)
+    if case == "synthetic-seed-0":
+        assert backtracked >= 1  # the reuse path and the re-evaluation both ran
+    if case == "flat-stall":
+        assert not converged
+
+
+@pytest.mark.parametrize("variant", ["standard", "turian"])
+def test_loss_is_the_value_of_loss_and_grad_bit_for_bit(variant):
+    corpus = synthetic_corpus(12, 3)
+    table = toy_table(corpus) if variant == "turian" else None
+    problem = BaselineProblem(corpus, variant, 2.0, table)
+    rng = np.random.default_rng(11)
+    points = [rng.normal(scale=scale, size=problem.size) for scale in (0.01, 0.5, 3.0)]
+    model = fit_baseline(corpus, variant, table=table).model
+    points.append(problem.pack_model(model))
+    for w in points:
+        assert problem.loss(w) == problem.loss_and_grad(w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +472,7 @@ def test_unseen_features_contribute_nothing(monkeypatch):
 @pytest.mark.parametrize("variant", ["standard", "turian"])
 def test_tagging_scores_training_sentences_as_the_fit_does(monkeypatch, variant):
     corpus = toy_training_corpus()
-    rng = np.random.default_rng(5)
-    forms = {t.form for s in corpus for t in s.tokens}
-    table = EmbeddingTable(3, {f: rng.normal(size=3) for f in forms})
-    table = table if variant == "turian" else None
+    table = toy_table(corpus) if variant == "turian" else None
     model = train_baseline(corpus, variant=variant, sigma=10.0, table=table)
     problem = BaselineProblem(corpus, variant, model.sigma, table, tag_vocab=model.tag_vocab)
 

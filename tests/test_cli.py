@@ -2,6 +2,7 @@
 output formats, config-file precedence, and byte-level determinism."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -90,6 +91,40 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"sigma": 2.0}))
     assert run(["gradcheck", "--config", p(cfg_file)]) == 1
     assert "unknown fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", "3"),
+    ("seed", "x"),
+    ("seed", True),
+    ("batch_size", 2.5),
+    ("epochs", 3.0),
+    ("dev", 5),
+    ("head", None),
+    ("variant", ["neural"]),
+    ("filter", 1),
+    ("filter", "false"),
+])
+def test_mistyped_config_value_is_usage_error(tmp_path, capsys, field, value):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({field: value}))
+    assert run(["train", "--config", p(cfg_file), "--train", p(tmp_path / "t"),
+                "--model", p(tmp_path / "m"), "--embeddings", p(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {field} must be ") and "Traceback" not in err
+
+
+def test_config_values_of_the_right_type_pass(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"epochs": 3, "batch_size": 2, "seed": -1,
+                                    "dev": "d", "filter": False, "report": None}))
+    args = _build_parser().parse_args(
+        ["train", "--config", p(cfg_file), "--train", "t", "--model", "m",
+         "--embeddings", "e"]
+    )
+    cfg = resolve(args)
+    assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.dev, cfg.filter, cfg.report) == (
+        3, 2, -1, "d", False, None)
 
 
 def test_tag_no_filter_resolves_false():
@@ -539,6 +574,8 @@ def test_baseline_fit_reports_how_it_ended(workdir, tmp_path, capsys):
 
     capped = [train(name, "--epochs", "2") for name in ("c1.json", "c2.json")]
     assert "warning: baseline fit did not converge (2 iterations" in capped[0][2]
+    assert re.search(r"\(2 iterations, \d+ value-only and \d+ with-gradient "
+                     "objective evaluations, objective ", capped[0][2])
     assert capped[0] == capped[1]  # model, report and message repeat bytewise
     _, report, err = train("full.json")
     assert err.startswith("baseline fit converged:") and "warning" not in err
