@@ -3,10 +3,11 @@
 A Tape is an ordered record of executed operations. An operation records
 itself when any of its inputs is attached to a tape; its output inherits that
 tape. Leaf parameters (requires_grad=True) are created tape-free, so the same
-parameters can serve many tapes: attach the network *inputs* to a fresh tape
-per forward pass and every downstream operation is recorded. Running the same
-operations without any tape-attached input gives a pure, recording-free
-forward pass (the evaluation path).
+parameters can serve many tapes. There is one way onto a tape: wrap a network
+*input* as Tensor(data, tape=tape) for a fresh tape per forward pass, and
+every downstream operation records itself through _emit, the only caller of
+Tape.record. Running the same operations without any tape-attached input
+gives a pure, recording-free forward pass (the evaluation path).
 
 Gradients accumulate: a parameter's .grad collects contributions across
 backward calls until zero_grad. backward may run once per tape.
@@ -227,34 +228,6 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
             offset += w
 
     return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
-
-
-def gather_rows(table: Tensor, indices, tape: Tape | None = None) -> Tensor:
-    """Rows of a lookup table by index, for an index array of any shape;
-    gradients scatter-add back. A negative index gathers a zero row that
-    takes no gradient (the padding of a batch).
-
-    The indices are plain integers and cannot carry a tape, so when the table
-    is a bare parameter the recording tape must be passed explicitly."""
-    indices = np.asarray(indices, dtype=int)
-    real = indices >= 0
-    tape = tape if tape is not None else _tape_of(table)
-
-    def back(g):
-        if _wants_grad(table):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, indices[real], g[real])
-
-    out = Tensor(np.where(real[..., None], table.data[indices], 0.0), tape=tape)
-    if tape is not None:
-
-        def node():
-            if out.grad is not None:
-                back(out.grad)
-
-        tape.record(node)
-    return out
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -186,7 +186,7 @@ def _check_tagger_loss(stream: RngStream, head: str) -> float:
     pos_input = np.zeros((n, pos_count))
     for i in range(n):
         pos_input[i, int(r.child(i).integers(0, pos_count))] = 1.0
-    enc = SentenceEncoding(word_input, pos_input, ("w",) * n)
+    enc = SentenceEncoding(word_input, pos_input)
     gold = [tag_vocab[int(r.child(50 + i).integers(0, tag_count))] for i in range(n)]
     mask_seed = r.child(99).integers(0, 2**31)
     params = model.trainable()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .baseline import BaselineTrainOptions, fit_baseline, tag_baseline
 from .checks import SUITE_TOLERANCE, format_suite, gradient_suite
-from .corpus import filter_orphans, from_tags, read_cupt, to_tags, write_cupt
+from .corpus import from_tags, read_cupt, to_tags, write_cupt
 from .embed import load_vec_file, sniff_vec_dim
 from .errors import DataError, UsageError
 from .evaluation import evaluate, format_report, report_to_dict, seen_unseen
@@ -89,6 +89,8 @@ class RunConfig:
             raise UsageError(f"unknown variant {self.variant!r}")
         if self.head not in ("softmax", "crf"):
             raise UsageError(f"unknown head {self.head!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, not {self.seed}")
         if self.epochs is not None and self.epochs < 1:
             raise UsageError("epochs must be positive")
         if self.batch_size is not None and self.batch_size < 1:
@@ -114,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--filter", action="store_true", default=None,
-                   help="drop orphan continuations before writing")
 
     p = sub.add_parser("train", help="fit a model and write it to disk")
     common(p)
@@ -198,13 +198,7 @@ def _load_table(path: str):
 
 
 def _cmd_convert(cfg: RunConfig) -> int:
-    corpus = read_cupt(cfg.input)
-    blocks = []
-    for sentence in corpus:
-        tags = to_tags(sentence)
-        if cfg.filter:
-            tags = filter_orphans(tags)
-        blocks.append("\n".join(tags) + "\n\n")
+    blocks = ["\n".join(to_tags(sentence)) + "\n\n" for sentence in read_cupt(cfg.input)]
     atomic_write_text(cfg.output, "".join(blocks))
     return 0
 
@@ -286,7 +280,7 @@ def _cmd_tag(cfg: RunConfig) -> int:
     model = load_model(cfg.model, embeddings=table)
     corpus = read_cupt(cfg.input)
     if isinstance(model, TaggerModel):
-        if model.config.embedding_mode == "pretrained" and table is None:
+        if table is None:
             raise DataError(
                 "this model looks words up in a pretrained table; "
                 "pass --embeddings with the vectors used for training"

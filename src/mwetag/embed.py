@@ -2,9 +2,10 @@
 
 The network consumes two inputs per sentence: a word matrix made of the
 pretrained embedding of each token followed by 7 binary shape features, and a
-one-hot POS matrix; a batch stacks them into zero-padded blocks. Embedding
-tables are immutable after loading and lookups are total (unknown words map
-to the zero vector).
+one-hot POS matrix; a batch stacks them into zero-padded blocks. These arrays
+are the whole input of the tagger, which attaches them to its tape as
+Tensors. Embedding tables are immutable after loading and lookups are total
+(unknown words map to the zero vector).
 """
 
 from __future__ import annotations
@@ -184,13 +185,10 @@ def pos_index(vocabulary: list[str], upos: str) -> int:
 @dataclass
 class SentenceEncoding:
     """Network inputs for one sentence: word_input is n x (dim+7) (embedding
-    then shape bits), pos_input is n x |P| one-hot. Token forms ride along for
-    models that learn their own embedding table instead of using a pretrained
-    one."""
+    then shape bits), pos_input is n x |P| one-hot."""
 
     word_input: np.ndarray
     pos_input: np.ndarray
-    forms: tuple[str, ...]
     lengths = None  # one sentence is the B = 1 case of a Batch
 
 
@@ -198,11 +196,10 @@ class SentenceEncoding:
 class Batch:
     """Network inputs for B sentences as padded blocks: word_input is
     B x n x (dim+7) and pos_input B x n x |P|, both zero past each
-    sentence's length; forms holds each sentence's token forms."""
+    sentence's length."""
 
     word_input: np.ndarray
     pos_input: np.ndarray
-    forms: tuple[tuple[str, ...], ...]
     lengths: np.ndarray
 
 
@@ -216,20 +213,18 @@ def pad(encodings: list[SentenceEncoding]) -> Batch:
     for b, e in enumerate(encodings):
         word_input[b, : lengths[b]] = e.word_input
         pos_input[b, : lengths[b]] = e.pos_input
-    return Batch(word_input, pos_input, tuple(e.forms for e in encodings), lengths)
+    return Batch(word_input, pos_input, lengths)
 
 
 def encode(
-    sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str], lookup: bool = True
+    sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str]
 ) -> SentenceEncoding:
-    """The inputs of one sentence. lookup=False leaves the embedding columns
-    zero, for models that gather rows of their own table instead."""
+    """The inputs of one sentence."""
     n = len(sentence.tokens)
     word_input = np.zeros((n, table.dimension + N_SHAPE_FEATURES))
     pos_input = np.zeros((n, len(pos_vocab)))
     for i, token in enumerate(sentence.tokens):
-        if lookup:
-            word_input[i, : table.dimension] = table.lookup(token.form)
+        word_input[i, : table.dimension] = table.lookup(token.form)
         word_input[i, table.dimension :] = shape_features(token.form)
         pos_input[i, pos_index(pos_vocab, token.upos)] = 1.0
-    return SentenceEncoding(word_input, pos_input, tuple(t.form for t in sentence.tokens))
+    return SentenceEncoding(word_input, pos_input)

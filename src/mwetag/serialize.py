@@ -31,7 +31,7 @@ from .embed import EmbeddingTable
 from .errors import ModelFormatError
 from .tagger import TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
@@ -114,7 +114,6 @@ def model_to_dict(model) -> dict:
             "emb_dim": model.emb_dim,
             "tag_vocab": list(model.tag_vocab),
             "pos_vocab": list(model.pos_vocab),
-            "word_vocab": list(model.word_vocab) if model.word_vocab else None,
             "params": [
                 _array_entry(name, model.params[name].data)
                 for name in sorted(model.params)
@@ -177,19 +176,12 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     emb_dim = _require_emb_dim(data)
     tag_vocab = _require_strings(data, "tag_vocab")
     pos_vocab = _require_strings(data, "pos_vocab")
-    word_vocab = (
-        _require_strings(data, "word_vocab")
-        if config.embedding_mode == "random_trainable" else None
-    )
     if embeddings is not None and embeddings.dimension != emb_dim:
         raise ModelFormatError(
             f"model expects {emb_dim}-dimensional embeddings, "
             f"table has {embeddings.dimension}"
         )
-    expected = param_shapes(
-        config, emb_dim, len(pos_vocab), len(tag_vocab),
-        len(word_vocab) if word_vocab else None,
-    )
+    expected = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
     params = _read_params(_require(data, "params"), expected)
     return TaggerModel(
         config=config,
@@ -198,7 +190,6 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
         pos_vocab=tuple(pos_vocab),
         params={name: param(arr) for name, arr in params.items()},
         embeddings=embeddings or EmbeddingTable(emb_dim, {}),
-        word_vocab=tuple(word_vocab) if word_vocab else None,
     )
 
 

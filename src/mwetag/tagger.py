@@ -11,10 +11,9 @@ with each sentence's mean cross-entropy and predicts by row argmax; the CRF
 head trains with sequence NLL and predicts with viterbi. A batch's loss is
 the sum of its sentences' losses.
 
-Pretrained embeddings are read through the encoding and never updated. The
-random_trainable mode instead learns an embedding matrix over the training
-vocabulary (unknown index 0), gathered per token at forward time; the shape
-feature columns stay as computed.
+Pretrained embeddings are read through the encoding and never updated: the
+word input enters the network as a tape-attached input Tensor, the one way a
+forward pass records onto a tape.
 
 Training is plain stochastic optimization with Adam at its standard
 constants (Kingma & Ba 2015): seeded epoch shuffle, one forward pass, tape
@@ -43,7 +42,6 @@ from .autodiff import (
     conv1d_same,
     cross_entropy,
     dense,
-    gather_rows,
     param,
     relu,
     softmax_rows,
@@ -54,8 +52,6 @@ from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, SentenceEncoding, en
 from .embed import pad
 from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
-
-UNK_WORD = "<unk>"
 
 FILTER_WIDTHS = (2, 3)  # one ReLU convolution bank per width
 DROPOUT = 0.5  # BiLSTM input dropout, one mask per sentence and direction
@@ -70,20 +66,27 @@ class TaggerConfig:
     lstm_hidden: int = 300  # per direction
     head: str = "crf"
     epochs: int = 100
-    embedding_mode: str = "pretrained"
     learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 1
 
     def __post_init__(self):
+        # a model file's config arrives as JSON: 2.5, "3" or true is no int
+        for name in ("filters_per_width", "lstm_hidden", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        rate = self.learning_rate
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+            raise ValueError(f"learning_rate must be a number, not {rate!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.filters_per_width < 1 or self.lstm_hidden < 1:
             raise ValueError("layer sizes must be positive")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
         if self.head not in ("softmax", "crf"):
             raise ValueError(f"unknown head {self.head!r}")
-        if self.embedding_mode not in ("pretrained", "random_trainable"):
-            raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
 
@@ -97,23 +100,13 @@ class TaggerModel:
     params: dict[str, Tensor]
     # the pretrained table is referenced for encoding, never trained
     embeddings: EmbeddingTable | None = None
-    word_vocab: tuple[str, ...] | None = None  # random_trainable mode only
 
     def __post_init__(self):
         self.tag_index = {tag: i for i, tag in enumerate(self.tag_vocab)}
-        self._word_index = (
-            {w: i for i, w in enumerate(self.word_vocab)} if self.word_vocab else None
-        )
 
     @property
     def label_count(self) -> int:
         return len(self.tag_vocab)
-
-    def word_id(self, form: str) -> int:
-        idx = self._word_index.get(form)
-        if idx is None:
-            idx = self._word_index.get(form.lower(), 0)
-        return idx
 
     def lstm(self, direction: str) -> LstmParams:
         return LstmParams(
@@ -144,15 +137,10 @@ def _glorot(rng: RngStream, shape, fan_in: int, fan_out: int) -> Tensor:
 
 
 def param_shapes(
-    config: TaggerConfig,
-    emb_dim: int,
-    pos_count: int,
-    tag_count: int,
-    word_count: int | None = None,
+    config: TaggerConfig, emb_dim: int, pos_count: int, tag_count: int
 ) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of a model with these sizes, in the
-    order build draws them. word_count is the word vocabulary size, needed in
-    random_trainable mode only."""
+    order build draws them."""
     in_dim = emb_dim + N_SHAPE_FEATURES
     f_count = config.filters_per_width
     hidden = config.lstm_hidden
@@ -171,8 +159,6 @@ def param_shapes(
         shapes["trans"] = (tag_count, tag_count)
         shapes["trans_start"] = (tag_count,)
         shapes["trans_stop"] = (tag_count,)
-    if config.embedding_mode == "random_trainable":
-        shapes["word_table"] = (word_count, emb_dim)
     return shapes
 
 
@@ -185,7 +171,6 @@ def build(
     tag_vocab: tuple[str, ...] | None = None,
     pos_vocab: tuple[str, ...] | None = None,
     embeddings: EmbeddingTable | None = None,
-    word_vocab: tuple[str, ...] | None = None,
 ) -> TaggerModel:
     """Initialize a model: weight matrices with uniform fan-scaled draws from
     rng (in a fixed order, so a seed fully determines the parameters), biases
@@ -201,21 +186,10 @@ def build(
     if pos_vocab is None:
         pos_vocab = tuple(f"POS{i}" for i in range(pos_count))
 
-    if config.embedding_mode == "random_trainable":
-        if word_vocab is None:
-            raise ValueError("random_trainable mode needs a word vocabulary")
-        if word_vocab[0] != UNK_WORD:
-            raise ValueError(f"word vocabulary must start with {UNK_WORD!r}")
-    shapes = param_shapes(
-        config, emb_dim, pos_count, tag_count, len(word_vocab) if word_vocab else None
-    )
     params: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    for name, shape in param_shapes(config, emb_dim, pos_count, tag_count).items():
         if len(shape) == 1 or name == "trans":
             params[name] = param(np.zeros(shape))
-        elif name == "word_table":
-            limit = np.sqrt(3.0 / emb_dim)
-            params[name] = param(rng.uniform(-limit, limit, shape))
         elif len(shape) == 3:  # conv kernels, filters x width x channels
             f_count, width, in_dim = shape
             params[name] = _glorot(rng, shape, width * in_dim, width * f_count)
@@ -232,58 +206,35 @@ def build(
         pos_vocab=tuple(pos_vocab),
         params=params,
         embeddings=embeddings,
-        word_vocab=tuple(word_vocab) if word_vocab else None,
     )
 
 
 def build_for_corpus(
-    config: TaggerConfig,
-    corpus: Corpus,
-    embeddings: EmbeddingTable | None = None,
-    emb_dim: int | None = None,
+    config: TaggerConfig, corpus: Corpus, embeddings: EmbeddingTable
 ) -> TaggerModel:
-    """Derive vocabularies from a training corpus and build the model."""
+    """Derive vocabularies from a training corpus and build the model over
+    the pretrained table."""
     from .corpus import tag_vocabulary
     from .embed import pos_vocabulary
 
     if not corpus:
         raise TrainingDataError("training corpus is empty")
-    if embeddings is not None:
-        emb_dim = embeddings.dimension
-    elif emb_dim is None:
-        raise ValueError("either an embedding table or emb_dim is required")
     tags = tuple(tag_vocabulary(corpus))
     pos = tuple(pos_vocabulary(corpus))
-    word_vocab = None
-    if config.embedding_mode == "random_trainable":
-        forms = sorted({t.form for s in corpus for t in s.tokens})
-        word_vocab = (UNK_WORD, *forms)
     return build(
         config,
-        emb_dim,
+        embeddings.dimension,
         len(pos),
         len(tags),
         RngStream(config.seed).child(0),
         tag_vocab=tags,
         pos_vocab=pos,
         embeddings=embeddings,
-        word_vocab=word_vocab,
     )
 
 
 def _encode(model: TaggerModel, sentence) -> SentenceEncoding:
-    # a random_trainable model gathers its own rows in forward
-    pretrained = model.config.embedding_mode == "pretrained"
-    return encode(sentence, model.embeddings, list(model.pos_vocab), lookup=pretrained)
-
-
-def _word_ids(model: TaggerModel, inputs: SentenceEncoding | Batch) -> np.ndarray:
-    """Word-table row of every token; -1 (a zero row) past a sentence's end."""
-    sentences = (inputs.forms,) if inputs.lengths is None else inputs.forms
-    ids = np.full((len(sentences), inputs.word_input.shape[-2]), -1)
-    for row, forms in zip(ids, sentences):
-        row[: len(forms)] = [model.word_id(form) for form in forms]
-    return ids.reshape(inputs.word_input.shape[:-1])
+    return encode(sentence, model.embeddings, list(model.pos_vocab))
 
 
 def forward(
@@ -305,13 +256,7 @@ def forward(
     if inputs.pos_input.shape[-1] != len(model.pos_vocab):
         raise ValueError("POS input does not match the model's POS vocabulary")
 
-    if model.config.embedding_mode == "random_trainable":
-        emb_block = gather_rows(p["word_table"], _word_ids(model, inputs), tape=tape)
-        shape_block = Tensor(inputs.word_input[..., model.emb_dim :], tape=tape)
-        x = concat_cols([emb_block, shape_block])
-    else:
-        x = Tensor(inputs.word_input, tape=tape)
-
+    x = Tensor(inputs.word_input, tape=tape)
     # overflow shows up as the NonFiniteError below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         banks = [

@@ -22,7 +22,6 @@ from mwetag.autodiff import (
     conv1d_same,
     cross_entropy,
     dense,
-    gather_rows,
     grad_check,
     matmul,
     mul,
@@ -464,16 +463,6 @@ def test_bilstm_rejects_bad_rates_and_mode():
         bilstm(x, fwd, bwd, mode="predict")
 
 
-def test_gather_rows_forward_and_scatter_add():
-    table = param(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    tape = Tape()
-    picked = gather_rows(table, [2, 0, 2], tape=tape)
-    np.testing.assert_allclose(picked.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
-    backward(tape, sum_all(picked))
-    # duplicate index 2 accumulates both rows' gradients
-    np.testing.assert_allclose(table.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
-
-
 # ---------------------------------------------------------------------------
 # gradients against finite differences
 
@@ -586,17 +575,6 @@ def test_grad_conv_both_widths():
         )
 
     check(build, [k2, k3, b2, b3])
-
-
-def test_grad_gather_rows():
-    table = param(np.random.default_rng(11).normal(size=(5, 3)))
-    indices = [4, 0, 4, 2]
-
-    def build():
-        picked = gather_rows(table, indices, tape=Tape())
-        return sum_all(mul(picked, picked))
-
-    check(build, [table])
 
 
 @pytest.mark.parametrize(

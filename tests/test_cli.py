@@ -18,6 +18,7 @@ from mwetag.tagger import TaggerConfig, build_for_corpus, train
 from test_serialize import (
     as_format_v2,
     as_format_v3,
+    as_format_v4,
     decoded,
     non_base64_proj_b,
     reencode,
@@ -116,7 +117,7 @@ def test_mistyped_config_value_is_usage_error(tmp_path, capsys, field, value):
 
 def test_config_values_of_the_right_type_pass(tmp_path):
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"epochs": 3, "batch_size": 2, "seed": -1,
+    cfg_file.write_text(json.dumps({"epochs": 3, "batch_size": 2, "seed": 0,
                                     "dev": "d", "filter": False, "report": None}))
     args = _build_parser().parse_args(
         ["train", "--config", p(cfg_file), "--train", "t", "--model", "m",
@@ -124,7 +125,23 @@ def test_config_values_of_the_right_type_pass(tmp_path):
     )
     cfg = resolve(args)
     assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.dev, cfg.filter, cfg.report) == (
-        3, 2, -1, "d", False, None)
+        3, 2, 0, "d", False, None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--train", "t", "--model", "m", "--embeddings", "e", "--seed", "-1"],
+    ["train", "--train", "t", "--model", "m", "--variant", "baseline-standard",
+     "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--config", "{seed_file}"],
+], ids=["neural", "baseline-standard", "gradcheck", "config-file"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    seed_file = tmp_path / "c.json"
+    seed_file.write_text(json.dumps({"seed": -1}))
+    assert run([arg.format(seed_file=seed_file) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: seed must be non-negative")
+    assert "Traceback" not in err
 
 
 def test_tag_no_filter_resolves_false():
@@ -363,6 +380,12 @@ def _set(key, value):
     return mutate
 
 
+def _set_config(key, value):
+    def mutate(data):
+        data["config"][key] = value
+    return mutate
+
+
 def _nan_proj_b(data):
     entry = _entry(data, "proj_b")
     values = decoded(entry)
@@ -455,6 +478,22 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         (TAG, "standard", as_format_v3, "retrain"),
         (TRAIN + ["--embeddings", "{zero_dim_vec}"], None, None,
          "line 1: header dimension 0"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v4, "retrain"),
+        (TAG, "standard", as_format_v4, "retrain"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("batch_size", 2.5),
+         "bad tagger config: batch_size must be an integer"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger",
+         _set_config("filters_per_width", 2.0),
+         "bad tagger config: filters_per_width must be an integer"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("epochs", True),
+         "bad tagger config: epochs must be an integer"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("seed", -1),
+         "bad tagger config: seed must be non-negative"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger",
+         _set_config("learning_rate", True),
+         "bad tagger config: learning_rate must be a number"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("head", 3),
+         "bad tagger config: unknown head 3"),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -466,7 +505,9 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         "baseline-unknown-param", "baseline-repeated-param",
         "tagger-non-base64", "tagger-format-v2", "baseline-short-payload",
         "baseline-format-v2", "tagger-format-v3", "baseline-format-v3",
-        "train-zero-dim-vec",
+        "train-zero-dim-vec", "tagger-format-v4", "baseline-format-v4",
+        "tagger-float-batch-size", "tagger-float-filters", "tagger-bool-epochs",
+        "tagger-negative-seed", "tagger-bool-learning-rate", "tagger-int-head",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(

@@ -283,7 +283,25 @@ def test_round_trip_spans(sentence):
     }
 
 
-@given(sentences_with_instances())
+@st.composite
+def parsed_sentences(draw):
+    """Sentences as parse_cupt reads them back from write_cupt: any instances
+    over any token sets, so same-category instances may interleave and share
+    tokens."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    positions = st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=4)
+    instances = draw(st.lists(
+        st.tuples(st.sampled_from(CATEGORIES), positions.map(sorted)), max_size=5
+    ))
+    vmwes = [
+        VmweInstance(k, category, tuple(where))
+        for k, (category, where) in enumerate(instances, start=1)
+    ]
+    text = write_cupt([make_sentence(["w%d" % i for i in range(n)], vmwes)])
+    return parse_cupt(io.StringIO(text))[0]
+
+
+@given(parsed_sentences())
 def test_gold_tags_survive_filtering(sentence):
     tags = to_tags(sentence)
     assert filter_orphans(tags) == tags

@@ -52,12 +52,6 @@ def tagger_model(corpus, table):
 
 
 @pytest.fixture(scope="module")
-def trainable_model(corpus):
-    cfg = small_config(embedding_mode="random_trainable")
-    return build_for_corpus(cfg, corpus, emb_dim=6)
-
-
-@pytest.fixture(scope="module")
 def baseline_model(corpus):
     opts = BaselineTrainOptions(max_iterations=30, seed=3)
     return train_baseline(corpus, variant="standard", options=opts)
@@ -111,17 +105,6 @@ def test_tagger_round_trip_exact_params(tmp_path, tagger_model, table):
         got = loaded.params[name].data
         assert got.shape == tensor.data.shape
         assert np.array_equal(got, tensor.data), name
-
-
-def test_trainable_round_trip_keeps_word_vocab(tmp_path, trainable_model):
-    path = str(tmp_path / "m.json")
-    save_model(trainable_model, path)
-    loaded = load_model(path)
-    assert loaded.word_vocab == trainable_model.word_vocab
-    assert loaded.word_vocab[0] == "<unk>"
-    assert np.array_equal(
-        loaded.params["word_table"].data, trainable_model.params["word_table"].data
-    )
 
 
 def test_save_load_save_byte_identical(tmp_path, tagger_model, table):
@@ -317,6 +300,15 @@ def as_format_v3(data):
         )
 
 
+def as_format_v4(data):
+    """The previous format: a tagger config also held the embedding mode, and
+    a tagger file a word vocabulary (null unless the mode was trainable)."""
+    data["format_version"] = 4
+    if data["kind"] == "tagger":
+        data["config"]["embedding_mode"] = "pretrained"
+        data["word_vocab"] = None
+
+
 def _set_at(index, value):
     def edit(a):
         a.reshape(-1)[index] = value
@@ -343,12 +335,14 @@ def _set_at(index, value):
         (_drop_payload, "malformed parameter entry"),
         (as_format_v2, "retrain"),
         (as_format_v3, "retrain"),
+        (as_format_v4, "retrain"),
     ],
     ids=[
         "non-base64-char", "inner-space", "byte-count-long",
         "byte-count-not-multiple-of-8", "payload-list", "payload-null",
         "negative-dim", "float-dim", "bool-dim", "shape-string", "huge-empty-shape",
         "nan", "plus-inf", "no-payload", "format-v2-values", "format-v3-config",
+        "format-v4-config",
     ],
 )
 def test_malformed_parameter_payload_rejected(tagger_model, mutate, message):
@@ -370,10 +364,6 @@ def _shrink_tags(data):
     data["tag_vocab"] = data["tag_vocab"][:-1]
 
 
-def _drop_word_vocab(data):
-    data["word_vocab"] = None
-
-
 def _unhashable_tag(data):
     data["tag_vocab"][0] = [data["tag_vocab"][0]]
 
@@ -391,11 +381,10 @@ def _bool_emb_dim(data):
     [("tagger_model", _add_extra, "extra"),
      ("tagger_model", _repeat_first, "repeated"),
      ("tagger_model", _shrink_tags, "shape"),
-     ("trainable_model", _drop_word_vocab, "word_vocab"),
      ("tagger_model", _unhashable_tag, "tag_vocab must be a non-empty list of strings"),
      ("tagger_model", _params_not_a_list, "params must be a list"),
      ("tagger_model", _bool_emb_dim, "emb_dim")],
-    ids=["extra-param", "repeated-param", "vocab-shape-mismatch", "no-word-vocab",
+    ids=["extra-param", "repeated-param", "vocab-shape-mismatch",
          "unhashable-tag", "params-not-a-list", "bool-emb_dim"],
 )
 def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):

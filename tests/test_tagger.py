@@ -90,7 +90,6 @@ def test_config_defaults_match_contract():
     assert cfg.filters_per_width == 200
     assert cfg.lstm_hidden == 300
     assert cfg.epochs == 100
-    assert cfg.embedding_mode == "pretrained"
     assert cfg.learning_rate == 0.001
     assert cfg.batch_size == 32
 
@@ -102,11 +101,15 @@ def test_config_rejects_bad_values():
         TaggerConfig(head="argmax")
     with pytest.raises(ValueError):
         TaggerConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TaggerConfig(embedding_mode="frozen")
-    for rate in (0.0, -0.01, float("nan")):
+    with pytest.raises(ValueError, match="seed"):
+        TaggerConfig(seed=-1)
+    for rate in (0.0, -0.01, float("nan"), True, "0.1"):
         with pytest.raises(ValueError, match="learning_rate"):
             TaggerConfig(learning_rate=rate)
+    for name in ("filters_per_width", "lstm_hidden", "epochs", "batch_size", "seed"):
+        for value in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                TaggerConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +138,6 @@ def test_build_same_seed_bit_identical():
 def test_build_single_tag_projection():
     model = build(small_config(), 8, 2, 1, RngStream(0))
     assert model.params["proj_w"].shape == (10, 1)
-
-
-def test_build_random_trainable_needs_word_vocab():
-    cfg = small_config(embedding_mode="random_trainable")
-    with pytest.raises(ValueError):
-        build(cfg, 8, 2, 3, RngStream(0))
-    with pytest.raises(ValueError):
-        build(cfg, 8, 2, 3, RngStream(0), word_vocab=("a", "b"))
-    model = build(cfg, 8, 2, 3, RngStream(0), word_vocab=("<unk>", "a", "b"))
-    assert model.params["word_table"].shape == (3, 8)
 
 
 def test_build_for_corpus_derives_vocabularies():
@@ -189,22 +182,17 @@ def test_forward_rejects_wrong_input_width():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
-    bad = SentenceEncoding(
-        word_input=enc.word_input[:, :-1], pos_input=enc.pos_input, forms=enc.forms
-    )
+    bad = SentenceEncoding(word_input=enc.word_input[:, :-1], pos_input=enc.pos_input)
     with pytest.raises(ValueError):
         forward(model, bad)
 
 
-@pytest.mark.parametrize(
-    "head, embedding_mode",
-    [("softmax", "pretrained"), ("crf", "pretrained"), ("crf", "random_trainable")],
-)
+@pytest.mark.parametrize("head", ["softmax", "crf"],
+                         ids=["softmax-pretrained", "crf-pretrained"])
 @pytest.mark.parametrize("mode", ["eval", "train"])
-def test_batched_loss_is_sum_of_sentence_losses(head, embedding_mode, mode):
+def test_batched_loss_is_sum_of_sentence_losses(head, mode):
     corpus = synthetic_corpus(sentences=5, seed=4)
-    config = small_config(head=head, embedding_mode=embedding_mode)
-    model = build_for_corpus(config, corpus, synthetic_embeddings(dim=8))
+    model = build_for_corpus(small_config(head=head), corpus, synthetic_embeddings(dim=8))
     encodings = encodings_for(corpus, model)
     golds = [to_tags(s) for s in corpus]
     assert len({len(g) for g in golds}) > 1  # the batch is padded
@@ -274,7 +262,7 @@ def test_loss_rejects_unknown_label_and_bad_length():
 # gradients through the full network
 
 
-def tiny_model(head, embedding_mode="pretrained"):
+def tiny_model(head):
     cfg = TaggerConfig(
         filters_per_width=3,
         lstm_hidden=4,
@@ -282,21 +270,15 @@ def tiny_model(head, embedding_mode="pretrained"):
         batch_size=1,
         seed=21,
         head=head,
-        embedding_mode=embedding_mode,
     )
-    word_vocab = ("<unk>", "a", "b", "c") if embedding_mode == "random_trainable" else None
-    return build(cfg, 5, 2, 3, RngStream(21), word_vocab=word_vocab)
+    return build(cfg, 5, 2, 3, RngStream(21))
 
 
 def tiny_encoding(seed=2):
     rng = np.random.default_rng(seed)
     pos = np.zeros((3, 2))
     pos[np.arange(3), [0, 1, 0]] = 1.0
-    return SentenceEncoding(
-        word_input=rng.normal(size=(3, 5 + 7)),
-        pos_input=pos,
-        forms=("a", "b", "zzz"),
-    )
+    return SentenceEncoding(word_input=rng.normal(size=(3, 5 + 7)), pos_input=pos)
 
 
 @pytest.mark.parametrize("head", ["softmax", "crf"])
@@ -304,17 +286,6 @@ def test_grad_check_full_loss(head):
     model = tiny_model(head)
     enc = tiny_encoding()
     gold = ["TAG0", "TAG2", "TAG1"]
-
-    def build_loss():
-        return loss(model, enc, gold, mode="eval", tape=Tape())
-
-    assert grad_check(build_loss, model.trainable()) < 1e-4
-
-
-def test_grad_check_random_trainable_embeddings():
-    model = tiny_model("softmax", embedding_mode="random_trainable")
-    enc = tiny_encoding()
-    gold = ["TAG1", "TAG0", "TAG2"]
 
     def build_loss():
         return loss(model, enc, gold, mode="eval", tape=Tape())
@@ -510,33 +481,6 @@ def test_full_batch_run_ignores_shuffle_order(monkeypatch):
     model2 = build_for_corpus(cfg, corpus, toy_table(corpus))
     _, scrambled_report = train(model2, corpus)
     assert baseline.losses == scrambled_report.losses
-
-
-def test_random_trainable_mode_updates_word_table():
-    corpus = toy_corpus()
-    cfg = small_config(embedding_mode="random_trainable", epochs=3)
-    model = build_for_corpus(cfg, corpus, emb_dim=8)
-    before = np.array(model.params["word_table"].data, copy=True)
-    _, report = train(model, corpus)
-    assert not np.array_equal(before, model.params["word_table"].data)
-    assert np.isfinite(report.losses).all()
-    out = predict_corpus(model, corpus)
-    assert len(out) == len(corpus)
-
-
-def test_random_trainable_inputs_look_nothing_up(monkeypatch):
-    corpus = toy_corpus()
-    cfg = small_config(embedding_mode="random_trainable", epochs=2)
-    model = build_for_corpus(cfg, corpus, toy_table(corpus))
-    before = predict_corpus(model, corpus)
-
-    def refuse(self, word):
-        raise AssertionError(f"looked up {word!r}")
-
-    monkeypatch.setattr(EmbeddingTable, "lookup", refuse)
-    assert predict_corpus(model, corpus) == before
-    _, report = train(model, corpus, dev_corpus=corpus)
-    assert np.isfinite(report.losses).all()
 
 
 # ---------------------------------------------------------------------------
