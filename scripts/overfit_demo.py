@@ -15,10 +15,9 @@ from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
 
 
-def token_accuracy(tag_fn, corpus):
+def token_accuracy(tagged, corpus):
     right = total = 0
-    for sentence in corpus:
-        tags = tag_fn(sentence)
+    for tags, sentence in zip(tagged, corpus):
         gold = to_tags(sentence)
         right += sum(a == b for a, b in zip(tags, gold))
         total += len(gold)
@@ -42,10 +41,8 @@ def main():
         model = build_for_corpus(config, corpus, embeddings=table)
         best, report = train(model, corpus)
         elapsed = time.time() - started
-        accuracy = token_accuracy(
-            lambda s: predict(best, encode(s, table, list(best.pos_vocab))),
-            corpus,
-        )
+        encodings = [encode(s, table, list(best.pos_vocab)) for s in corpus]
+        accuracy = token_accuracy(predict(best, encodings), corpus)
         scores = evaluate(corpus, predict_corpus(best, corpus))
         rows.append((f"neural/{head}", accuracy, scores.mwe.f1, elapsed))
         print(f"neural/{head}: final loss {report.losses[-1]:.4f}")
@@ -59,10 +56,10 @@ def main():
         )
         elapsed = time.time() - started
         kwargs = {"table": table} if variant == "turian" else {}
-        accuracy = token_accuracy(lambda s: tag_baseline(model, s, **kwargs), corpus)
+        tagged = [tag_baseline(model, s, **kwargs) for s in corpus]
+        accuracy = token_accuracy(tagged, corpus)
         predicted = [
-            from_tags(tag_baseline(model, s, **kwargs), s, apply_filter=True)
-            for s in corpus
+            from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, corpus)
         ]
         scores = evaluate(corpus, predicted)
         rows.append((f"baseline/{variant}", accuracy, scores.mwe.f1, elapsed))

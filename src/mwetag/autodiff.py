@@ -17,10 +17,9 @@ is one fused operation that records a single tape node per call, whatever the
 sequence length or batch size, and runs backprop through time by hand (see
 bilstm).
 
-The layers take one sentence as an n x d array, or a padded batch of B
-sentences as a B x n x d block; the sequence layers (bilstm, cross_entropy)
-also take the sentence lengths. One sentence is the B = 1 case of the same
-code.
+The layers run on a padded batch of B sentences, a B x n x d block that is
+zero past each sentence's end; the sequence layers (bilstm, cross_entropy)
+also take the B sentence lengths.
 
 Every differentiable operation here is validated against central finite
 differences (grad_check), which is also the verification entry point exposed
@@ -87,9 +86,6 @@ class RngStream:
 
     def uniform(self, low, high, shape):
         return self._gen.uniform(low, high, shape)
-
-    def normal(self, scale, shape):
-        return self._gen.normal(0.0, scale, shape)
 
     def keep_mask(self, drop_rate: float, shape):
         """Inverted-dropout mask: kept entries carry 1/keep, dropped are 0."""
@@ -250,20 +246,19 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(probs, (x,), back)
 
 
-def cross_entropy(probs: Tensor, gold, lengths=None) -> Tensor:
-    """Mean negative log probability of the gold class per row. Expects
-    normalized rows (the output of softmax_rows). For a padded B x n x T
-    block with B x n gold indices and the lengths, the sum over sentences of
-    each one's mean over its own rows; entries past a sentence's end are
-    ignored."""
+def cross_entropy(probs: Tensor, gold, lengths) -> Tensor:
+    """Negative log probability of the gold classes of a padded B x n x T
+    block of normalized rows (the output of softmax_rows) with B x n gold
+    indices: the sum over sentences of each one's mean over its own rows.
+    Entries past a sentence's end are ignored."""
     gold = np.asarray(gold, dtype=int)
-    if gold.shape != probs.data.shape[:-1]:
-        raise ValueError(f"need {probs.data.shape[:-1]} gold indices, got {gold.shape}")
-    block = probs.data.reshape(-1, *probs.data.shape[-2:])
+    block = probs.data
+    if gold.shape != block.shape[:-1]:
+        raise ValueError(f"need {block.shape[:-1]} gold indices, got {gold.shape}")
     b_count, n, t_count = block.shape
-    lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
     rows, cols = np.nonzero(np.arange(n) < lengths[:, None])
-    labels = gold.reshape(b_count, n)[rows, cols]
+    labels = gold[rows, cols]
     if labels.min() < 0 or labels.max() >= t_count:
         raise ValueError("gold index out of range")
     picked = block[rows, cols, labels]
@@ -274,7 +269,7 @@ def cross_entropy(probs: Tensor, gold, lengths=None) -> Tensor:
     def back(g):
         gp = np.zeros_like(block)
         gp[rows, cols, labels] = -float(g) / (lengths[rows] * picked)
-        _accumulate(probs, gp.reshape(probs.data.shape))
+        _accumulate(probs, gp)
 
     return _emit(np.asarray(loss), (probs,), back)
 
@@ -289,14 +284,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """1-D "same" convolution over the row axis.
+    """1-D "same" convolution along each sentence of a padded block.
 
-    x is n x d, kernels is f x k x d, bias is f; output is n x f with zero
-    padding of floor((k-1)/2) rows on the left and ceil((k-1)/2) on the right
-    (an even k pads only on the right, keeping output row i aligned with
-    input row i). A padded B x n x d block of sentences gives B x n x f, each
-    sentence convolved on its own; its rows past a sentence's end must be
-    zero, so that they act as that sentence's right padding.
+    x is B x n x d, kernels is f x k x d, bias is f; output is B x n x f,
+    each sentence convolved on its own with zero padding of floor((k-1)/2)
+    rows on the left and ceil((k-1)/2) on the right (an even k pads only on
+    the right, keeping output row i aligned with input row i). Rows past a
+    sentence's end must be zero, so that they act as its right padding.
     """
     *lead, n, d = x.data.shape
     f, k, d_k = kernels.data.shape
@@ -441,17 +435,17 @@ def bilstm(
     x: Tensor,
     forward_params: LstmParams,
     backward_params: LstmParams,
+    lengths,
     dropout: float = 0.0,
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: RngStream | None = None,
-    lengths=None,
 ) -> Tensor:
-    """Bidirectional LSTM over the rows of x; per-position outputs of the two
-    directions are concatenated to n x 2h. A padded B x n x d block with the
-    sentence lengths gives B x n x 2h: each sentence runs on its own, rows
-    past its end are ignored on input and zero on output, and a sentence
-    finished early simply stops taking part in the steps.
+    """Bidirectional LSTM over a padded B x n x d block with the B sentence
+    lengths; per-position outputs of the two directions are concatenated to
+    B x n x 2h. Each sentence runs on its own, rows past its end are ignored
+    on input and zero on output, and a sentence finished early simply stops
+    taking part in the steps.
 
     In train mode, input dropout applies one mask per sentence to x at every
     step and recurrent dropout applies one mask per sentence to the hidden
@@ -475,10 +469,9 @@ def bilstm(
         raise ValueError("dropout rates must lie in [0, 1)")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    single = x.data.ndim == 2
-    block = x.data[None] if single else x.data
+    block = x.data
     b_count, n, d = block.shape
-    lengths = np.full(b_count, n) if lengths is None else np.asarray(lengths, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
     params = (forward_params, backward_params)
     inputs = (x, *forward_params.tensors(), *backward_params.tensors())
     h = forward_params.hidden
@@ -518,13 +511,12 @@ def bilstm(
         backs.append((pos, cols, back_rows))
 
     def back(g):
-        g = g.reshape(out.shape)
         d_x = np.zeros_like(block)
         for pos, cols, back_rows in backs:
             d_x[sentence, pos] += back_rows(g[sentence, pos, cols])
-        _accumulate(x, d_x.reshape(x.data.shape))
+        _accumulate(x, d_x)
 
-    return _emit(out[0] if single else out, inputs, back)
+    return _emit(out, inputs, back)
 
 
 def _stack(masks, index):

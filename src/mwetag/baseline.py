@@ -23,8 +23,8 @@ Fitting and tagging score emissions by one path: _collect runs
 extract_features over every position of a list of sentences, _feature_ids
 maps the strings to ids (a feature unseen in training adds nothing) and
 _emissions returns the padded B x n x T block of summed weight rows plus the
-dense product. The fit scores its corpus as one block; tag_baseline scores
-one sentence as the B = 1 block.
+dense product. The fit scores its corpus as one block, tag_baseline its
+sentence as a one-sentence block.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Each check builds a small seeded instance, compares tape gradients against
 central finite differences over every parameter coordinate, and reports the
-max relative error. Piecewise-linear kinks (relu) make finite differences
-meaningless within eps of zero, so checks through relu redraw
+max relative error. Sequence inputs are one-sentence (B = 1) padded blocks,
+the shape every layer takes. Piecewise-linear kinks (relu) make finite
+differences meaningless within eps of zero, so checks through relu redraw
 deterministically until every pre-activation clears a margin well above
 eps; the redraw is a property of the probe, not of the gradients under
 test.
@@ -31,7 +32,7 @@ from .autodiff import (
     sum_all,
 )
 from .chaincrf import crf_nll
-from .embed import N_SHAPE_FEATURES, SentenceEncoding
+from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable
 from .tagger import DROPOUT, FILTER_WIDTHS, RECURRENT_DROPOUT, TaggerConfig, build, loss
 
 SUITE_TOLERANCE = 1e-4
@@ -67,7 +68,7 @@ def _check_dense(stream: RngStream) -> float:
 def _check_conv(stream: RngStream) -> float:
     """Width-2 and width-3 banks on one input, summed."""
     r = stream.child(1)
-    x = r.uniform(-1.0, 1.0, (5, 3))
+    x = r.uniform(-1.0, 1.0, (1, 5, 3))
     params = []
     banks = []
     for width in FILTER_WIDTHS:
@@ -98,7 +99,7 @@ def _lstm_params(r: RngStream, d: int, h: int) -> LstmParams:
 
 def _check_bilstm(stream: RngStream, dropped: bool) -> float:
     r = stream.child(2)
-    x = r.uniform(-1.0, 1.0, (4, 2))
+    x = r.uniform(-1.0, 1.0, (1, 4, 2))
     fwd = _lstm_params(r.child(0), 2, 2)
     bwd = _lstm_params(r.child(1), 2, 2)
     mask_seed = stream.child(3).integers(0, 2**31)
@@ -107,11 +108,11 @@ def _check_bilstm(stream: RngStream, dropped: bool) -> float:
         tape = Tape()
         xt = _attach(x, tape)
         if dropped:
-            out = bilstm(xt, fwd, bwd, dropout=DROPOUT,
+            out = bilstm(xt, fwd, bwd, [4], dropout=DROPOUT,
                          recurrent_dropout=RECURRENT_DROPOUT, mode="train",
                          rng=RngStream(mask_seed))
         else:
-            out = bilstm(xt, fwd, bwd)
+            out = bilstm(xt, fwd, bwd, [4])
         return sum_all(out)
 
     return grad_check(build_loss, fwd.tensors() + bwd.tensors(), eps=_EPS)
@@ -119,13 +120,13 @@ def _check_bilstm(stream: RngStream, dropped: bool) -> float:
 
 def _check_softmax_cross_entropy(stream: RngStream) -> float:
     r = stream.child(4)
-    x = r.uniform(-1.0, 1.0, (5, 3))
+    x = r.uniform(-1.0, 1.0, (1, 5, 3))
     w = param(r.uniform(-1.0, 1.0, (3, 4)))
-    gold = [int(r.child(i).integers(0, 4)) for i in range(5)]
+    gold = [[int(r.child(i).integers(0, 4)) for i in range(5)]]
 
     def build_loss():
         tape = Tape()
-        return cross_entropy(softmax_rows(matmul(_attach(x, tape), w)), gold)
+        return cross_entropy(softmax_rows(matmul(_attach(x, tape), w)), gold, [5])
 
     return grad_check(build_loss, [w], eps=_EPS)
 
@@ -133,16 +134,16 @@ def _check_softmax_cross_entropy(stream: RngStream) -> float:
 def _check_crf_nll(stream: RngStream) -> float:
     r = stream.child(5)
     n, t_count = 4, 3
-    e_scores = param(r.uniform(-2.0, 2.0, (n, t_count)))
+    e_scores = param(r.uniform(-2.0, 2.0, (1, n, t_count)))
     trans = param(r.uniform(-2.0, 2.0, (t_count, t_count)))
     start = param(r.uniform(-2.0, 2.0, t_count))
     stop = param(r.uniform(-2.0, 2.0, t_count))
-    gold = [int(r.child(i).integers(0, t_count)) for i in range(n)]
+    gold = [[int(r.child(i).integers(0, t_count)) for i in range(n)]]
 
     def build_loss():
         tape = Tape()
-        carrier = _attach(np.zeros((n, t_count)), tape)
-        return crf_nll(add(e_scores, carrier), trans, start, stop, gold)
+        carrier = _attach(np.zeros((1, n, t_count)), tape)
+        return crf_nll(add(e_scores, carrier), trans, start, stop, gold, [n])
 
     return grad_check(build_loss, [e_scores, trans, start, stop], eps=_EPS)
 
@@ -172,28 +173,27 @@ def _check_tagger_loss(stream: RngStream, head: str) -> float:
         batch_size=1,
         seed=0,
     )
-    emb_dim, pos_count, tag_count, n = 3, 2, 3, 4
-    tag_vocab = ("O", "B-X", "I-X")
+    table, n = EmbeddingTable(3, {}), 4
+    tag_vocab, pos_vocab = ("O", "B-X", "I-X"), ("UNK", "VERB")
     for salt in range(300, 400):
         r = stream.child(salt)
-        model = build(config, emb_dim, pos_count, tag_count, r.child(0),
-                      tag_vocab=tag_vocab)
-        word_input = r.uniform(-1.0, 1.0, (n, emb_dim + N_SHAPE_FEATURES))
+        model = build(config, table, tag_vocab, pos_vocab, r.child(0))
+        word_input = r.uniform(-1.0, 1.0, (1, n, table.dimension + N_SHAPE_FEATURES))
         if _conv_margin(model, word_input) > _KINK_MARGIN:
             break
     else:
         raise RuntimeError("no kink-free tagger draw found")
-    pos_input = np.zeros((n, pos_count))
+    pos_input = np.zeros((1, n, len(pos_vocab)))
     for i in range(n):
-        pos_input[i, int(r.child(i).integers(0, pos_count))] = 1.0
-    enc = SentenceEncoding(word_input, pos_input)
-    gold = [tag_vocab[int(r.child(50 + i).integers(0, tag_count))] for i in range(n)]
+        pos_input[0, i, int(r.child(i).integers(0, len(pos_vocab)))] = 1.0
+    batch = Batch(word_input, pos_input, np.array([n]))
+    gold = [[tag_vocab[r.child(50 + i).integers(0, len(tag_vocab))] for i in range(n)]]
     mask_seed = r.child(99).integers(0, 2**31)
     params = model.trainable()
 
     def build_loss():
         tape = Tape()
-        return loss(model, enc, gold, mode="train", rng=RngStream(mask_seed),
+        return loss(model, batch, gold, mode="train", rng=RngStream(mask_seed),
                     tape=tape)
 
     return grad_check(build_loss, params, eps=_EPS)

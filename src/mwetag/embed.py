@@ -2,10 +2,11 @@
 
 The network consumes two inputs per sentence: a word matrix made of the
 pretrained embedding of each token followed by 7 binary shape features, and a
-one-hot POS matrix; a batch stacks them into zero-padded blocks. These arrays
-are the whole input of the tagger, which attaches them to its tape as
-Tensors. Embedding tables are immutable after loading and lookups are total
-(unknown words map to the zero vector).
+one-hot POS matrix. A Batch holds them as zero-padded blocks: encode makes
+the one-sentence Batch and pad stacks Batches into one. These blocks are the
+whole input of the tagger, which attaches them to its tape as Tensors.
+Embedding tables are immutable after loading and lookups are total (unknown
+words map to the zero vector).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class EmbeddingTable:
 
     def __len__(self):
         return len(self.entries)
-
-    def __contains__(self, word):
-        return word in self.entries
 
     def lookup(self, word: str) -> np.ndarray:
         vec = self.entries.get(word)
@@ -183,48 +181,39 @@ def pos_index(vocabulary: list[str], upos: str) -> int:
 
 
 @dataclass
-class SentenceEncoding:
-    """Network inputs for one sentence: word_input is n x (dim+7) (embedding
-    then shape bits), pos_input is n x |P| one-hot."""
-
-    word_input: np.ndarray
-    pos_input: np.ndarray
-    lengths = None  # one sentence is the B = 1 case of a Batch
-
-
-@dataclass
 class Batch:
     """Network inputs for B sentences as padded blocks: word_input is
-    B x n x (dim+7) and pos_input B x n x |P|, both zero past each
-    sentence's length."""
+    B x n x (dim+7) (embedding then shape bits) and pos_input B x n x |P|
+    (one-hot), both zero past each of the B lengths."""
 
     word_input: np.ndarray
     pos_input: np.ndarray
     lengths: np.ndarray
 
 
-def pad(encodings: list[SentenceEncoding]) -> Batch:
-    """Stack sentence encodings into zero-padded blocks as long as the
+def pad(batches: list[Batch]) -> Batch:
+    """Stack batches, in order, into one whose blocks are as long as the
     longest sentence."""
-    lengths = np.array([len(e.word_input) for e in encodings])
-    b_count, n = len(encodings), lengths.max(initial=0)
-    word_input = np.zeros((b_count, n, encodings[0].word_input.shape[1]))
-    pos_input = np.zeros((b_count, n, encodings[0].pos_input.shape[1]))
-    for b, e in enumerate(encodings):
-        word_input[b, : lengths[b]] = e.word_input
-        pos_input[b, : lengths[b]] = e.pos_input
+    lengths = np.concatenate([b.lengths for b in batches])
+    n = lengths.max(initial=0)
+    word_input = np.zeros((len(lengths), n, batches[0].word_input.shape[2]))
+    pos_input = np.zeros((len(lengths), n, batches[0].pos_input.shape[2]))
+    row = 0
+    for b in batches:
+        count, length = b.word_input.shape[:2]
+        word_input[row : row + count, :length] = b.word_input
+        pos_input[row : row + count, :length] = b.pos_input
+        row += count
     return Batch(word_input, pos_input, lengths)
 
 
-def encode(
-    sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str]
-) -> SentenceEncoding:
-    """The inputs of one sentence."""
+def encode(sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str]) -> Batch:
+    """The inputs of one sentence, as a one-sentence Batch."""
     n = len(sentence.tokens)
-    word_input = np.zeros((n, table.dimension + N_SHAPE_FEATURES))
-    pos_input = np.zeros((n, len(pos_vocab)))
+    word_input = np.zeros((1, n, table.dimension + N_SHAPE_FEATURES))
+    pos_input = np.zeros((1, n, len(pos_vocab)))
     for i, token in enumerate(sentence.tokens):
-        word_input[i, : table.dimension] = table.lookup(token.form)
-        word_input[i, table.dimension :] = shape_features(token.form)
-        pos_input[i, pos_index(pos_vocab, token.upos)] = 1.0
-    return SentenceEncoding(word_input, pos_input)
+        word_input[0, i, : table.dimension] = table.lookup(token.form)
+        word_input[0, i, table.dimension :] = shape_features(token.form)
+        pos_input[0, i, pos_index(pos_vocab, token.upos)] = 1.0
+    return Batch(word_input, pos_input, np.array([n]))

@@ -97,10 +97,9 @@ def _by_category(corpus: Corpus) -> dict[str, list]:
     return groups
 
 
-def _select(groups: dict[str, list], category: str | None) -> list:
-    if category is None:
-        return [key for keys in groups.values() for key in keys]
-    return groups.get(category, [])
+def _flat(groups: dict[str, list]) -> list:
+    """The match keys of every category."""
+    return [key for keys in groups.values() for key in keys]
 
 
 def _aligned_groups(gold: Corpus, pred: Corpus):
@@ -143,27 +142,17 @@ def _per_category(gold_groups: dict, pred_groups: dict) -> dict[str, EvalReport]
     }
 
 
-def mwe_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
+def mwe_scores(gold: Corpus, pred: Corpus) -> BasisScores:
     """Strict scores: an instance counts iff its exact position set appears on
-    the other side (category ignored unless one is requested)."""
+    the other side, whatever its category."""
     g, p = _aligned_groups(gold, pred)
-    return BasisScores.from_counts(*_mwe_counts(_select(g, category), _select(p, category)))
-
-
-def token_scores(gold: Corpus, pred: Corpus, category: str | None = None) -> BasisScores:
-    """Fuzzy scores over per-sentence unions of annotated token positions."""
-    g, p = _aligned_groups(gold, pred)
-    return BasisScores.from_counts(*_token_counts(_select(g, category), _select(p, category)))
-
-
-def per_category_scores(gold: Corpus, pred: Corpus) -> dict[str, EvalReport]:
-    return _per_category(*_aligned_groups(gold, pred))
+    return BasisScores.from_counts(*_mwe_counts(_flat(g), _flat(p)))
 
 
 def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
     """Overall token- and MWE-based scores plus per-category breakdown."""
     g, p = _aligned_groups(gold, pred)
-    overall = _report(_select(g, None), _select(p, None))
+    overall = _report(_flat(g), _flat(p))
     return replace(overall, per_category=_per_category(g, p))
 
 

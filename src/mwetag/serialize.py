@@ -160,10 +160,17 @@ def _require_strings(data: dict, key: str, allow_empty: bool = False) -> list[st
     return value
 
 
-def _require_emb_dim(data: dict) -> int:
+def _require_emb_dim(data: dict, embeddings: EmbeddingTable | None) -> int:
+    """The stored embedding dimension, which a table given for the model's
+    lookups must share."""
     emb_dim = _require(data, "emb_dim")
     if type(emb_dim) is not int or emb_dim < 1:
         raise ModelFormatError(f"bad emb_dim {emb_dim!r}")
+    if embeddings is not None and embeddings.dimension != emb_dim:
+        raise ModelFormatError(
+            f"model expects {emb_dim}-dimensional embeddings, "
+            f"table has {embeddings.dimension}"
+        )
     return emb_dim
 
 
@@ -173,14 +180,9 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
         config = TaggerConfig(**raw_config)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad tagger config: {exc}") from exc
-    emb_dim = _require_emb_dim(data)
+    emb_dim = _require_emb_dim(data, embeddings)
     tag_vocab = _require_strings(data, "tag_vocab")
     pos_vocab = _require_strings(data, "pos_vocab")
-    if embeddings is not None and embeddings.dimension != emb_dim:
-        raise ModelFormatError(
-            f"model expects {emb_dim}-dimensional embeddings, "
-            f"table has {embeddings.dimension}"
-        )
     expected = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
     params = _read_params(_require(data, "params"), expected)
     return TaggerModel(
@@ -193,7 +195,7 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     )
 
 
-def _baseline_from_dict(data: dict) -> BaselineModel:
+def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> BaselineModel:
     variant = _require(data, "variant")
     if variant not in VARIANTS:
         raise ModelFormatError(f"unknown baseline variant {variant!r}")
@@ -211,7 +213,7 @@ def _baseline_from_dict(data: dict) -> BaselineModel:
     }
     emb_dim = None
     if variant == "turian":
-        emb_dim = _require_emb_dim(data)
+        emb_dim = _require_emb_dim(data, embeddings)
         expected["dense"] = (len(WINDOW) * emb_dim, t_count)
     arrays = _read_params(_require(data, "params"), expected)
     return BaselineModel(
@@ -241,7 +243,7 @@ def model_from_dict(data, embeddings: EmbeddingTable | None = None):
     if kind == "tagger":
         return _tagger_from_dict(data, embeddings)
     if kind == "baseline":
-        return _baseline_from_dict(data)
+        return _baseline_from_dict(data, embeddings)
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
@@ -278,11 +280,15 @@ def dumps_model(model) -> str:
 
 def atomic_write_text(path: str, text: str):
     """Write via a sibling temp file and rename, so a failure never leaves a
-    partial file at the destination."""
+    partial file at the destination. The file gets the mode a plain open()
+    would give it, 0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

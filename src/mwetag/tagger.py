@@ -1,15 +1,15 @@
 """ConvNet + BiLSTM sequence tagger with a softmax or chain-CRF head.
 
-The network runs on a padded batch of sentences; one sentence is the B = 1
-case of the same code. The word input (embedding + shape features,
-B x n x (dim+7), zero past each sentence's end) runs through one ReLU
-convolution bank per filter width in FILTER_WIDTHS, the banks' activations
-are concatenated together with the POS one-hot block, a bidirectional LSTM
-with variational dropout reads each sentence up to its length, and a dense
-projection maps each position to per-label scores. The softmax head trains
-with each sentence's mean cross-entropy and predicts by row argmax; the CRF
-head trains with sequence NLL and predicts with viterbi. A batch's loss is
-the sum of its sentences' losses.
+The network runs on a padded batch of B sentences (an embed.Batch). The
+word input (embedding + shape features, B x n x (dim+7), zero past each
+sentence's end) runs through one ReLU convolution bank per filter width in
+FILTER_WIDTHS, the banks' activations are concatenated together with the
+POS one-hot block, a bidirectional LSTM with variational dropout reads each
+sentence up to its length, and a dense projection maps each position to
+per-label scores. The softmax head trains with each sentence's mean
+cross-entropy and predicts by row argmax; the CRF head trains with sequence
+NLL and predicts with viterbi. A batch's loss is the sum of its sentences'
+losses.
 
 Pretrained embeddings are read through the encoding and never updated: the
 word input enters the network as a tape-attached input Tensor, the one way a
@@ -48,8 +48,7 @@ from .autodiff import (
 )
 from .chaincrf import crf_nll, viterbi
 from .corpus import Corpus, TagSequence, from_tags, to_tags
-from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, SentenceEncoding, encode
-from .embed import pad
+from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, encode, pad
 from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
 
@@ -99,14 +98,10 @@ class TaggerModel:
     pos_vocab: tuple[str, ...]
     params: dict[str, Tensor]
     # the pretrained table is referenced for encoding, never trained
-    embeddings: EmbeddingTable | None = None
+    embeddings: EmbeddingTable
 
     def __post_init__(self):
         self.tag_index = {tag: i for i, tag in enumerate(self.tag_vocab)}
-
-    @property
-    def label_count(self) -> int:
-        return len(self.tag_vocab)
 
     def lstm(self, direction: str) -> LstmParams:
         return LstmParams(
@@ -164,30 +159,20 @@ def param_shapes(
 
 def build(
     config: TaggerConfig,
-    emb_dim: int,
-    pos_count: int,
-    tag_count: int,
+    embeddings: EmbeddingTable,
+    tag_vocab: tuple[str, ...],
+    pos_vocab: tuple[str, ...],
     rng: RngStream,
-    tag_vocab: tuple[str, ...] | None = None,
-    pos_vocab: tuple[str, ...] | None = None,
-    embeddings: EmbeddingTable | None = None,
 ) -> TaggerModel:
-    """Initialize a model: weight matrices with uniform fan-scaled draws from
+    """Initialize a model over the pretrained table and the vocabularies,
+    which fix its sizes: weight matrices with uniform fan-scaled draws from
     rng (in a fixed order, so a seed fully determines the parameters), biases
     and CRF transitions at zero."""
-    if min(emb_dim, pos_count, tag_count) < 1:
-        raise ValueError("emb_dim, pos_count and tag_count must be positive")
-    if tag_vocab is not None and len(tag_vocab) != tag_count:
-        raise ValueError("tag vocabulary does not match tag_count")
-    if pos_vocab is not None and len(pos_vocab) != pos_count:
-        raise ValueError("POS vocabulary does not match pos_count")
-    if tag_vocab is None:
-        tag_vocab = tuple(f"TAG{i}" for i in range(tag_count))
-    if pos_vocab is None:
-        pos_vocab = tuple(f"POS{i}" for i in range(pos_count))
-
+    sizes = embeddings.dimension, len(pos_vocab), len(tag_vocab)
+    if min(sizes) < 1:
+        raise ValueError("build needs a positive dimension and non-empty vocabularies")
     params: dict[str, Tensor] = {}
-    for name, shape in param_shapes(config, emb_dim, pos_count, tag_count).items():
+    for name, shape in param_shapes(config, *sizes).items():
         if len(shape) == 1 or name == "trans":
             params[name] = param(np.zeros(shape))
         elif len(shape) == 3:  # conv kernels, filters x width x channels
@@ -195,13 +180,9 @@ def build(
             params[name] = _glorot(rng, shape, width * in_dim, width * f_count)
         else:
             params[name] = _glorot(rng, shape, *shape)
-    if embeddings is None:
-        embeddings = EmbeddingTable(emb_dim, {})
-    elif embeddings.dimension != emb_dim:
-        raise ValueError("embedding table dimension does not match emb_dim")
     return TaggerModel(
         config=config,
-        emb_dim=emb_dim,
+        emb_dim=embeddings.dimension,
         tag_vocab=tuple(tag_vocab),
         pos_vocab=tuple(pos_vocab),
         params=params,
@@ -219,36 +200,31 @@ def build_for_corpus(
 
     if not corpus:
         raise TrainingDataError("training corpus is empty")
-    tags = tuple(tag_vocabulary(corpus))
-    pos = tuple(pos_vocabulary(corpus))
     return build(
         config,
-        embeddings.dimension,
-        len(pos),
-        len(tags),
+        embeddings,
+        tuple(tag_vocabulary(corpus)),
+        tuple(pos_vocabulary(corpus)),
         RngStream(config.seed).child(0),
-        tag_vocab=tags,
-        pos_vocab=pos,
-        embeddings=embeddings,
     )
 
 
-def _encode(model: TaggerModel, sentence) -> SentenceEncoding:
+def _encode(model: TaggerModel, sentence) -> Batch:
     return encode(sentence, model.embeddings, list(model.pos_vocab))
 
 
 def forward(
     model: TaggerModel,
-    inputs: SentenceEncoding | Batch,
+    inputs: Batch,
     mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Per-position label scores: n x T for one sentence, B x n x T for a
-    padded batch (rows past a sentence's end are not its scores). Raw scores
-    for both heads: the softmax head normalizes at loss/prediction time. Pass
-    a tape to record for backward; without one the pass is pure. Scores that
-    overflowed or became NaN raise NonFiniteError."""
+    """Per-position label scores of a padded batch, B x n x T (rows past a
+    sentence's end are not its scores). Raw scores for both heads: the
+    softmax head normalizes at loss/prediction time. Pass a tape to record
+    for backward; without one the pass is pure. Scores that overflowed or
+    became NaN raise NonFiniteError."""
     p = model.params
     width, expected = inputs.word_input.shape[-1], model.emb_dim + N_SHAPE_FEATURES
     if width != expected:
@@ -264,8 +240,8 @@ def forward(
             for w in FILTER_WIDTHS
         ]
         h = concat_cols(banks + [Tensor(inputs.pos_input, tape=tape)])
-        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), DROPOUT,
-                   RECURRENT_DROPOUT, mode, rng, inputs.lengths)
+        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), inputs.lengths, DROPOUT,
+                   RECURRENT_DROPOUT, mode, rng)
         scores = dense(h, p["proj_w"], p["proj_b"])
     if not np.isfinite(scores.data).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
@@ -282,19 +258,17 @@ def _gold_indices(model: TaggerModel, gold: TagSequence) -> list[int]:
 
 def loss(
     model: TaggerModel,
-    inputs: SentenceEncoding | Batch,
-    gold,
+    inputs: Batch,
+    golds: list[TagSequence],
     mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
     """Mean per-token cross-entropy (softmax head) or sequence NLL (CRF) of
-    one sentence and its tag sequence; for a batch and a list of tag
-    sequences, the sum of the sentences' values."""
-    golds = [gold] if inputs.lengths is None else gold
-    lengths = [len(inputs.word_input)] if inputs.lengths is None else inputs.lengths
+    each sentence of a batch against its tag sequence, summed over the
+    batch."""
     indices = np.zeros(inputs.word_input.shape[:-1], dtype=int)
-    for row, tags, length in zip(indices.reshape(len(golds), -1), golds, lengths):
+    for row, tags, length in zip(indices, golds, inputs.lengths, strict=True):
         if len(tags) != length:
             raise TrainingDataError(f"{len(tags)} labels for {length} tokens")
         row[:length] = _gold_indices(model, tags)
@@ -305,32 +279,21 @@ def loss(
     return crf_nll(scores, *chain, indices, inputs.lengths)
 
 
-def _predict_batch(model: TaggerModel, batch: Batch) -> list[TagSequence]:
-    scores = forward(model, batch).data
-    if model.config.head == "softmax":
-        paths = scores.argmax(axis=-1)
-    else:
-        p = model.params
-        paths, _ = viterbi(scores, p["trans"].data, p["trans_start"].data,
-                           p["trans_stop"].data, batch.lengths)
-    vocab = model.tag_vocab
-    return [[vocab[i] for i in path[:n]] for path, n in zip(paths, batch.lengths)]
-
-
-def predict(model: TaggerModel, enc: SentenceEncoding) -> TagSequence:
-    """Most likely label sequence: row argmax (softmax head) or viterbi path
+def predict(model: TaggerModel, encodings: list[Batch]) -> list[TagSequence]:
+    """Most likely label sequence of every encoded sentence, batch_size
+    sentences per forward pass: row argmax (softmax head) or viterbi path
     (CRF head). Ties go to the lower label index either way."""
-    return _predict_batch(model, pad([enc]))[0]
-
-
-def _predict_tags(
-    model: TaggerModel, encodings: list[SentenceEncoding]
-) -> list[TagSequence]:
-    """predict for every encoded sentence, batch_size sentences at a time."""
-    size = model.config.batch_size
+    p, vocab, size = model.params, model.tag_vocab, model.config.batch_size
     tags = []
     for lo in range(0, len(encodings), size):
-        tags += _predict_batch(model, pad(encodings[lo : lo + size]))
+        batch = pad(encodings[lo : lo + size])
+        scores = forward(model, batch).data
+        if model.config.head == "softmax":
+            paths = scores.argmax(axis=-1)
+        else:
+            paths, _ = viterbi(scores, p["trans"].data, p["trans_start"].data,
+                               p["trans_stop"].data, batch.lengths)
+        tags += [[vocab[i] for i in path[:n]] for path, n in zip(paths, batch.lengths)]
     return tags
 
 
@@ -338,7 +301,7 @@ def predict_corpus(
     model: TaggerModel, corpus: Corpus, apply_filter: bool = True
 ) -> Corpus:
     """Re-annotate every sentence with predicted expressions."""
-    tagged = _predict_tags(model, [_encode(model, s) for s in corpus])
+    tagged = predict(model, [_encode(model, s) for s in corpus])
     return [
         from_tags(tags, sentence, apply_filter=apply_filter)
         for tags, sentence in zip(tagged, corpus)
@@ -390,10 +353,10 @@ class AdamOptimizer:
 def _dev_metrics(
     model: TaggerModel,
     dev: Corpus,
-    encodings: list[SentenceEncoding],
+    encodings: list[Batch],
     gold: list[TagSequence],
 ) -> tuple[float, float]:
-    tagged = _predict_tags(model, encodings)
+    tagged = predict(model, encodings)
     pairs = [(a, b) for tags, labels in zip(tagged, gold) for a, b in zip(tags, labels)]
     token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
     predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]

@@ -28,7 +28,7 @@ from mwetag.corpus import (
     write_cupt_file,
 )
 from mwetag.embed import encode
-from mwetag.evaluation import evaluate, f1, mwe_scores, seen_unseen, token_scores
+from mwetag.evaluation import evaluate, f1, mwe_scores, seen_unseen
 from mwetag.serialize import dumps_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
@@ -62,10 +62,11 @@ def test_criterion_2_crf_matches_enumeration():
             rng.uniform(-2.0, 2.0, t_count),
         )
         oracle_path, oracle_best, oracle_log_z = brute_force(*crf)
-        path, score = viterbi(*crf)
+        block = (crf[0][None], *crf[1:])  # the B = 1 block of the sentence
+        (path,), (score,) = viterbi(*block, [n])
         assert abs(score - oracle_best) < 1e-8
-        assert abs(score_path(*crf, path) - oracle_best) < 1e-8
-        assert abs(log_partition(*crf) - oracle_log_z) < 1e-8
+        assert abs(score_path(*block, [path], [n])[0] - oracle_best) < 1e-8
+        assert abs(log_partition(*block, [n])[0] - oracle_log_z) < 1e-8
     assert time.monotonic() - started < 10.0
 
 
@@ -87,8 +88,8 @@ def test_criterion_3_gradient_suite():
 
 def _token_accuracy(model, corpus, table):
     right = total = 0
-    for sentence in corpus:
-        tags = predict(model, encode(sentence, table, list(model.pos_vocab)))
+    tagged = predict(model, [encode(s, table, list(model.pos_vocab)) for s in corpus])
+    for tags, sentence in zip(tagged, corpus):
         gold = to_tags(sentence)
         right += sum(a == b for a, b in zip(tags, gold))
         total += len(gold)
@@ -207,8 +208,8 @@ def test_criterion_6_filtering_ablation_direction():
     assert mwe_filtered.precision > mwe_unfiltered.precision
     assert mwe_filtered.recall == mwe_unfiltered.recall
 
-    token_filtered = token_scores([gold], filtered)
-    token_unfiltered = token_scores([gold], unfiltered)
+    token_filtered = evaluate([gold], filtered).token
+    token_unfiltered = evaluate([gold], unfiltered).token
     assert token_filtered.recall < token_unfiltered.recall
 
 

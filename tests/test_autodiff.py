@@ -129,7 +129,6 @@ def test_unused_branch_grad_is_zero():
 def test_rng_same_seed_same_draws():
     a, b = RngStream(7), RngStream(7)
     np.testing.assert_array_equal(a.uniform(0, 1, (3, 3)), b.uniform(0, 1, (3, 3)))
-    np.testing.assert_array_equal(a.normal(1.0, (4,)), b.normal(1.0, (4,)))
     np.testing.assert_array_equal(a.permutation(10), b.permutation(10))
 
 
@@ -188,15 +187,15 @@ def test_matmul_matches_naive_triple_loop(n, k, m, seed):
 def test_conv_width2_hand_case():
     # input rows [1],[2],[3]; kernel rows [1],[1]: even width pads one zero
     # row on the right, so outputs are 1+2, 2+3, 3+0
-    x = param(np.array([[1.0], [2.0], [3.0]]))
+    x = param(np.array([[[1.0], [2.0], [3.0]]]))
     kernels = param(np.array([[[1.0], [1.0]]]))
     out = conv1d_same(x, kernels, param(np.zeros(1)))
-    np.testing.assert_allclose(out.data, [[3.0], [5.0], [3.0]])
+    np.testing.assert_allclose(out.data, [[[3.0], [5.0], [3.0]]])
 
 
 def test_conv_width3_identity_kernel_recovers_input():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(5, 2))
+    x = rng.normal(size=(1, 5, 2))
     # one filter per channel, hot only at the center tap
     kernels = np.zeros((2, 3, 2))
     kernels[0, 1, 0] = 1.0
@@ -206,16 +205,16 @@ def test_conv_width3_identity_kernel_recovers_input():
 
 
 def test_conv_width3_hand_case_with_bias():
-    x = param(np.array([[1.0], [2.0], [3.0]]))
+    x = param(np.array([[[1.0], [2.0], [3.0]]]))
     kernels = param(np.array([[[1.0], [10.0], [100.0]]]))
     out = conv1d_same(x, kernels, param(np.array([0.5])))
     # window (pad,1,2), (1,2,3), (2,3,pad) with taps 1,10,100 plus bias
-    np.testing.assert_allclose(out.data, [[210.5], [321.5], [32.5]])
+    np.testing.assert_allclose(out.data, [[[210.5], [321.5], [32.5]]])
 
 
 def test_conv_rejects_channel_mismatch():
     with pytest.raises(ValueError):
-        conv1d_same(param(np.ones((3, 2))), param(np.ones((1, 2, 5))), param(np.zeros(1)))
+        conv1d_same(param(np.ones((1, 3, 2))), param(np.ones((1, 2, 5))), param(np.zeros(1)))
 
 
 def test_softmax_closed_form():
@@ -235,17 +234,17 @@ def test_softmax_rows_are_distributions(n, t, seed):
 
 
 def test_cross_entropy_uniform_is_log_num_classes():
-    probs = param(np.full((3, 4), 0.25))
-    loss = cross_entropy(probs, [0, 1, 3])
+    probs = param(np.full((1, 3, 4), 0.25))
+    loss = cross_entropy(probs, [[0, 1, 3]], [3])
     np.testing.assert_allclose(loss.item(), np.log(4.0))
 
 
 def test_cross_entropy_rejects_bad_gold():
-    probs = param(np.full((2, 3), 1 / 3))
+    probs = param(np.full((1, 2, 3), 1 / 3))
     with pytest.raises(ValueError):
-        cross_entropy(probs, [0])
+        cross_entropy(probs, [[0]], [2])
     with pytest.raises(ValueError):
-        cross_entropy(probs, [0, 3])
+        cross_entropy(probs, [[0, 3]], [2])
 
 
 def scalar_lstm_reference(x, wx, wh, b, rec_mask=None):
@@ -290,12 +289,12 @@ def test_bilstm_matches_scalar_reference_both_directions(n, d, h):
     x = rng.normal(size=(n, d))
     fwd = make_lstm_params(rng, d, h)
     bwd = make_lstm_params(rng, d, h)
-    out = bilstm(param(x), fwd, bwd)
-    assert out.shape == (n, 2 * h)
+    out = bilstm(param(x[None]), fwd, bwd, [n])
+    assert out.shape == (1, n, 2 * h)
     expect_fwd = scalar_lstm_reference(x, fwd.wx.data, fwd.wh.data, fwd.b.data)
     expect_bwd = scalar_lstm_reference(x[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data)[::-1]
-    np.testing.assert_allclose(out.data[:, :h], expect_fwd, atol=1e-12)
-    np.testing.assert_allclose(out.data[:, h:], expect_bwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[0, :, :h], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[0, :, h:], expect_bwd, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
@@ -311,13 +310,13 @@ def test_bilstm_matches_scalar_reference_padded_batch(mode):
         block[b, :n] = rng.normal(size=(n, d))
     weights = rng.normal(size=(3, 4, 2 * h))
 
-    def run(x_data, w, draws, lengths=None):
+    def run(x_data, w, draws, lengths):
         for p in params:
             p.zero_grad()
         tape = Tape()
         x = attach(x_data, tape)
-        out = bilstm(x, fwd, bwd, dropout=0.5, recurrent_dropout=0.2, mode=mode,
-                     rng=draws, lengths=lengths)
+        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
+                     mode=mode, rng=draws)
         assert len(tape) == 1
         backward(tape, sum_all(mul(out, Tensor(w))))
         return out.data, x.grad, [p.grad.copy() for p in params]
@@ -329,9 +328,10 @@ def test_bilstm_matches_scalar_reference_padded_batch(mode):
     singles, masks = RngStream(21), RngStream(21)
     summed = [np.zeros_like(g) for g in grads]
     for b, n in enumerate(lengths):
-        s_out, s_d_x, s_grads = run(block[b, :n], weights[b, :n], singles)
-        np.testing.assert_allclose(out[b, :n], s_out, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(d_x[b, :n], s_d_x, rtol=0, atol=1e-12)
+        s_out, s_d_x, s_grads = run(block[b : b + 1, :n], weights[b : b + 1, :n],
+                                    singles, [n])
+        np.testing.assert_allclose(out[b, :n], s_out[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_x[b, :n], s_d_x[0], rtol=0, atol=1e-12)
         assert not out[b, n:].any() and not d_x[b, n:].any()
         for total, g in zip(summed, s_grads):
             total += g
@@ -362,7 +362,7 @@ def test_bilstm_without_tape_keeps_no_backprop_state():
     def peak(tape):
         tracemalloc.start()
         try:
-            bilstm(Tensor(block, tape=tape), fwd, bwd, lengths=lengths)
+            bilstm(Tensor(block, tape=tape), fwd, bwd, lengths)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,8 +380,8 @@ def test_bilstm_train_masks_follow_documented_draw_order():
     fwd = make_lstm_params(rng, 3, 4)
     bwd = make_lstm_params(rng, 3, 4)
     out = bilstm(
-        param(x), fwd, bwd, dropout=0.5, recurrent_dropout=0.2, mode="train",
-        rng=RngStream(21),
+        param(x[None]), fwd, bwd, [5], dropout=0.5, recurrent_dropout=0.2,
+        mode="train", rng=RngStream(21),
     )
     # one mask per sequence per direction: forward-input, forward-recurrent,
     # backward-input, backward-recurrent
@@ -396,8 +396,8 @@ def test_bilstm_train_masks_follow_documented_draw_order():
     expect_bwd = scalar_lstm_reference(
         (x * in_bwd)[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data, rec_bwd
     )[::-1]
-    np.testing.assert_allclose(out.data[:, :4], expect_fwd, atol=1e-12)
-    np.testing.assert_allclose(out.data[:, 4:], expect_bwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[0, :, :4], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out.data[0, :, 4:], expect_bwd, atol=1e-12)
 
 
 def test_bilstm_records_one_tape_node_whatever_the_length():
@@ -407,27 +407,27 @@ def test_bilstm_records_one_tape_node_whatever_the_length():
     counts = []
     for n in (1, 12):
         tape = Tape()
-        bilstm(attach(rng.normal(size=(n, 3)), tape), fwd, bwd)
+        bilstm(attach(rng.normal(size=(1, n, 3)), tape), fwd, bwd, [n])
         counts.append(len(tape))
     assert counts == [1, 1]
-    assert bilstm(param(rng.normal(size=(12, 3))), fwd, bwd).tape is None
+    assert bilstm(param(rng.normal(size=(1, 12, 3))), fwd, bwd, [12]).tape is None
 
 
 def test_bilstm_eval_mode_ignores_dropout():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(4, 3))
+    x = rng.normal(size=(1, 4, 3))
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
-    plain = bilstm(param(x), fwd, bwd)
+    plain = bilstm(param(x), fwd, bwd, [4])
     dropped = bilstm(
-        param(x), fwd, bwd, dropout=0.5, recurrent_dropout=0.2, mode="eval"
+        param(x), fwd, bwd, [4], dropout=0.5, recurrent_dropout=0.2, mode="eval"
     )
     np.testing.assert_array_equal(plain.data, dropped.data)
 
 
 def test_bilstm_train_dropout_is_seed_deterministic():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(4, 3))
+    x = rng.normal(size=(1, 4, 3))
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
 
@@ -436,6 +436,7 @@ def test_bilstm_train_dropout_is_seed_deterministic():
             param(x),
             fwd,
             bwd,
+            [4],
             dropout=0.5,
             recurrent_dropout=0.2,
             mode="train",
@@ -450,17 +451,17 @@ def test_bilstm_train_needs_rng_when_dropping():
     fwd = make_lstm_params(np.random.default_rng(0), 2, 2)
     bwd = make_lstm_params(np.random.default_rng(1), 2, 2)
     with pytest.raises(ValueError):
-        bilstm(param(np.ones((2, 2))), fwd, bwd, dropout=0.5, mode="train")
+        bilstm(param(np.ones((1, 2, 2))), fwd, bwd, [2], dropout=0.5, mode="train")
 
 
 def test_bilstm_rejects_bad_rates_and_mode():
     fwd = make_lstm_params(np.random.default_rng(0), 2, 2)
     bwd = make_lstm_params(np.random.default_rng(1), 2, 2)
-    x = param(np.ones((2, 2)))
+    x = param(np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
-        bilstm(x, fwd, bwd, dropout=1.0, mode="train", rng=RngStream(0))
+        bilstm(x, fwd, bwd, [2], dropout=1.0, mode="train", rng=RngStream(0))
     with pytest.raises(ValueError):
-        bilstm(x, fwd, bwd, mode="predict")
+        bilstm(x, fwd, bwd, [2], mode="predict")
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +546,13 @@ def test_grad_softmax_cross_entropy():
     rng = np.random.default_rng(9)
     w = param(rng.normal(size=(4, 3)))
     b = param(rng.normal(size=3))
-    x_data = rng.normal(size=(5, 4))
-    gold = [0, 2, 1, 1, 0]
+    x_data = rng.normal(size=(1, 5, 4))
+    gold = [[0, 2, 1, 1, 0]]
 
     def build():
         tape = Tape()
         x = attach(x_data, tape)
-        return cross_entropy(softmax_rows(dense(x, w, b)), gold)
+        return cross_entropy(softmax_rows(dense(x, w, b)), gold, [5])
 
     check(build, [w, b])
 
@@ -562,7 +563,7 @@ def test_grad_conv_both_widths():
     k3 = param(rng.normal(size=(2, 3, 2)))
     b2 = param(rng.normal(size=3))
     b3 = param(rng.normal(size=2))
-    x_data = rng.normal(size=(4, 2))
+    x_data = rng.normal(size=(1, 4, 2))
 
     def build():
         tape = Tape()
@@ -586,12 +587,12 @@ def test_grad_bilstm_eval(seed, n, h):
     rng = np.random.default_rng(seed)
     fwd = make_lstm_params(rng, 3, h)
     bwd = make_lstm_params(rng, 3, h)
-    x_data = rng.normal(size=(n, 3))
+    x_data = rng.normal(size=(1, n, 3))
 
     def build():
         tape = Tape()
         x = attach(x_data, tape)
-        h = bilstm(x, fwd, bwd)
+        h = bilstm(x, fwd, bwd, [n])
         return sum_all(mul(h, h))
 
     check(build, fwd.tensors() + bwd.tensors())
@@ -601,7 +602,7 @@ def test_grad_bilstm_train_with_frozen_masks():
     rng = np.random.default_rng(13)
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
-    x_data = rng.normal(size=(4, 3))
+    x_data = rng.normal(size=(1, 4, 3))
 
     def build():
         # fresh stream per call: identical masks on every evaluation
@@ -611,6 +612,7 @@ def test_grad_bilstm_train_with_frozen_masks():
             x,
             fwd,
             bwd,
+            [4],
             dropout=0.5,
             recurrent_dropout=0.2,
             mode="train",
@@ -633,16 +635,16 @@ def test_grad_full_stack_composite():
     bwd = make_lstm_params(rng, 4, 2)
     w = param(rng.normal(size=(4, 3)))
     b = param(rng.normal(size=3))
-    x_data = rng.normal(size=(4, 3))
-    gold = [0, 1, 2, 1]
+    x_data = rng.normal(size=(1, 4, 3))
+    gold = [[0, 1, 2, 1]]
     params = [k2, b2, k3, b3, w, b] + fwd.tensors() + bwd.tensors()
 
     def build():
         tape = Tape()
         x = attach(x_data, tape)
         h = concat_cols([relu(conv1d_same(x, k2, b2)), relu(conv1d_same(x, k3, b3))])
-        h = bilstm(h, fwd, bwd)
-        return cross_entropy(softmax_rows(dense(h, w, b)), gold)
+        h = bilstm(h, fwd, bwd, [4])
+        return cross_entropy(softmax_rows(dense(h, w, b)), gold, [4])
 
     # relu margin for this fixed seed
     assert np.abs(
@@ -651,7 +653,7 @@ def test_grad_full_stack_composite():
                 conv1d_same(param(x_data), k2, b2).data,
                 conv1d_same(param(x_data), k3, b3).data,
             ],
-            axis=1,
+            axis=-1,
         )
     ).min() > 0.01
     check(build, params)

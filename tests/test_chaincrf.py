@@ -21,8 +21,8 @@ from mwetag.chaincrf import (
 
 
 def make_instance(rng, n, t):
-    """(scores, trans, start, stop), the argument order of every chaincrf
-    function."""
+    """(scores, trans, start, stop) of one sentence: the argument order of
+    every chaincrf function, with n x T scores."""
     return (
         rng.normal(scale=2.0, size=(n, t)),
         rng.normal(scale=2.0, size=(t, t)),
@@ -37,6 +37,11 @@ def zero_chain(t):
 
 def tensors(*arrays):
     return [Tensor(a) for a in arrays]
+
+
+def one(fn, scores, *rest):
+    """fn on one n x T sentence, passed as the B = 1 block with its length."""
+    return fn(scores[None], *rest, [len(scores)])
 
 
 def enumerate_scores(scores, trans, start, stop):
@@ -65,7 +70,7 @@ def oracle_log_z(table):
 
 def test_viterbi_single_position_is_argmax_of_sums():
     chain = np.zeros((3, 3)), np.array([0.0, 0.0, 4.0]), np.zeros(3)
-    path, score = viterbi(np.array([[1.0, 5.0, 2.0]]), *chain)
+    (path,), (score,) = one(viterbi, np.array([[1.0, 5.0, 2.0]]), *chain)
     assert path == [2]
     assert score == pytest.approx(6.0)
 
@@ -73,13 +78,13 @@ def test_viterbi_single_position_is_argmax_of_sums():
 def test_viterbi_zero_transitions_is_rowwise_argmax():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(6, 4))
-    path, _ = viterbi(scores, *zero_chain(4))
+    (path,), _ = one(viterbi, scores, *zero_chain(4))
     assert path == list(scores.argmax(axis=1))
 
 
 def test_viterbi_ties_break_to_lowest_index():
     # every path scores zero, so the lowest-index choice wins everywhere
-    path, score = viterbi(np.zeros((4, 3)), *zero_chain(3))
+    (path,), (score,) = one(viterbi, np.zeros((4, 3)), *zero_chain(3))
     assert path == [0, 0, 0, 0]
     assert score == 0.0
 
@@ -87,9 +92,9 @@ def test_viterbi_ties_break_to_lowest_index():
 def test_viterbi_matches_exhaustive_n4_t3():
     crf = make_instance(np.random.default_rng(7), 4, 3)
     table = enumerate_scores(*crf)
-    path, score = viterbi(*crf)
+    (path,), (score,) = one(viterbi, *crf)
     assert score == pytest.approx(max(table.values()), abs=1e-8)
-    assert score == pytest.approx(score_path(*crf, path), abs=1e-10)
+    assert score == pytest.approx(one(score_path, *crf, [path])[0], abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +102,14 @@ def test_viterbi_matches_exhaustive_n4_t3():
 
 
 def test_log_partition_two_labels_zero_scores_is_ln2():
-    assert log_partition(np.zeros((1, 2)), *zero_chain(2)) == pytest.approx(np.log(2.0))
+    log_z = one(log_partition, np.zeros((1, 2)), *zero_chain(2))
+    assert log_z == pytest.approx([np.log(2.0)])
 
 
 def test_log_partition_matches_oracle_n5_t4():
     crf = make_instance(np.random.default_rng(8), 5, 4)
-    assert log_partition(*crf) == pytest.approx(
-        oracle_log_z(enumerate_scores(*crf)), abs=1e-8
+    assert one(log_partition, *crf) == pytest.approx(
+        [oracle_log_z(enumerate_scores(*crf))], abs=1e-8
     )
 
 
@@ -111,8 +117,8 @@ def test_log_partition_matches_oracle_n5_t4():
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_log_partition_dominates_viterbi(n, t_count, seed):
     crf = make_instance(np.random.default_rng(seed), n, t_count)
-    _, best = viterbi(*crf)
-    assert log_partition(*crf) >= best - 1e-10
+    _, best = one(viterbi, *crf)
+    assert one(log_partition, *crf) >= best - 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,11 +128,11 @@ def test_constant_emission_shift_moves_logz_not_argmax(n, t_count, seed):
     shift_pos = n // 2
     shifted = np.array(scores, copy=True)
     shifted[shift_pos] += 3.7
-    assert log_partition(shifted, *chain) == pytest.approx(
-        log_partition(scores, *chain) + 3.7, abs=1e-8
+    assert one(log_partition, shifted, *chain) == pytest.approx(
+        one(log_partition, scores, *chain) + 3.7, abs=1e-8
     )
-    p1, s1 = viterbi(scores, *chain)
-    p2, s2 = viterbi(shifted, *chain)
+    p1, s1 = one(viterbi, scores, *chain)
+    p2, s2 = one(viterbi, shifted, *chain)
     assert s2 == pytest.approx(s1 + 3.7, abs=1e-8)
     assert p1 == p2
 
@@ -153,9 +159,9 @@ def test_brute_force_hand_enumerated_four_paths():
 def test_brute_force_single_position_agrees_with_viterbi():
     crf = make_instance(np.random.default_rng(9), 1, 4)
     path, best, log_z = brute_force(*crf)
-    v_path, v_best = viterbi(*crf)
+    (v_path,), (v_best,) = one(viterbi, *crf)
     assert path == v_path and best == pytest.approx(v_best)
-    assert log_z == pytest.approx(log_partition(*crf))
+    assert [log_z] == pytest.approx(one(log_partition, *crf))
 
 
 def test_brute_force_refuses_large_instances():
@@ -170,11 +176,11 @@ def test_viterbi_and_partition_agree_with_brute_force_seeded_sweep():
         t_count = rng.integers(1, 5)
         crf = make_instance(rng, n, t_count)
         b_path, b_best, b_log_z = brute_force(*crf)
-        v_path, v_best = viterbi(*crf)
+        (v_path,), (v_best,) = one(viterbi, *crf)
         assert abs(v_best - b_best) < 1e-8
-        assert abs(log_partition(*crf) - b_log_z) < 1e-8
+        assert abs(one(log_partition, *crf)[0] - b_log_z) < 1e-8
         # the decoded path must itself attain the best score
-        assert abs(score_path(*crf, v_path) - b_best) < 1e-8
+        assert abs(one(score_path, *crf, [v_path])[0] - b_best) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +207,18 @@ def test_marginals_match_enumeration(seed):
     rng = np.random.default_rng(seed)
     n, t_count = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     crf = make_instance(rng, n, t_count)
-    gamma, xi, log_z = forward_backward(*crf)
+    (gamma,), (xi,), log_z = one(forward_backward, *crf)
     o_gamma, o_xi = oracle_marginals(enumerate_scores(*crf), n, t_count)
     np.testing.assert_allclose(gamma, o_gamma, atol=1e-10)
     np.testing.assert_allclose(xi, o_xi, atol=1e-10)
-    assert log_z == pytest.approx(log_partition(*crf), abs=1e-10)
+    assert log_z == pytest.approx(one(log_partition, *crf), abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
 def test_marginal_rows_sum_to_one(n, t_count, seed):
     crf = make_instance(np.random.default_rng(seed), n, t_count)
-    gamma, xi, _ = forward_backward(*crf)
+    (gamma,), (xi,), _ = one(forward_backward, *crf)
     np.testing.assert_allclose(gamma.sum(axis=1), np.ones(n), atol=1e-10)
     # pairwise marginals are consistent with the unary ones
     for i in range(n - 1):
@@ -237,16 +243,16 @@ def test_padded_batch_matches_single_sentences_and_enumeration():
     for b, n in enumerate(lengths):
         crf = (block[b, :n], *chain)
         _, _, b_log_z = brute_force(*crf)
-        assert abs(log_z[b] - log_partition(*crf)) < 1e-12
+        assert abs(log_z[b] - one(log_partition, *crf)[0]) < 1e-12
         assert abs(log_z[b] - b_log_z) < 1e-12
         assert abs(fb_log_z[b] - b_log_z) < 1e-12
-        assert abs(golds[b] - score_path(*crf, gold[b, :n])) < 1e-12
-        s_gamma, s_xi, _ = forward_backward(*crf)
-        np.testing.assert_allclose(gamma[b, :n], s_gamma, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(xi[b, : n - 1], s_xi, rtol=0, atol=1e-12)
+        assert abs(golds[b] - one(score_path, *crf, gold[b : b + 1, :n])[0]) < 1e-12
+        s_gamma, s_xi, _ = one(forward_backward, *crf)
+        np.testing.assert_allclose(gamma[b, :n], s_gamma[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xi[b, : n - 1], s_xi[0], rtol=0, atol=1e-12)
         assert not gamma[b, n:].any() and not xi[b, n - 1 :].any()
-        s_d_scores, *s_d_chain = nll_gradient(s_gamma, s_xi, gold[b, :n])
-        np.testing.assert_allclose(d_scores[b, :n], s_d_scores, rtol=0, atol=1e-12)
+        s_d_scores, *s_d_chain = nll_gradient(s_gamma, s_xi, gold[b : b + 1, :n], [n])
+        np.testing.assert_allclose(d_scores[b, :n], s_d_scores[0], rtol=0, atol=1e-12)
         assert not d_scores[b, n:].any()
         for total, part in zip(summed, s_d_chain):
             total += part
@@ -266,7 +272,7 @@ def test_viterbi_padded_batch_matches_single_sentences_and_enumeration():
     assert len(paths) == len(lengths) and best.shape == (len(lengths),)
     for b, n in enumerate(lengths):
         crf = (block[b, :n], *chain)
-        path, score = viterbi(*crf)
+        (path,), (score,) = one(viterbi, *crf)
         b_path, b_best, _ = brute_force(*crf)
         assert paths[b] == path == b_path
         assert abs(best[b] - score) < 1e-12
@@ -286,7 +292,8 @@ def test_viterbi_padded_batch_breaks_ties_to_lowest_index():
     assert paths == [[0, 1], [0, 1, 0, 2], [0]]
     np.testing.assert_array_equal(best, [3.0, 7.0, 1.0])
     for b, n in enumerate(lengths):
-        assert viterbi(block[b, :n], *zero_chain(3)) == (paths[b], best[b])
+        (path,), (score,) = one(viterbi, block[b, :n], *zero_chain(3))
+        assert (path, score) == (paths[b], best[b])
         assert brute_force(block[b, :n], *zero_chain(3))[0] == paths[b]
 
 
@@ -295,17 +302,17 @@ def test_viterbi_padded_batch_breaks_ties_to_lowest_index():
 
 
 def test_nll_zero_scores_single_position_is_ln2():
-    crf = tensors(np.zeros((1, 2)), *zero_chain(2))
-    assert crf_nll(*crf, [0]).item() == pytest.approx(np.log(2.0))
+    crf = tensors(np.zeros((1, 1, 2)), *zero_chain(2))
+    assert crf_nll(*crf, [[0]], [1]).item() == pytest.approx(np.log(2.0))
 
 
 def test_nll_approaches_zero_when_gold_path_dominates():
     # every non-gold label is crushed to -1e30 at each position
-    scores = np.full((3, 3), -1e30)
+    scores = np.full((1, 3, 3), -1e30)
     gold = [2, 0, 1]
     for i, y in enumerate(gold):
-        scores[i, y] = 0.0
-    assert abs(crf_nll(*tensors(scores, *zero_chain(3)), gold).item()) < 1e-6
+        scores[0, i, y] = 0.0
+    assert abs(crf_nll(*tensors(scores, *zero_chain(3)), [gold], [3]).item()) < 1e-6
 
 
 def test_nll_matches_enumeration_and_is_nonnegative():
@@ -316,17 +323,18 @@ def test_nll_matches_enumeration_and_is_nonnegative():
         gold = rng.integers(0, t_count, size=n)
         table = enumerate_scores(*crf)
         expected = oracle_log_z(table) - table[tuple(gold)]
-        loss = crf_nll(*tensors(*crf), gold).item()
+        scores, *chain = tensors(*crf)
+        loss = crf_nll(Tensor(scores.data[None]), *chain, [gold], [n]).item()
         assert loss == pytest.approx(expected, abs=1e-8)
         assert loss >= -1e-10
 
 
 def test_nll_rejects_bad_gold():
-    crf = tensors(np.zeros((2, 2)), *zero_chain(2))
+    crf = tensors(np.zeros((1, 2, 2)), *zero_chain(2))
     with pytest.raises(ValueError):
-        crf_nll(*crf, [0])
+        crf_nll(*crf, [[0]], [2])
     with pytest.raises(ValueError):
-        crf_nll(*crf, [0, 2])
+        crf_nll(*crf, [[0, 2]], [2])
 
 
 def test_nll_of_padded_batch_is_sum_of_sentences():
@@ -348,13 +356,13 @@ def test_nll_of_padded_batch_is_sum_of_sentences():
     total = 0.0
     summed = [np.zeros_like(g) for g in grads[1:]]
     for b, n in enumerate(lengths):
-        single = [param(a) for a in (block[b, :n], *chain)]
+        single = [param(a) for a in (block[b : b + 1, :n], *chain)]
         tape = Tape()
-        value = crf_nll(add(single[0], Tensor(np.zeros((n, t_count)), tape=tape)),
-                        *single[1:], gold[b, :n])
+        value = crf_nll(add(single[0], Tensor(np.zeros((1, n, t_count)), tape=tape)),
+                        *single[1:], gold[b : b + 1, :n], [n])
         backward(tape, value)
         total += value.item()
-        np.testing.assert_allclose(grads[0][b, :n], single[0].grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0][b, :n], single[0].grad[0], rtol=0, atol=1e-12)
         assert not grads[0][b, n:].any()
         for acc, t in zip(summed, single[1:]):
             acc += t.grad
@@ -367,31 +375,31 @@ def test_nll_of_padded_batch_is_sum_of_sentences():
 def test_nll_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     n, t_count = 4, 3
-    e_scores = param(rng.normal(size=(n, t_count)))
+    e_scores = param(rng.normal(size=(1, n, t_count)))
     trans = param(rng.normal(size=(t_count, t_count)))
     start = param(rng.normal(size=t_count))
     stop = param(rng.normal(size=t_count))
-    gold = rng.integers(0, t_count, size=n)
+    gold = rng.integers(0, t_count, size=(1, n))
 
     def build():
         tape = Tape()
-        carrier = Tensor(np.zeros((n, t_count)), tape=tape)
-        return crf_nll(add(e_scores, carrier), trans, start, stop, gold)
+        carrier = Tensor(np.zeros((1, n, t_count)), tape=tape)
+        return crf_nll(add(e_scores, carrier), trans, start, stop, gold, [n])
 
     assert grad_check(build, [e_scores, trans, start, stop]) < 1e-4
 
 
 def test_nll_gradient_single_position_start_stop():
     rng = np.random.default_rng(3)
-    e_scores = param(rng.normal(size=(1, 3)))
+    e_scores = param(rng.normal(size=(1, 1, 3)))
     trans = param(rng.normal(size=(3, 3)))
     start = param(rng.normal(size=3))
     stop = param(rng.normal(size=3))
 
     def build():
         tape = Tape()
-        carrier = Tensor(np.zeros((1, 3)), tape=tape)
-        return crf_nll(add(e_scores, carrier), trans, start, stop, [1])
+        carrier = Tensor(np.zeros((1, 1, 3)), tape=tape)
+        return crf_nll(add(e_scores, carrier), trans, start, stop, [[1]], [1])
 
     # n=1 has no transitions: trans gradient must be exactly zero
     assert grad_check(build, [e_scores, start, stop]) < 1e-4

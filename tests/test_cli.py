@@ -25,6 +25,16 @@ from test_serialize import (
 )
 
 
+def write_vecs(path, dim):
+    """Seeded vectors of the synthetic vocabulary, with a header line."""
+    table = synthetic_embeddings(dim=dim, seed=1)
+    with open(path, "w") as handle:
+        handle.write(f"{len(vocabulary())} {dim}\n")
+        for word in vocabulary():
+            values = " ".join(repr(float(v)) for v in table.entries[word])
+            handle.write(f"{word} {values}\n")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Corpus, gold copy, and a vector file shared by the pipeline tests."""
@@ -32,12 +42,7 @@ def workdir(tmp_path_factory):
     corpus = synthetic_corpus(sentences=12, seed=3)
     write_cupt_file(corpus, root / "train.cupt")
     write_cupt_file(corpus, root / "gold.cupt")
-    table = synthetic_embeddings(dim=8, seed=1)
-    with open(root / "vecs.vec", "w") as handle:
-        handle.write(f"{len(vocabulary())} 8\n")
-        for word in vocabulary():
-            values = " ".join(repr(float(v)) for v in table.entries[word])
-            handle.write(f"{word} {values}\n")
+    write_vecs(root / "vecs.vec", 8)
     return root
 
 
@@ -634,6 +639,21 @@ def test_baseline_turian_requires_embeddings_to_tag(workdir, tmp_path, capsys):
               "--output", p(tmp_path / "x.cupt")])
     assert rc == 2
     assert "embeddings" in capsys.readouterr().err
+
+
+def test_baseline_turian_rejects_vectors_of_another_dimension(workdir, tmp_path, capsys):
+    write_vecs(tmp_path / "v4.vec", 4)
+    write_vecs(tmp_path / "v6.vec", 6)
+    model = tmp_path / "t.json"
+    assert run(["train", "--train", p(workdir / "train.cupt"), "--model", p(model),
+                "--variant", "baseline-turian", "--embeddings", p(tmp_path / "v4.vec"),
+                "--epochs", "5"]) == 0
+    rc = run(["tag", "--model", p(model), "--input", p(workdir / "train.cupt"),
+              "--output", p(tmp_path / "x.cupt"), "--embeddings", p(tmp_path / "v6.vec")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "4-dimensional" in err and "table has 6" in err
+    assert not (tmp_path / "x.cupt").exists()
 
 
 def test_train_baseline_standard_needs_no_embeddings_flag():

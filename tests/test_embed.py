@@ -143,13 +143,15 @@ def test_encode_shapes_and_rows():
     vocab = ["UNK", "NOUN", "VERB"]
     sent = sentence_of(["cat", "Purrs", "2018"], ["NOUN", "VERB", "ADJ"])
     enc = encode(sent, table, vocab)
-    assert enc.word_input.shape == (3, 10)
-    assert enc.pos_input.shape == (3, 3)
-    np.testing.assert_array_equal(enc.word_input[0, :3], [1, 2, 3])
-    np.testing.assert_array_equal(enc.word_input[1, :3], [0, 0, 0])  # OOV
-    np.testing.assert_array_equal(enc.word_input[2, 3:], shape_features("2018"))
-    np.testing.assert_array_equal(enc.pos_input.sum(axis=1), [1, 1, 1])
-    np.testing.assert_array_equal(enc.pos_input[2], [1, 0, 0])  # unseen POS
+    assert enc.word_input.shape == (1, 3, 10)
+    assert enc.pos_input.shape == (1, 3, 3)
+    np.testing.assert_array_equal(enc.lengths, [3])
+    words, pos = enc.word_input[0], enc.pos_input[0]
+    np.testing.assert_array_equal(words[0, :3], [1, 2, 3])
+    np.testing.assert_array_equal(words[1, :3], [0, 0, 0])  # OOV
+    np.testing.assert_array_equal(words[2, 3:], shape_features("2018"))
+    np.testing.assert_array_equal(pos.sum(axis=1), [1, 1, 1])
+    np.testing.assert_array_equal(pos[2], [1, 0, 0])  # unseen POS
 
 
 def test_encode_deterministic_and_form_consistent():
@@ -159,13 +161,13 @@ def test_encode_deterministic_and_form_consistent():
     enc1 = encode(sent, table, vocab)
     enc2 = encode(sent, table, vocab)
     np.testing.assert_array_equal(enc1.word_input, enc2.word_input)
-    np.testing.assert_array_equal(enc1.word_input[0, :2], enc1.word_input[2, :2])
+    np.testing.assert_array_equal(enc1.word_input[0, 0, :2], enc1.word_input[0, 2, :2])
 
 
 def test_encode_copies_embeddings():
     table = EmbeddingTable(2, {"a": np.array([5.0, 6.0])})
     enc = encode(sentence_of(["a"], ["X"]), table, ["UNK", "X"])
-    enc.word_input[0, 0] = -1.0
+    enc.word_input[0, 0, 0] = -1.0
     np.testing.assert_array_equal(table.lookup("a"), [5, 6])
 
 
@@ -180,7 +182,11 @@ def test_pad_stacks_sentences_zero_past_each_end():
     np.testing.assert_array_equal(batch.lengths, [2, 1, 3])
     assert batch.word_input.shape == (3, 3, 9) and batch.pos_input.shape == (3, 3, 2)
     for b, enc in enumerate(encodings):
-        n = len(enc.word_input)
-        np.testing.assert_array_equal(batch.word_input[b, :n], enc.word_input)
-        np.testing.assert_array_equal(batch.pos_input[b, :n], enc.pos_input)
+        (n,) = enc.lengths
+        np.testing.assert_array_equal(batch.word_input[b, :n], enc.word_input[0])
+        np.testing.assert_array_equal(batch.pos_input[b, :n], enc.pos_input[0])
         assert not batch.word_input[b, n:].any() and not batch.pos_input[b, n:].any()
+    # a stacked batch stacks again in order
+    again = pad([pad(encodings[:2]), encodings[2]])
+    for field in ("word_input", "pos_input", "lengths"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(batch, field))

@@ -16,11 +16,9 @@ from mwetag.evaluation import (
     f1,
     format_report,
     mwe_scores,
-    per_category_scores,
     percent,
     report_to_dict,
     seen_unseen,
-    token_scores,
 )
 
 
@@ -95,14 +93,14 @@ def test_mwe_general_score_ignores_category():
 
 def test_token_identical_annotation_scores_one():
     gold = [sent(5, ("VID", [2, 4])), sent(3, ("LVC.full", [1, 2]))]
-    s = token_scores(gold, gold)
+    s = evaluate(gold, gold).token
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
 def test_token_hand_case_partial_overlap():
     gold = [sent(5, ("VID", [2, 4]))]
     pred = [sent(5, ("VID", [2, 3]))]
-    s = token_scores(gold, pred)
+    s = evaluate(gold, pred).token
     assert (s.tp, s.fp, s.fn) == (1, 1, 1)
     assert s.precision == pytest.approx(0.5)
     assert s.recall == pytest.approx(0.5)
@@ -111,7 +109,7 @@ def test_token_hand_case_partial_overlap():
 def test_token_empty_prediction_zero_by_convention():
     gold = [sent(4, ("VID", [1, 2]))]
     pred = [sent(4)]
-    s = token_scores(gold, pred)
+    s = evaluate(gold, pred).token
     assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
 
 
@@ -119,7 +117,7 @@ def test_token_overlapping_instances_count_positions_once():
     # positions 2 and 3 belong to two gold instances; union counts them once
     gold = [sent(4, ("A", [1, 2, 3]), ("B", [2, 3]))]
     pred = [sent(4, ("A", [2, 3]))]
-    s = token_scores(gold, pred)
+    s = evaluate(gold, pred).token
     assert (s.tp, s.fp, s.fn) == (2, 0, 1)
 
 
@@ -134,7 +132,7 @@ def test_sentence_count_mismatch_raises():
 
 def test_token_count_mismatch_raises():
     with pytest.raises(EvaluationError):
-        token_scores([sent(3)], [sent(4)])
+        evaluate([sent(3)], [sent(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +142,17 @@ def test_token_count_mismatch_raises():
 def test_single_category_equals_overall():
     gold = [sent(5, ("VID", [1, 2]), ("VID", [4, 5]))]
     pred = [sent(5, ("VID", [1, 2]), ("VID", [4]))]
-    per = per_category_scores(gold, pred)
+    report = evaluate(gold, pred)
+    per = report.per_category
     assert set(per) == {"VID"}
-    assert per["VID"].mwe == mwe_scores(gold, pred)
-    assert per["VID"].token == token_scores(gold, pred)
+    assert per["VID"].mwe == report.mwe == mwe_scores(gold, pred)
+    assert per["VID"].token == report.token
 
 
 def test_prediction_only_category_scores_zero_precision():
     gold = [sent(5, ("VID", [1, 2]))]
     pred = [sent(5, ("IRV", [4, 5]))]
-    per = per_category_scores(gold, pred)
+    per = evaluate(gold, pred).per_category
     assert per["IRV"].mwe.precision == 0.0
     assert per["IRV"].mwe.fp == 1
     assert per["VID"].mwe.recall == 0.0
@@ -168,7 +167,7 @@ def test_two_category_hand_checked():
         sent(6, ("VID", [1, 2]), ("LVC.full", [4, 6])),
         sent(4, ("LVC.full", [2, 3])),
     ]
-    per = per_category_scores(gold, pred)
+    per = evaluate(gold, pred).per_category
     # VID: gold {1,2}@s0 and {2,3}@s1, pred {1,2}@s0 -> TP=1, P=1, R=1/2
     assert per["VID"].mwe.precision == pytest.approx(1.0)
     assert per["VID"].mwe.recall == pytest.approx(0.5)
@@ -293,9 +292,8 @@ def test_swap_symmetry_exchanges_precision_and_recall():
             sent(len(g.tokens), *random_instances_over(rng, len(g.tokens)))
             for g in gold
         ]
-        for scorer in (mwe_scores, token_scores):
-            ab = scorer(gold, pred)
-            ba = scorer(pred, gold)
+        g_p, p_g = evaluate(gold, pred), evaluate(pred, gold)
+        for ab, ba in ((g_p.mwe, p_g.mwe), (g_p.token, p_g.token)):
             assert ab.precision == pytest.approx(ba.recall)
             assert ab.recall == pytest.approx(ba.precision)
             assert ab.f1 == pytest.approx(ba.f1)
@@ -327,8 +325,8 @@ def test_filtering_never_increases_predicted_tokens_or_mwe_fp():
         }
         filtered_keys = {frozenset(i.token_positions) for i in filtered[0].vmwes}
         assert filtered_keys <= unfiltered_keys
-        t_unf = token_scores(gold, unfiltered)
-        t_fil = token_scores(gold, filtered)
+        t_unf = evaluate(gold, unfiltered).token
+        t_fil = evaluate(gold, filtered).token
         assert t_fil.tp + t_fil.fp <= t_unf.tp + t_unf.fp
         m_unf = mwe_scores(gold, unfiltered)
         m_fil = mwe_scores(gold, filtered)
@@ -437,16 +435,14 @@ def test_scores_match_frozenset_reference(corpora):
     token, mwe = scores_of(reference_counts(reference_items(gold), reference_items(pred)))
     report = evaluate(gold, pred)
     assert (report.token, report.mwe) == (token, mwe)
-    assert (token_scores(gold, pred), mwe_scores(gold, pred)) == (token, mwe)
+    assert mwe_scores(gold, pred) == mwe
     categories = {inst.category for s in gold + pred for inst in s.vmwes}
     assert sorted(report.per_category) == sorted(categories)
-    for cat in ("A", "B", "C", "D"):
+    for cat in categories:
         expected = scores_of(reference_counts(reference_items(gold, cat),
                                               reference_items(pred, cat)))
-        assert (token_scores(gold, pred, cat), mwe_scores(gold, pred, cat)) == expected
-        if cat in categories:
-            cat_report = report.per_category[cat]
-            assert (cat_report.token, cat_report.mwe) == expected
+        cat_report = report.per_category[cat]
+        assert (cat_report.token, cat_report.mwe) == expected
 
     partition, seen, unseen = seen_unseen(train, gold, pred)
     seen_refs, unseen_refs, seen_counts, unseen_counts = reference_seen_unseen(

@@ -1,15 +1,29 @@
 """Dead-code guards over the package source, using the standard library's ast
-only: every import is used, and every module-level _private function, class
-or constant is referenced somewhere in the package."""
+only: every import is used, every module-level _private function, class or
+constant is referenced somewhere in the package, and every public function,
+class or method is referenced from the package, the scripts or the
+benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mwetag"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mwetag"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
+# the code that may use the package's public names: the benchmark's own
+# self-tests do not count as a use
+CALLERS = [*MODULES.values()] + [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("scripts", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+    if path.name != "test_perfbench.py"
+]
+# kept without a caller: the enumeration reference the CRF tests compare
+# against, and the op the autodiff tests use as a probe
+UNCALLED_PUBLIC = {"chaincrf.brute_force", "autodiff.mul"}
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -74,5 +88,48 @@ def test_every_private_module_name_is_referenced(module):
     unreferenced = [
         name for name in _private_definitions(MODULES[module])
         if not any(_referenced(name, tree) for tree in MODULES.values())
+    ]
+    assert unreferenced == []
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public module-level function or class
+    and each public method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name) for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [(qualified, name) for qualified, name in found if not name.startswith("_")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attribute names, imported names and string constants (the
+    benchmark names the functions it wraps as strings)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+REFERENCES = set().union(*map(_references, CALLERS))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_name_has_a_caller(module):
+    unreferenced = [
+        qualified for qualified, name in _public_definitions(MODULES[module])
+        if name not in REFERENCES and f"{module}.{qualified}" not in UNCALLED_PUBLIC
     ]
     assert unreferenced == []

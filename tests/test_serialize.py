@@ -8,6 +8,8 @@ through a round-trip must match the original on every sentence.
 
 import base64
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from mwetag.embed import EmbeddingTable, encode, pos_vocabulary
 from mwetag.errors import ModelFormatError
 from mwetag.serialize import (
     FORMAT_VERSION,
+    atomic_write_text,
     dumps_model,
     load_model,
     model_from_dict,
@@ -121,9 +124,8 @@ def test_round_trip_predictions_bit_identical(tmp_path, tagger_model, table):
     loaded = load_model(path, embeddings=table)
     pos_vocab = tagger_model.pos_vocab
     rng = np.random.default_rng(7)
-    for sentence in random_sentences(rng, 10):
-        enc = encode(sentence, table, pos_vocab)
-        assert predict(loaded, enc) == predict(tagger_model, enc)
+    encodings = [encode(s, table, pos_vocab) for s in random_sentences(rng, 10)]
+    assert predict(loaded, encodings) == predict(tagger_model, encodings)
 
 
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -411,6 +413,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, tagger_model):
     save_model(tagger_model, str(path))
     leftovers = [p for p in tmp_path.iterdir() if p != path]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "atomic.txt"), "text\n")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("text\n")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("atomic.txt", "plain.txt")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 def test_dumps_ends_with_newline(tagger_model):

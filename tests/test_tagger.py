@@ -9,7 +9,7 @@ import pytest
 
 from mwetag.autodiff import RngStream, Tape, backward, grad_check, param
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
-from mwetag.embed import EmbeddingTable, SentenceEncoding, encode, pad, pos_vocabulary
+from mwetag.embed import Batch, EmbeddingTable, encode, pad, pos_vocabulary
 from mwetag.errors import NonFiniteError, TrainingDataError
 from mwetag.evaluation import mwe_scores
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
@@ -116,8 +116,13 @@ def test_config_rejects_bad_values():
 # build
 
 
+def names(prefix, count):
+    return tuple(f"{prefix}{i}" for i in range(count))
+
+
 def test_build_default_shapes():
-    model = build(TaggerConfig(), 300, 17, 5, RngStream(3))
+    model = build(TaggerConfig(), EmbeddingTable(300, {}), names("TAG", 5), names("POS", 17),
+                  RngStream(3))
     assert model.params["conv2_kernels"].shape == (200, 2, 307)
     assert model.params["conv3_kernels"].shape == (200, 3, 307)
     assert model.params["lstm_fwd_wx"].shape == (417, 1200)  # 400 conv + 17 pos
@@ -128,15 +133,18 @@ def test_build_default_shapes():
 
 
 def test_build_same_seed_bit_identical():
-    a = build(TaggerConfig(seed=9), 20, 3, 4, RngStream(9))
-    b = build(TaggerConfig(seed=9), 20, 3, 4, RngStream(9))
+    a, b = (
+        build(TaggerConfig(seed=9), EmbeddingTable(20, {}), names("TAG", 4), names("POS", 3),
+              RngStream(9))
+        for _ in range(2)
+    )
     assert a.params.keys() == b.params.keys()
     for name in a.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
 
 def test_build_single_tag_projection():
-    model = build(small_config(), 8, 2, 1, RngStream(0))
+    model = build(small_config(), EmbeddingTable(8, {}), ("O",), ("UNK", "X"), RngStream(0))
     assert model.params["proj_w"].shape == (10, 1)
 
 
@@ -163,7 +171,7 @@ def test_forward_shapes_and_eval_purity():
     enc = encodings_for(corpus, model)[0]
     e1 = forward(model, enc)
     e2 = forward(model, enc)
-    assert e1.data.shape == (3, model.label_count)
+    assert e1.data.shape == (1, 3, len(model.tag_vocab))
     np.testing.assert_array_equal(e1.data, e2.data)
 
 
@@ -182,7 +190,7 @@ def test_forward_rejects_wrong_input_width():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
-    bad = SentenceEncoding(word_input=enc.word_input[:, :-1], pos_input=enc.pos_input)
+    bad = Batch(enc.word_input[..., :-1], enc.pos_input, enc.lengths)
     with pytest.raises(ValueError):
         forward(model, bad)
 
@@ -212,7 +220,7 @@ def test_batched_loss_is_sum_of_sentence_losses(head, mode):
     for p in params:
         p.zero_grad()
     draws = RngStream(5)
-    total = sum(run(enc, gold, draws) for enc, gold in zip(encodings, golds))
+    total = sum(run(enc, [gold], draws) for enc, gold in zip(encodings, golds))
     assert abs(batched - total) < 1e-12
     for g, p in zip(batch_grads, params):
         np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
@@ -232,8 +240,8 @@ def test_softmax_loss_uniform_is_ln_tag_count():
     model = build_for_corpus(small_config(head="softmax"), corpus, toy_table(corpus))
     zero_projection(model)
     enc = encodings_for(corpus, model)[0]
-    value = loss(model, enc, to_tags(corpus[0]))
-    assert value.item() == pytest.approx(np.log(model.label_count), abs=1e-12)
+    value = loss(model, enc, [to_tags(corpus[0])])
+    assert value.item() == pytest.approx(np.log(len(model.tag_vocab)), abs=1e-12)
 
 
 def test_crf_loss_zeroed_single_token_is_ln2():
@@ -241,10 +249,10 @@ def test_crf_loss_zeroed_single_token_is_ln2():
     # vocabulary has exactly two labels: B-VPC.full and O
     corpus = [sentence, make_sentence([("x", "x", "X")])]
     model = build_for_corpus(small_config(head="crf"), corpus, toy_table(corpus))
-    assert model.label_count == 2
+    assert len(model.tag_vocab) == 2
     zero_projection(model)
     enc = encodings_for(corpus, model)[0]
-    value = loss(model, enc, to_tags(sentence))
+    value = loss(model, enc, [to_tags(sentence)])
     assert value.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -253,9 +261,9 @@ def test_loss_rejects_unknown_label_and_bad_length():
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
     with pytest.raises(TrainingDataError):
-        loss(model, enc, ["O", "B-NOPE", "O"])
+        loss(model, enc, [["O", "B-NOPE", "O"]])
     with pytest.raises(TrainingDataError):
-        loss(model, enc, ["O", "O"])
+        loss(model, enc, [["O", "O"]])
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +279,21 @@ def tiny_model(head):
         seed=21,
         head=head,
     )
-    return build(cfg, 5, 2, 3, RngStream(21))
+    return build(cfg, EmbeddingTable(5, {}), names("TAG", 3), names("POS", 2), RngStream(21))
 
 
 def tiny_encoding(seed=2):
     rng = np.random.default_rng(seed)
-    pos = np.zeros((3, 2))
-    pos[np.arange(3), [0, 1, 0]] = 1.0
-    return SentenceEncoding(word_input=rng.normal(size=(3, 5 + 7)), pos_input=pos)
+    pos = np.zeros((1, 3, 2))
+    pos[0, np.arange(3), [0, 1, 0]] = 1.0
+    return Batch(rng.normal(size=(1, 3, 5 + 7)), pos, np.array([3]))
 
 
 @pytest.mark.parametrize("head", ["softmax", "crf"])
 def test_grad_check_full_loss(head):
     model = tiny_model(head)
     enc = tiny_encoding()
-    gold = ["TAG0", "TAG2", "TAG1"]
+    gold = [["TAG0", "TAG2", "TAG1"]]
 
     def build_loss():
         return loss(model, enc, gold, mode="eval", tape=Tape())
@@ -303,15 +311,14 @@ def test_predict_forced_label_is_constant():
         model = build_for_corpus(small_config(head=head), corpus, toy_table(corpus))
         zero_projection(model)
         model.params["proj_b"].data[model.tag_index["O"]] = 5.0
-        enc = encodings_for(corpus, model)[0]
-        assert predict(model, enc) == ["O", "O", "O"]
+        assert predict(model, encodings_for(corpus, model)[:1]) == [["O", "O", "O"]]
 
 
 def test_predict_deterministic():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(head="crf"), corpus, toy_table(corpus))
-    enc = encodings_for(corpus, model)[0]
-    assert predict(model, enc) == predict(model, enc)
+    encodings = encodings_for(corpus, model)
+    assert predict(model, encodings) == predict(model, encodings)
 
 
 def test_predict_corpus_round_trips_shapes():
@@ -330,7 +337,7 @@ def test_tags_do_not_depend_on_batch_neighbours(head):
     config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head=head, epochs=4,
                           batch_size=8, seed=5, learning_rate=0.01)
     model, _ = train(build_for_corpus(config, corpus, synthetic_embeddings()), corpus)
-    alone = [predict(model, enc) for enc in encodings_for(corpus, model)]
+    alone = [predict(model, [enc])[0] for enc in encodings_for(corpus, model)]
     assert 0 < sum(tag != "O" for tags in alone for tag in tags) < 200
     for apply_filter in (True, False):
         full = predict_corpus(model, corpus, apply_filter=apply_filter)
@@ -415,7 +422,7 @@ def test_dev_labels_are_built_once(monkeypatch):
     selected = report.selected_epoch
     assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
     assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
-    predicted = [predict(best, enc) for enc in encodings_for(dev, best)]
+    predicted = predict(best, encodings_for(dev, best))
     pairs = [(a, b) for tags, s in zip(predicted, dev) for a, b in zip(tags, to_tags(s))]
     accuracy = sum(a == b for a, b in pairs) / len(pairs)
     assert report.dev_token_accuracy[selected] == accuracy
