@@ -2,14 +2,15 @@
 
 A Tape is an ordered record of executed operations. An operation records
 itself when any of its inputs is attached to a tape; its output inherits that
-tape. Leaf parameters (requires_grad=True) are created tape-free, so the same
-parameters can serve many tapes. There is one way onto a tape: wrap a network
+tape. Leaf parameters (param) are created tape-free, so the same parameters
+can serve many tapes. There is one way onto a tape: wrap a network
 *input* as Tensor(data, tape=tape) for a fresh tape per forward pass, and
 every downstream operation records itself through _emit, the only caller of
 Tape.record. Running the same operations without any tape-attached input
 gives a pure, recording-free forward pass (the evaluation path).
 
-Gradients accumulate: a parameter's .grad collects contributions across
+Gradients accumulate in place: a parameter's .grad, which may be a view of a
+larger vector (param's grad argument), collects contributions across
 backward calls until zero_grad. backward may run once per tape.
 
 Most operations are single array primitives. The BiLSTM is the exception: it
@@ -34,12 +35,11 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, requires_grad: bool = False, tape: "Tape | None" = None):
+    def __init__(self, data, tape: "Tape | None" = None, grad=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = grad
         self.tape = tape
 
     @property
@@ -54,11 +54,14 @@ class Tensor:
             self.grad[...] = 0.0
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, tape={self.tape is not None})"
 
 
-def param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def param(data, grad=None) -> Tensor:
+    """A tape-free leaf whose gradient accumulates into grad, an array of
+    data's shape, or into zeros of its own."""
+    data = np.asarray(data, dtype=np.float64)
+    return Tensor(data, grad=np.zeros_like(data) if grad is None else grad)
 
 
 class Tape:
@@ -113,7 +116,8 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
 
 
 def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t.tape is not None
+    # a tape-free tensor has a .grad only if param gave it one
+    return t.grad is not None or t.tape is not None
 
 
 def _accumulate(t: Tensor, g):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .baseline import BaselineTrainOptions, fit_baseline, tag_baseline
 from .checks import SUITE_TOLERANCE, format_suite, gradient_suite
 from .corpus import from_tags, read_cupt, to_tags, write_cupt
 from .embed import load_vec_file, sniff_vec_dim
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, not_utf8
 from .evaluation import evaluate, format_report, report_to_dict, seen_unseen
 from .serialize import atomic_write_text, load_model, save_model
 from .tagger import (
@@ -159,6 +160,8 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {not_utf8(path, exc)}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -220,8 +223,14 @@ def _dump_json(path: str, payload: dict):
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    train_corpus = read_cupt(cfg.train)
     report_path = cfg.report or cfg.model + ".train.json"
+    # checked before the fit, which a missing directory would otherwise fail
+    # only at the end, naming the temp file
+    for path in (cfg.model, report_path):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise DataError(f"cannot write {path}: no directory {directory}")
+    train_corpus = read_cupt(cfg.train)
     if cfg.variant == "neural":
         table = _load_table(cfg.embeddings)
         dev_corpus = read_cupt(cfg.dev) if cfg.dev else None

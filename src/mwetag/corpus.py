@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import CuptParseError, CuptWriteError
+from .errors import CuptParseError, CuptWriteError, not_utf8
 
 MIN_COLUMNS = 5  # id, form, lemma, upos, ... , mwe annotation
 
@@ -215,8 +215,11 @@ def write_cupt(corpus: Corpus) -> str:
 
 
 def read_cupt(path) -> Corpus:
-    with open(path, encoding="utf-8") as stream:
-        return parse_cupt(stream)
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return parse_cupt(stream)
+    except UnicodeDecodeError as exc:
+        raise CuptParseError(not_utf8(path, exc)) from exc
 
 
 def write_cupt_file(corpus: Corpus, path):

@@ -11,15 +11,17 @@ words map to the zero vector).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import logging
 import unicodedata
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Sentence
-from .errors import VecLoadError
+from .errors import VecLoadError, not_utf8
 
 log = logging.getLogger(__name__)
 
@@ -106,15 +108,26 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
     return EmbeddingTable(expected_dim, entries)
 
 
-def _vec_opener(path):
+@contextlib.contextmanager
+def _open_vec(path):
+    """A text stream over a vector file, gzip detected by magic bytes. Text
+    that is not UTF-8 and gzip data that is cut short or corrupt are a
+    VecLoadError naming the file."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    return gzip.open if magic == b"\x1f\x8b" else open
+    opener = gzip.open if magic == b"\x1f\x8b" else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as stream:
+            yield stream
+    except UnicodeDecodeError as exc:
+        raise VecLoadError(not_utf8(path, exc)) from exc
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise VecLoadError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
 def load_vec_file(path, expected_dim: int) -> EmbeddingTable:
     """load_vec over a file path; gzip input is detected by magic bytes."""
-    with _vec_opener(path)(path, "rt", encoding="utf-8") as stream:
+    with _open_vec(path) as stream:
         return load_vec(stream, expected_dim)
 
 
@@ -122,7 +135,7 @@ def sniff_vec_dim(path) -> int:
     """Dimension of a vector file: the header's second integer when the
     first line is a `count dim` pair, else the first data line's value
     count. A header dimension below 1 is a VecLoadError."""
-    with _vec_opener(path)(path, "rt", encoding="utf-8") as stream:
+    with _open_vec(path) as stream:
         for line_number, line in enumerate(stream, start=1):
             parts = line.rstrip("\n").rstrip().split(" ")
             if not parts or parts == [""]:

@@ -43,6 +43,11 @@ class NonFiniteError(DataError):
     from huge or non-finite input vectors."""
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """How a reader names a file that does not decode as UTF-8."""
+    return f"{path} is not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
 class UsageError(Exception):
     """Bad or missing command-line flags; callers map this to exit code 1
     where data problems map to 2."""

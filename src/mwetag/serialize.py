@@ -25,10 +25,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .autodiff import param
 from .baseline import VARIANTS, WINDOW, BaselineModel
 from .embed import EmbeddingTable
-from .errors import ModelFormatError
+from .errors import ModelFormatError, not_utf8
 from .tagger import TaggerConfig, TaggerModel, param_shapes
 
 FORMAT_VERSION = 5
@@ -46,7 +45,10 @@ def _array_entry(name: str, arr: np.ndarray) -> dict:
     }
 
 
-def _read_array(entry) -> tuple[str, np.ndarray]:
+def _read_entry(entry) -> tuple[str, tuple[int, ...], str]:
+    """An entry's name, shape and base64 payload. A payload too short for
+    its shape is refused here, so no load allocates more than its file
+    could fill."""
     try:
         name, shape, payload = entry["name"], entry["shape"], entry["f64le"]
     except (TypeError, KeyError) as exc:
@@ -62,47 +64,52 @@ def _read_array(entry) -> tuple[str, np.ndarray]:
         )
     if not isinstance(payload, str):
         raise ModelFormatError(f"parameter {name!r}: f64le is not a base64 string")
+    if len(payload) // 4 * 3 < 8 * math.prod(shape):
+        raise ModelFormatError(
+            f"parameter {name!r}: {len(payload)} base64 characters are too "
+            f"few for the {8 * math.prod(shape)} bytes of shape {shape}"
+        )
+    return name, tuple(shape), payload
+
+
+def _read_params(entries, expected: dict[str, tuple[int, ...]]) -> dict[str, str]:
+    """The base64 payload of every parameter the model indexes, present once
+    with the shape its config and vocabularies imply; a mismatch would
+    otherwise surface mid-inference as a KeyError or a shape error."""
+    if not isinstance(entries, list):
+        raise ModelFormatError("params must be a list")
+    payloads = {}
+    for entry in entries:
+        name, shape, payload = _read_entry(entry)
+        if name not in expected or name in payloads:
+            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
+        if shape != expected[name]:
+            raise ModelFormatError(
+                f"parameter {name!r} has shape {list(shape)}, "
+                f"expected {list(expected[name])}"
+            )
+        payloads[name] = payload
+    missing = sorted(expected.keys() - payloads.keys())
+    if missing:
+        raise ModelFormatError(f"missing parameter(s) {missing}")
+    return payloads
+
+
+def _decode_into(name: str, payload: str, out: np.ndarray) -> np.ndarray:
+    """Decode a payload into out, an array of the entry's shape."""
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:
         raise ModelFormatError(f"parameter {name!r}: bad base64 in f64le: {exc}") from exc
-    size = math.prod(shape)
-    if len(raw) != 8 * size:
+    if len(raw) != out.nbytes:
         raise ModelFormatError(
             f"parameter {name!r} holds {len(raw)} bytes, "
-            f"shape {shape} needs {8 * size}"
+            f"shape {list(out.shape)} needs {out.nbytes}"
         )
-    try:
-        # astype copies: the array owns writable memory, not the bytes object
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    except ValueError as exc:
-        raise ModelFormatError(f"parameter {name!r} has shape {shape}: {exc}") from exc
-    if not np.isfinite(arr).all():
+    out[...] = np.frombuffer(raw, dtype="<f8").reshape(out.shape)
+    if not np.isfinite(out).all():
         raise ModelFormatError(f"parameter {name!r} contains non-finite values")
-    return name, arr
-
-
-def _read_params(entries, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Every parameter the model indexes, present once with the shape its
-    config and vocabularies imply; a mismatch would otherwise surface
-    mid-inference as a KeyError or a shape error."""
-    if not isinstance(entries, list):
-        raise ModelFormatError("params must be a list")
-    params = {}
-    for entry in entries:
-        name, arr = _read_array(entry)
-        if name not in expected or name in params:
-            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
-        if arr.shape != expected[name]:
-            raise ModelFormatError(
-                f"parameter {name!r} has shape {list(arr.shape)}, "
-                f"expected {list(expected[name])}"
-            )
-        params[name] = arr
-    missing = sorted(expected.keys() - params.keys())
-    if missing:
-        raise ModelFormatError(f"missing parameter(s) {missing}")
-    return params
+    return out
 
 
 def model_to_dict(model) -> dict:
@@ -184,15 +191,17 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     tag_vocab = _require_strings(data, "tag_vocab")
     pos_vocab = _require_strings(data, "pos_vocab")
     expected = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
-    params = _read_params(_require(data, "params"), expected)
-    return TaggerModel(
+    payloads = _read_params(_require(data, "params"), expected)
+    model = TaggerModel(
         config=config,
         emb_dim=emb_dim,
         tag_vocab=tuple(tag_vocab),
         pos_vocab=tuple(pos_vocab),
-        params={name: param(arr) for name, arr in params.items()},
         embeddings=embeddings or EmbeddingTable(emb_dim, {}),
     )
+    for name, p in model.params.items():
+        _decode_into(name, payloads[name], p.data)
+    return model
 
 
 def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> BaselineModel:
@@ -215,7 +224,8 @@ def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> Baseli
     if variant == "turian":
         emb_dim = _require_emb_dim(data, embeddings)
         expected["dense"] = (len(WINDOW) * emb_dim, t_count)
-    arrays = _read_params(_require(data, "params"), expected)
+    payloads = _read_params(_require(data, "params"), expected)
+    arrays = {n: _decode_into(n, payloads[n], np.empty(s)) for n, s in expected.items()}
     return BaselineModel(
         variant=variant,
         sigma=float(sigma),
@@ -305,6 +315,8 @@ def load_model(path: str, embeddings: EmbeddingTable | None = None):
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(not_utf8(path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     return model_from_dict(data, embeddings)

@@ -3,21 +3,18 @@ tolerance and runtime budget. The conftest hook turns these into a
 per-criterion status block at the end of the run."""
 
 import io
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream
 from mwetag.baseline import SYMBOLIC_TEMPLATE_COUNT, BaselineTrainOptions, extract_features, tag_baseline, train_baseline
 from mwetag.chaincrf import brute_force, log_partition, score_path, viterbi
 from mwetag.checks import SUITE_TOLERANCE, gradient_suite
 from mwetag.cli import run
 from mwetag.corpus import (
     Sentence,
-    Token,
     VmweInstance,
     filter_orphans,
     from_tags,

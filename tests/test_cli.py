@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior: flag validation order, exit codes,
 output formats, config-file precedence, and byte-level determinism."""
 
+import gzip
 import json
 import re
 import warnings
@@ -97,6 +98,15 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"sigma": 2.0}))
     assert run(["gradcheck", "--config", p(cfg_file)]) == 1
     assert "unknown fields" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_bytes('{"head": "\xe9"}'.encode("latin-1"))
+    assert run(["gradcheck", "--config", p(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config file {cfg_file} is not UTF-8 text")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -352,6 +362,21 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
         "tagger": small_tagger,
     }
     files["zero_dim_vec"].write_text("2 0\nthe\na\n")
+    # a Latin-1 byte in each kind of file, and a gzip vector file cut short
+    corpus_text = (workdir / "train.cupt").read_text(encoding="utf-8")
+    files["latin1_cupt"] = root / "latin1.cupt"
+    files["latin1_cupt"].write_bytes(corpus_text.replace("\t_\t", "\tcaf\xe9\t", 1)
+                                     .encode("latin-1"))
+    vec_text = (workdir / "vecs.vec").read_bytes()
+    files["latin1_vec"] = root / "latin1.vec"
+    files["latin1_vec"].write_bytes(vec_text + "caf\xe9".encode("latin-1") + b" 0" * 8)
+    files["truncated_vec"] = root / "truncated.vec.gz"
+    packed = gzip.compress(vec_text)
+    files["truncated_vec"].write_bytes(packed[: len(packed) // 2])
+    files["latin1_model"] = root / "latin1_model.json"
+    files["latin1_model"].write_bytes(
+        small_tagger.read_bytes().replace(b'"O"', '"\xd6"'.encode("latin-1"), 1)
+    )
     for variant in ("standard", "turian"):
         files[variant] = root / f"{variant}.json"
         assert run(["train", "--train", p(workdir / "train.cupt"),
@@ -448,6 +473,7 @@ def _short_payload_trans(data):
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
 HUGE_VEC = "line 1: squared norm overflows"
 TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cupt"]
+NOT_UTF8 = " is not UTF-8 text (byte 0x"
 
 
 @pytest.mark.parametrize(
@@ -499,6 +525,16 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
          "bad tagger config: learning_rate must be a number"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("head", 3),
          "bad tagger config: unknown head 3"),
+        (["train", "--train", "{latin1_cupt}", "--model", "{out}.json",
+          "--embeddings", "{vecs}"], None, None, "latin1.cupt" + NOT_UTF8),
+        (["eval", "--gold", "{train}", "--pred", "{latin1_cupt}", "--report",
+          "{out}.json"], None, None, "latin1.cupt" + NOT_UTF8),
+        (TRAIN + ["--embeddings", "{latin1_vec}"], None, None, "latin1.vec" + NOT_UTF8),
+        (TRAIN + ["--embeddings", "{truncated_vec}"], None, None,
+         "truncated.vec.gz: truncated or corrupt gzip data"),
+        (["tag", "--model", "{latin1_model}", "--input", "{train}", "--output",
+          "{out}.cupt", "--embeddings", "{vecs}"], None, None,
+         "latin1_model.json" + NOT_UTF8),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -513,6 +549,8 @@ TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cup
         "train-zero-dim-vec", "tagger-format-v4", "baseline-format-v4",
         "tagger-float-batch-size", "tagger-float-filters", "tagger-bool-epochs",
         "tagger-negative-seed", "tagger-bool-learning-rate", "tagger-int-head",
+        "train-latin1-cupt", "eval-latin1-cupt", "train-latin1-vec",
+        "train-truncated-gzip-vec", "tag-latin1-model",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(
@@ -687,6 +725,26 @@ def test_gradcheck_prints_per_op_lines_and_exit_reflects_tolerance(
 
 # ---------------------------------------------------------------------------
 # output hygiene
+
+
+@pytest.mark.parametrize("flag", ["--model", "--report"])
+def test_train_checks_output_directories_before_reading_anything(
+    workdir, tmp_path, capsys, monkeypatch, flag
+):
+    def no_read(path):
+        raise AssertionError(f"read {path} before checking where to write")
+
+    monkeypatch.setattr("mwetag.cli.read_cupt", no_read)
+    missing = tmp_path / "missing" / "out.json"
+    outputs = {"--model": p(tmp_path / "m.json"), "--report": p(tmp_path / "r.json")}
+    outputs[flag] = p(missing)
+    argv = ["train", "--train", p(workdir / "train.cupt"),
+            "--embeddings", p(workdir / "vecs.vec")]
+    assert run(argv + [arg for item in outputs.items() for arg in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}: no directory ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_no_partial_output(workdir, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Dead-code guards over the package source, using the standard library's ast
-only: every import is used, every module-level _private function, class or
-constant is referenced somewhere in the package, and every public function,
-class or method is referenced from the package, the scripts or the
-benchmark."""
+only: every import is used (in the tests and the scripts too), every
+module-level _private function, class or constant is referenced somewhere in
+the package, and every public function, class or method is referenced from
+the package, the scripts or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -21,6 +21,12 @@ CALLERS = [*MODULES.values()] + [
     for path in sorted((ROOT / folder).glob("*.py"))
     if path.name != "test_perfbench.py"
 ]
+# the other files whose imports must all be used, keyed by their path
+IMPORTERS = {
+    f"{folder}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("tests", "scripts")
+    for path in sorted((ROOT / folder).glob("*.py"))
+}
 # kept without a caller: the enumeration reference the CRF tests compare
 # against, and the op the autodiff tests use as a probe
 UNCALLED_PUBLIC = {"chaincrf.brute_force", "autodiff.mul"}
@@ -70,9 +76,9 @@ def _referenced(name: str, tree: ast.Module) -> bool:
     return False
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(MODULES) + sorted(IMPORTERS))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = {**MODULES, **IMPORTERS}[module]
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -8,13 +8,13 @@ through a round-trip must match the original on every sentence.
 
 import base64
 import json
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream
 from mwetag import serialize
 from mwetag.baseline import (
     BaselineModel,
@@ -22,8 +22,7 @@ from mwetag.baseline import (
     tag_baseline,
     train_baseline,
 )
-from mwetag.corpus import Sentence, Token, VmweInstance
-from mwetag.embed import EmbeddingTable, encode, pos_vocabulary
+from mwetag.embed import EmbeddingTable, encode
 from mwetag.errors import ModelFormatError
 from mwetag.serialize import (
     FORMAT_VERSION,
@@ -34,7 +33,13 @@ from mwetag.serialize import (
     model_to_dict,
     save_model,
 )
-from mwetag.tagger import AdamOptimizer, TaggerConfig, build_for_corpus, predict
+from mwetag.tagger import (
+    AdamOptimizer,
+    TaggerConfig,
+    build_for_corpus,
+    param_shapes,
+    predict,
+)
 
 from test_tagger import make_sentence, small_config, toy_corpus, toy_table
 
@@ -149,13 +154,51 @@ def test_loaded_params_are_writable(tmp_path, tagger_model, table):
     path = str(tmp_path / "m.json")
     save_model(tagger_model, path)
     loaded = load_model(path, embeddings=table)
-    params = loaded.trainable()
-    for tensor in params:
+    for tensor in loaded.params.values():
         assert tensor.data.flags.writeable
         tensor.grad[...] = 1.0
-    AdamOptimizer(params, loaded.config.learning_rate).step()
+    AdamOptimizer(loaded.data, loaded.grad, loaded.config.learning_rate).step()
     for name, tensor in loaded.params.items():
         assert not np.array_equal(tensor.data, tagger_model.params[name].data), name
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def assert_flat_layout(model):
+    """Every parameter's data and grad are C-contiguous views of the model's
+    two float64 vectors, one slot after another in param_shapes order."""
+    shapes = param_shapes(model.config, model.emb_dim, len(model.pos_vocab),
+                          len(model.tag_vocab))
+    size = sum(math.prod(shape) for shape in shapes.values())
+    assert list(model.params) == list(shapes)
+    for vector in (model.data, model.grad):
+        assert vector.dtype == np.float64 and vector.shape == (size,)
+        assert vector.flags.c_contiguous and vector.flags.owndata
+    assert not np.shares_memory(model.data, model.grad)
+    offset = 0
+    for name, shape in shapes.items():
+        tensor = model.params[name]
+        for view, vector in ((tensor.data, model.data), (tensor.grad, model.grad)):
+            assert view.shape == shape and view.flags.c_contiguous, name
+            assert np.shares_memory(view, vector), name
+            assert _address(view) == _address(vector) + 8 * offset, name
+        offset += math.prod(shape)
+
+
+def test_build_load_and_copy_lay_parameters_out_flat(tmp_path, tagger_model, table):
+    path = str(tmp_path / "m.json")
+    save_model(tagger_model, path)
+    loaded = load_model(path, embeddings=table)
+    copied = tagger_model.copy()
+    for model in (tagger_model, loaded, copied):
+        assert_flat_layout(model)
+    assert np.array_equal(loaded.data, tagger_model.data)
+    assert np.array_equal(copied.data, tagger_model.data)
+    for source in (tagger_model.data, tagger_model.grad):
+        assert not np.shares_memory(copied.data, source)
+        assert not np.shares_memory(copied.grad, source)
 
 
 def test_embedding_dimension_mismatch_rejected(tmp_path, tagger_model):
@@ -378,6 +421,16 @@ def _bool_emb_dim(data):
     data["emb_dim"] = True
 
 
+def _huge_config_and_shapes(data):
+    """10**6 hidden units, every entry's shape to match and the payloads
+    unchanged: refused before the model's vectors (32 TB) are allocated."""
+    data["config"]["lstm_hidden"] = 10**6
+    shapes = param_shapes(TaggerConfig(**data["config"]), data["emb_dim"],
+                          len(data["pos_vocab"]), len(data["tag_vocab"]))
+    for entry in data["params"]:
+        entry["shape"] = list(shapes[entry["name"]])
+
+
 @pytest.mark.parametrize(
     "model_name, mutate, message",
     [("tagger_model", _add_extra, "extra"),
@@ -385,9 +438,11 @@ def _bool_emb_dim(data):
      ("tagger_model", _shrink_tags, "shape"),
      ("tagger_model", _unhashable_tag, "tag_vocab must be a non-empty list of strings"),
      ("tagger_model", _params_not_a_list, "params must be a list"),
-     ("tagger_model", _bool_emb_dim, "emb_dim")],
+     ("tagger_model", _bool_emb_dim, "emb_dim"),
+     ("tagger_model", _huge_config_and_shapes, "too few")],
     ids=["extra-param", "repeated-param", "vocab-shape-mismatch",
-         "unhashable-tag", "params-not-a-list", "bool-emb_dim"],
+         "unhashable-tag", "params-not-a-list", "bool-emb_dim",
+         "huge-config-and-shapes"],
 )
 def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):
     data = model_to_dict(request.getfixturevalue(model_name))

@@ -1,13 +1,14 @@
 """Tagger structure, loss oracles (closed-form uniform losses), gradient
 checks through the whole network, and training-loop determinism."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream, Tape, backward, grad_check, param
+from mwetag.autodiff import RngStream, Tape, backward, grad_check
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
 from mwetag.embed import Batch, EmbeddingTable, encode, pad, pos_vocabulary
 from mwetag.errors import NonFiniteError, TrainingDataError
@@ -204,7 +205,7 @@ def test_batched_loss_is_sum_of_sentence_losses(head, mode):
     encodings = encodings_for(corpus, model)
     golds = [to_tags(s) for s in corpus]
     assert len({len(g) for g in golds}) > 1  # the batch is padded
-    params = model.trainable()
+    params = list(model.params.values())
 
     def run(inputs, gold, rng):
         tape = Tape()
@@ -298,7 +299,7 @@ def test_grad_check_full_loss(head):
     def build_loss():
         return loss(model, enc, gold, mode="eval", tape=Tape())
 
-    assert grad_check(build_loss, model.trainable()) < 1e-4
+    assert grad_check(build_loss, list(model.params.values())) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +495,34 @@ def test_full_batch_run_ignores_shuffle_order(monkeypatch):
 # optimizer
 
 
-ADAM_SHAPES = [(), (1,), (7,), (3, 4), (2, 3, 5), (40, 30)]
+# the last shape spans an ADAM_CHUNK boundary, so the step splits it
+ADAM_SHAPES = [(), (1,), (7,), (3, 4), (2, 3, 5), (40, 30), (150, 150)]
+ADAM_SIZE = sum(math.prod(shape) for shape in ADAM_SHAPES)
+
+
+def adam_views(vector):
+    """One view per ADAM_SHAPES entry of a flat vector, laid out in order the
+    way a model lays out its parameters."""
+    views, end = [], 0
+    for shape in ADAM_SHAPES:
+        start, end = end, end + math.prod(shape)
+        views.append(vector[start:end].reshape(shape))
+    return views
 
 
 def test_adam_step_is_bit_exact_against_the_textbook_expression():
     rng = np.random.default_rng(4)
-    params = [param(rng.normal(size=shape)) for shape in ADAM_SHAPES]
+    data, grad = rng.normal(size=ADAM_SIZE), np.zeros(ADAM_SIZE)
+    params, grads = adam_views(data), adam_views(grad)
     lr = 0.01
-    optimizer = AdamOptimizer(params, lr)
-    ref_p = [p.data.copy() for p in params]
+    optimizer = AdamOptimizer(data, grad, lr)
+    ref_p = [p.copy() for p in params]
     ref_m = [np.zeros(shape) for shape in ADAM_SHAPES]
     ref_v = [np.zeros(shape) for shape in ADAM_SHAPES]
     for t in range(1, 4):
         for k, p in enumerate(params):
-            g = rng.normal(scale=10.0 ** (k - 3), size=p.data.shape)
-            p.grad[...] = g
+            g = rng.normal(scale=10.0 ** (k - 3), size=p.shape)
+            grads[k][...] = g
             # the order of operations the in-place step must keep
             ref_m[k] = ADAM_BETA1 * ref_m[k] + (1.0 - ADAM_BETA1) * g
             ref_v[k] = ADAM_BETA2 * ref_v[k] + (1.0 - ADAM_BETA2) * g * g
@@ -516,20 +530,19 @@ def test_adam_step_is_bit_exact_against_the_textbook_expression():
             v_hat = ref_v[k] / (1.0 - ADAM_BETA2**t)
             ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         optimizer.step()
+        m, v = adam_views(optimizer.m), adam_views(optimizer.v)
         for k, p in enumerate(params):
-            assert np.array_equal(optimizer.m[k], ref_m[k]), (t, ADAM_SHAPES[k])
-            assert np.array_equal(optimizer.v[k], ref_v[k]), (t, ADAM_SHAPES[k])
-            assert np.array_equal(p.data, ref_p[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(m[k], ref_m[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(v[k], ref_v[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(p, ref_p[k]), (t, ADAM_SHAPES[k])
 
 
 def test_warm_adam_step_allocates_less_than_the_largest_parameter():
     rng = np.random.default_rng(5)
-    params = [param(rng.normal(size=shape)) for shape in ADAM_SHAPES]
-    for p in params:
-        p.grad[...] = rng.normal(size=p.data.shape)
-    optimizer = AdamOptimizer(params, 0.001)
+    data, grad = rng.normal(size=ADAM_SIZE), rng.normal(size=ADAM_SIZE)
+    optimizer = AdamOptimizer(data, grad, 0.001)
     optimizer.step()
-    largest = max(p.data.nbytes for p in params)
+    largest = max(p.nbytes for p in adam_views(data))
     tracemalloc.start()
     try:
         optimizer.step()
