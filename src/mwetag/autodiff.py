@@ -37,9 +37,9 @@ import numpy as np
 class Tensor:
     __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, tape: "Tape | None" = None, grad=None):
+    def __init__(self, data, tape: "Tape | None" = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = grad
+        self.grad = None
         self.tape = tape
 
     @property
@@ -60,8 +60,9 @@ class Tensor:
 def param(data, grad=None) -> Tensor:
     """A tape-free leaf whose gradient accumulates into grad, an array of
     data's shape, or into zeros of its own."""
-    data = np.asarray(data, dtype=np.float64)
-    return Tensor(data, grad=np.zeros_like(data) if grad is None else grad)
+    t = Tensor(data)
+    t.grad = np.zeros_like(t.data) if grad is None else grad
+    return t
 
 
 class Tape:

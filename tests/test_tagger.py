@@ -17,6 +17,7 @@ from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_CHUNK,
     ADAM_EPSILON,
     DROPOUT,
     FILTER_WIDTHS,
@@ -495,16 +496,17 @@ def test_full_batch_run_ignores_shuffle_order(monkeypatch):
 # optimizer
 
 
-# the last shape spans an ADAM_CHUNK boundary, so the step splits it
-ADAM_SHAPES = [(), (1,), (7,), (3, 4), (2, 3, 5), (40, 30), (150, 150)]
-ADAM_SIZE = sum(math.prod(shape) for shape in ADAM_SHAPES)
+# these all fit in one ADAM_CHUNK; CHUNKED_SHAPES adds one that spans a
+# chunk boundary, so the step splits it
+ADAM_SHAPES = [(), (1,), (7,), (3, 4), (2, 3, 5), (40, 30)]
+CHUNKED_SHAPES = ADAM_SHAPES + [(150, 150)]
 
 
-def adam_views(vector):
-    """One view per ADAM_SHAPES entry of a flat vector, laid out in order the
+def adam_views(vector, shapes):
+    """One view per entry of shapes of a flat vector, laid out in order the
     way a model lays out its parameters."""
     views, end = [], 0
-    for shape in ADAM_SHAPES:
+    for shape in shapes:
         start, end = end, end + math.prod(shape)
         views.append(vector[start:end].reshape(shape))
     return views
@@ -512,13 +514,14 @@ def adam_views(vector):
 
 def test_adam_step_is_bit_exact_against_the_textbook_expression():
     rng = np.random.default_rng(4)
-    data, grad = rng.normal(size=ADAM_SIZE), np.zeros(ADAM_SIZE)
-    params, grads = adam_views(data), adam_views(grad)
+    size = sum(math.prod(shape) for shape in CHUNKED_SHAPES)
+    data, grad = rng.normal(size=size), np.zeros(size)
+    params, grads = adam_views(data, CHUNKED_SHAPES), adam_views(grad, CHUNKED_SHAPES)
     lr = 0.01
     optimizer = AdamOptimizer(data, grad, lr)
     ref_p = [p.copy() for p in params]
-    ref_m = [np.zeros(shape) for shape in ADAM_SHAPES]
-    ref_v = [np.zeros(shape) for shape in ADAM_SHAPES]
+    ref_m = [np.zeros(shape) for shape in CHUNKED_SHAPES]
+    ref_v = [np.zeros(shape) for shape in CHUNKED_SHAPES]
     for t in range(1, 4):
         for k, p in enumerate(params):
             g = rng.normal(scale=10.0 ** (k - 3), size=p.shape)
@@ -530,23 +533,39 @@ def test_adam_step_is_bit_exact_against_the_textbook_expression():
             v_hat = ref_v[k] / (1.0 - ADAM_BETA2**t)
             ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         optimizer.step()
-        m, v = adam_views(optimizer.m), adam_views(optimizer.v)
+        m = adam_views(optimizer.m, CHUNKED_SHAPES)
+        v = adam_views(optimizer.v, CHUNKED_SHAPES)
         for k, p in enumerate(params):
-            assert np.array_equal(m[k], ref_m[k]), (t, ADAM_SHAPES[k])
-            assert np.array_equal(v[k], ref_v[k]), (t, ADAM_SHAPES[k])
-            assert np.array_equal(p, ref_p[k]), (t, ADAM_SHAPES[k])
+            assert np.array_equal(m[k], ref_m[k]), (t, CHUNKED_SHAPES[k])
+            assert np.array_equal(v[k], ref_v[k]), (t, CHUNKED_SHAPES[k])
+            assert np.array_equal(p, ref_p[k]), (t, CHUNKED_SHAPES[k])
 
 
-def test_warm_adam_step_allocates_less_than_the_largest_parameter():
+def warm_adam_step(shapes):
+    """The flat data vector and the tracemalloc peak of a second Adam step
+    over parameters of the given shapes."""
     rng = np.random.default_rng(5)
-    data, grad = rng.normal(size=ADAM_SIZE), rng.normal(size=ADAM_SIZE)
+    size = sum(math.prod(shape) for shape in shapes)
+    data, grad = rng.normal(size=size), rng.normal(size=size)
     optimizer = AdamOptimizer(data, grad, 0.001)
     optimizer.step()
-    largest = max(p.nbytes for p in adam_views(data))
     tracemalloc.start()
     try:
         optimizer.step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return data, peak
+
+
+def test_warm_adam_step_allocates_less_than_the_largest_parameter():
+    data, peak = warm_adam_step(ADAM_SHAPES)
+    largest = max(p.nbytes for p in adam_views(data, ADAM_SHAPES))
     assert peak < largest
+
+
+def test_warm_adam_step_over_several_chunks_allocates_less_than_a_chunk():
+    # a ufunc without out= would allocate a whole chunk-sized temporary
+    data, peak = warm_adam_step(CHUNKED_SHAPES)
+    assert data.size > ADAM_CHUNK
+    assert peak < ADAM_CHUNK * data.itemsize
