@@ -30,6 +30,7 @@ sentence as a one-sentence block.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -126,18 +127,49 @@ def extract_features(
     return features, dense
 
 
+def param_shapes(
+    feature_count: int, emb_dim: int | None, tag_count: int
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a model with these sizes, in the
+    order of its flat vector; the dense block only with an embedding
+    dimension (turian)."""
+    shapes = {"weights": (feature_count, tag_count)}
+    if emb_dim:
+        shapes["dense"] = (len(WINDOW) * emb_dim, tag_count)
+    shapes["trans"] = (tag_count, tag_count)
+    shapes["trans_start"] = shapes["trans_stop"] = (tag_count,)
+    return shapes
+
+
+def _split(w: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+    """The weights, dense (None without one), trans, trans_start and
+    trans_stop views of w's consecutive slots."""
+    views, end = {}, 0
+    for name, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        views[name] = w[start:end].reshape(shape)
+    return (views["weights"], views.get("dense"), views["trans"],
+            views["trans_start"], views["trans_stop"])
+
+
 @dataclass
 class BaselineModel:
+    """Every parameter value lives in one contiguous float64 vector, data;
+    weights (F x T), dense ((5*dim) x T, turian only, else None), trans,
+    trans_start and trans_stop are views of its slots in param_shapes
+    order."""
+
     variant: str
     sigma: float
     tag_vocab: tuple[str, ...]
     feature_index: dict[str, int]
-    weights: np.ndarray  # F x T
-    trans: np.ndarray
-    trans_start: np.ndarray
-    trans_stop: np.ndarray
-    dense: np.ndarray | None = None  # (5*dim) x T, turian only
+    data: np.ndarray
     emb_dim: int | None = None
+
+    def __post_init__(self):
+        shapes = param_shapes(len(self.feature_index), self.emb_dim, len(self.tag_vocab))
+        (self.weights, self.dense, self.trans,
+         self.trans_start, self.trans_stop) = _split(self.data, shapes)
 
 
 def _collect(sentences: Corpus, variant: str, table: EmbeddingTable | None):
@@ -230,27 +262,11 @@ class BaselineProblem:
         # flat g_weights slot of every (position, feature, tag) triple
         self._slots = (self.ids[:, :, None] * t_count + np.arange(t_count)).reshape(-1)
 
-        self.f_count = len(self.feature_index)
-        self.dense_size = len(WINDOW) * self.emb_dim if self.emb_dim else 0
-        self.size = (
-            (self.f_count + self.dense_size) * t_count + t_count * t_count + 2 * t_count
-        )
+        self.shapes = param_shapes(len(self.feature_index), self.emb_dim, t_count)
+        self.size = sum(map(math.prod, self.shapes.values()))
 
     def split(self, w: np.ndarray):
-        t = len(self.tag_vocab)
-        parts = np.split(
-            w,
-            np.cumsum(
-                [self.f_count * t, self.dense_size * t, t * t, t]
-            ),
-        )
-        return (
-            parts[0].reshape(self.f_count, t),
-            parts[1].reshape(self.dense_size, t) if self.dense_size else None,
-            parts[2].reshape(t, t),
-            parts[3],
-            parts[4],
-        )
+        return _split(w, self.shapes)
 
     def _penalty(self, w: np.ndarray) -> float:
         return float(w @ w) / (2.0 * self.sigma**2)
@@ -285,23 +301,17 @@ class BaselineProblem:
         return self._penalty(w) + float(nll.sum()), grad
 
     def to_model(self, w: np.ndarray) -> BaselineModel:
-        weights, dense_w, trans, start, stop = self.split(w)
         return BaselineModel(
             variant=self.variant,
             sigma=self.sigma,
             tag_vocab=self.tag_vocab,
             feature_index=dict(self.feature_index),
-            weights=np.array(weights, copy=True),
-            trans=np.array(trans, copy=True),
-            trans_start=np.array(start, copy=True),
-            trans_stop=np.array(stop, copy=True),
-            dense=np.array(dense_w, copy=True) if dense_w is not None else None,
+            data=w.copy(),
             emb_dim=self.emb_dim,
         )
 
     def pack_model(self, model: BaselineModel) -> np.ndarray:
-        parts = (model.weights, model.dense, model.trans, model.trans_start, model.trans_stop)
-        return np.concatenate([p.reshape(-1) for p in parts if p is not None])
+        return model.data
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Flag resolution order is CLI flag, then JSON config file (--config, same
 field names as RunConfig), then built-in default. Required-flag validation
-runs before any file is opened. All outputs go through write-to-temp plus
-rename, and identical inputs with the same seed produce byte-identical
-output files (training reports therefore carry no wall-clock timings).
+runs before any file is opened, and each command checks that its outputs'
+directories exist before it reads any input. All outputs go through
+write-to-temp plus rename, and identical inputs with the same seed produce
+byte-identical output files (training reports therefore carry no wall-clock
+timings).
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -200,7 +202,17 @@ def _load_table(path: str):
     return load_vec_file(path, sniff_vec_dim(path))
 
 
+def _require_directories(*paths: str):
+    """Checked before any input is read: a missing directory would otherwise
+    fail only at the end, naming the temp file."""
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise DataError(f"cannot write {path}: no directory {directory}")
+
+
 def _cmd_convert(cfg: RunConfig) -> int:
+    _require_directories(cfg.output)
     blocks = ["\n".join(to_tags(sentence)) + "\n\n" for sentence in read_cupt(cfg.input)]
     atomic_write_text(cfg.output, "".join(blocks))
     return 0
@@ -224,12 +236,7 @@ def _dump_json(path: str, payload: dict):
 
 def _cmd_train(cfg: RunConfig) -> int:
     report_path = cfg.report or cfg.model + ".train.json"
-    # checked before the fit, which a missing directory would otherwise fail
-    # only at the end, naming the temp file
-    for path in (cfg.model, report_path):
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise DataError(f"cannot write {path}: no directory {directory}")
+    _require_directories(cfg.model, report_path)
     train_corpus = read_cupt(cfg.train)
     if cfg.variant == "neural":
         table = _load_table(cfg.embeddings)
@@ -285,6 +292,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_tag(cfg: RunConfig) -> int:
+    _require_directories(cfg.output)
     table = _load_table(cfg.embeddings) if cfg.embeddings else None
     model = load_model(cfg.model, embeddings=table)
     corpus = read_cupt(cfg.input)
@@ -309,6 +317,7 @@ def _cmd_tag(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
+    _require_directories(cfg.report)
     gold = read_cupt(cfg.gold)
     pred = read_cupt(cfg.pred)
     report = evaluate(gold, pred)

@@ -1,17 +1,19 @@
 """Versioned JSON model container for both model families.
 
 One self-describing file: a format-version integer, a kind discriminator
-("tagger" or "baseline"), the full configuration, vocabularies, and every
-parameter tensor as (name, shape, f64le). ``f64le`` is the base64 text of the
-array's little-endian IEEE-754 float64 bytes in C order, so load(save(m))
-reproduces every bit (-0.0 and subnormals included) and predicts
-bit-identically to m. Raw bytes are half the size of shortest-repr decimal
-lists and an order of magnitude quicker to write and read: a paper-size
-tagger (1.73M parameters) is an 18.5 MB file that saves in ~0.09 s and
-loads in ~0.1 s on one 2-vCPU core, against 36.4 MB, ~1.9 s and ~0.8 s as
-decimals. Keys are sorted and separators compact, making the byte output a
-pure function of the model. Writes go to a temp file in the target
-directory and rename into place, so failures never leave partial files.
+("tagger" or "baseline"), the full configuration, the vocabularies, and the
+model's flat parameter vector as one ``f64le`` payload: the base64 text of
+its little-endian IEEE-754 float64 bytes. The config and vocabularies fix
+the vector's layout (tagger.param_shapes, baseline.param_shapes), so the
+file stores no parameter names or shapes. load(save(m)) reproduces every
+bit (-0.0 and subnormals included) and predicts bit-identically to m. A
+load refuses repeated vocabulary entries, a payload whose length differs
+from the size the config implies (before allocating anything), bad base64
+and non-finite values, and decodes in bounded pieces straight into the
+vector. A paper-size tagger (1.73M parameters) is an 18.5 MB file. Keys are
+sorted and separators compact, making the byte output a pure function of
+the model. Writes go to a temp file in the target directory and rename into
+place, so failures never leave partial files.
 """
 
 from __future__ import annotations
@@ -21,94 +23,70 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 
-from .baseline import VARIANTS, WINDOW, BaselineModel
+from .baseline import VARIANTS, BaselineModel
+from .baseline import param_shapes as baseline_shapes
 from .embed import EmbeddingTable
 from .errors import ModelFormatError, not_utf8
 from .tagger import TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+# the payload is encoded and decoded 98,304 values at a time (786,432 bytes,
+# 1 MiB of base64 text without padding), so that no save or load allocates
+# and faults in temporaries the size of the whole payload
+_PIECE_VALUES = 3 << 15
+_PIECE_CHARS = _PIECE_VALUES * 8 // 3 * 4
 
 
-def _array_entry(name: str, arr: np.ndarray) -> dict:
-    if not np.isfinite(arr).all():
-        raise ModelFormatError(f"parameter {name!r} contains non-finite values")
-    # b64encode reads the contiguous array's buffer; .tobytes() would copy it
-    raw = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "name": name,
-        "shape": list(arr.shape),
-        "f64le": base64.b64encode(raw).decode("ascii"),
-    }
+def _encode(data: np.ndarray) -> str:
+    if not np.isfinite(data).all():
+        raise ModelFormatError("model parameters contain non-finite values")
+    # b64encode reads the contiguous vector's buffer; .tobytes() would copy it
+    raw = np.ascontiguousarray(data, dtype="<f8")
+    return "".join(
+        base64.b64encode(raw[i:i + _PIECE_VALUES]).decode("ascii")
+        for i in range(0, raw.size, _PIECE_VALUES)
+    )
 
 
-def _read_entry(entry) -> tuple[str, tuple[int, ...], str]:
-    """An entry's name, shape and base64 payload. A payload too short for
-    its shape is refused here, so no load allocates more than its file
-    could fill."""
-    try:
-        name, shape, payload = entry["name"], entry["shape"], entry["f64le"]
-    except (TypeError, KeyError) as exc:
-        raise ModelFormatError(f"malformed parameter entry: {exc!r}") from exc
-    if not isinstance(name, str):
-        raise ModelFormatError(f"parameter name {name!r} is not a string")
-    if not isinstance(shape, list) or not all(
-        type(d) is int and d >= 0 for d in shape
-    ):
-        raise ModelFormatError(
-            f"parameter {name!r} has shape {shape!r}, "
-            "expected a list of non-negative integers"
-        )
+def _read_vector(data: dict, shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    """The f64le payload as the flat vector of the parameters in shapes. Its
+    length is checked against theirs before anything is allocated, and it is
+    decoded in bounded pieces, so a load never holds all of the decoded
+    bytes next to the vector."""
+    payload = _require(data, "f64le")
     if not isinstance(payload, str):
-        raise ModelFormatError(f"parameter {name!r}: f64le is not a base64 string")
-    if len(payload) // 4 * 3 < 8 * math.prod(shape):
+        raise ModelFormatError("f64le is not a base64 string")
+    size = sum(map(math.prod, shapes.values()))
+    chars = 4 * -(-8 * size // 3)
+    if len(payload) != chars:
         raise ModelFormatError(
-            f"parameter {name!r}: {len(payload)} base64 characters are too "
-            f"few for the {8 * math.prod(shape)} bytes of shape {shape}"
+            f"f64le holds {len(payload)} base64 characters; the {size} values "
+            f"the config and vocabularies imply take {chars} ({8 * size} bytes)"
         )
-    return name, tuple(shape), payload
-
-
-def _read_params(entries, expected: dict[str, tuple[int, ...]]) -> dict[str, str]:
-    """The base64 payload of every parameter the model indexes, present once
-    with the shape its config and vocabularies imply; a mismatch would
-    otherwise surface mid-inference as a KeyError or a shape error."""
-    if not isinstance(entries, list):
-        raise ModelFormatError("params must be a list")
-    payloads = {}
-    for entry in entries:
-        name, shape, payload = _read_entry(entry)
-        if name not in expected or name in payloads:
-            raise ModelFormatError(f"unexpected or repeated parameter {name!r}")
-        if shape != expected[name]:
-            raise ModelFormatError(
-                f"parameter {name!r} has shape {list(shape)}, "
-                f"expected {list(expected[name])}"
-            )
-        payloads[name] = payload
-    missing = sorted(expected.keys() - payloads.keys())
-    if missing:
-        raise ModelFormatError(f"missing parameter(s) {missing}")
-    return payloads
-
-
-def _decode_into(name: str, payload: str, out: np.ndarray) -> np.ndarray:
-    """Decode a payload into out, an array of the entry's shape."""
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as exc:
-        raise ModelFormatError(f"parameter {name!r}: bad base64 in f64le: {exc}") from exc
-    if len(raw) != out.nbytes:
+    out = np.empty(size)
+    filled = 0
+    for start in range(0, chars, _PIECE_CHARS):
+        try:
+            raw = base64.b64decode(payload[start:start + _PIECE_CHARS], validate=True)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad base64 in f64le: {exc}") from exc
+        count = len(raw) // 8
+        if len(raw) % 8 or filled + count > size:
+            break  # padding before the end, or past it: reported below
+        piece = out[filled:filled + count]
+        piece[...] = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(piece).all():
+            raise ModelFormatError("f64le holds non-finite values")
+        filled += count
+    if filled != size:
         raise ModelFormatError(
-            f"parameter {name!r} holds {len(raw)} bytes, "
-            f"shape {list(out.shape)} needs {out.nbytes}"
+            f"f64le does not decode to the {8 * size} bytes of {size} values"
         )
-    out[...] = np.frombuffer(raw, dtype="<f8").reshape(out.shape)
-    if not np.isfinite(out).all():
-        raise ModelFormatError(f"parameter {name!r} contains non-finite values")
     return out
 
 
@@ -121,21 +99,9 @@ def model_to_dict(model) -> dict:
             "emb_dim": model.emb_dim,
             "tag_vocab": list(model.tag_vocab),
             "pos_vocab": list(model.pos_vocab),
-            "params": [
-                _array_entry(name, model.params[name].data)
-                for name in sorted(model.params)
-            ],
+            "f64le": _encode(model.data),
         }
     if isinstance(model, BaselineModel):
-        features = sorted(model.feature_index, key=model.feature_index.get)
-        params = [
-            _array_entry("weights", model.weights),
-            _array_entry("trans", model.trans),
-            _array_entry("trans_start", model.trans_start),
-            _array_entry("trans_stop", model.trans_stop),
-        ]
-        if model.dense is not None:
-            params.append(_array_entry("dense", model.dense))
         return {
             "format_version": FORMAT_VERSION,
             "kind": "baseline",
@@ -143,8 +109,8 @@ def model_to_dict(model) -> dict:
             "sigma": model.sigma,
             "emb_dim": model.emb_dim,
             "tag_vocab": list(model.tag_vocab),
-            "feature_names": features,
-            "params": params,
+            "feature_names": sorted(model.feature_index, key=model.feature_index.get),
+            "f64le": _encode(model.data),
         }
     raise ModelFormatError(f"cannot serialize {type(model).__name__}")
 
@@ -156,6 +122,8 @@ def _require(data: dict, key: str):
 
 
 def _require_strings(data: dict, key: str, allow_empty: bool = False) -> list[str]:
+    """A list of distinct strings: a repeated name would leave two of the
+    vector's rows under one index."""
     value = _require(data, key)
     if (
         not isinstance(value, list)
@@ -164,6 +132,9 @@ def _require_strings(data: dict, key: str, allow_empty: bool = False) -> list[st
     ):
         size = "" if allow_empty else "non-empty "
         raise ModelFormatError(f"{key} must be a {size}list of strings")
+    repeated = [item for item, count in Counter(value).items() if count > 1]
+    if repeated:
+        raise ModelFormatError(f"{key} repeats {repeated[0]!r}")
     return value
 
 
@@ -190,18 +161,17 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     emb_dim = _require_emb_dim(data, embeddings)
     tag_vocab = _require_strings(data, "tag_vocab")
     pos_vocab = _require_strings(data, "pos_vocab")
-    expected = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
-    payloads = _read_params(_require(data, "params"), expected)
-    model = TaggerModel(
+    # checked before the empty table and the gradient vector are allocated
+    shapes = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
+    vector = _read_vector(data, shapes)
+    return TaggerModel(
         config=config,
         emb_dim=emb_dim,
         tag_vocab=tuple(tag_vocab),
         pos_vocab=tuple(pos_vocab),
         embeddings=embeddings or EmbeddingTable(emb_dim, {}),
+        data=vector,
     )
-    for name, p in model.params.items():
-        _decode_into(name, payloads[name], p.data)
-    return model
 
 
 def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> BaselineModel:
@@ -213,29 +183,14 @@ def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> Baseli
         raise ModelFormatError(f"sigma must be a positive number, got {sigma!r}")
     tag_vocab = _require_strings(data, "tag_vocab")
     feature_names = _require_strings(data, "feature_names", allow_empty=True)
-    t_count = len(tag_vocab)
-    expected = {
-        "weights": (len(feature_names), t_count),
-        "trans": (t_count, t_count),
-        "trans_start": (t_count,),
-        "trans_stop": (t_count,),
-    }
-    emb_dim = None
-    if variant == "turian":
-        emb_dim = _require_emb_dim(data, embeddings)
-        expected["dense"] = (len(WINDOW) * emb_dim, t_count)
-    payloads = _read_params(_require(data, "params"), expected)
-    arrays = {n: _decode_into(n, payloads[n], np.empty(s)) for n, s in expected.items()}
+    emb_dim = _require_emb_dim(data, embeddings) if variant == "turian" else None
+    shapes = baseline_shapes(len(feature_names), emb_dim, len(tag_vocab))
     return BaselineModel(
         variant=variant,
         sigma=float(sigma),
         tag_vocab=tuple(tag_vocab),
         feature_index={n: k for k, n in enumerate(feature_names)},
-        weights=arrays["weights"],
-        trans=arrays["trans"],
-        trans_start=arrays["trans_start"],
-        trans_stop=arrays["trans_stop"],
-        dense=arrays.get("dense"),
+        data=_read_vector(data, shapes),
         emb_dim=emb_dim,
     )
 
@@ -263,29 +218,19 @@ _PAYLOAD_MARKER = '"f64le":""'
 def dumps_model(model) -> str:
     """The model file's text: model_to_dict as key-sorted compact JSON.
 
-    Base64 never needs escaping, so the payloads skip json's string escaper:
-    the envelope is encoded with every f64le emptied and each payload is
-    spliced back in at its marker, in params order. A JSON string cannot hold
-    the marker unescaped, so the text equals json.dumps of the whole dict.
+    Base64 never needs escaping, so the payload skips json's string escaper:
+    the envelope is encoded with f64le emptied and the payload is spliced
+    back in at its marker. A JSON string cannot hold the marker unescaped,
+    so the text equals json.dumps of the whole dict.
     """
     data = model_to_dict(model)
-    payloads = []
-    for entry in data["params"]:
-        payloads.append(entry["f64le"])
-        entry["f64le"] = ""
+    payload, data["f64le"] = data["f64le"], ""
     pieces = json.dumps(
         data, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).split(_PAYLOAD_MARKER)
-    if len(pieces) != len(payloads) + 1:
-        raise ModelFormatError(
-            f"model text has {len(pieces) - 1} payload markers "
-            f"for {len(payloads)} parameters"
-        )
-    parts = [pieces[0]]
-    for payload, piece in zip(payloads, pieces[1:]):
-        parts += ('"f64le":"', payload, '"', piece)
-    parts.append("\n")
-    return "".join(parts)
+    if len(pieces) != 2:
+        raise ModelFormatError(f"model text has {len(pieces) - 1} payload markers, not 1")
+    return "".join((pieces[0], '"f64le":"', payload, '"', pieces[1], "\n"))
 
 
 def atomic_write_text(path: str, text: str):

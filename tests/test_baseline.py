@@ -431,10 +431,7 @@ def test_zero_weight_model_tags_lowest_index_everywhere():
         sigma=2.0,
         tag_vocab=vocab,
         feature_index={},
-        weights=np.zeros((0, 3)),
-        trans=np.zeros((3, 3)),
-        trans_start=np.zeros(3),
-        trans_stop=np.zeros(3),
+        data=np.zeros(3 * 3 + 2 * 3),
     )
     assert tag_baseline(model, FIVE) == ["B-VID"] * 5
 

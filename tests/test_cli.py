@@ -20,9 +20,11 @@ from test_serialize import (
     as_format_v2,
     as_format_v3,
     as_format_v4,
+    as_format_v5,
     decoded,
-    non_base64_proj_b,
+    non_base64,
     reencode,
+    slots,
 )
 
 
@@ -302,31 +304,26 @@ def small_tagger(workdir, tmp_path_factory):
     return path
 
 
-def _drop_proj_b(params):
-    return [e for e in params if e["name"] != "proj_b"]
-
-
-def _transpose(name):
-    def mutate(params):
-        for e in params:
-            if e["name"] == name:
-                reencode(e, decoded(e).T)
-        return params
-
+def _slot_edit(name, edit):
+    """A mutation replacing the values of one parameter's slot of a model
+    dict's vector with edit(those values), which may change their number."""
+    def mutate(data):
+        vector, where = decoded(data), slots(data)[name]
+        reencode(data, np.concatenate([vector[:where.start], edit(vector[where]),
+                                       vector[where.stop:]]))
     return mutate
 
 
 @pytest.mark.parametrize(
     "mutate, message",
-    [(_drop_proj_b, "proj_b"), (_transpose("proj_w"), "proj_w"),
-     (_transpose("lstm_fwd_wx"), "lstm_fwd_wx")],
-    ids=["missing-proj_b", "transposed-proj_w", "transposed-lstm_fwd_wx"],
+    [(_slot_edit("proj_b", lambda values: values[:0]), "bytes")],
+    ids=["missing-proj_b"],
 )
 def test_tag_with_malformed_tagger_file_exits_two(
     workdir, small_tagger, tmp_path, capsys, mutate, message
 ):
     data = json.loads(small_tagger.read_text())
-    data["params"] = mutate(data["params"])
+    mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     rc = run(["tag", "--model", p(bad),
@@ -386,22 +383,8 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
     return files
 
 
-def _entry(data, name):
-    return next(e for e in data["params"] if e["name"] == name)
-
-
-def _zeros(data, name, shape):
-    reencode(_entry(data, name), np.zeros(shape))
-
-
 def _tags(data):
     return len(data["tag_vocab"])
-
-
-def _drop(name):
-    def mutate(data):
-        data["params"] = [e for e in data["params"] if e["name"] != name]
-    return mutate
 
 
 def _set(key, value):
@@ -416,58 +399,38 @@ def _set_config(key, value):
     return mutate
 
 
-def _nan_proj_b(data):
-    entry = _entry(data, "proj_b")
-    values = decoded(entry)
-    values[0] = float("nan")
-    reencode(entry, values)
-
-
 def _huge(*names):
     """Every value of the named parameters 1.7e308: finite in the file, but
     the emission scores computed from them overflow."""
     def mutate(data):
         for name in names:
-            entry = _entry(data, name)
-            reencode(entry, np.full(entry["shape"], 1.7e308))
+            _slot_edit(name, lambda values: np.full(values.shape, 1.7e308))(data)
     return mutate
 
 
 def _short_trans(data):
-    _zeros(data, "trans", (_tags(data) - 1, _tags(data) - 1))
-
-
-def _short_weights(data):
-    rows, cols = _entry(data, "weights")["shape"]
-    _zeros(data, "weights", (rows - 1, cols))
-
-
-def _long_start(data):
-    _zeros(data, "trans_start", (_tags(data) + 1,))
+    """trans stored as (T-1) x (T-1) zeros."""
+    _slot_edit("trans", lambda values: np.zeros((_tags(data) - 1) ** 2))(data)
 
 
 def _dense_in_standard(data):
-    data["params"].append(reencode({"name": "dense"}, np.zeros((40, _tags(data)))))
+    """A 40-row dense block after a standard model's weights."""
+    _slot_edit("weights",
+               lambda values: np.concatenate([values, np.zeros(40 * _tags(data))]))(data)
 
 
-def _transposed_dense(data):
-    rows, cols = _entry(data, "dense")["shape"]
-    _zeros(data, "dense", (cols, rows))
+def _short_weights(data):
+    """weights one row short."""
+    _slot_edit("weights", lambda values: values[:-_tags(data)])(data)
 
 
 def _unknown_param(data):
-    data["params"].append(reencode({"name": "bias"}, [0.0]))
+    """One more value, as of an unknown 'bias' parameter, at the end."""
+    reencode(data, np.append(decoded(data), 0.0))
 
 
-def _repeated_trans(data):
-    data["params"].append(dict(_entry(data, "trans")))
-
-
-def _short_payload_trans(data):
-    entry = _entry(data, "trans")
-    shape = entry["shape"]
-    reencode(entry, decoded(entry).ravel()[:-1])
-    entry["shape"] = shape
+def _repeat_feature(data):
+    data["feature_names"][-1] = data["feature_names"][0]
 
 
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
@@ -489,21 +452,23 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         (TAG + ["--embeddings", "{vecs}"], "tagger", _huge("proj_w", "proj_b"),
          "emission scores are not finite"),
         (TAG, "standard", _huge("weights"), "emission scores are not finite"),
-        (TAG + ["--embeddings", "{vecs}"], "tagger", _nan_proj_b, "non-finite"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger",
+         _slot_edit("proj_b", lambda values: np.append(np.nan, values[1:])), "non-finite"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", _set("format_version", 1),
          "retrain"),
-        (TAG, "standard", _short_trans, "'trans'"),
-        (TAG, "standard", _short_weights, "'weights'"),
-        (TAG, "standard", _long_start, "'trans_start'"),
-        (TAG, "standard", _dense_in_standard, "'dense'"),
-        (TAG + ["--embeddings", "{vecs}"], "turian", _drop("dense"), "'dense'"),
-        (TAG + ["--embeddings", "{vecs}"], "turian", _transposed_dense, "'dense'"),
+        (TAG, "standard", _short_trans, "bytes"),
+        (TAG, "standard", _short_weights, "bytes"),
+        (TAG, "standard", _slot_edit("trans_start", lambda values: np.append(values, 0.0)),
+         "bytes"),
+        (TAG, "standard", _dense_in_standard, "bytes"),
+        (TAG + ["--embeddings", "{vecs}"], "turian",
+         _slot_edit("dense", lambda values: values[:0]), "bytes"),
         (TAG, "standard", _set("sigma", 0.0), "sigma"),
-        (TAG, "standard", _unknown_param, "'bias'"),
-        (TAG, "standard", _repeated_trans, "repeated"),
-        (TAG + ["--embeddings", "{vecs}"], "tagger", non_base64_proj_b, "base64"),
+        (TAG, "standard", _unknown_param, "bytes"),
+        (TAG, "standard", _slot_edit("trans", lambda values: np.tile(values, 2)), "bytes"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", non_base64, "base64"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v2, "retrain"),
-        (TAG, "standard", _short_payload_trans, "bytes"),
+        (TAG, "standard", _slot_edit("trans", lambda values: values[:-1]), "bytes"),
         (TAG, "standard", as_format_v2, "retrain"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v3, "retrain"),
         (TAG, "standard", as_format_v3, "retrain"),
@@ -511,6 +476,9 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
          "line 1: header dimension 0"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v4, "retrain"),
         (TAG, "standard", as_format_v4, "retrain"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v5, "retrain"),
+        (TAG, "standard", as_format_v5, "retrain"),
+        (TAG, "standard", _repeat_feature, "feature_names repeats"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", _set_config("batch_size", 2.5),
          "bad tagger config: batch_size must be an integer"),
         (TAG + ["--embeddings", "{vecs}"], "tagger",
@@ -542,11 +510,12 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         "baseline-huge-weights", "tagger-nan-proj_b",
         "tagger-format-v1", "baseline-short-trans", "baseline-short-weights",
         "baseline-long-start", "baseline-dense-in-standard",
-        "turian-without-dense", "turian-transposed-dense", "baseline-zero-sigma",
+        "turian-without-dense", "baseline-zero-sigma",
         "baseline-unknown-param", "baseline-repeated-param",
         "tagger-non-base64", "tagger-format-v2", "baseline-short-payload",
         "baseline-format-v2", "tagger-format-v3", "baseline-format-v3",
         "train-zero-dim-vec", "tagger-format-v4", "baseline-format-v4",
+        "tagger-format-v5", "baseline-format-v5", "baseline-repeated-feature",
         "tagger-float-batch-size", "tagger-float-filters", "tagger-bool-epochs",
         "tagger-negative-seed", "tagger-bool-learning-rate", "tagger-int-head",
         "train-latin1-cupt", "eval-latin1-cupt", "train-latin1-vec",
@@ -744,6 +713,34 @@ def test_train_checks_output_directories_before_reading_anything(
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {missing}: no directory ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tag", "--model", "{m}", "--input", "{train}", "--embeddings", "{vecs}",
+      "--output", "{out}"],
+     ["convert", "--input", "{train}", "--output", "{out}"],
+     ["eval", "--gold", "{train}", "--pred", "{train}", "--train", "{train}",
+      "--report", "{out}"]],
+    ids=["tag", "convert", "eval"],
+)
+def test_commands_check_the_output_directory_before_reading_anything(
+    workdir, tmp_path, capsys, monkeypatch, argv
+):
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"read {path} before checking where to write")
+
+    for name in ("read_cupt", "load_model", "load_vec_file"):
+        monkeypatch.setattr(f"mwetag.cli.{name}", no_read)
+    missing = tmp_path / "missing"
+    out = missing / "out.txt"
+    paths = {"m": p(tmp_path / "m.json"), "train": p(workdir / "train.cupt"),
+             "vecs": p(workdir / "vecs.vec"), "out": p(out)}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: no directory {missing}\n"
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 

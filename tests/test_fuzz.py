@@ -149,13 +149,12 @@ _DELETE = object()
 
 
 def _field_paths(data: dict):
-    """Every top-level field, every field of the config dict, and every
-    field of the first parameter entry."""
+    """Every top-level field (the f64le payload among them) and every field
+    of the config dict."""
     for key, value in data.items():
         yield (key,)
         if isinstance(value, dict):
             yield from ((key, inner) for inner in value)
-    yield from (("params", 0, key) for key in data["params"][0])
 
 
 def test_model_from_dict_every_field_replaced(model_dicts):

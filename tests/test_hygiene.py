@@ -1,8 +1,9 @@
 """Dead-code guards over the package source, using the standard library's ast
 only: every import is used (in the tests and the scripts too), every
 module-level _private function, class or constant is referenced somewhere in
-the package, and every public function, class or method is referenced from
-the package, the scripts or the benchmark."""
+the package (a test's or script's somewhere in the package, the tests or the
+scripts), and every public function, class or method is referenced from the
+package, the scripts or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -89,11 +90,13 @@ def test_every_import_is_used(module):
     assert [name for name in imported if name not in used] == []
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(MODULES) + sorted(IMPORTERS))
 def test_every_private_module_name_is_referenced(module):
+    # the package's own names must be used by the package itself
+    scope = MODULES if module in MODULES else {**MODULES, **IMPORTERS}
     unreferenced = [
-        name for name in _private_definitions(MODULES[module])
-        if not any(_referenced(name, tree) for tree in MODULES.values())
+        name for name in _private_definitions(scope[module])
+        if not any(_referenced(name, tree) for tree in scope.values())
     ]
     assert unreferenced == []
 

@@ -1,9 +1,10 @@
 """Round-trip fidelity of the JSON model container.
 
 Oracles here are equality itself: load(save(m)) must reproduce every array
-bit for bit (parameters are stored as their little-endian float64 bytes),
-the serialized bytes must be a pure function of the model, and predictions
-through a round-trip must match the original on every sentence.
+bit for bit (the flat parameter vector is stored as its little-endian
+float64 bytes), the serialized bytes must be a pure function of the model,
+and predictions through a round-trip must match the original on every
+sentence.
 """
 
 import base64
@@ -18,10 +19,12 @@ import pytest
 from mwetag import serialize
 from mwetag.baseline import (
     BaselineModel,
+    BaselineProblem,
     BaselineTrainOptions,
     tag_baseline,
     train_baseline,
 )
+from mwetag.baseline import param_shapes as baseline_shapes
 from mwetag.embed import EmbeddingTable, encode
 from mwetag.errors import ModelFormatError
 from mwetag.serialize import (
@@ -65,20 +68,42 @@ def baseline_model(corpus):
     return train_baseline(corpus, variant="standard", options=opts)
 
 
-def reencode(entry, values):
-    """Make a model-file parameter entry hold `values` (array-like; its shape
-    becomes the entry's), encoded independently of the writer: base64 of the
-    little-endian float64 bytes in C order. Returns the entry."""
-    arr = np.asarray(values, dtype="<f8")
-    entry["shape"] = list(arr.shape)
-    entry["f64le"] = base64.b64encode(arr.tobytes()).decode("ascii")
-    return entry
+@pytest.fixture(scope="module")
+def turian_model(corpus, table):
+    opts = BaselineTrainOptions(max_iterations=10, seed=3)
+    return train_baseline(corpus, variant="turian", table=table, options=opts)
 
 
-def decoded(entry) -> np.ndarray:
-    """The writable array a model-file parameter entry holds."""
-    raw = base64.b64decode(entry["f64le"])
-    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+def reencode(data, values):
+    """Make a model dict's payload hold `values` (array-like, flattened),
+    encoded independently of the writer: base64 of the little-endian float64
+    bytes."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    data["f64le"] = base64.b64encode(raw).decode("ascii")
+
+
+def decoded(data) -> np.ndarray:
+    """The writable flat vector a model dict's payload holds."""
+    return np.frombuffer(base64.b64decode(data["f64le"]), dtype="<f8").copy()
+
+
+def stored_shapes(data) -> dict:
+    """Name -> shape of each parameter slot of a model dict, in vector order,
+    as its config and vocabularies imply."""
+    if data["kind"] == "tagger":
+        return param_shapes(TaggerConfig(**data["config"]), data["emb_dim"],
+                            len(data["pos_vocab"]), len(data["tag_vocab"]))
+    return baseline_shapes(len(data["feature_names"]), data["emb_dim"],
+                           len(data["tag_vocab"]))
+
+
+def slots(data) -> dict:
+    """Name -> slice of each parameter slot of a model dict's vector."""
+    found, end = {}, 0
+    for name, shape in stored_shapes(data).items():
+        found[name] = slice(end, end + math.prod(shape))
+        end = found[name].stop
+    return found
 
 
 def random_sentences(rng, count):
@@ -166,39 +191,99 @@ def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
-def assert_flat_layout(model):
-    """Every parameter's data and grad are C-contiguous views of the model's
-    two float64 vectors, one slot after another in param_shapes order."""
-    shapes = param_shapes(model.config, model.emb_dim, len(model.pos_vocab),
-                          len(model.tag_vocab))
+def assert_flat_layout(vector, shapes, views):
+    """views[name] is a C-contiguous view of the float64 vector's slot for
+    name, the slots one after another in shapes order."""
     size = sum(math.prod(shape) for shape in shapes.values())
-    assert list(model.params) == list(shapes)
-    for vector in (model.data, model.grad):
-        assert vector.dtype == np.float64 and vector.shape == (size,)
-        assert vector.flags.c_contiguous and vector.flags.owndata
-    assert not np.shares_memory(model.data, model.grad)
+    assert vector.dtype == np.float64 and vector.shape == (size,)
+    assert vector.flags.c_contiguous and vector.flags.owndata
+    assert list(views) == list(shapes)
     offset = 0
     for name, shape in shapes.items():
-        tensor = model.params[name]
-        for view, vector in ((tensor.data, model.data), (tensor.grad, model.grad)):
-            assert view.shape == shape and view.flags.c_contiguous, name
-            assert np.shares_memory(view, vector), name
-            assert _address(view) == _address(vector) + 8 * offset, name
+        view = views[name]
+        assert view.shape == shape and view.flags.c_contiguous, name
+        assert np.shares_memory(view, vector), name
+        assert _address(view) == _address(vector) + 8 * offset, name
         offset += math.prod(shape)
 
 
-def test_build_load_and_copy_lay_parameters_out_flat(tmp_path, tagger_model, table):
+def assert_tagger_layout(model):
+    """Every parameter's data and grad are views of the model's two
+    vectors, in param_shapes order."""
+    shapes = param_shapes(model.config, model.emb_dim, len(model.pos_vocab),
+                          len(model.tag_vocab))
+    for vector, field in ((model.data, "data"), (model.grad, "grad")):
+        views = {name: getattr(t, field) for name, t in model.params.items()}
+        assert_flat_layout(vector, shapes, views)
+    assert not np.shares_memory(model.data, model.grad)
+
+
+def assert_baseline_layout(model):
+    """weights, dense (turian only), trans, trans_start and trans_stop are
+    views of the model's vector, in baseline.param_shapes order."""
+    shapes = baseline_shapes(len(model.feature_index), model.emb_dim,
+                             len(model.tag_vocab))
+    assert_flat_layout(model.data, shapes, {name: getattr(model, name) for name in shapes})
+    if "dense" not in shapes:
+        assert model.dense is None
+
+
+def test_build_load_and_copy_lay_parameters_out_flat(
+    tmp_path, tagger_model, table, corpus
+):
     path = str(tmp_path / "m.json")
     save_model(tagger_model, path)
     loaded = load_model(path, embeddings=table)
     copied = tagger_model.copy()
     for model in (tagger_model, loaded, copied):
-        assert_flat_layout(model)
+        assert_tagger_layout(model)
     assert np.array_equal(loaded.data, tagger_model.data)
     assert np.array_equal(copied.data, tagger_model.data)
     for source in (tagger_model.data, tagger_model.grad):
         assert not np.shares_memory(copied.data, source)
         assert not np.shares_memory(copied.grad, source)
+    for variant, variant_table in (("standard", None), ("turian", table)):
+        problem = BaselineProblem(corpus, variant, 2.0, variant_table)
+        w = np.random.default_rng(0).normal(size=problem.size)
+        built = problem.to_model(w)
+        path = str(tmp_path / f"{variant}.json")
+        save_model(built, path)
+        for model in (built, load_model(path)):
+            assert_baseline_layout(model)
+            assert np.array_equal(model.data, w), variant
+            assert problem.pack_model(model) is model.data
+        assert not np.shares_memory(built.data, w)
+
+
+@pytest.mark.parametrize("make", ["tagger_model", "baseline_model", "turian_model"])
+def test_the_payload_is_the_parameter_vector(request, make):
+    model = request.getfixturevalue(make)
+    data = json.loads(dumps_model(model))
+    assert "params" not in data
+    assert base64.b64decode(data["f64le"]) == model.data.astype("<f8").tobytes()
+
+
+def _large_baseline(rng):
+    """A standard baseline of 2.5 encoding pieces' worth of values, led by
+    the EXTREMES."""
+    tags = ("B-VID", "I-VID", "O")
+    names = [f"w[0]:{k}" for k in range(serialize._PIECE_VALUES * 5 // 6)]
+    data = rng.normal(size=(len(names) + len(tags) + 2) * len(tags))
+    data[: len(EXTREMES)] = EXTREMES
+    return BaselineModel(variant="standard", sigma=2.0, tag_vocab=tags,
+                         feature_index={n: k for k, n in enumerate(names)}, data=data)
+
+
+def test_a_payload_of_several_pieces_round_trips_and_is_checked_per_piece():
+    model = _large_baseline(np.random.default_rng(3))
+    data = json.loads(dumps_model(model))
+    assert len(data["f64le"]) > 2 * serialize._PIECE_CHARS
+    assert model_from_dict(data).data.tobytes() == model.data.tobytes()
+    # padding at the end of the first piece is valid base64 for that piece
+    cut = serialize._PIECE_CHARS
+    data["f64le"] = data["f64le"][: cut - 1] + "=" + data["f64le"][cut:]
+    with pytest.raises(ModelFormatError, match="does not decode to the"):
+        model_from_dict(data)
 
 
 def test_embedding_dimension_mismatch_rejected(tmp_path, tagger_model):
@@ -233,18 +318,16 @@ def test_baseline_round_trip_exact(tmp_path, baseline_model, corpus):
         )
 
 
-def test_turian_baseline_round_trip(tmp_path, corpus, table):
-    opts = BaselineTrainOptions(max_iterations=10, seed=3)
-    model = train_baseline(corpus, variant="turian", table=table, options=opts)
+def test_turian_baseline_round_trip(tmp_path, corpus, table, turian_model):
     path = str(tmp_path / "t.json")
-    save_model(model, path)
+    save_model(turian_model, path)
     loaded = load_model(path)
     assert loaded.emb_dim == table.dimension
-    assert np.array_equal(loaded.dense, model.dense)
+    assert np.array_equal(loaded.dense, turian_model.dense)
     for sentence in corpus:
         assert (
             tag_baseline(loaded, sentence, table=table)
-            == tag_baseline(model, sentence, table=table)
+            == tag_baseline(turian_model, sentence, table=table)
         )
 
 
@@ -281,59 +364,92 @@ def test_missing_field_rejected(tmp_path, tagger_model):
 
 def test_shape_value_mismatch_rejected(tagger_model):
     data = model_to_dict(tagger_model)
-    entry = data["params"][0]
-    shape = entry["shape"]
-    reencode(entry, decoded(entry).ravel()[:-1])
-    entry["shape"] = shape
-    with pytest.raises(ModelFormatError, match="shape"):
+    reencode(data, decoded(data)[:-1])
+    with pytest.raises(ModelFormatError, match="bytes"):
         model_from_dict(data)
 
 
-def _proj_b(data):
-    return next(e for e in data["params"] if e["name"] == "proj_b")
-
-
 def _with_values(edit):
-    """proj_b re-encoded as edit(its values), keeping the stored shape."""
+    """The payload re-encoded as edit(its values)."""
     def mutate(data):
-        entry = _proj_b(data)
-        shape = entry["shape"]
-        reencode(entry, edit(decoded(entry)))
-        entry["shape"] = shape
+        reencode(data, edit(decoded(data)))
     return mutate
 
 
-def _set_entry(key, value):
+def _set_payload(value):
     def mutate(data):
-        _proj_b(data)[key] = value
+        data["f64le"] = value
     return mutate
 
 
-def non_base64_proj_b(data):
-    entry = _proj_b(data)
-    entry["f64le"] = "*" + entry["f64le"][1:]
+def _set_field(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _set_config(key, value):
+    def mutate(data):
+        data["config"][key] = value
+    return mutate
+
+
+def non_base64(data):
+    data["f64le"] = "*" + data["f64le"][1:]
+
+
+def _inner_space(data):
+    data["f64le"] = data["f64le"][:4] + " " + data["f64le"][5:]
+
+
+def _odd_byte_count(data):
+    """A byte count that is no multiple of 8 but encodes to as many base64
+    characters as the right one, so only the decode can tell."""
+    raw = base64.b64decode(data["f64le"])
+    raw = raw + b"\0" if len(raw) % 3 else raw[:-1]
+    data["f64le"] = base64.b64encode(raw).decode("ascii")
 
 
 def _drop_payload(data):
-    del _proj_b(data)["f64le"]
+    del data["f64le"]
 
 
-def _empty_huge_shape(data):
-    """Zero elements, so the byte count agrees, but numpy cannot make it."""
-    _proj_b(data).update(shape=[0, 10**30], f64le="")
+def _huge_empty(data):
+    """An empty payload for a layout numpy could not allocate: refused on
+    its length alone."""
+    data.update(emb_dim=10**30, f64le="")
+
+
+def as_format_v5(data):
+    """The previous format: each parameter its own (name, shape, f64le)
+    entry, a tagger's in name order, a baseline's dense block last."""
+    vector, shapes, where = decoded(data), stored_shapes(data), slots(data)
+    if data["kind"] == "tagger":
+        names = sorted(shapes)
+    else:
+        names = sorted(shapes, key=lambda name: name == "dense")
+    data["format_version"] = 5
+    data["params"] = []
+    for name in names:
+        entry = {"name": name, "shape": list(shapes[name])}
+        reencode(entry, vector[where[name]])
+        data["params"].append(entry)
+    del data["f64le"]
 
 
 def as_format_v2(data):
     """The previous format: each parameter a flat list of decimal floats."""
+    as_format_v5(data)
     data["format_version"] = 2
     for entry in data["params"]:
-        entry["values"] = decoded(entry).ravel().tolist()
+        entry["values"] = decoded(entry).tolist()
         del entry["f64le"]
 
 
 def as_format_v3(data):
     """The previous format: a tagger config also held the filter widths, the
     dropout rates, the conv activation and a nested optimizer config."""
+    as_format_v5(data)
     data["format_version"] = 3
     config = data.get("config")
     if config is not None:
@@ -348,6 +464,7 @@ def as_format_v3(data):
 def as_format_v4(data):
     """The previous format: a tagger config also held the embedding mode, and
     a tagger file a word vocabulary (null unless the mode was trainable)."""
+    as_format_v5(data)
     data["format_version"] = 4
     if data["kind"] == "tagger":
         data["config"]["embedding_mode"] = "pretrained"
@@ -356,7 +473,7 @@ def as_format_v4(data):
 
 def _set_at(index, value):
     def edit(a):
-        a.reshape(-1)[index] = value
+        a[index] = value
         return a
     return edit
 
@@ -364,45 +481,49 @@ def _set_at(index, value):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (non_base64_proj_b, "base64"),
-        (_set_entry("f64le", "AAAA AAAAAAA="), "base64"),
+        (non_base64, "base64"),
+        (_inner_space, "base64"),
         (_with_values(lambda a: np.append(a, 0.0)), "bytes"),
-        (_set_entry("f64le", "AAAA"), "bytes"),
-        (_set_entry("f64le", [0.0]), "base64 string"),
-        (_set_entry("f64le", None), "base64 string"),
-        (_set_entry("shape", [-3]), "non-negative integers"),
-        (_set_entry("shape", [3.0]), "non-negative integers"),
-        (_set_entry("shape", [True]), "non-negative integers"),
-        (_set_entry("shape", "3"), "non-negative integers"),
-        (_empty_huge_shape, "has shape"),
+        (_odd_byte_count, "does not decode to the"),
+        (_set_payload([0.0]), "base64 string"),
+        (_set_payload(None), "base64 string"),
+        (_set_field("emb_dim", -3), "bad emb_dim"),
+        (_set_field("emb_dim", 3.0), "bad emb_dim"),
+        (_set_config("lstm_hidden", True), "lstm_hidden must be an integer"),
+        (_set_field("emb_dim", "3"), "bad emb_dim"),
+        (_huge_empty, "base64 characters"),
         (_with_values(_set_at(0, float("nan"))), "non-finite"),
         (_with_values(_set_at(-1, float("inf"))), "non-finite"),
-        (_drop_payload, "malformed parameter entry"),
+        (_drop_payload, "missing field 'f64le'"),
         (as_format_v2, "retrain"),
         (as_format_v3, "retrain"),
         (as_format_v4, "retrain"),
+        (as_format_v5, "retrain"),
     ],
     ids=[
         "non-base64-char", "inner-space", "byte-count-long",
         "byte-count-not-multiple-of-8", "payload-list", "payload-null",
         "negative-dim", "float-dim", "bool-dim", "shape-string", "huge-empty-shape",
         "nan", "plus-inf", "no-payload", "format-v2-values", "format-v3-config",
-        "format-v4-config",
+        "format-v4-config", "format-v5-entries",
     ],
 )
 def test_malformed_parameter_payload_rejected(tagger_model, mutate, message):
+    """The payload's own checks, and those of the numbers its layout is
+    computed from (the dim cases)."""
     data = model_to_dict(tagger_model)
     mutate(data)
     with pytest.raises(ModelFormatError, match=message):
         model_from_dict(data)
 
 
-def _add_extra(data):
-    data["params"].append(reencode({"name": "extra"}, [0.0]))
-
-
-def _repeat_first(data):
-    data["params"].append(dict(data["params"][0]))
+def _append_slot(name):
+    """The vector with one parameter's values stored a second time at its
+    end, as a writer that kept an extra or repeated entry would."""
+    def mutate(data):
+        vector = decoded(data)
+        reencode(data, np.concatenate([vector, vector[slots(data)[name]]]))
+    return mutate
 
 
 def _shrink_tags(data):
@@ -413,36 +534,39 @@ def _unhashable_tag(data):
     data["tag_vocab"][0] = [data["tag_vocab"][0]]
 
 
-def _params_not_a_list(data):
-    data["params"] = None
-
-
 def _bool_emb_dim(data):
     data["emb_dim"] = True
 
 
-def _huge_config_and_shapes(data):
-    """10**6 hidden units, every entry's shape to match and the payloads
-    unchanged: refused before the model's vectors (32 TB) are allocated."""
+def _repeat(key):
+    """The last entry of a vocabulary replaced by its first."""
+    def mutate(data):
+        data[key][-1] = data[key][0]
+    return mutate
+
+
+def _huge_config(data):
+    """10**6 hidden units and the payload unchanged: refused before the
+    model's vectors (32 TB) are allocated."""
     data["config"]["lstm_hidden"] = 10**6
-    shapes = param_shapes(TaggerConfig(**data["config"]), data["emb_dim"],
-                          len(data["pos_vocab"]), len(data["tag_vocab"]))
-    for entry in data["params"]:
-        entry["shape"] = list(shapes[entry["name"]])
 
 
 @pytest.mark.parametrize(
     "model_name, mutate, message",
-    [("tagger_model", _add_extra, "extra"),
-     ("tagger_model", _repeat_first, "repeated"),
-     ("tagger_model", _shrink_tags, "shape"),
+    [("tagger_model", _append_slot("proj_b"), "bytes"),
+     ("tagger_model", _append_slot("conv2_kernels"), "bytes"),
+     ("tagger_model", _shrink_tags, "bytes"),
      ("tagger_model", _unhashable_tag, "tag_vocab must be a non-empty list of strings"),
-     ("tagger_model", _params_not_a_list, "params must be a list"),
      ("tagger_model", _bool_emb_dim, "emb_dim"),
-     ("tagger_model", _huge_config_and_shapes, "too few")],
+     ("tagger_model", _huge_config, "base64 characters"),
+     ("tagger_model", _repeat("tag_vocab"), "tag_vocab repeats"),
+     ("tagger_model", _repeat("pos_vocab"), "pos_vocab repeats"),
+     ("baseline_model", _repeat("tag_vocab"), "tag_vocab repeats"),
+     ("baseline_model", _repeat("feature_names"), "feature_names repeats")],
     ids=["extra-param", "repeated-param", "vocab-shape-mismatch",
-         "unhashable-tag", "params-not-a-list", "bool-emb_dim",
-         "huge-config-and-shapes"],
+         "unhashable-tag", "bool-emb_dim", "huge-config-and-shapes",
+         "repeated-tag", "repeated-pos", "baseline-repeated-tag",
+         "baseline-repeated-feature"],
 )
 def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):
     data = model_to_dict(request.getfixturevalue(model_name))
@@ -505,10 +629,7 @@ def _tricky_baseline():
         sigma=2.0,
         tag_vocab=tags,
         feature_index={name: k for k, name in enumerate(names)},
-        weights=rng.normal(size=(len(names), len(tags))),
-        trans=rng.normal(size=(len(tags), len(tags))),
-        trans_start=rng.normal(size=len(tags)),
-        trans_stop=rng.normal(size=len(tags)),
+        data=rng.normal(size=(len(names) + len(tags) + 2) * len(tags)),
     )
 
 
