@@ -1,24 +1,29 @@
-"""Versioned JSON model container for both model families.
+"""Versioned binary model container for both model families.
 
-One self-describing file: a format-version integer, a kind discriminator
-("tagger" or "baseline"), the full configuration, the vocabularies, and the
-model's flat parameter vector as one ``f64le`` payload: the base64 text of
-its little-endian IEEE-754 float64 bytes. The config and vocabularies fix
-the vector's layout (tagger.param_shapes, baseline.param_shapes), so the
-file stores no parameter names or shapes. load(save(m)) reproduces every
-bit (-0.0 and subnormals included) and predicts bit-identically to m. A
-load refuses repeated vocabulary entries, a payload whose length differs
-from the size the config implies (before allocating anything), bad base64
-and non-finite values, and decodes in bounded pieces straight into the
-vector. A paper-size tagger (1.73M parameters) is an 18.5 MB file. Keys are
-sorted and separators compact, making the byte output a pure function of
-the model. Writes go to a temp file in the target directory and rename into
-place, so failures never leave partial files.
+A model file (format 7) is binary whatever its name: the 8-byte MAGIC; the
+header's length as a little-endian u64; the header, key-sorted compact
+UTF-8 JSON ending in a newline, with the format version, the kind
+("tagger" or "baseline"), the configuration and the vocabularies; then the
+body, the flat parameter vector's little-endian float64 bytes, and nothing
+after it. The config and vocabularies fix the vector's layout
+(tagger.param_shapes, baseline.param_shapes), so the file stores no
+parameter names or shapes. load(save(m)) reproduces every bit (-0.0 and
+subnormals included), and the bytes are a pure function of the model. A
+paper-size tagger (1.73M parameters) is a 13.8 MB file that saves in
+~0.02 s and loads in ~0.01 s (warm, one core of a 2-vCPU machine).
+
+A save refuses a non-finite vector before it creates any file, then writes
+the header and the vector's own buffer to a temp file that is renamed into
+place, so failures never leave partial files. A load bounds the header
+length by HEADER_CAP and the file size before it reads the header, refuses
+repeated vocabulary entries, compares the body's byte count with the size
+the config implies before it allocates anything, reads the body straight
+into the vector and refuses non-finite values. Every load error names the
+file.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -34,60 +39,31 @@ from .embed import EmbeddingTable
 from .errors import ModelFormatError, not_utf8
 from .tagger import TaggerConfig, TaggerModel, param_shapes
 
-FORMAT_VERSION = 6
-# the payload is encoded and decoded 98,304 values at a time (786,432 bytes,
-# 1 MiB of base64 text without padding), so that no save or load allocates
-# and faults in temporaries the size of the whole payload
-_PIECE_VALUES = 3 << 15
-_PIECE_CHARS = _PIECE_VALUES * 8 // 3 * 4
+FORMAT_VERSION = 7
+MAGIC = b"\x93MWETAG\n"
+# the longest header a load reads: far above the feature names of any corpus
+HEADER_CAP = 1 << 30
 
 
-def _encode(data: np.ndarray) -> str:
-    if not np.isfinite(data).all():
-        raise ModelFormatError("model parameters contain non-finite values")
-    # b64encode reads the contiguous vector's buffer; .tobytes() would copy it
-    raw = np.ascontiguousarray(data, dtype="<f8")
-    return "".join(
-        base64.b64encode(raw[i:i + _PIECE_VALUES]).decode("ascii")
-        for i in range(0, raw.size, _PIECE_VALUES)
-    )
-
-
-def _read_vector(data: dict, shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
-    """The f64le payload as the flat vector of the parameters in shapes. Its
-    length is checked against theirs before anything is allocated, and it is
-    decoded in bounded pieces, so a load never holds all of the decoded
-    bytes next to the vector."""
-    payload = _require(data, "f64le")
-    if not isinstance(payload, str):
-        raise ModelFormatError("f64le is not a base64 string")
+def _read_vector(body, shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    """The flat vector of the parameters in shapes, read from the rest of the
+    binary stream body. Its byte count is checked against theirs before
+    anything is allocated, and it is read straight into the vector."""
     size = sum(map(math.prod, shapes.values()))
-    chars = 4 * -(-8 * size // 3)
-    if len(payload) != chars:
+    start = body.tell()
+    stored = body.seek(0, os.SEEK_END) - start
+    if stored != 8 * size:
         raise ModelFormatError(
-            f"f64le holds {len(payload)} base64 characters; the {size} values "
-            f"the config and vocabularies imply take {chars} ({8 * size} bytes)"
+            f"corrupt model file: the body holds {stored} bytes; the {size} values "
+            f"the config and vocabularies imply take {8 * size}"
         )
-    out = np.empty(size)
-    filled = 0
-    for start in range(0, chars, _PIECE_CHARS):
-        try:
-            raw = base64.b64decode(payload[start:start + _PIECE_CHARS], validate=True)
-        except ValueError as exc:
-            raise ModelFormatError(f"bad base64 in f64le: {exc}") from exc
-        count = len(raw) // 8
-        if len(raw) % 8 or filled + count > size:
-            break  # padding before the end, or past it: reported below
-        piece = out[filled:filled + count]
-        piece[...] = np.frombuffer(raw, dtype="<f8")
-        if not np.isfinite(piece).all():
-            raise ModelFormatError("f64le holds non-finite values")
-        filled += count
-    if filled != size:
-        raise ModelFormatError(
-            f"f64le does not decode to the {8 * size} bytes of {size} values"
-        )
-    return out
+    body.seek(start)
+    out = np.empty(size, dtype="<f8")
+    if body.readinto(out) != out.nbytes:
+        raise ModelFormatError("corrupt model file: the body ended early")
+    if not np.isfinite(out).all():
+        raise ModelFormatError("the body holds non-finite values")
+    return out.astype(np.float64, copy=False)
 
 
 def model_to_dict(model) -> dict:
@@ -99,7 +75,6 @@ def model_to_dict(model) -> dict:
             "emb_dim": model.emb_dim,
             "tag_vocab": list(model.tag_vocab),
             "pos_vocab": list(model.pos_vocab),
-            "f64le": _encode(model.data),
         }
     if isinstance(model, BaselineModel):
         return {
@@ -110,7 +85,6 @@ def model_to_dict(model) -> dict:
             "emb_dim": model.emb_dim,
             "tag_vocab": list(model.tag_vocab),
             "feature_names": sorted(model.feature_index, key=model.feature_index.get),
-            "f64le": _encode(model.data),
         }
     raise ModelFormatError(f"cannot serialize {type(model).__name__}")
 
@@ -152,7 +126,7 @@ def _require_emb_dim(data: dict, embeddings: EmbeddingTable | None) -> int:
     return emb_dim
 
 
-def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerModel:
+def _tagger_from_dict(data: dict, body, embeddings: EmbeddingTable | None) -> TaggerModel:
     raw_config = _require(data, "config")
     try:
         config = TaggerConfig(**raw_config)
@@ -163,7 +137,7 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     pos_vocab = _require_strings(data, "pos_vocab")
     # checked before the empty table and the gradient vector are allocated
     shapes = param_shapes(config, emb_dim, len(pos_vocab), len(tag_vocab))
-    vector = _read_vector(data, shapes)
+    vector = _read_vector(body, shapes)
     return TaggerModel(
         config=config,
         emb_dim=emb_dim,
@@ -174,7 +148,7 @@ def _tagger_from_dict(data: dict, embeddings: EmbeddingTable | None) -> TaggerMo
     )
 
 
-def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> BaselineModel:
+def _baseline_from_dict(data: dict, body, embeddings: EmbeddingTable | None) -> BaselineModel:
     variant = _require(data, "variant")
     if variant not in VARIANTS:
         raise ModelFormatError(f"unknown baseline variant {variant!r}")
@@ -190,14 +164,16 @@ def _baseline_from_dict(data: dict, embeddings: EmbeddingTable | None) -> Baseli
         sigma=float(sigma),
         tag_vocab=tuple(tag_vocab),
         feature_index={n: k for k, n in enumerate(feature_names)},
-        data=_read_vector(data, shapes),
+        data=_read_vector(body, shapes),
         emb_dim=emb_dim,
     )
 
 
-def model_from_dict(data, embeddings: EmbeddingTable | None = None):
+def model_from_dict(data, body, embeddings: EmbeddingTable | None = None):
+    """The model a header dict describes, its vector read from the binary
+    stream body, which is positioned at the body's first byte."""
     if not isinstance(data, dict):
-        raise ModelFormatError("model file does not hold a JSON object")
+        raise ModelFormatError("the header is not a JSON object")
     version = _require(data, "format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(
@@ -206,45 +182,32 @@ def model_from_dict(data, embeddings: EmbeddingTable | None = None):
         )
     kind = _require(data, "kind")
     if kind == "tagger":
-        return _tagger_from_dict(data, embeddings)
+        return _tagger_from_dict(data, body, embeddings)
     if kind == "baseline":
-        return _baseline_from_dict(data, embeddings)
+        return _baseline_from_dict(data, body, embeddings)
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 
-_PAYLOAD_MARKER = '"f64le":""'
-
-
 def dumps_model(model) -> str:
-    """The model file's text: model_to_dict as key-sorted compact JSON.
-
-    Base64 never needs escaping, so the payload skips json's string escaper:
-    the envelope is encoded with f64le emptied and the payload is spliced
-    back in at its marker. A JSON string cannot hold the marker unescaped,
-    so the text equals json.dumps of the whole dict.
-    """
-    data = model_to_dict(model)
-    payload, data["f64le"] = data["f64le"], ""
-    pieces = json.dumps(
-        data, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).split(_PAYLOAD_MARKER)
-    if len(pieces) != 2:
-        raise ModelFormatError(f"model text has {len(pieces) - 1} payload markers, not 1")
-    return "".join((pieces[0], '"f64le":"', payload, '"', pieces[1], "\n"))
+    """The model file's header: model_to_dict as key-sorted compact JSON."""
+    return json.dumps(
+        model_to_dict(model), sort_keys=True, separators=(",", ":"), allow_nan=False
+    ) + "\n"
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a sibling temp file and rename, so a failure never leaves a
-    partial file at the destination. The file gets the mode a plain open()
-    would give it, 0o666 less the umask, not mkstemp's 0o600."""
+def _atomic_write(path: str, *chunks):
+    """Write the byte chunks via a sibling temp file and rename, so a failure
+    never leaves a partial file at the destination. The file gets the mode a
+    plain open() would give it, 0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     umask = os.umask(0)  # the umask can only be read by setting it
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -252,16 +215,49 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def atomic_write_text(path: str, text: str):
+    _atomic_write(path, text.encode("utf-8"))
+
+
 def save_model(model, path: str):
-    atomic_write_text(path, dumps_model(model))
+    header = dumps_model(model).encode("utf-8")
+    if not np.isfinite(model.data).all():
+        raise ModelFormatError("model parameters contain non-finite values")
+    # the vector's own buffer is written: .tobytes() would copy it
+    body = np.ascontiguousarray(model.data, dtype="<f8")
+    _atomic_write(path, MAGIC, len(header).to_bytes(8, "little"), header, body)
+
+
+def _read_header(handle) -> dict:
+    """The parsed header of the model file open in handle, which is left at
+    the body's first byte."""
+    lead = handle.read(16)
+    if lead[:1] == b"{":
+        raise ModelFormatError(
+            f"a JSON model file of format 6 or older (this build reads "
+            f"{FORMAT_VERSION}); retrain the model with this version"
+        )
+    if len(lead) < 16 or lead[:8] != MAGIC:
+        raise ModelFormatError("not a mwetag model file (no format-7 magic)")
+    length = int.from_bytes(lead[8:], "little")
+    room = os.fstat(handle.fileno()).st_size - 16
+    if length > min(HEADER_CAP, room):
+        raise ModelFormatError(
+            f"corrupt model file: a header of {length} bytes does not fit in "
+            f"the {room} bytes after the length field, or exceeds {HEADER_CAP}"
+        )
+    text = handle.read(length).decode("utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a 5,000-digit int, deep nesting
+        raise ModelFormatError(f"corrupt model file: header: {exc}") from exc
 
 
 def load_model(path: str, embeddings: EmbeddingTable | None = None):
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            return model_from_dict(_read_header(handle), handle, embeddings)
     except UnicodeDecodeError as exc:
         raise ModelFormatError(not_utf8(path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupt model file: {exc}") from exc
-    return model_from_dict(data, embeddings)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

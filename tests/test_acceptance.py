@@ -26,7 +26,7 @@ from mwetag.corpus import (
 )
 from mwetag.embed import encode
 from mwetag.evaluation import evaluate, f1, mwe_scores, seen_unseen
-from mwetag.serialize import dumps_model
+from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
 
@@ -93,7 +93,7 @@ def _token_accuracy(model, corpus, table):
     return right / total
 
 
-def test_criterion_4_synthetic_overfit():
+def test_criterion_4_synthetic_overfit(tmp_path):
     started = time.monotonic()
     corpus = synthetic_corpus()
     table = synthetic_embeddings()
@@ -117,14 +117,16 @@ def test_criterion_4_synthetic_overfit():
         assert accuracy >= 0.99, f"{head}: accuracy {accuracy:.4f}"
         assert report.mwe.f1 >= 0.95, f"{head}: MWE F1 {report.mwe.f1:.4f}"
 
-    # same seed, same bytes
+    # same seed, same bytes: the whole model file, every parameter included
     snapshots = []
-    for _ in range(2):
+    for run_index in range(2):
         config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head="crf",
                               epochs=3, batch_size=8, seed=5)
         model = build_for_corpus(config, corpus, embeddings=table)
         best, _ = train(model, corpus)
-        snapshots.append(dumps_model(best))
+        path = tmp_path / f"run{run_index}.model"
+        save_model(best, str(path))
+        snapshots.append(path.read_bytes())
     assert snapshots[0] == snapshots[1]
     assert time.monotonic() - started < 300.0
 

@@ -11,8 +11,8 @@ import pytest
 
 from mwetag.cli import RunConfig, resolve, run, _build_parser
 from mwetag.corpus import Sentence, Token, VmweInstance, write_cupt_file
-from mwetag.errors import UsageError
-from mwetag.serialize import save_model
+from mwetag.errors import ModelFormatError, UsageError
+from mwetag.serialize import load_model, save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus, train
 
@@ -21,10 +21,12 @@ from test_serialize import (
     as_format_v3,
     as_format_v4,
     as_format_v5,
-    decoded,
-    non_base64,
-    reencode,
+    as_format_v6,
+    cut_mid_value,
+    one_byte_long,
+    read_model_file,
     slots,
+    write_model_file,
 )
 
 
@@ -305,12 +307,12 @@ def small_tagger(workdir, tmp_path_factory):
 
 
 def _slot_edit(name, edit):
-    """A mutation replacing the values of one parameter's slot of a model
-    dict's vector with edit(those values), which may change their number."""
-    def mutate(data):
-        vector, where = decoded(data), slots(data)[name]
-        reencode(data, np.concatenate([vector[:where.start], edit(vector[where]),
-                                       vector[where.stop:]]))
+    """A mutation replacing the values of one parameter's slot of a model's
+    vector with edit(those values), which may change their number."""
+    def mutate(header, vector):
+        where = slots(header)[name]
+        return np.concatenate([vector[:where.start], edit(vector[where]),
+                               vector[where.stop:]])
     return mutate
 
 
@@ -322,10 +324,9 @@ def _slot_edit(name, edit):
 def test_tag_with_malformed_tagger_file_exits_two(
     workdir, small_tagger, tmp_path, capsys, mutate, message
 ):
-    data = json.loads(small_tagger.read_text())
-    mutate(data)
+    header, vector = read_model_file(small_tagger)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    write_model_file(bad, header, mutate(header, vector))
     rc = run(["tag", "--model", p(bad),
               "--input", p(workdir / "train.cupt"),
               "--output", p(tmp_path / "x.cupt"),
@@ -374,6 +375,17 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
     files["latin1_model"].write_bytes(
         small_tagger.read_bytes().replace(b'"O"', '"\xd6"'.encode("latin-1"), 1)
     )
+    # the tagger file with a broken magic or header length
+    blob = small_tagger.read_bytes()
+    length = int.from_bytes(blob[8:16], "little")
+    for name, framed in (
+        ("bad_magic", b"\x89" + blob[1:]),
+        ("header_past_eof", blob[:8] + (len(blob) - 15).to_bytes(8, "little") + blob[16:]),
+        ("header_2_63", blob[:8] + (2**63).to_bytes(8, "little") + blob[16:]),
+        ("header_not_json", blob[:8] + (length - 2).to_bytes(8, "little") + blob[16:]),
+    ):
+        files[name] = root / f"{name}.model"
+        files[name].write_bytes(framed)
     for variant in ("standard", "turian"):
         files[variant] = root / f"{variant}.json"
         assert run(["train", "--train", p(workdir / "train.cupt"),
@@ -383,60 +395,76 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
     return files
 
 
-def _tags(data):
-    return len(data["tag_vocab"])
+def _tags(header):
+    return len(header["tag_vocab"])
 
 
 def _set(key, value):
-    def mutate(data):
-        data[key] = value
+    def mutate(header, vector):
+        header[key] = value
+        return vector
     return mutate
 
 
 def _set_config(key, value):
-    def mutate(data):
-        data["config"][key] = value
+    def mutate(header, vector):
+        header["config"][key] = value
+        return vector
     return mutate
 
 
 def _huge(*names):
     """Every value of the named parameters 1.7e308: finite in the file, but
     the emission scores computed from them overflow."""
-    def mutate(data):
+    def mutate(header, vector):
         for name in names:
-            _slot_edit(name, lambda values: np.full(values.shape, 1.7e308))(data)
+            vector = _slot_edit(name, lambda values: np.full(values.shape, 1.7e308))(
+                header, vector)
+        return vector
     return mutate
 
 
-def _short_trans(data):
+def _short_trans(header, vector):
     """trans stored as (T-1) x (T-1) zeros."""
-    _slot_edit("trans", lambda values: np.zeros((_tags(data) - 1) ** 2))(data)
+    return _slot_edit("trans", lambda values: np.zeros((_tags(header) - 1) ** 2))(
+        header, vector)
 
 
-def _dense_in_standard(data):
+def _dense_in_standard(header, vector):
     """A 40-row dense block after a standard model's weights."""
-    _slot_edit("weights",
-               lambda values: np.concatenate([values, np.zeros(40 * _tags(data))]))(data)
+    return _slot_edit(
+        "weights", lambda values: np.concatenate([values, np.zeros(40 * _tags(header))])
+    )(header, vector)
 
 
-def _short_weights(data):
+def _short_weights(header, vector):
     """weights one row short."""
-    _slot_edit("weights", lambda values: values[:-_tags(data)])(data)
+    return _slot_edit("weights", lambda values: values[:-_tags(header)])(header, vector)
 
 
-def _unknown_param(data):
+def _unknown_param(header, vector):
     """One more value, as of an unknown 'bias' parameter, at the end."""
-    reencode(data, np.append(decoded(data), 0.0))
+    return np.append(vector, 0.0)
 
 
-def _repeat_feature(data):
-    data["feature_names"][-1] = data["feature_names"][0]
+def _repeat_feature(header, vector):
+    header["feature_names"][-1] = header["feature_names"][0]
+    return vector
+
+
+def _inf_last(header, vector):
+    return np.append(vector[:-1], np.inf)
 
 
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
 HUGE_VEC = "line 1: squared norm overflows"
 TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cupt"]
 NOT_UTF8 = " is not UTF-8 text (byte 0x"
+
+
+def _tag_file(name):
+    return ["tag", "--model", "{%s}" % name, "--input", "{train}", "--output",
+            "{out}.cupt", "--embeddings", "{vecs}"]
 
 
 @pytest.mark.parametrize(
@@ -466,7 +494,7 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         (TAG, "standard", _set("sigma", 0.0), "sigma"),
         (TAG, "standard", _unknown_param, "bytes"),
         (TAG, "standard", _slot_edit("trans", lambda values: np.tile(values, 2)), "bytes"),
-        (TAG + ["--embeddings", "{vecs}"], "tagger", non_base64, "base64"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", cut_mid_value, "bytes"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v2, "retrain"),
         (TAG, "standard", _slot_edit("trans", lambda values: values[:-1]), "bytes"),
         (TAG, "standard", as_format_v2, "retrain"),
@@ -503,6 +531,17 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         (["tag", "--model", "{latin1_model}", "--input", "{train}", "--output",
           "{out}.cupt", "--embeddings", "{vecs}"], None, None,
          "latin1_model.json" + NOT_UTF8),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", one_byte_long, "bytes"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", _inf_last, "non-finite"),
+        (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v6, "retrain"),
+        (TAG, "standard", as_format_v6, "retrain"),
+        (_tag_file("bad_magic"), None, None, "bad_magic.model: not a mwetag model file"),
+        (_tag_file("header_past_eof"), None, None,
+         "header_past_eof.model: corrupt model file: a header of"),
+        (_tag_file("header_2_63"), None, None,
+         "header_2_63.model: corrupt model file: a header of 9223372036854775808 bytes"),
+        (_tag_file("header_not_json"), None, None,
+         "header_not_json.model: corrupt model file: header: "),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -512,7 +551,7 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         "baseline-long-start", "baseline-dense-in-standard",
         "turian-without-dense", "baseline-zero-sigma",
         "baseline-unknown-param", "baseline-repeated-param",
-        "tagger-non-base64", "tagger-format-v2", "baseline-short-payload",
+        "tagger-truncated-body", "tagger-format-v2", "baseline-short-payload",
         "baseline-format-v2", "tagger-format-v3", "baseline-format-v3",
         "train-zero-dim-vec", "tagger-format-v4", "baseline-format-v4",
         "tagger-format-v5", "baseline-format-v5", "baseline-repeated-feature",
@@ -520,6 +559,9 @@ NOT_UTF8 = " is not UTF-8 text (byte 0x"
         "tagger-negative-seed", "tagger-bool-learning-rate", "tagger-int-head",
         "train-latin1-cupt", "eval-latin1-cupt", "train-latin1-vec",
         "train-truncated-gzip-vec", "tag-latin1-model",
+        "tagger-extended-body", "tagger-inf-body", "tagger-format-v6",
+        "baseline-format-v6", "tag-bad-magic", "tag-header-past-eof",
+        "tag-header-2**63", "tag-header-not-json",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(
@@ -527,10 +569,9 @@ def test_bad_numbers_and_malformed_models_exit_two(
 ):
     paths = {name: p(path) for name, path in bad_inputs.items()}
     if model is not None:
-        data = json.loads(bad_inputs[model].read_text())
-        if mutate is not None:
-            mutate(data)
-        (tmp_path / "model.json").write_text(json.dumps(data))
+        header, vector = read_model_file(bad_inputs[model])
+        body = vector if mutate is None else mutate(header, vector)
+        write_model_file(tmp_path / "model.json", header, body)
         paths["model"] = p(tmp_path / "model.json")
     paths.update(train=p(workdir / "train.cupt"), vecs=p(workdir / "vecs.vec"),
                  out=p(tmp_path / "out"))
@@ -544,6 +585,12 @@ def test_bad_numbers_and_malformed_models_exit_two(
     assert "Warning" not in err and [str(w.message) for w in caught] == []
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.cupt").exists()
+    if model is not None:
+        # every error the load itself raises names the model file
+        try:
+            load_model(paths["model"])
+        except ModelFormatError:
+            assert f"error: {paths['model']}: " in err
 
 
 def test_tag_rejects_huge_vectors_whatever_the_tagger_size(workdir, tmp_path, capsys):

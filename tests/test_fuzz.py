@@ -2,12 +2,15 @@
 
 A valid input is mutated a few times (values replaced, entries deleted,
 characters inserted, removed or replaced, lines dropped, repeated or
-swapped). The oracle is the error contract: a reader either returns or
-raises a DataError subclass, which the CLI reports as exit 2; anything else
-would reach a user as a traceback.
+swapped, a model file's leading bytes edited and its body cut or extended).
+The oracle is the error contract: a reader either returns or raises a
+DataError subclass, which the CLI reports as exit 2; anything else would
+reach a user as a traceback.
 """
 
 import copy
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +20,14 @@ from hypothesis import strategies as st
 from mwetag.baseline import BaselineTrainOptions, train_baseline
 from mwetag.corpus import parse_cupt, write_cupt
 from mwetag.embed import EmbeddingTable, load_vec
-from mwetag.errors import DataError
-from mwetag.serialize import model_from_dict, model_to_dict
+from mwetag.errors import DataError, ModelFormatError
+from mwetag.serialize import (
+    HEADER_CAP,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 from mwetag.synth import synthetic_corpus
 from mwetag.tagger import build_for_corpus
 
@@ -118,7 +127,7 @@ def mutated_lines(draw, base: list[str]) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def model_dicts():
+def models():
     corpus = toy_corpus()
     tagger = build_for_corpus(
         small_config(head="crf", filters_per_width=2, lstm_hidden=2),
@@ -128,17 +137,80 @@ def model_dicts():
         corpus[:2], variant="standard",
         options=BaselineTrainOptions(max_iterations=3, seed=0),
     )
-    return {"tagger": model_to_dict(tagger), "baseline": model_to_dict(baseline)}
+    return {"tagger": tagger, "baseline": baseline}
+
+
+@pytest.fixture(scope="module")
+def model_dicts(models):
+    """Each model's header dict and body bytes."""
+    return {kind: (model_to_dict(m), m.data.tobytes()) for kind, m in models.items()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_model_from_dict_raises_only_data_errors(model_dicts, data):
-    base = model_dicts[data.draw(st.sampled_from(sorted(model_dicts)))]
+    header, body = model_dicts[data.draw(st.sampled_from(sorted(model_dicts)))]
     try:
-        model_from_dict(data.draw(mutated_dict(base)))
+        model_from_dict(data.draw(mutated_dict(header)), io.BytesIO(body))
     except DataError:
         pass
+
+
+@pytest.fixture(scope="module")
+def model_files(models, tmp_path_factory):
+    """A scratch directory and the saved bytes of each model."""
+    directory = tmp_path_factory.mktemp("framing")
+    blobs = {}
+    for kind, model in models.items():
+        save_model(model, str(directory / kind))
+        blobs[kind] = (directory / kind).read_bytes()
+    return directory, blobs
+
+
+# header lengths: edge values, any u64, and ones near the real header's
+LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 1, HEADER_CAP, HEADER_CAP + 1]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 4096),
+)
+
+
+@st.composite
+def mutated_framing(draw, blob: bytes) -> bytes:
+    """blob with bytes of its magic or header length replaced, its header
+    length set, or its end cut off or extended, one to three times."""
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["byte", "length", "cut", "extend"]))
+        if op == "byte":
+            i = draw(st.integers(0, 15))
+            blob = blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+        elif op == "length":
+            blob = blob[:8] + draw(LENGTHS).to_bytes(8, "little") + blob[16:]
+        elif op == "cut":
+            blob = blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+        else:
+            blob = blob + draw(st.binary(min_size=1, max_size=24))
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_model_framing_raises_only_model_format_errors(model_files, data):
+    """Nothing but a ModelFormatError, and no allocation beyond what the
+    file's size allows: a valid tagger holds its vector and its gradient."""
+    directory, blobs = model_files
+    blob = data.draw(mutated_framing(blobs[data.draw(st.sampled_from(sorted(blobs)))]))
+    path = directory / "fuzzed"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        load_model(str(path))
+    except ModelFormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 2 * len(blob) + (64 << 10)
 
 
 _SYNTH_LINES = write_cupt(synthetic_corpus(sentences=3, seed=5)).splitlines(True)
@@ -149,8 +221,7 @@ _DELETE = object()
 
 
 def _field_paths(data: dict):
-    """Every top-level field (the f64le payload among them) and every field
-    of the config dict."""
+    """Every top-level field and every field of the config dict."""
     for key, value in data.items():
         yield (key,)
         if isinstance(value, dict):
@@ -160,7 +231,7 @@ def _field_paths(data: dict):
 def test_model_from_dict_every_field_replaced(model_dicts):
     """Exhaustive companion of the random fuzz: each field in turn replaced
     by each edge value, or deleted."""
-    for base in model_dicts.values():
+    for base, body in model_dicts.values():
         for path in _field_paths(base):
             for value in [*EDGE_VALUES, _DELETE]:
                 data = copy.deepcopy(base)
@@ -172,7 +243,7 @@ def test_model_from_dict_every_field_replaced(model_dicts):
                 else:
                     parent[path[-1]] = copy.deepcopy(value)
                 try:
-                    model_from_dict(data)
+                    model_from_dict(data, io.BytesIO(body))
                 except DataError:
                     pass
                 except Exception as exc:
