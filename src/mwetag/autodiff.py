@@ -29,6 +29,9 @@ to callers.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,35 +350,35 @@ class LstmParams:
         return [self.wx, self.wh, self.b]
 
 
-def _lstm_direction(x: np.ndarray, p: LstmParams, active, in_mask, rec_mask, record):
+def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, saved):
     """Run one direction over packed rows.
 
-    x holds each step's rows in turn: step t has one row for each of the
-    active[t] sentences still running, longest sentence first, so a step's
-    sentences are a prefix of the previous step's. The input projection of
-    every row is one GEMM; the loop carries only the (k x h) @ wh product
-    over the k running sentences and the gate math. in_mask (one row per x
-    row) and rec_mask (one row per sentence, longest first) are
-    inverted-dropout masks or None.
+    xm holds each step's (masked) input rows in turn: step t has one row for
+    each of the active[t] sentences still running, longest sentence first,
+    so a step's sentences are a prefix of the previous step's. The input
+    projection of every row is one GEMM into zx (len(xm) x 4h); the loop
+    carries only the (k x h) @ wh product over the k running sentences and
+    the gate math, and writes one h-wide output row per xm row into out.
+    rec_mask (one row per sentence, longest first) is an inverted-dropout
+    mask or None.
 
-    Returns the outputs (one h-wide row per x row) and, when record is set,
-    a function mapping their gradient to the gradient of x, which
-    accumulates the wx, wh and b gradients on the way. Only then does it
-    keep the gate activations (4h per row), the cell and (masked) hidden
-    state entering each step and tanh of each new cell state (h per row)."""
+    The caller allocates every array sized by the rows, so that a direction
+    run on another thread draws them from the caller's heap. saved is None
+    for a tape-free call. Otherwise it holds the four arrays this fills for
+    backprop through time: the gate activations (4h per row), the cell and
+    (masked) hidden state entering each step and tanh of each new cell
+    state (h per row). Only then is a function returned, mapping the
+    gradient of out to the gradient of xm, which accumulates the wx, wh and
+    b gradients on the way."""
     h = p.hidden
     wh = p.wh.data
-    xm = x if in_mask is None else x * in_mask
-    zx = xm @ p.wx.data
+    np.matmul(xm, p.wx.data, out=zx)
     zx += p.b.data
     bounds = np.concatenate([[0], np.cumsum(active)])
     widest = active.max(initial=0)
-    out = np.empty((len(x), h))
+    record = saved is not None
     if record:
-        acts = np.empty((len(x), 4 * h))
-        c_in = np.empty((len(x), h))
-        h_in = np.empty((len(x), h))
-        tanh_c = np.empty((len(x), h))
+        acts, c_in, h_in, tanh_c = saved
     h_prev = c_prev = np.zeros((widest, h))
     for t, k in enumerate(active):
         lo, hi = bounds[t], bounds[t + 1]
@@ -394,10 +397,10 @@ def _lstm_direction(x: np.ndarray, p: LstmParams, active, in_mask, rec_mask, rec
         h_prev = out[lo:hi] = a[:, 3 * h :] * tc
         c_prev = c
     if not record:
-        return out, None
+        return None
 
     def back(d_out: np.ndarray) -> np.ndarray:
-        rows = len(x)
+        rows = len(xm)
         gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
         # per row: d(cell)/d(output), and the factor taking d(cell) to the
         # i, f, g pre-activations and d(output) to the o pre-activation;
@@ -430,10 +433,37 @@ def _lstm_direction(x: np.ndarray, p: LstmParams, active, in_mask, rec_mask, rec
         _accumulate(p.wx, xm.T @ d_z)
         _accumulate(p.wh, h_in.T @ d_z)
         _accumulate(p.b, d_z.sum(axis=0))
-        d_x = d_z @ p.wx.data.T
-        return d_x if in_mask is None else d_x * in_mask
+        return d_z @ p.wx.data.T
 
-    return out, back
+    return back
+
+
+def _both(fn, first: tuple, second: tuple):
+    """(fn(*first), fn(*second)), the second call on a short-lived thread
+    when this process may use two CPUs, both inline when it may use one.
+
+    The thread runs in a copy of the caller's context, so it sees the
+    caller's np.errstate; an exception it raises is raised here once it has
+    been joined."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return fn(*first), fn(*second)
+    result, error = [None], []
+
+    def work():
+        try:
+            result[0] = fn(*second)
+        except BaseException as exc:  # re-raised on the calling thread
+            error.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        mine = fn(*first)
+    finally:
+        worker.join()
+    if error:
+        raise error[0]
+    return mine, result[0]
 
 
 def bilstm(
@@ -462,13 +492,17 @@ def bilstm(
     train time), so eval mode applies no masks and no scaling.
 
     The whole layer is one fused operation and records one tape node. Each
-    step runs every sentence still going as one (k x h) @ wh product. When
-    a tape records the call, each direction keeps the masked input, the gate
-    activations, the cell and (masked) hidden state entering each step and
-    tanh of each new cell state; backward runs backprop through time over
-    them by hand, again k sentences per step, then takes each of the wx, wh,
-    b and x gradients from a single product over all positions. Tape-free
-    calls keep none of them.
+    step runs every sentence still going as one (k x h) @ wh product. The
+    two directions share no state, so when the process may use two CPUs
+    the backward direction runs on a second thread while this one runs the
+    forward direction; each does the same operations in the same order as
+    alone, so the results are the same bits. When a tape records the call,
+    each direction keeps the masked input, the gate activations, the cell
+    and (masked) hidden state entering each step and tanh of each new cell
+    state; backward runs backprop through time over them by hand, one
+    direction after the other and again k sentences per step, then takes
+    each of the wx, wh, b and x gradients from a single product over all
+    positions. Tape-free calls keep none of them.
     """
     if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
         raise ValueError("dropout rates must lie in [0, 1)")
@@ -500,25 +534,39 @@ def bilstm(
     running = lengths[order] > np.arange(lengths.max(initial=0))[:, None]  # step x slot
     step, slot = np.nonzero(running)
     sentence = order[slot]
+    active = running.sum(axis=1)
+    rows = len(step)
     record = _tape_of(*inputs) is not None
 
-    out = np.zeros((b_count, n, 2 * h))
-    backs = []
+    # every rows-sized array is allocated here, on the calling thread
+    directions, calls, outs = [], [], []
     for direction, p in enumerate(params):
         pos = step if direction == 0 else lengths[sentence] - 1 - step
-        cols = slice(direction * h, (direction + 1) * h)
         in_masks, rec_masks = zip(*draws[direction::2])
-        rows, back_rows = _lstm_direction(
-            block[sentence, pos], p, running.sum(axis=1),
-            _stack(in_masks, sentence), _stack(rec_masks, order), record,
-        )
-        out[sentence, pos, cols] = rows
-        backs.append((pos, cols, back_rows))
+        in_mask = _stack(in_masks, sentence)
+        xm = block[sentence, pos]
+        if in_mask is not None:
+            xm *= in_mask
+        saved = None
+        if record:
+            saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
+        outs.append(np.empty((rows, h)))
+        calls.append((xm, p, active, _stack(rec_masks, order), np.empty((rows, 4 * h)),
+                      outs[-1], saved))
+        directions.append((pos, slice(direction * h, (direction + 1) * h), in_mask))
+    backs = _both(_lstm_direction, *calls)
+
+    out = np.zeros((b_count, n, 2 * h))
+    for (pos, cols, _), rows_out in zip(directions, outs):
+        out[sentence, pos, cols] = rows_out
 
     def back(g):
         d_x = np.zeros_like(block)
-        for pos, cols, back_rows in backs:
-            d_x[sentence, pos] += back_rows(g[sentence, pos, cols])
+        for (pos, cols, in_mask), back_rows in zip(directions, backs):
+            d_rows = back_rows(g[sentence, pos, cols])
+            if in_mask is not None:
+                d_rows *= in_mask
+            d_x[sentence, pos] += d_rows
         _accumulate(x, d_x)
 
     return _emit(out, inputs, back)

@@ -384,7 +384,9 @@ def train(
     train_corpus: Corpus,
     dev_corpus: Corpus | None = None,
 ) -> tuple[TaggerModel, TrainReport]:
-    """Optimize in place and return (best snapshot, report).
+    """Optimize in place and return (selected model, report): with a dev
+    corpus, a copy of the model after the epoch of highest dev MWE F1 (the
+    earlier epoch on a tie); without one, the trained model itself.
 
     Each epoch visits a seeded shuffle of the sentences in batches; a batch
     stacks its sentences in corpus order, and the gradient of its summed loss
@@ -440,7 +442,7 @@ def train(
                 best = model.copy()
                 report.selected_epoch = epoch
 
-    if dev_corpus is None or best is None:
-        best = model.copy()
+    if best is None:
+        best = model
         report.selected_epoch = cfg.epochs - 1
     return best, report

@@ -1,8 +1,11 @@
 """Prints one status line per acceptance criterion after the run, keyed on
-test_criterion_<n> functions in test_acceptance.py."""
+test_criterion_<n> functions in test_acceptance.py, and fails any test that
+leaves a thread it started running."""
 
 import re
+import threading
 
+import pytest
 from hypothesis import settings
 
 # The same examples on every run: derandomized generation, and no example
@@ -24,6 +27,15 @@ CRITERIA = {
 }
 
 _results: dict[int, str] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that leaves a thread it started running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 def _criterion_number(nodeid: str):

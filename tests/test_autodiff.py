@@ -2,7 +2,12 @@
 difference validation for every differentiable operation."""
 
 import gc
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -15,6 +20,7 @@ from mwetag.autodiff import (
     RngStream,
     Tape,
     Tensor,
+    _lstm_direction,
     add,
     backward,
     bilstm,
@@ -462,6 +468,119 @@ def test_bilstm_rejects_bad_rates_and_mode():
         bilstm(x, fwd, bwd, [2], dropout=1.0, mode="train", rng=RngStream(0))
     with pytest.raises(ValueError):
         bilstm(x, fwd, bwd, [2], mode="predict")
+
+
+def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
+    """bilstm's train-mode forward and backward, one direction after the
+    other on this thread, built from _lstm_direction: the outputs, the input
+    gradient and the six parameter gradients for the loss sum(out * weights)."""
+    b_count, n, d = block.shape
+    h = fwd.hidden
+    lengths = np.asarray(lengths)
+    masks = [(draws.keep_mask(0.5, (d,)), draws.keep_mask(0.2, (h,)))
+             for _ in range(b_count) for _ in range(2)]
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(lengths.max())[:, None]
+    step, slot = np.nonzero(running)
+    sentence = order[slot]
+    rows = len(step)
+    out = np.zeros((b_count, n, 2 * h))
+    d_x = np.zeros_like(block)
+    for p in fwd.tensors() + bwd.tensors():
+        p.zero_grad()
+    runs = []
+    for direction, p in enumerate((fwd, bwd)):
+        pos = step if direction == 0 else lengths[sentence] - 1 - step
+        cols = slice(direction * h, (direction + 1) * h)
+        in_mask = np.array([m[0] for m in masks[direction::2]])[sentence]
+        rec_mask = np.array([m[1] for m in masks[direction::2]])[order]
+        out_rows = np.empty((rows, h))
+        saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
+        back = _lstm_direction(block[sentence, pos] * in_mask, p, running.sum(axis=1),
+                               rec_mask, np.empty((rows, 4 * h)), out_rows, saved)
+        out[sentence, pos, cols] = out_rows
+        runs.append((pos, cols, in_mask, back))
+    for pos, cols, in_mask, back in runs:
+        d_x[sentence, pos] += back(weights[sentence, pos, cols]) * in_mask
+    return out, d_x, [p.grad.copy() for p in fwd.tensors() + bwd.tensors()]
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, cpus):
+    rng = np.random.default_rng(17)
+    d, h, lengths = 3, 4, [3, 1, 5, 2]
+    fwd = make_lstm_params(rng, d, h)
+    bwd = make_lstm_params(rng, d, h)
+    block = np.zeros((4, 5, d))
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(size=(n, d))
+    weights = rng.normal(size=(4, 5, 2 * h))
+    expect = sequential_bilstm(block, fwd, bwd, lengths, RngStream(5), weights)
+
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (starts.append(thread), start(thread)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    for p in fwd.tensors() + bwd.tensors():
+        p.zero_grad()
+    tape = Tape()
+    x = attach(block, tape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as it can
+    try:
+        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
+                     mode="train", rng=RngStream(5))
+    finally:
+        sys.setswitchinterval(interval)
+    backward(tape, sum_all(mul(out, Tensor(weights))))
+    # the backward pass stays on this thread
+    assert len(starts) == len(cpus) - 1
+    np.testing.assert_array_equal(out.data, expect[0])
+    np.testing.assert_array_equal(x.grad, expect[1])
+    for p, g in zip(fwd.tensors() + bwd.tensors(), expect[2]):
+        np.testing.assert_array_equal(p.grad, g)
+    tape_free = bilstm(param(block), fwd, bwd, lengths, dropout=0.5,
+                       recurrent_dropout=0.2, mode="train", rng=RngStream(5))
+    assert len(starts) == 2 * (len(cpus) - 1)
+    np.testing.assert_array_equal(tape_free.data, expect[0])
+
+
+def test_bilstm_raises_what_the_second_direction_raises(monkeypatch):
+    rng = np.random.default_rng(18)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = []
+
+    def failing(xm, p, *rest):
+        if p is bwd:
+            seen.append(threading.current_thread())
+            time.sleep(0.05)  # long enough that a caller not joining would miss it
+            raise KeyError("second direction")
+        return _lstm_direction(xm, p, *rest)
+
+    monkeypatch.setattr("mwetag.autodiff._lstm_direction", failing)
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="second direction"):
+        bilstm(param(rng.normal(size=(2, 3, 3))), fwd, bwd, [3, 2])
+    assert seen and seen[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_bilstm_second_direction_keeps_the_callers_errstate(monkeypatch):
+    rng = np.random.default_rng(19)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    bwd.b.data[:] = -1000.0  # exp(1000) in the backward direction's sigmoid
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    x = param(rng.normal(size=(1, 3, 3)))
+    # a thread outside the caller's context would warn under "ignore"
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bilstm(x, fwd, bwd, [3])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        bilstm(x, fwd, bwd, [3])
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,14 @@ def test_dev_selection_maximizes_mwe_f1_ties_earlier():
     assert best is not model
 
 
+def test_without_dev_corpus_train_returns_the_trained_model():
+    corpus = toy_corpus()
+    model = build_for_corpus(small_config(epochs=2), corpus, toy_table(corpus))
+    best, report = train(model, corpus)
+    assert best is model
+    assert report.selected_epoch == 1
+
+
 def test_dev_corpus_is_encoded_once(monkeypatch):
     import mwetag.tagger as tagger_module
 
