@@ -29,7 +29,6 @@ to callers.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -438,34 +437,6 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
     return back
 
 
-def _both(fn, first: tuple, second: tuple):
-    """(fn(*first), fn(*second)), the second call on a short-lived thread
-    when this process may use two CPUs, both inline when it may use one.
-
-    The thread runs in a copy of the caller's context, so it sees the
-    caller's np.errstate; an exception it raises is raised here once it has
-    been joined."""
-    if len(os.sched_getaffinity(0)) < 2:
-        return fn(*first), fn(*second)
-    result, error = [None], []
-
-    def work():
-        try:
-            result[0] = fn(*second)
-        except BaseException as exc:  # re-raised on the calling thread
-            error.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    worker.start()
-    try:
-        mine = fn(*first)
-    finally:
-        worker.join()
-    if error:
-        raise error[0]
-    return mine, result[0]
-
-
 def bilstm(
     x: Tensor,
     forward_params: LstmParams,
@@ -538,7 +509,8 @@ def bilstm(
     rows = len(step)
     record = _tape_of(*inputs) is not None
 
-    # every rows-sized array is allocated here, on the calling thread
+    # every rows-sized array is allocated here, on the calling thread: made
+    # on the worker, they raised peak RSS (a second malloc arena)
     directions, calls, outs = [], [], []
     for direction, p in enumerate(params):
         pos = step if direction == 0 else lengths[sentence] - 1 - step
@@ -554,7 +526,33 @@ def bilstm(
         calls.append((xm, p, active, _stack(rec_masks, order), np.empty((rows, 4 * h)),
                       outs[-1], saved))
         directions.append((pos, slice(direction * h, (direction + 1) * h), in_mask))
-    backs = _both(_lstm_direction, *calls)
+
+    # CPUs this process may run on; a CPU quota of its cgroup is not seen
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:  # on one CPU a second thread only costs time
+        backs = [_lstm_direction(*args) for args in calls]
+    else:
+        # the backward direction on a short-lived thread, under this
+        # thread's numpy error state, while this thread runs the forward one
+        errstate = dict(np.geterr(), call=np.geterrcall())
+        backs, error = [None, None], []
+
+        def work():
+            try:
+                with np.errstate(**errstate):
+                    backs[1] = _lstm_direction(*calls[1])
+            except BaseException as exc:  # re-raised on this thread
+                error.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            backs[0] = _lstm_direction(*calls[0])
+        finally:
+            worker.join()
+        if error:
+            raise error[0]
 
     out = np.zeros((b_count, n, 2 * h))
     for (pos, cols, _), rows_out in zip(directions, outs):

@@ -505,8 +505,13 @@ def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
     return out, d_x, [p.grad.copy() for p in fwd.tensors() + bwd.tensors()]
 
 
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
-def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, cpus):
+@pytest.mark.parametrize(
+    "affinity, count, threads",
+    [({0, 1}, 1, 1), ({0}, 2, 0), (None, 2, 1), (None, 1, 0), (None, None, 0)],
+    ids=["two-cpus", "one-cpu", "no-affinity-two", "no-affinity-one", "no-affinity-unknown"],
+)
+def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, affinity, count,
+                                                          threads):
     rng = np.random.default_rng(17)
     d, h, lengths = 3, 4, [3, 1, 5, 2]
     fwd = make_lstm_params(rng, d, h)
@@ -521,7 +526,12 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, cpus):
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: (starts.append(thread), start(thread)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    # without sched_getaffinity (macOS, Windows) bilstm counts os.cpu_count()
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
     for p in fwd.tensors() + bwd.tensors():
         p.zero_grad()
     tape = Tape()
@@ -535,14 +545,14 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, cpus):
         sys.setswitchinterval(interval)
     backward(tape, sum_all(mul(out, Tensor(weights))))
     # the backward pass stays on this thread
-    assert len(starts) == len(cpus) - 1
+    assert len(starts) == threads
     np.testing.assert_array_equal(out.data, expect[0])
     np.testing.assert_array_equal(x.grad, expect[1])
     for p, g in zip(fwd.tensors() + bwd.tensors(), expect[2]):
         np.testing.assert_array_equal(p.grad, g)
     tape_free = bilstm(param(block), fwd, bwd, lengths, dropout=0.5,
                        recurrent_dropout=0.2, mode="train", rng=RngStream(5))
-    assert len(starts) == 2 * (len(cpus) - 1)
+    assert len(starts) == 2 * threads
     np.testing.assert_array_equal(tape_free.data, expect[0])
 
 
@@ -550,7 +560,7 @@ def test_bilstm_raises_what_the_second_direction_raises(monkeypatch):
     rng = np.random.default_rng(18)
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
 
     def failing(xm, p, *rest):
@@ -573,14 +583,18 @@ def test_bilstm_second_direction_keeps_the_callers_errstate(monkeypatch):
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
     bwd.b.data[:] = -1000.0  # exp(1000) in the backward direction's sigmoid
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     x = param(rng.normal(size=(1, 3, 3)))
-    # a thread outside the caller's context would warn under "ignore"
+    # a thread under numpy's default error state would warn under "ignore"
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
         bilstm(x, fwd, bwd, [3])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         bilstm(x, fwd, bwd, [3])
+    seen = []
+    with np.errstate(over="call", call=lambda kind, flag: seen.append(kind)):
+        bilstm(x, fwd, bwd, [3])
+    assert "overflow" in seen
 
 
 # ---------------------------------------------------------------------------
