@@ -19,11 +19,14 @@ converged).
 Gradients are expected-minus-observed counts from forward-backward, run once
 per objective evaluation over the whole corpus as one padded batch.
 
-Fitting and tagging score emissions by one path: _collect runs
-extract_features over every position of a list of sentences, _feature_ids
-maps the strings to ids (a feature unseen in training adds nothing) and
-_emissions returns the padded B x n x T block of summed weight rows plus the
-dense product. The fit scores its corpus as one block, tag_baseline its
+The fit names features by their strings: _collect runs extract_features
+over every position of its corpus and _feature_ids maps the strings to ids.
+Tagging gets the same ids without strings: a model's tag index, built from
+feature_index on the first tag, codes each token's form, lemma and POS and
+looks the window's 26 integer keys up by one searchsorted. A feature unseen
+in training adds nothing on either path. Both score through _emissions,
+which returns the padded B x n x T block of summed weight rows plus the
+dense product: the fit scores its corpus as one block, tag_baseline its
 sentence as a one-sentence block.
 """
 
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .autodiff import RngStream
 from .chaincrf import forward_backward, log_partition, nll_gradient, score_path, viterbi
 from .corpus import Corpus, Sentence, TagSequence, tag_vocabulary, to_tags
 from .embed import EmbeddingTable
-from .errors import NonFiniteError, TrainingDataError
+from .errors import DataError, NonFiniteError, TrainingDataError
 
 WINDOW = (-2, -1, 0, 1, 2)
 SENTINELS = {-2: "BOS2", -1: "BOS", 0: "EOS", 1: "EOS2"}
@@ -58,18 +62,28 @@ def _slot(d: int, kind: str) -> int:
     return 3 * WINDOW.index(d) + "wlp".index(kind)
 
 
-# The 26 symbolic templates as (prefix, window slots), built once, in feature
-# order: the 15 unigram prefixes follow the window's own order.
-_UNIGRAM_PREFIXES = tuple(f"{kind}[{_offset_name(d)}]:" for d in WINDOW for kind in "wlp")
-_BIGRAMS = tuple(
-    (f"{kind}[{_offset_name(a)}]{kind}[{_offset_name(b)}]:", _slot(a, kind), _slot(b, kind))
-    for a, b, kind in ((-1, 0, "w"), (-1, 0, "l"), (0, 1, "w"), (0, 1, "l"),
-                       (-2, -1, "p"), (-1, 0, "p"), (0, 1, "p"), (1, 2, "p"))
+def _template(kind: str, offsets: tuple[int, ...]):
+    """(prefix, window slots) of the template over the given kind at the
+    given offsets."""
+    slots = tuple(_slot(d, kind) for d in offsets)
+    return "".join(f"{kind}[{_offset_name(d)}]" for d in offsets) + ":", slots
+
+
+# The 26 symbolic templates, built once, in feature order: the 15 unigrams
+# follow the window's own order. extract_features and the tag index both
+# read this table.
+_TEMPLATES = (
+    *(_template(kind, (d,)) for d in WINDOW for kind in "wlp"),
+    *(_template(kind, (a, b)) for a, b, kind in (
+        (-1, 0, "w"), (-1, 0, "l"), (0, 1, "w"), (0, 1, "l"),
+        (-2, -1, "p"), (-1, 0, "p"), (0, 1, "p"), (1, 2, "p"))),
+    *(_template("p", offsets) for offsets in ((-2, -1, 0), (-1, 0, 1), (0, 1, 2))),
 )
-_TRIGRAMS = tuple(
-    (f"p[{_offset_name(a)}]p[{_offset_name(b)}]p[{_offset_name(c)}]:",
-     _slot(a, "p"), _slot(b, "p"), _slot(c, "p"))
-    for a, b, c in ((-2, -1, 0), (-1, 0, 1), (0, 1, 2))
+# extract_features' view of the table: the unigrams, which come first, by
+# their slot, then the n-grams by a reader of their slots' values
+_UNIGRAMS = tuple((prefix, slots[0]) for prefix, slots in _TEMPLATES if len(slots) == 1)
+_NGRAMS = tuple(
+    (prefix, operator.itemgetter(*slots)) for prefix, slots in _TEMPLATES if len(slots) > 1
 )
 
 
@@ -109,9 +123,8 @@ def extract_features(
         raise ValueError("turian variant needs an embedding table")
 
     v = _window_values(sentence, i)
-    features = [prefix + value for prefix, value in zip(_UNIGRAM_PREFIXES, v)]
-    features += [f"{prefix}{v[a]}|{v[b]}" for prefix, a, b in _BIGRAMS]
-    features += [f"{prefix}{v[a]}|{v[b]}|{v[c]}" for prefix, a, b, c in _TRIGRAMS]
+    features = [prefix + v[slot] for prefix, slot in _UNIGRAMS]
+    features += [prefix + "|".join(read(v)) for prefix, read in _NGRAMS]
 
     dense = None
     if variant == "turian":
@@ -152,6 +165,99 @@ def _split(w: np.ndarray, shapes: dict[str, tuple[int, ...]]):
             views["trans_start"], views["trans_stop"])
 
 
+# past every key: a key space must fit under it
+_KEY_END = np.iinfo(np.int64).max
+
+
+def _key_layout(sizes: tuple[int, int, int]):
+    """Offsets (26,) and 15 x 26 slot multipliers of the template keys, for
+    these code counts of the form, lemma and POS columns: a key is its
+    template's offset plus the mixed-radix number its values' codes spell,
+    so distinct (template, codes) pairs get distinct keys. A key space past
+    int64 is refused."""
+    offsets, total = [], 0
+    multipliers = np.zeros((3 * len(WINDOW), len(_TEMPLATES)), np.int64)
+    for t, (_, slots) in enumerate(_TEMPLATES):
+        radix = sizes[slots[0] % 3]
+        offsets.append(total)
+        total += radix ** len(slots)
+        if total > _KEY_END:
+            raise DataError(
+                f"the baseline model's feature values need more than {_KEY_END} "
+                f"keys, past int64 (form, lemma and POS code counts {sizes})"
+            )
+        for place, s in enumerate(slots):
+            multipliers[s, t] = radix ** (len(slots) - 1 - place)
+    return np.array(offsets, np.int64), multipliers
+
+
+class _TagIndex:
+    """A feature_index as sorted int64 keys, for tagging without feature
+    strings. Each column (form, lemma, POS) codes the values that the names
+    hold in its slots, and its next code stands for every other value. A
+    multi-slot name's value text is cut at "|" in every way that gives its
+    template's arity, and each cut's key maps to the name's id: a window
+    then matches a name exactly when its "|"-joined values spell the name,
+    as extract_features' strings do. A name that no template can produce
+    gets no key."""
+
+    def __init__(self, feature_index: dict[str, int]):
+        templates = {prefix: t for t, (prefix, _) in enumerate(_TEMPLATES)}
+        self.columns = ({}, {}, {})
+        entries = []  # (template, codes of one cut, feature id)
+        for name, k in feature_index.items():
+            # a template's prefix ends at the first ":" of each name it makes
+            head, colon, text = name.partition(":")
+            t = templates.get(head + colon)
+            if t is None:
+                continue
+            slots = _TEMPLATES[t][1]
+            column = self.columns[slots[0] % 3]
+            parts = text.split("|")
+            for cuts in itertools.combinations(range(1, len(parts)), len(slots) - 1):
+                bounds = (0, *cuts, len(parts))
+                codes = [column.setdefault("|".join(parts[a:b]), len(column))
+                         for a, b in zip(bounds, bounds[1:])]
+                entries.append((t, codes, k))
+        self.unseen = tuple(map(len, self.columns))
+        self.offsets, self.multipliers = _key_layout(tuple(u + 1 for u in self.unseen))
+        offsets, multipliers = self.offsets.tolist(), self.multipliers.T.tolist()
+        # sorted by Python, which costs less per name than the loop above and
+        # maps none of numpy's sort code (0.3 MB of resident pages)
+        pairs = sorted(
+            (offsets[t] + sum(c * multipliers[t][s] for c, s in zip(codes, _TEMPLATES[t][1])), k)
+            for t, codes, k in entries
+        )
+        # _KEY_END closes the keys, so that searchsorted stays in range; its
+        # id, and every miss's, is len(feature_index)
+        self.keys = np.array([key for key, _ in pairs] + [_KEY_END], np.int64)
+        self.ids = np.array([k for _, k in pairs] + [len(feature_index)], np.intp)
+        # form, lemma and POS codes of the sentinel tokens BOS2, BOS (head)
+        # and EOS, EOS2 (tail)
+        self.head, self.tail = (
+            [column.get(SENTINELS[d], u) for d in ends
+             for column, u in zip(self.columns, self.unseen)]
+            for ends in ((-2, -1), (0, 1))
+        )
+
+    def feature_ids(self, sentence: Sentence) -> np.ndarray:
+        """n x 26 ids of the sentence's features, equal to _feature_ids' for
+        extract_features' strings."""
+        (forms, lemmas, tags), (uf, ul, ut) = self.columns, self.unseen
+        # the flat codes of the sentence between two sentinel tokens at each
+        # end: position i's window is the 15 codes from 3 * i on
+        flat = self.head.copy()
+        for token in sentence.tokens:
+            flat += (forms.get(token.form, uf), lemmas.get(token.lemma, ul),
+                     tags.get(token.upos, ut))
+        flat += self.tail
+        slots = 3 * np.arange(len(sentence.tokens))[:, None] + np.arange(3 * len(WINDOW))
+        keys = np.array(flat, np.int64)[slots] @ self.multipliers
+        keys += self.offsets
+        at = self.keys.searchsorted(keys)
+        return np.where(self.keys[at] == keys, self.ids[at], self.ids[-1])
+
+
 @dataclass
 class BaselineModel:
     """Every parameter value lives in one contiguous float64 vector, data;
@@ -165,6 +271,8 @@ class BaselineModel:
     feature_index: dict[str, int]
     data: np.ndarray
     emb_dim: int | None = None
+    # built from feature_index by the first tag_baseline call
+    _tag_index: _TagIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shapes = param_shapes(len(self.feature_index), self.emb_dim, len(self.tag_vocab))
@@ -462,11 +570,27 @@ def tag_baseline(
     model: BaselineModel, sentence: Sentence, table: EmbeddingTable | None = None
 ) -> TagSequence:
     """Viterbi decoding of the sentence's emission block, scored as the fit
-    scores its corpus. Feature strings unseen in training contribute
-    nothing. Scores that overflow (huge dense input vectors) raise
-    NonFiniteError."""
-    names, dense, lengths = _collect([sentence], model.variant, table)
-    ids = _feature_ids(names, model.feature_index)
+    scores its corpus: the model's tag index gives each position the ids of
+    its 26 features without building their strings, and features unseen in
+    training contribute nothing. The turian window's lookups read the table
+    (zero vectors past the ends). Scores that overflow (huge dense input
+    vectors) raise NonFiniteError."""
+    if model.variant == "turian" and table is None:
+        raise ValueError("turian variant needs an embedding table")
+    if model._tag_index is None:
+        model._tag_index = _TagIndex(model.feature_index)
+    ids = model._tag_index.feature_ids(sentence)
+    n = len(sentence.tokens)
+    dense = None
+    if model.variant == "turian":
+        # the lookups between two zero vectors at each end: position i's
+        # window is the 5 rows from row i on
+        vectors = np.zeros((n + 4, table.dimension))
+        for j, token in enumerate(sentence.tokens):
+            vectors[j + 2] = table.lookup(token.form)
+        windows = np.arange(n)[:, None] + np.arange(len(WINDOW))
+        dense = vectors[windows].reshape(n, len(WINDOW) * table.dimension)
+    lengths = np.array([n])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         scores = _emissions(model.weights, ids, lengths, model.dense, dense)
     if not np.isfinite(scores).all():

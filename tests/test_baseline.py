@@ -2,6 +2,7 @@
 blocks, finite-difference gradient of the convex objective, and overfit/
 regularization behavior of the trainer."""
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -18,6 +19,12 @@ from mwetag.baseline import (
     BaselineModel,
     BaselineProblem,
     BaselineTrainOptions,
+    _TEMPLATES,
+    _TagIndex,
+    _collect,
+    _emissions,
+    _feature_ids,
+    _key_layout,
     _lbfgs_direction,
     extract_features,
     fit_baseline,
@@ -26,8 +33,8 @@ from mwetag.baseline import (
 )
 from mwetag.corpus import Sentence, Token, VmweInstance, to_tags
 from mwetag.embed import EmbeddingTable
-from mwetag.errors import NonFiniteError, TrainingDataError
-from mwetag.synth import synthetic_corpus
+from mwetag.errors import DataError, NonFiniteError, TrainingDataError
+from mwetag.synth import synthetic_corpus, synthetic_embeddings
 
 
 def make_sentence(words, instances=()):
@@ -484,3 +491,56 @@ def test_tagging_scores_training_sentences_as_the_fit_does(monkeypatch, variant)
         n = len(sentence.tokens)
         assert tag_block.shape == (1, n, len(model.tag_vocab))
         assert np.array_equal(tag_block[0], fit_block[k, :n])
+
+
+# ---------------------------------------------------------------------------
+# tagging through integer keys
+
+
+def string_path_ids(sentence, feature_index):
+    return _feature_ids(_collect([sentence], "standard", None)[0], feature_index)
+
+
+def test_a_bar_collision_maps_as_the_strings_do():
+    # the bigram (a|b, c) and the bigram (a, b|c) both spell "a|b|c"
+    seen = make_sentence([("a|b", "x", "X"), ("c", "y", "Y")])
+    other = make_sentence([("a", "x", "X"), ("b|c", "y", "Y")])
+    names = _collect([seen], "standard", None)[0]
+    feature_index = {name: k for k, name in enumerate(sorted(set(names)))}
+    index = _TagIndex(feature_index)
+    ids = index.feature_ids(other)
+    np.testing.assert_array_equal(ids, string_path_ids(other, feature_index))
+    bigram = [prefix for prefix, _ in _TEMPLATES].index("w[-1]w[0]:")
+    assert ids[1, bigram] == feature_index["w[-1]w[0]:a|b|c"]
+    np.testing.assert_array_equal(index.feature_ids(seen), string_path_ids(seen, feature_index))
+
+
+def test_a_key_space_past_int64_is_refused():
+    # three POS trigram templates of 2**21 codes each span 3 * 2**63 keys
+    with pytest.raises(DataError, match="past int64"):
+        _key_layout((2, 2, 2**21))
+    offsets, multipliers = _key_layout((2, 2, 2**20))
+    assert offsets[-1] + 2**60 <= np.iinfo(np.int64).max
+    assert multipliers.max() == 2**40
+
+
+def test_turian_tags_as_the_string_path(monkeypatch):
+    table = synthetic_embeddings(dim=4, seed=1)
+    model = train_baseline(synthetic_corpus(20, 2024), variant="turian", table=table,
+                           options=BaselineTrainOptions(max_iterations=30))
+    tagged = synthetic_corpus(200, 7)
+    # the tags the string path gave for this model and corpus
+    digest = hashlib.sha256(repr([tag_baseline(model, s, table) for s in tagged]).encode())
+    assert digest.hexdigest() == (
+        "9016fc066e61955170bd65bb5e563924f62d52dd3f1ef8e11283d70b5bd320bc"
+    )
+    # and the emission blocks, bit for bit, also with words outside the
+    # training corpus and the table
+    novel = make_sentence([("Zebra", "zebra", "NOUN"), ("|", "_", "BOS"), ("EOS", ":", "X")])
+    blocks = spy_on(monkeypatch, "viterbi")
+    for sentence in tagged[:20] + [novel]:
+        tag_baseline(model, sentence, table)
+        names, dense, lengths = _collect([sentence], "turian", table)
+        expected = _emissions(model.weights, _feature_ids(names, model.feature_index),
+                              lengths, model.dense, dense)
+        assert np.array_equal(blocks[-1], expected)

@@ -3,8 +3,12 @@ output formats, config-file precedence, and byte-level determinism."""
 
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -737,6 +741,22 @@ def test_gradcheck_prints_per_op_lines_and_exit_reflects_tolerance(
                         lambda seed: {"dense": 5e-3})
     assert run(["gradcheck"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def run_module(module, *args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    done = run_module("mwetag", "gradcheck", "--seed", "0")
+    assert run(["gradcheck", "--seed", "0"]) == 0
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+    for module in ("mwetag", "mwetag.cli"):
+        done = run_module(module, "gradcheck", "--no-such-flag")
+        assert done.returncode == 1 and "--no-such-flag" in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ swapped, a model file's leading bytes edited and its body cut or extended).
 The oracle is the error contract: a reader either returns or raises a
 DataError subclass, which the CLI reports as exit 2; anything else would
 reach a user as a traceback.
+
+The baseline's tag index is fuzzed against its oracle, the feature strings:
+over token values built from "|", ":", the sentinel names and empty strings,
+its ids must equal those the strings map to.
 """
 
 import copy
@@ -14,11 +18,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwetag.baseline import BaselineTrainOptions, train_baseline
-from mwetag.corpus import parse_cupt, write_cupt
+from mwetag.baseline import (
+    BaselineTrainOptions,
+    _collect,
+    _feature_ids,
+    _TagIndex,
+    train_baseline,
+)
+from mwetag.corpus import Sentence, Token, parse_cupt, write_cupt
 from mwetag.embed import EmbeddingTable, load_vec
 from mwetag.errors import DataError, ModelFormatError
 from mwetag.serialize import (
@@ -286,3 +296,41 @@ def test_load_vec_raises_only_data_errors(lines):
     assert isinstance(table, EmbeddingTable)
     for vector in table.entries.values():
         assert vector.shape == (3,) and np.isfinite(vector @ vector)
+
+
+# pieces of token values: the name syntax, the sentinel names, the lemma
+# placeholder and the empty string, so that "|"-joined values collide
+VALUE_PIECES = ["|", ":", "BOS", "BOS2", "EOS", "EOS2", "_", "", "a", "b"]
+VALUE = st.lists(st.sampled_from(VALUE_PIECES), max_size=3).map("".join)
+# names that no template can produce
+STRAY_NAMES = ["zz:q", "p[-2]p[-1]:a", "nocolon"]
+
+
+def _sentences(values):
+    token = st.tuples(values, values, values)
+    return st.lists(
+        st.lists(token, min_size=1, max_size=6).map(
+            lambda words: Sentence(
+                tuple(Token(i + 1, *word, ()) for i, word in enumerate(words)), ()
+            )
+        ),
+        max_size=4,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=_sentences(VALUE),
+    stray=st.sets(st.sampled_from(STRAY_NAMES)),
+    reverse=st.booleans(),
+    tagged=_sentences(VALUE | st.just("unseen")),
+)
+@example(train=[], stray=set(), reverse=False,
+         tagged=[Sentence((Token(1, "BOS", "|", "", ()),), ())])
+def test_tag_index_ids_equal_the_feature_strings(train, stray, reverse, tagged):
+    names = sorted(set(_collect(train, "standard", None)[0]) | stray, reverse=reverse)
+    feature_index = {name: k for k, name in enumerate(names)}
+    index = _TagIndex(feature_index)
+    for sentence in train + tagged:
+        expected = _feature_ids(_collect([sentence], "standard", None)[0], feature_index)
+        np.testing.assert_array_equal(index.feature_ids(sentence), expected)
