@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -366,9 +367,13 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
     for a tape-free call. Otherwise it holds the four arrays this fills for
     backprop through time: the gate activations (4h per row), the cell and
     (masked) hidden state entering each step and tanh of each new cell
-    state (h per row). Only then is a function returned, mapping the
-    gradient of out to the gradient of xm, which accumulates the wx, wh and
-    b gradients on the way."""
+    state (h per row). Only then is a function returned, back(d_out,
+    scratch, d_in), mapping the gradient of out (len(xm) x h) to the
+    gradient of xm, written into d_in (len(xm) x d) and returned; it
+    accumulates the wx, wh and b gradients on the way. scratch is a list of
+    three caller-allocated arrays that back takes over and empties, so that
+    each is freed as soon as it is done: d_z (len(xm) x 4h), dc_dh
+    (len(xm) x h) and the weight-gradient product buffer (max(d, h) x 4h)."""
     h = p.hidden
     wh = p.wh.data
     np.matmul(xm, p.wx.data, out=zx)
@@ -398,23 +403,24 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
     if not record:
         return None
 
-    def back(d_out: np.ndarray) -> np.ndarray:
-        rows = len(xm)
+    def back(d_out: np.ndarray, scratch: list, d_in: np.ndarray) -> np.ndarray:
+        d_z, dc_dh, prod = scratch
+        scratch.clear()
         gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
-        # per row: d(cell)/d(output), and the factor taking d(cell) to the
-        # i, f, g pre-activations and d(output) to the o pre-activation;
-        # only the two carries below need the sequential loop
-        dc_dh = go * (1.0 - tanh_c**2)
-        coef = np.concatenate(
-            [
-                gg * gi * (1.0 - gi),
-                c_in * gf * (1.0 - gf),
-                gi * (1.0 - gg**2),
-                tanh_c * go * (1.0 - go),
-            ],
-            axis=1,
-        ).reshape(rows, 4, h)
-        d_z = np.empty((rows, 4, h))
+        gates = d_z.reshape(len(xm), 4, h)
+        # per row, written in place: the factor taking d(cell) to the i, f,
+        # g pre-activations and d(output) to the o pre-activation, then
+        # d(cell)/d(output); only the two carries below need the loop
+        for slot, a, b in ((0, gg, gi), (1, c_in, gf), (3, tanh_c, go)):
+            np.multiply(a, b, out=gates[:, slot])  # (a * b) * (1 - b)
+            np.subtract(1.0, b, out=dc_dh)
+            gates[:, slot] *= dc_dh
+        np.square(gg, out=gates[:, 2])  # gi * (1 - gg**2)
+        np.subtract(1.0, gates[:, 2], out=gates[:, 2])
+        gates[:, 2] *= gi
+        np.square(tanh_c, out=dc_dh)  # go * (1 - tanh_c**2)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= go
         # a sentence's carries are zero until its last step is reached
         dh_next = np.zeros((widest, h))
         dc_next = np.zeros_like(dh_next)
@@ -422,17 +428,18 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
             k, lo, hi = active[t], bounds[t], bounds[t + 1]
             dh = d_out[lo:hi] + dh_next[:k]
             dc = dh * dc_dh[lo:hi] + dc_next[:k]
-            d_z[lo:hi, :3] = coef[lo:hi, :3] * dc[:, None]
-            d_z[lo:hi, 3] = coef[lo:hi, 3] * dh
+            gates[lo:hi, :3] *= dc[:, None]
+            gates[lo:hi, 3] *= dh
             dc_next[:k] = dc * gf[lo:hi]
-            dh_next[:k] = d_z[lo:hi].reshape(k, 4 * h) @ wh.T
+            dh_next[:k] = d_z[lo:hi] @ wh.T
             if rec_mask is not None:
                 dh_next[:k] *= rec_mask[:k]
-        d_z = d_z.reshape(rows, 4 * h)
-        _accumulate(p.wx, xm.T @ d_z)
-        _accumulate(p.wh, h_in.T @ d_z)
+        del dc_dh  # the other direction may hold its buffers too: free it first
+        _accumulate(p.wx, np.matmul(xm.T, d_z, out=prod[: xm.shape[1]]))
+        _accumulate(p.wh, np.matmul(h_in.T, d_z, out=prod[:h]))
+        del prod
         _accumulate(p.b, d_z.sum(axis=0))
-        return d_z @ p.wx.data.T
+        return np.matmul(d_z, p.wx.data.T, out=d_in)
 
     return back
 
@@ -463,17 +470,22 @@ def bilstm(
     train time), so eval mode applies no masks and no scaling.
 
     The whole layer is one fused operation and records one tape node. Each
-    step runs every sentence still going as one (k x h) @ wh product. The
-    two directions share no state, so when the process may use two CPUs
-    the backward direction runs on a second thread while this one runs the
-    forward direction; each does the same operations in the same order as
-    alone, so the results are the same bits. When a tape records the call,
-    each direction keeps the masked input, the gate activations, the cell
-    and (masked) hidden state entering each step and tanh of each new cell
-    state; backward runs backprop through time over them by hand, one
-    direction after the other and again k sentences per step, then takes
-    each of the wx, wh, b and x gradients from a single product over all
-    positions. Tape-free calls keep none of them.
+    step runs every sentence still going as one (k x h) @ wh product. When
+    a tape records the call, each direction keeps the masked input, the
+    gate activations, the cell and (masked) hidden state entering each step
+    and tanh of each new cell state; backward runs backprop through time
+    over them by hand, again k sentences per step, then takes each of the
+    wx, wh, b and x gradients from a single product over all positions.
+    Tape-free calls keep none of them.
+
+    The two directions share no state, forward or backward, so when the
+    process may use two CPUs the backward direction runs on a second
+    thread while this one runs the forward direction: once in the forward
+    pass and, if taped, once more in backprop through time (unless the two
+    directions share a parameter tensor, whose gradient both would write).
+    Each direction does the same operations in the same order as alone,
+    and the x gradient is summed after the join, forward direction first,
+    so the results are the same bits either way.
     """
     if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
         raise ValueError("dropout rates must lie in [0, 1)")
@@ -530,44 +542,68 @@ def bilstm(
     # CPUs this process may run on; a CPU quota of its cgroup is not seen
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus < 2:  # on one CPU a second thread only costs time
-        backs = [_lstm_direction(*args) for args in calls]
-    else:
-        # the backward direction on a short-lived thread, under this
-        # thread's numpy error state, while this thread runs the forward one
-        errstate = dict(np.geterr(), call=np.geterrcall())
-        backs, error = [None, None], []
-
-        def work():
-            try:
-                with np.errstate(**errstate):
-                    backs[1] = _lstm_direction(*calls[1])
-            except BaseException as exc:  # re-raised on this thread
-                error.append(exc)
-
-        worker = threading.Thread(target=work)
-        worker.start()
-        try:
-            backs[0] = _lstm_direction(*calls[0])
-        finally:
-            worker.join()
-        if error:
-            raise error[0]
+    threaded = cpus >= 2  # on one CPU a second thread only costs time
+    backs = _both(*(partial(_lstm_direction, *args) for args in calls), threaded)
 
     out = np.zeros((b_count, n, 2 * h))
     for (pos, cols, _), rows_out in zip(directions, outs):
         out[sentence, pos, cols] = rows_out
 
     def back(g):
+        # before the buffers below: allocated after the join, it raised the
+        # train pass's peak RSS by ~8 MB through where the heap placed it
         d_x = np.zeros_like(block)
-        for (pos, cols, in_mask), back_rows in zip(directions, backs):
-            d_rows = back_rows(g[sentence, pos, cols])
+
+        def task(direction):
+            # the arrays a direction writes, allocated on this thread
+            (pos, cols, _), back_rows = directions[direction], backs[direction]
+            return partial(back_rows, g[sentence, pos, cols],
+                           [np.empty((rows, 4 * h)), np.empty((rows, h)),
+                            np.empty((max(d, h), 4 * h))],
+                           np.empty((rows, d)))
+
+        # two directions sharing a parameter would race on its gradient
+        shared = any(a is b for a in forward_params.tensors()
+                     for b in backward_params.tensors())
+        if threaded and not shared:
+            d_rows = _both(task(0), task(1), threaded=True)
+        else:  # one direction's buffers at a time
+            d_rows = [task(0)(), task(1)()]
+        for (pos, _, in_mask), rows_grad in zip(directions, d_rows):
             if in_mask is not None:
-                d_rows *= in_mask
-            d_x[sentence, pos] += d_rows
+                rows_grad *= in_mask
+            d_x[sentence, pos] += rows_grad
         _accumulate(x, d_x)
 
     return _emit(out, inputs, back)
+
+
+def _both(first, second, threaded: bool):
+    """(first(), second()). When threaded, second runs on a short-lived
+    thread, under this thread's numpy error state, while this thread runs
+    first; what it raised is re-raised here after the join. Otherwise both
+    run here, first then second."""
+    if not threaded:
+        return first(), second()
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    result, error = [None], []
+
+    def work():
+        try:
+            with np.errstate(**errstate):
+                result[0] = second()
+        except BaseException as exc:  # re-raised on the calling thread
+            error.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        head = first()
+    finally:
+        worker.join()
+    if error:
+        raise error[0]
+    return head, result[0]
 
 
 def _stack(masks, index):

@@ -501,8 +501,55 @@ def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
         out[sentence, pos, cols] = out_rows
         runs.append((pos, cols, in_mask, back))
     for pos, cols, in_mask, back in runs:
-        d_x[sentence, pos] += back(weights[sentence, pos, cols]) * in_mask
+        scratch = [np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((max(d, h), 4 * h))]
+        d_x[sentence, pos] += back(weights[sentence, pos, cols], scratch,
+                                   np.empty((rows, d))) * in_mask
     return out, d_x, [p.grad.copy() for p in fwd.tensors() + bwd.tensors()]
+
+
+def test_lstm_direction_backprop_keeps_the_plain_expressions_bits():
+    # back writes the gate derivatives in place into caller-owned buffers;
+    # the same operations as whole-array expressions must give the same bits
+    rng = np.random.default_rng(26)
+    d, h = 64, 48
+    lengths = np.sort(rng.integers(1, 16, size=8))[::-1]
+    active = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)
+    rows = lengths.sum()
+    p = make_lstm_params(rng, d, h)
+    for t in p.tensors():
+        t.data *= 0.1
+    xm = rng.normal(size=(rows, d))
+    rec_mask = RngStream(7).keep_mask(0.2, (8, h))
+    saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
+    back = _lstm_direction(xm, p, active, rec_mask, np.empty((rows, 4 * h)),
+                           np.empty((rows, h)), saved)
+    d_out = rng.normal(size=(rows, h))
+    scratch = [np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((d, 4 * h))]
+    d_in = back(d_out, scratch, np.empty((rows, d)))
+    assert scratch == []
+
+    acts, c_in, h_in, tanh_c = saved
+    gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
+    dc_dh = go * (1.0 - tanh_c**2)
+    coef = np.concatenate([gg * gi * (1.0 - gi), c_in * gf * (1.0 - gf),
+                           gi * (1.0 - gg**2), tanh_c * go * (1.0 - go)],
+                          axis=1).reshape(rows, 4, h)
+    d_z = np.empty((rows, 4, h))
+    bounds = np.concatenate([[0], np.cumsum(active)])
+    dh_next, dc_next = np.zeros((8, h)), np.zeros((8, h))
+    for t in range(len(active) - 1, -1, -1):
+        k, lo, hi = active[t], bounds[t], bounds[t + 1]
+        dh = d_out[lo:hi] + dh_next[:k]
+        dc = dh * dc_dh[lo:hi] + dc_next[:k]
+        d_z[lo:hi, :3] = coef[lo:hi, :3] * dc[:, None]
+        d_z[lo:hi, 3] = coef[lo:hi, 3] * dh
+        dc_next[:k] = dc * gf[lo:hi]
+        dh_next[:k] = d_z[lo:hi].reshape(k, 4 * h) @ p.wh.data.T * rec_mask[:k]
+    d_z = d_z.reshape(rows, 4 * h)
+    np.testing.assert_array_equal(d_in, d_z @ p.wx.data.T)
+    np.testing.assert_array_equal(p.wx.grad, xm.T @ d_z)
+    np.testing.assert_array_equal(p.wh.grad, h_in.T @ d_z)
+    np.testing.assert_array_equal(p.b.grad, d_z.sum(axis=0))
 
 
 @pytest.mark.parametrize(
@@ -541,18 +588,18 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, affinity,
     try:
         out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
                      mode="train", rng=RngStream(5))
+        backward(tape, sum_all(mul(out, Tensor(weights))))
     finally:
         sys.setswitchinterval(interval)
-    backward(tape, sum_all(mul(out, Tensor(weights))))
-    # the backward pass stays on this thread
-    assert len(starts) == threads
+    # one thread for the forward pass, one for backprop through time
+    assert len(starts) == 2 * threads
     np.testing.assert_array_equal(out.data, expect[0])
     np.testing.assert_array_equal(x.grad, expect[1])
     for p, g in zip(fwd.tensors() + bwd.tensors(), expect[2]):
         np.testing.assert_array_equal(p.grad, g)
     tape_free = bilstm(param(block), fwd, bwd, lengths, dropout=0.5,
                        recurrent_dropout=0.2, mode="train", rng=RngStream(5))
-    assert len(starts) == 2 * threads
+    assert len(starts) == 3 * threads
     np.testing.assert_array_equal(tape_free.data, expect[0])
 
 
@@ -595,6 +642,123 @@ def test_bilstm_second_direction_keeps_the_callers_errstate(monkeypatch):
     with np.errstate(over="call", call=lambda kind, flag: seen.append(kind)):
         bilstm(x, fwd, bwd, [3])
     assert "overflow" in seen
+
+
+def test_bilstm_raises_what_the_second_directions_backprop_raises(monkeypatch):
+    rng = np.random.default_rng(22)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def failing_back(*args):
+        seen.append(threading.current_thread())
+        time.sleep(0.05)  # long enough that a caller not joining would miss it
+        raise KeyError("second direction's backprop")
+
+    def direction(xm, p, *rest):
+        back = _lstm_direction(xm, p, *rest)
+        return failing_back if p is bwd and back is not None else back
+
+    monkeypatch.setattr("mwetag.autodiff._lstm_direction", direction)
+    tape = Tape()
+    out = bilstm(attach(rng.normal(size=(2, 3, 3)), tape), fwd, bwd, [3, 2])
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="second direction's backprop"):
+        backward(tape, sum_all(out))
+    assert seen and seen[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_bilstm_second_directions_backprop_keeps_the_callers_errstate(monkeypatch):
+    rng = np.random.default_rng(23)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # the backward direction's gates held near i = 0, f = o = 1, so its cell
+    # gradient carries almost whole from step to step; under huge output
+    # gradients on its columns only, the carry overflows in backprop while
+    # the forward direction's gradients stay finite
+    bwd.b.data[:] = np.repeat([-20.0, 20.0, 0.0, 20.0], 2)
+    weights = np.ones((1, 4, 4))
+    weights[..., 2:] = 1e308
+    x = rng.normal(size=(1, 4, 3))
+
+    def run():
+        tape = Tape()
+        with np.errstate(all="ignore"):
+            loss = sum_all(mul(bilstm(attach(x, tape), fwd, bwd, [4]), Tensor(weights)))
+        backward(tape, loss)
+
+    # a thread under numpy's default error state would warn under "ignore"
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run()
+    with np.errstate(all="ignore", over="raise"), pytest.raises(FloatingPointError):
+        run()
+
+
+def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch):
+    # sizes at which BLAS runs its blocked GEMM kernels, not only tiny ones
+    rng = np.random.default_rng(24)
+    d, h = 64, 48
+    lengths = rng.integers(1, 16, size=8)
+    fwd = make_lstm_params(rng, d, h)
+    bwd = make_lstm_params(rng, d, h)
+    params = fwd.tensors() + bwd.tensors()
+    for p in params:
+        p.data *= 0.1  # keep the gates off saturation
+    block = np.zeros((8, lengths.max(), d))
+    for b, n in enumerate(lengths):
+        block[b, :n] = rng.normal(size=(n, d))
+    weights = rng.normal(size=(8, lengths.max(), 2 * h))
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (starts.append(thread), start(thread)))
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for p in params:
+            p.zero_grad()
+        tape = Tape()
+        x = attach(block, tape)
+        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
+                     mode="train", rng=RngStream(6))
+        backward(tape, sum_all(mul(out, Tensor(weights))))
+        return out.data, x.grad, [p.grad.copy() for p in params]
+
+    inline = run({0})
+    assert not starts
+    threaded = run({0, 1})
+    assert len(starts) == 2
+    np.testing.assert_array_equal(threaded[0], inline[0])
+    np.testing.assert_array_equal(threaded[1], inline[1])
+    for g, expect in zip(threaded[2], inline[2]):
+        np.testing.assert_array_equal(g, expect)
+
+
+def test_bilstm_directions_sharing_a_parameter_backprop_on_one_thread(monkeypatch):
+    rng = np.random.default_rng(25)
+    shared = make_lstm_params(rng, 3, 2)
+    block = rng.normal(size=(2, 3, 3))
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (starts.append(thread), start(thread)))
+
+    def run(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        shared.wx.zero_grad()
+        tape = Tape()
+        backward(tape, sum_all(bilstm(attach(block, tape), shared, shared, [3, 2])))
+        return shared.wx.grad.copy()
+
+    inline = run({0})
+    # the forward pass only reads the weights and may still use two threads;
+    # both directions' backprop adds into the one gradient, so it may not
+    np.testing.assert_array_equal(run({0, 1}), inline)
+    assert len(starts) == 1
 
 
 # ---------------------------------------------------------------------------
