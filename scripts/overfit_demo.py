@@ -41,7 +41,7 @@ def main():
         model = build_for_corpus(config, corpus, embeddings=table)
         best, report = train(model, corpus)
         elapsed = time.time() - started
-        encodings = [encode(s, table, list(best.pos_vocab)) for s in corpus]
+        encodings = [encode(s, table, best.pos_vocab) for s in corpus]
         accuracy = token_accuracy(predict(best, encodings), corpus)
         scores = evaluate(corpus, predict_corpus(best, corpus))
         rows.append((f"neural/{head}", accuracy, scores.mwe.f1, elapsed))

@@ -11,12 +11,15 @@ gives a pure, recording-free forward pass (the evaluation path).
 
 Gradients accumulate in place: a parameter's .grad, which may be a view of a
 larger vector (param's grad argument), collects contributions across
-backward calls until zero_grad. backward may run once per tape.
+backward calls until zero_grad. backward runs a scalar loss's tape, the one
+its .tape names, once.
 
 Most operations are single array primitives. The BiLSTM is the exception: it
 is one fused operation that records a single tape node per call, whatever the
 sequence length or batch size, and runs backprop through time by hand (see
-bilstm).
+bilstm). It is also the one operation with dropout, at the fixed rates
+DROPOUT and RECURRENT_DROPOUT, drawn from a dropout stream when the caller
+passes one: a training pass passes it, an evaluation pass does not.
 
 The layers run on a padded batch of B sentences, a B x n x d block that is
 zero past each sentence's end; the sequence layers (bilstm, cross_entropy)
@@ -35,6 +38,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+DROPOUT = 0.5  # BiLSTM input dropout, one mask per sentence and direction
+RECURRENT_DROPOUT = 0.2  # on the hidden state entering the recurrence
 
 
 class Tensor:
@@ -145,13 +151,14 @@ def _emit(out_data, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def backward(tape: Tape, loss: Tensor):
-    """Populate gradients of every participating tensor by reverse traversal.
-    The loss must be a scalar recorded on this tape; a tape runs backward once."""
+def backward(loss: Tensor):
+    """Populate gradients of every participating tensor by reverse traversal
+    of the tape the scalar loss is recorded on; a tape runs backward once."""
+    tape = loss.tape
+    if tape is None:
+        raise ValueError("loss is not recorded on a tape")
     if tape._used:
         raise RuntimeError("backward already ran on this tape")
-    if loss.tape is not tape:
-        raise ValueError("loss tensor is not recorded on this tape")
     if loss.data.size != 1:
         raise ValueError("loss must be a scalar")
     tape._used = True
@@ -449,9 +456,6 @@ def bilstm(
     forward_params: LstmParams,
     backward_params: LstmParams,
     lengths,
-    dropout: float = 0.0,
-    recurrent_dropout: float = 0.0,
-    mode: str = "eval",
     rng: RngStream | None = None,
 ) -> Tensor:
     """Bidirectional LSTM over a padded B x n x d block with the B sentence
@@ -460,14 +464,15 @@ def bilstm(
     on input and zero on output, and a sentence finished early simply stops
     taking part in the steps.
 
-    In train mode, input dropout applies one mask per sentence to x at every
-    step and recurrent dropout applies one mask per sentence to the hidden
-    state entering the recurrence. Each direction has its own masks; they
-    are drawn sentence by sentence in block order, each sentence in the
-    order forward-input, forward-recurrent, backward-input,
+    Given a dropout stream rng, input dropout (rate DROPOUT) applies one
+    mask per sentence to x at every step and recurrent dropout (rate
+    RECURRENT_DROPOUT) applies one mask per sentence to the hidden state
+    entering the recurrence. Each direction has its own masks; they are
+    drawn from rng sentence by sentence in block order, each sentence in
+    the order forward-input, forward-recurrent, backward-input,
     backward-recurrent, so a block draws what its sentences would draw one
-    at a time. Masks follow the inverted convention (scaled by 1/keep at
-    train time), so eval mode applies no masks and no scaling.
+    at a time. Masks follow the inverted convention (scaled by 1/keep when
+    drawn), so a call without rng applies no masks and no scaling.
 
     The whole layer is one fused operation and records one tape node. Each
     step runs every sentence still going as one (k x h) @ wh product. When
@@ -487,10 +492,6 @@ def bilstm(
     and the x gradient is summed after the join, forward direction first,
     so the results are the same bits either way.
     """
-    if not (0.0 <= dropout < 1.0 and 0.0 <= recurrent_dropout < 1.0):
-        raise ValueError("dropout rates must lie in [0, 1)")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
     block = x.data
     b_count, n, d = block.shape
     lengths = np.asarray(lengths, dtype=int)
@@ -498,16 +499,10 @@ def bilstm(
     inputs = (x, *forward_params.tensors(), *backward_params.tensors())
     h = forward_params.hidden
 
-    def draw(rate, size):
-        if mode != "train" or rate == 0.0:
-            return None
-        if rng is None:
-            raise ValueError("train-mode dropout needs an RngStream")
-        return rng.keep_mask(rate, size)
-
     # (input, recurrent) masks of each sentence and direction, in draw order
     draws = [
-        (draw(dropout, d), draw(recurrent_dropout, p.hidden))
+        (rng.keep_mask(DROPOUT, d), rng.keep_mask(RECURRENT_DROPOUT, p.hidden))
+        if rng is not None else (None, None)
         for _ in range(b_count)
         for p in params
     ]
@@ -615,35 +610,36 @@ def _stack(masks, index):
 # verification
 
 
-def grad_check(f, params: list[Tensor], eps: float = 1e-4) -> float:
+def grad_check(f, params: list[Tensor]) -> float:
     """Compare tape gradients of the scalar loss f() against central finite
-    differences over every coordinate of every parameter.
+    differences, of step 1e-4, over every coordinate of every parameter.
 
     Returns the max over coordinates of |a - n| / max(1e-8, |a| + |n|). The
     function f must rebuild its computation (fresh tape) on each call and be
-    deterministic (dropout off or masks frozen).
+    deterministic (no dropout stream, or a fresh one of a fixed seed per
+    call).
     """
     for p in params:
         p.zero_grad()
     loss = f()
     if not np.isfinite(loss.data):
         raise ValueError("loss is not finite")
-    backward(loss.tape, loss)
+    backward(loss)
     analytic = [np.array(p.grad, copy=True) for p in params]
 
-    worst = 0.0
+    step, worst = 1e-4, 0.0
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)
         for idx in range(flat.size):
             original = flat[idx]
-            flat[idx] = original + eps
+            flat[idx] = original + step
             plus = float(f().data)
-            flat[idx] = original - eps
+            flat[idx] = original - step
             minus = float(f().data)
             flat[idx] = original
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise ValueError("loss is not finite during finite differencing")
-            numeric = (plus - minus) / (2.0 * eps)
+            numeric = (plus - minus) / (2.0 * step)
             analytic_value = a.reshape(-1)[idx]
             err = abs(analytic_value - numeric) / max(
                 1e-8, abs(analytic_value) + abs(numeric)

@@ -4,10 +4,11 @@ Each check builds a small seeded instance, compares tape gradients against
 central finite differences over every parameter coordinate, and reports the
 max relative error. Sequence inputs are one-sentence (B = 1) padded blocks,
 the shape every layer takes. Piecewise-linear kinks (relu) make finite
-differences meaningless within eps of zero, so checks through relu redraw
-deterministically until every pre-activation clears a margin well above
-eps; the redraw is a property of the probe, not of the gradients under
-test.
+differences meaningless within a step (1e-4) of zero, so checks through
+relu redraw deterministically until every pre-activation clears a margin
+well above the step; the redraw is a property of the probe, not of the
+gradients under test. Checks with dropout pass every call a fresh dropout
+stream of one fixed seed, so each evaluation draws the same masks.
 """
 
 from __future__ import annotations
@@ -33,16 +34,11 @@ from .autodiff import (
 )
 from .chaincrf import crf_nll
 from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable
-from .tagger import DROPOUT, FILTER_WIDTHS, RECURRENT_DROPOUT, TaggerConfig, build, loss
+from .tagger import FILTER_WIDTHS, TaggerConfig, build, loss
 
 SUITE_TOLERANCE = 1e-4
 DEFAULT_ROUNDS = 5
 _KINK_MARGIN = 5e-3  # far above the 1e-4 finite-difference step
-_EPS = 1e-4
-
-
-def _attach(data: np.ndarray, tape: Tape) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), tape=tape)
 
 
 def _check_dense(stream: RngStream) -> float:
@@ -59,10 +55,9 @@ def _check_dense(stream: RngStream) -> float:
     w_t, b_t = param(w), param(b)
 
     def build_loss():
-        tape = Tape()
-        return sum_all(relu(dense(_attach(x, tape), w_t, b_t)))
+        return sum_all(relu(dense(Tensor(x, tape=Tape()), w_t, b_t)))
 
-    return grad_check(build_loss, [w_t, b_t], eps=_EPS)
+    return grad_check(build_loss, [w_t, b_t])
 
 
 def _check_conv(stream: RngStream) -> float:
@@ -78,15 +73,14 @@ def _check_conv(stream: RngStream) -> float:
         banks.append((k, b))
 
     def build_loss():
-        tape = Tape()
-        xt = _attach(x, tape)
+        xt = Tensor(x, tape=Tape())
         total = None
         for k, b in banks:
             term = sum_all(conv1d_same(xt, k, b))
             total = term if total is None else add(total, term)
         return total
 
-    return grad_check(build_loss, params, eps=_EPS)
+    return grad_check(build_loss, params)
 
 
 def _lstm_params(r: RngStream, d: int, h: int) -> LstmParams:
@@ -105,17 +99,10 @@ def _check_bilstm(stream: RngStream, dropped: bool) -> float:
     mask_seed = stream.child(3).integers(0, 2**31)
 
     def build_loss():
-        tape = Tape()
-        xt = _attach(x, tape)
-        if dropped:
-            out = bilstm(xt, fwd, bwd, [4], dropout=DROPOUT,
-                         recurrent_dropout=RECURRENT_DROPOUT, mode="train",
-                         rng=RngStream(mask_seed))
-        else:
-            out = bilstm(xt, fwd, bwd, [4])
-        return sum_all(out)
+        rng = RngStream(mask_seed) if dropped else None
+        return sum_all(bilstm(Tensor(x, tape=Tape()), fwd, bwd, [4], rng))
 
-    return grad_check(build_loss, fwd.tensors() + bwd.tensors(), eps=_EPS)
+    return grad_check(build_loss, fwd.tensors() + bwd.tensors())
 
 
 def _check_softmax_cross_entropy(stream: RngStream) -> float:
@@ -125,10 +112,9 @@ def _check_softmax_cross_entropy(stream: RngStream) -> float:
     gold = [[int(r.child(i).integers(0, 4)) for i in range(5)]]
 
     def build_loss():
-        tape = Tape()
-        return cross_entropy(softmax_rows(matmul(_attach(x, tape), w)), gold, [5])
+        return cross_entropy(softmax_rows(matmul(Tensor(x, tape=Tape()), w)), gold, [5])
 
-    return grad_check(build_loss, [w], eps=_EPS)
+    return grad_check(build_loss, [w])
 
 
 def _check_crf_nll(stream: RngStream) -> float:
@@ -141,11 +127,10 @@ def _check_crf_nll(stream: RngStream) -> float:
     gold = [[int(r.child(i).integers(0, t_count)) for i in range(n)]]
 
     def build_loss():
-        tape = Tape()
-        carrier = _attach(np.zeros((1, n, t_count)), tape)
+        carrier = Tensor(np.zeros((1, n, t_count)), tape=Tape())
         return crf_nll(add(e_scores, carrier), trans, start, stop, gold, [n])
 
-    return grad_check(build_loss, [e_scores, trans, start, stop], eps=_EPS)
+    return grad_check(build_loss, [e_scores, trans, start, stop])
 
 
 def _conv_margin(model, word_input: np.ndarray) -> float:
@@ -164,8 +149,8 @@ def _conv_margin(model, word_input: np.ndarray) -> float:
 
 
 def _check_tagger_loss(stream: RngStream, head: str) -> float:
-    """Full network loss in train mode with frozen dropout masks; every
-    trainable parameter is finite-differenced."""
+    """Full network loss of a training pass, its dropout stream of one fixed
+    seed per call; every trainable parameter is finite-differenced."""
     config = TaggerConfig(
         filters_per_width=2,
         lstm_hidden=2,
@@ -191,11 +176,9 @@ def _check_tagger_loss(stream: RngStream, head: str) -> float:
     mask_seed = r.child(99).integers(0, 2**31)
 
     def build_loss():
-        tape = Tape()
-        return loss(model, batch, gold, mode="train", rng=RngStream(mask_seed),
-                    tape=tape)
+        return loss(model, batch, gold, RngStream(mask_seed), Tape())
 
-    return grad_check(build_loss, list(model.params.values()), eps=_EPS)
+    return grad_check(build_loss, list(model.params.values()))
 
 
 CHECKS = (

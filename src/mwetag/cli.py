@@ -191,6 +191,12 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
     config.validate()
+    if config.subcommand == "train" and config.variant != "neural":
+        # a config file may hold them for other commands; a flag asks for them
+        for name in ("dev", "batch_size", "head"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{flag} applies only to --variant neural")
     return config
 
 

@@ -16,6 +16,7 @@ import gzip
 import logging
 import unicodedata
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,13 +187,6 @@ def pos_vocabulary(corpus: Corpus) -> list[str]:
     return [POS_UNK] + observed
 
 
-def pos_index(vocabulary: list[str], upos: str) -> int:
-    try:
-        return vocabulary.index(upos)
-    except ValueError:
-        return 0
-
-
 @dataclass
 class Batch:
     """Network inputs for B sentences as padded blocks: word_input is
@@ -220,13 +214,15 @@ def pad(batches: list[Batch]) -> Batch:
     return Batch(word_input, pos_input, lengths)
 
 
-def encode(sentence: Sentence, table: EmbeddingTable, pos_vocab: list[str]) -> Batch:
-    """The inputs of one sentence, as a one-sentence Batch."""
+def encode(sentence: Sentence, table: EmbeddingTable, pos_vocab: Sequence[str]) -> Batch:
+    """The inputs of one sentence, as a one-sentence Batch. A POS tag not in
+    pos_vocab takes column 0, the UNK slot of pos_vocabulary."""
     n = len(sentence.tokens)
     word_input = np.zeros((1, n, table.dimension + N_SHAPE_FEATURES))
     pos_input = np.zeros((1, n, len(pos_vocab)))
+    pos_column = {upos: k for k, upos in enumerate(pos_vocab)}
     for i, token in enumerate(sentence.tokens):
         word_input[0, i, : table.dimension] = table.lookup(token.form)
         word_input[0, i, table.dimension :] = shape_features(token.form)
-        pos_input[0, i, pos_index(pos_vocab, token.upos)] = 1.0
+        pos_input[0, i, pos_column.get(token.upos, 0)] = 1.0
     return Batch(word_input, pos_input, np.array([n]))

@@ -17,14 +17,17 @@ forward pass records onto a tape.
 
 Training is plain stochastic optimization with Adam at its standard
 constants (Kingma & Ba 2015): seeded epoch shuffle, one forward pass, tape
-and step per batch, gradients averaged over the batch. All parameters share
-one flat value vector and all gradients a second one (TaggerModel), so
-zeroing, averaging and the Adam step each run over one vector, the step in
-cache-sized chunks. Within one batch, sentences are stacked in corpus order,
-which makes a full-batch run independent of the shuffle. With a dev corpus,
-which must not be empty, the returned snapshot is the epoch with the best
-dev MWE-based F1 (ties to the earlier epoch); without one, the final state.
-Tagging runs batch_size sentences per forward pass.
+and step per batch, gradients averaged over the batch. A training pass hands
+the BiLSTM a seeded dropout stream, from which it draws its masks at the
+rates autodiff.DROPOUT and autodiff.RECURRENT_DROPOUT; an evaluation pass
+hands it none and draws no masks. All parameters share one flat value
+vector and all gradients a second one (TaggerModel), so zeroing, averaging
+and the Adam step each run over one vector, the step in cache-sized chunks.
+Within one batch, sentences are stacked in corpus order, which makes a
+full-batch run independent of the shuffle. With a dev corpus, which must not
+be empty, the returned snapshot is the epoch with the best dev MWE-based F1
+(ties to the earlier epoch); without one, the final state. Tagging runs
+batch_size sentences per forward pass.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
 
 FILTER_WIDTHS = (2, 3)  # one ReLU convolution bank per width
-DROPOUT = 0.5  # BiLSTM input dropout, one mask per sentence and direction
-RECURRENT_DROPOUT = 0.2  # on the hidden state entering the recurrence
 # Adam's standard moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # values per pass of the Adam step: a chunk of each of the six vectors the
@@ -224,20 +225,20 @@ def build_for_corpus(
 
 
 def _encode(model: TaggerModel, sentence) -> Batch:
-    return encode(sentence, model.embeddings, list(model.pos_vocab))
+    return encode(sentence, model.embeddings, model.pos_vocab)
 
 
 def forward(
     model: TaggerModel,
     inputs: Batch,
-    mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
     """Per-position label scores of a padded batch, B x n x T (rows past a
     sentence's end are not its scores). Raw scores for both heads: the
-    softmax head normalizes at loss/prediction time. Pass a tape to record
-    for backward; without one the pass is pure. Scores that overflowed or
+    softmax head normalizes at loss/prediction time. Pass a dropout stream
+    rng for the BiLSTM to draw its masks from, and a tape to record for
+    backward; with neither the pass is pure. Scores that overflowed or
     became NaN raise NonFiniteError."""
     p = model.params
     width, expected = inputs.word_input.shape[-1], model.emb_dim + N_SHAPE_FEATURES
@@ -254,8 +255,7 @@ def forward(
             for w in FILTER_WIDTHS
         ]
         h = concat_cols(banks + [Tensor(inputs.pos_input, tape=tape)])
-        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), inputs.lengths, DROPOUT,
-                   RECURRENT_DROPOUT, mode, rng)
+        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), inputs.lengths, rng)
         scores = dense(h, p["proj_w"], p["proj_b"])
     if not np.isfinite(scores.data).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
@@ -274,19 +274,18 @@ def loss(
     model: TaggerModel,
     inputs: Batch,
     golds: list[TagSequence],
-    mode: str = "eval",
     rng: RngStream | None = None,
     tape: Tape | None = None,
 ) -> Tensor:
     """Mean per-token cross-entropy (softmax head) or sequence NLL (CRF) of
     each sentence of a batch against its tag sequence, summed over the
-    batch."""
+    batch; rng and tape are forward's."""
     indices = np.zeros(inputs.word_input.shape[:-1], dtype=int)
     for row, tags, length in zip(indices, golds, inputs.lengths, strict=True):
         if len(tags) != length:
             raise TrainingDataError(f"{len(tags)} labels for {length} tokens")
         row[:length] = _gold_indices(model, tags)
-    scores = forward(model, inputs, mode=mode, rng=rng, tape=tape)
+    scores = forward(model, inputs, rng, tape)
     if model.config.head == "softmax":
         return cross_entropy(softmax_rows(scores), indices, inputs.lengths)
     chain = [model.params[name] for name in ("trans", "trans_start", "trans_stop")]
@@ -418,17 +417,16 @@ def train(
         for lo in range(0, count, cfg.batch_size):
             batch = sorted(order[lo : lo + cfg.batch_size])
             model.grad.fill(0.0)
-            tape = Tape()
             try:
                 value = loss(
                     model, pad([encodings[i] for i in batch]), [gold[i] for i in batch],
-                    mode="train", rng=dropout_rng, tape=tape,
+                    dropout_rng, Tape(),
                 )
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
                 ) from None
-            backward(tape, value)
+            backward(value)
             epoch_loss += value.item()
             model.grad /= len(batch)
             optimizer.step()

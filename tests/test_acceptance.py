@@ -85,7 +85,7 @@ def test_criterion_3_gradient_suite():
 
 def _token_accuracy(model, corpus, table):
     right = total = 0
-    tagged = predict(model, [encode(s, table, list(model.pos_vocab)) for s in corpus])
+    tagged = predict(model, [encode(s, table, model.pos_vocab) for s in corpus])
     for tags, sentence in zip(tagged, corpus):
         gold = to_tags(sentence)
         right += sum(a == b for a, b in zip(tags, gold))

@@ -74,9 +74,9 @@ def test_backward_twice_raises():
     tape = Tape()
     x = attach(np.ones((2, 2)), tape)
     loss = sum_all(x)
-    backward(tape, loss)
+    backward(loss)
     with pytest.raises(RuntimeError):
-        backward(tape, loss)
+        backward(loss)
 
 
 def test_backward_frees_activations_without_the_cycle_collector():
@@ -89,7 +89,7 @@ def test_backward_frees_activations_without_the_cycle_collector():
     try:
         hidden = relu(matmul(attach(np.ones((1, 2)), tape), w))
         freed = weakref.ref(hidden.data)
-        backward(tape, sum_all(hidden))
+        backward(sum_all(hidden))
         del hidden
         assert freed() is None
         assert len(tape) == 0
@@ -99,13 +99,11 @@ def test_backward_frees_activations_without_the_cycle_collector():
 
 
 def test_backward_rejects_foreign_or_nonscalar_loss():
-    tape = Tape()
-    x = attach(np.ones((2, 2)), tape)
-    y = relu(x)
-    with pytest.raises(ValueError):
-        backward(Tape(), sum_all(x))
-    with pytest.raises(ValueError):
-        backward(tape, y)
+    # backward runs the loss's own tape: a tape-free loss has none to run
+    with pytest.raises(ValueError, match="not recorded on a tape"):
+        backward(sum_all(param(np.ones((2, 2)))))
+    with pytest.raises(ValueError, match="scalar"):
+        backward(relu(attach(np.ones((2, 2)), Tape())))
 
 
 def test_grads_accumulate_across_tapes_until_zeroed():
@@ -113,7 +111,7 @@ def test_grads_accumulate_across_tapes_until_zeroed():
     for _ in range(3):
         tape = Tape()
         x = attach(np.array([[1.0]]), tape)
-        backward(tape, sum_all(matmul(x, w)))
+        backward(sum_all(matmul(x, w)))
     np.testing.assert_allclose(w.grad, [[3.0]])
     w.zero_grad()
     np.testing.assert_allclose(w.grad, [[0.0]])
@@ -124,7 +122,7 @@ def test_unused_branch_grad_is_zero():
     u = param(np.ones((2, 2)))
     tape = Tape()
     x = attach(np.ones((2, 2)), tape)
-    backward(tape, sum_all(matmul(x, w)))
+    backward(sum_all(matmul(x, w)))
     np.testing.assert_allclose(u.grad, np.zeros((2, 2)))
 
 
@@ -303,8 +301,8 @@ def test_bilstm_matches_scalar_reference_both_directions(n, d, h):
     np.testing.assert_allclose(out.data[0, :, h:], expect_bwd, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["eval", "train"])
-def test_bilstm_matches_scalar_reference_padded_batch(mode):
+@pytest.mark.parametrize("dropped", [False, True], ids=["eval", "train"])
+def test_bilstm_matches_scalar_reference_padded_batch(dropped):
     rng = np.random.default_rng(8)
     d, h, lengths = 3, 4, [1, 4, 2]
     fwd = make_lstm_params(rng, d, h)
@@ -321,10 +319,9 @@ def test_bilstm_matches_scalar_reference_padded_batch(mode):
             p.zero_grad()
         tape = Tape()
         x = attach(x_data, tape)
-        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
-                     mode=mode, rng=draws)
+        out = bilstm(x, fwd, bwd, lengths, draws if dropped else None)
         assert len(tape) == 1
-        backward(tape, sum_all(mul(out, Tensor(w))))
+        backward(sum_all(mul(out, Tensor(w))))
         return out.data, x.grad, [p.grad.copy() for p in params]
 
     out, d_x, grads = run(block, weights, RngStream(21), lengths)
@@ -342,7 +339,7 @@ def test_bilstm_matches_scalar_reference_padded_batch(mode):
         for total, g in zip(summed, s_grads):
             total += g
         x = block[b, :n]
-        if mode == "train":
+        if dropped:
             in_fwd, rec_fwd = masks.keep_mask(0.5, (d,)), masks.keep_mask(0.2, (h,))
             in_bwd, rec_bwd = masks.keep_mask(0.5, (d,)), masks.keep_mask(0.2, (h,))
         else:
@@ -386,8 +383,7 @@ def test_bilstm_train_masks_follow_documented_draw_order():
     fwd = make_lstm_params(rng, 3, 4)
     bwd = make_lstm_params(rng, 3, 4)
     out = bilstm(
-        param(x[None]), fwd, bwd, [5], dropout=0.5, recurrent_dropout=0.2,
-        mode="train", rng=RngStream(21),
+        param(x[None]), fwd, bwd, [5], rng=RngStream(21),
     )
     # one mask per sequence per direction: forward-input, forward-recurrent,
     # backward-input, backward-recurrent
@@ -419,18 +415,6 @@ def test_bilstm_records_one_tape_node_whatever_the_length():
     assert bilstm(param(rng.normal(size=(1, 12, 3))), fwd, bwd, [12]).tape is None
 
 
-def test_bilstm_eval_mode_ignores_dropout():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 4, 3))
-    fwd = make_lstm_params(rng, 3, 2)
-    bwd = make_lstm_params(rng, 3, 2)
-    plain = bilstm(param(x), fwd, bwd, [4])
-    dropped = bilstm(
-        param(x), fwd, bwd, [4], dropout=0.5, recurrent_dropout=0.2, mode="eval"
-    )
-    np.testing.assert_array_equal(plain.data, dropped.data)
-
-
 def test_bilstm_train_dropout_is_seed_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 4, 3))
@@ -438,42 +422,17 @@ def test_bilstm_train_dropout_is_seed_deterministic():
     bwd = make_lstm_params(rng, 3, 2)
 
     def run(seed):
-        return bilstm(
-            param(x),
-            fwd,
-            bwd,
-            [4],
-            dropout=0.5,
-            recurrent_dropout=0.2,
-            mode="train",
-            rng=RngStream(seed),
-        ).data
+        return bilstm(param(x), fwd, bwd, [4], rng=RngStream(seed)).data
 
     np.testing.assert_array_equal(run(9), run(9))
     assert not np.array_equal(run(9), run(10))
 
 
-def test_bilstm_train_needs_rng_when_dropping():
-    fwd = make_lstm_params(np.random.default_rng(0), 2, 2)
-    bwd = make_lstm_params(np.random.default_rng(1), 2, 2)
-    with pytest.raises(ValueError):
-        bilstm(param(np.ones((1, 2, 2))), fwd, bwd, [2], dropout=0.5, mode="train")
-
-
-def test_bilstm_rejects_bad_rates_and_mode():
-    fwd = make_lstm_params(np.random.default_rng(0), 2, 2)
-    bwd = make_lstm_params(np.random.default_rng(1), 2, 2)
-    x = param(np.ones((1, 2, 2)))
-    with pytest.raises(ValueError):
-        bilstm(x, fwd, bwd, [2], dropout=1.0, mode="train", rng=RngStream(0))
-    with pytest.raises(ValueError):
-        bilstm(x, fwd, bwd, [2], mode="predict")
-
-
 def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
-    """bilstm's train-mode forward and backward, one direction after the
-    other on this thread, built from _lstm_direction: the outputs, the input
-    gradient and the six parameter gradients for the loss sum(out * weights)."""
+    """bilstm's forward and backward with a dropout stream, one direction
+    after the other on this thread, built from _lstm_direction: the outputs,
+    the input gradient and the six parameter gradients for the loss
+    sum(out * weights)."""
     b_count, n, d = block.shape
     h = fwd.hidden
     lengths = np.asarray(lengths)
@@ -586,9 +545,8 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, affinity,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as it can
     try:
-        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
-                     mode="train", rng=RngStream(5))
-        backward(tape, sum_all(mul(out, Tensor(weights))))
+        out = bilstm(x, fwd, bwd, lengths, rng=RngStream(5))
+        backward(sum_all(mul(out, Tensor(weights))))
     finally:
         sys.setswitchinterval(interval)
     # one thread for the forward pass, one for backprop through time
@@ -597,8 +555,7 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, affinity,
     np.testing.assert_array_equal(x.grad, expect[1])
     for p, g in zip(fwd.tensors() + bwd.tensors(), expect[2]):
         np.testing.assert_array_equal(p.grad, g)
-    tape_free = bilstm(param(block), fwd, bwd, lengths, dropout=0.5,
-                       recurrent_dropout=0.2, mode="train", rng=RngStream(5))
+    tape_free = bilstm(param(block), fwd, bwd, lengths, rng=RngStream(5))
     assert len(starts) == 3 * threads
     np.testing.assert_array_equal(tape_free.data, expect[0])
 
@@ -665,7 +622,7 @@ def test_bilstm_raises_what_the_second_directions_backprop_raises(monkeypatch):
     out = bilstm(attach(rng.normal(size=(2, 3, 3)), tape), fwd, bwd, [3, 2])
     threads = threading.active_count()
     with pytest.raises(KeyError, match="second direction's backprop"):
-        backward(tape, sum_all(out))
+        backward(sum_all(out))
     assert seen and seen[0] is not threading.current_thread()
     assert threading.active_count() == threads
 
@@ -688,7 +645,7 @@ def test_bilstm_second_directions_backprop_keeps_the_callers_errstate(monkeypatc
         tape = Tape()
         with np.errstate(all="ignore"):
             loss = sum_all(mul(bilstm(attach(x, tape), fwd, bwd, [4]), Tensor(weights)))
-        backward(tape, loss)
+        backward(loss)
 
     # a thread under numpy's default error state would warn under "ignore"
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -723,9 +680,8 @@ def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch)
             p.zero_grad()
         tape = Tape()
         x = attach(block, tape)
-        out = bilstm(x, fwd, bwd, lengths, dropout=0.5, recurrent_dropout=0.2,
-                     mode="train", rng=RngStream(6))
-        backward(tape, sum_all(mul(out, Tensor(weights))))
+        out = bilstm(x, fwd, bwd, lengths, rng=RngStream(6))
+        backward(sum_all(mul(out, Tensor(weights))))
         return out.data, x.grad, [p.grad.copy() for p in params]
 
     inline = run({0})
@@ -751,7 +707,7 @@ def test_bilstm_directions_sharing_a_parameter_backprop_on_one_thread(monkeypatc
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         shared.wx.zero_grad()
         tape = Tape()
-        backward(tape, sum_all(bilstm(attach(block, tape), shared, shared, [3, 2])))
+        backward(sum_all(bilstm(attach(block, tape), shared, shared, [3, 2])))
         return shared.wx.grad.copy()
 
     inline = run({0})
@@ -903,18 +859,7 @@ def test_grad_bilstm_train_with_frozen_masks():
 
     def build():
         # fresh stream per call: identical masks on every evaluation
-        tape = Tape()
-        x = attach(x_data, tape)
-        h = bilstm(
-            x,
-            fwd,
-            bwd,
-            [4],
-            dropout=0.5,
-            recurrent_dropout=0.2,
-            mode="train",
-            rng=RngStream(99),
-        )
+        h = bilstm(attach(x_data, Tape()), fwd, bwd, [4], rng=RngStream(99))
         return sum_all(mul(h, h))
 
     check(build, fwd.tensors() + bwd.tensors())

@@ -351,7 +351,7 @@ def test_nll_of_padded_batch_is_sum_of_sentences():
     tape = Tape()
     batched = crf_nll(add(scores, Tensor(np.zeros_like(block), tape=tape)), *chain_t,
                       gold, lengths)
-    backward(tape, batched)
+    backward(batched)
     grads = [t.grad.copy() for t in (scores, *chain_t)]
     total = 0.0
     summed = [np.zeros_like(g) for g in grads[1:]]
@@ -360,7 +360,7 @@ def test_nll_of_padded_batch_is_sum_of_sentences():
         tape = Tape()
         value = crf_nll(add(single[0], Tensor(np.zeros((1, n, t_count)), tape=tape)),
                         *single[1:], gold[b : b + 1, :n], [n])
-        backward(tape, value)
+        backward(value)
         total += value.item()
         np.testing.assert_allclose(grads[0][b, :n], single[0].grad[0], rtol=0, atol=1e-12)
         assert not grads[0][b, n:].any()
@@ -407,5 +407,5 @@ def test_nll_gradient_single_position_start_stop():
     from mwetag.autodiff import backward
 
     trans.zero_grad()
-    backward(build_once.tape, build_once)
+    backward(build_once)
     np.testing.assert_array_equal(trans.grad, np.zeros((3, 3)))

@@ -714,6 +714,32 @@ def test_baseline_turian_rejects_vectors_of_another_dimension(workdir, tmp_path,
     assert not (tmp_path / "x.cupt").exists()
 
 
+@pytest.mark.parametrize("variant", ["baseline-standard", "baseline-turian"])
+@pytest.mark.parametrize("flag, value", [("--dev", "missing.cupt"), ("--batch-size", "7"),
+                                         ("--head", "softmax")])
+def test_neural_only_flags_are_a_usage_error_for_baselines(
+    tmp_path, capsys, variant, flag, value
+):
+    # none of the files exists: reading one would exit 2, not 1
+    argv = ["train", "--variant", variant, "--train", p(tmp_path / "t.cupt"),
+            "--model", p(tmp_path / "m.json"), "--embeddings", p(tmp_path / "v.vec")]
+    assert run(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {flag} applies only to --variant neural\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_neural_fields_are_ignored_by_baselines(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"dev": "missing.cupt", "batch_size": 7,
+                                    "head": "softmax"}))
+    args = _build_parser().parse_args(
+        ["train", "--config", p(cfg_file), "--variant", "baseline-standard",
+         "--train", "t", "--model", "m"])
+    cfg = resolve(args)
+    assert (cfg.dev, cfg.batch_size, cfg.head) == ("missing.cupt", 7, "softmax")
+
+
 def test_train_baseline_standard_needs_no_embeddings_flag():
     cfg = RunConfig(subcommand="train", train="t", model="m",
                     variant="baseline-standard")
@@ -750,10 +776,16 @@ def run_module(module, *args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    done = run_module("mwetag", "gradcheck", "--seed", "0")
-    assert run(["gradcheck", "--seed", "0"]) == 0
+def test_python_dash_m_runs_the_cli(workdir, tmp_path, capsys):
+    def argv(report):
+        return ["eval", "--gold", p(workdir / "gold.cupt"),
+                "--pred", p(workdir / "train.cupt"), "--report", p(tmp_path / report)]
+
+    done = run_module("mwetag", *argv("module.json"))
+    assert run(argv("in_process.json")) == 0
     assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+    reports = [(tmp_path / name).read_bytes() for name in ("module.json", "in_process.json")]
+    assert reports[0] == reports[1]
     for module in ("mwetag", "mwetag.cli"):
         done = run_module(module, "gradcheck", "--no-such-flag")
         assert done.returncode == 1 and "--no-such-flag" in done.stderr

@@ -13,7 +13,6 @@ from mwetag.embed import (
     load_vec,
     pad,
     load_vec_file,
-    pos_index,
     pos_vocabulary,
     shape_features,
     sniff_vec_dim,
@@ -135,7 +134,8 @@ def test_pos_vocabulary_sorted_with_unk():
 
 def test_unseen_pos_maps_to_unk():
     vocab = pos_vocabulary([sentence_of(["a"], ["VERB"])])
-    assert pos_index(vocab, "ADJ") == 0
+    enc = encode(sentence_of(["a", "b"], ["ADJ", "VERB"]), EmbeddingTable(2, {}), vocab)
+    np.testing.assert_array_equal(enc.pos_input[0], [[1, 0], [0, 1]])
 
 
 def test_encode_shapes_and_rows():

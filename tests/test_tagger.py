@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mwetag.autodiff import RngStream, Tape, backward, grad_check
+from mwetag.autodiff import DROPOUT, RECURRENT_DROPOUT, RngStream, Tape, backward, grad_check
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
 from mwetag.embed import Batch, EmbeddingTable, encode, pad, pos_vocabulary
 from mwetag.errors import NonFiniteError, TrainingDataError
@@ -19,9 +19,7 @@ from mwetag.tagger import (
     ADAM_BETA2,
     ADAM_CHUNK,
     ADAM_EPSILON,
-    DROPOUT,
     FILTER_WIDTHS,
-    RECURRENT_DROPOUT,
     AdamOptimizer,
     TaggerConfig,
     build,
@@ -164,7 +162,7 @@ def test_build_for_corpus_derives_vocabularies():
 
 
 def encodings_for(corpus, model):
-    return [encode(s, model.embeddings, list(model.pos_vocab)) for s in corpus]
+    return [encode(s, model.embeddings, model.pos_vocab) for s in corpus]
 
 
 def test_forward_shapes_and_eval_purity():
@@ -181,9 +179,9 @@ def test_forward_train_mode_seeded_masks():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
-    a = forward(model, enc, mode="train", rng=RngStream(5)).data
-    b = forward(model, enc, mode="train", rng=RngStream(5)).data
-    c = forward(model, enc, mode="train", rng=RngStream(6)).data
+    a = forward(model, enc, RngStream(5)).data
+    b = forward(model, enc, RngStream(5)).data
+    c = forward(model, enc, RngStream(6)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -199,8 +197,8 @@ def test_forward_rejects_wrong_input_width():
 
 @pytest.mark.parametrize("head", ["softmax", "crf"],
                          ids=["softmax-pretrained", "crf-pretrained"])
-@pytest.mark.parametrize("mode", ["eval", "train"])
-def test_batched_loss_is_sum_of_sentence_losses(head, mode):
+@pytest.mark.parametrize("dropped", [False, True], ids=["eval", "train"])
+def test_batched_loss_is_sum_of_sentence_losses(head, dropped):
     corpus = synthetic_corpus(sentences=5, seed=4)
     model = build_for_corpus(small_config(head=head), corpus, synthetic_embeddings(dim=8))
     encodings = encodings_for(corpus, model)
@@ -209,14 +207,13 @@ def test_batched_loss_is_sum_of_sentence_losses(head, mode):
     params = list(model.params.values())
 
     def run(inputs, gold, rng):
-        tape = Tape()
-        value = loss(model, inputs, gold, mode=mode, rng=rng, tape=tape)
-        backward(tape, value)
+        value = loss(model, inputs, gold, rng if dropped else None, Tape())
+        backward(value)
         return value.item()
 
     for p in params:
         p.zero_grad()
-    # train mode: the batch must draw the masks its sentences draw one at a time
+    # with dropout the batch must draw the masks its sentences draw one at a time
     batched = run(pad(encodings), golds, RngStream(5))
     batch_grads = [p.grad.copy() for p in params]
     for p in params:
@@ -298,7 +295,7 @@ def test_grad_check_full_loss(head):
     gold = [["TAG0", "TAG2", "TAG1"]]
 
     def build_loss():
-        return loss(model, enc, gold, mode="eval", tape=Tape())
+        return loss(model, enc, gold, tape=Tape())
 
     assert grad_check(build_loss, list(model.params.values())) < 1e-4
 
