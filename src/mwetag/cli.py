@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from .baseline import BaselineTrainOptions, fit_baseline, tag_baseline
@@ -217,6 +218,17 @@ def _require_directories(*paths: str):
             raise DataError(f"cannot write {path}: no directory {directory}")
 
 
+def _expressions(corpus) -> int:
+    return sum(len(sentence.vmwes) for sentence in corpus)
+
+
+def _summarize(command: str, corpus, expressions: str, start: float):
+    """The one stderr line of tag and eval: what was read, and in how long."""
+    tokens = sum(len(sentence.tokens) for sentence in corpus)
+    print(f"{command}: {len(corpus)} sentences, {tokens} tokens, {expressions}, "
+          f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
+
+
 def _cmd_convert(cfg: RunConfig) -> int:
     _require_directories(cfg.output)
     blocks = ["\n".join(to_tags(sentence)) + "\n\n" for sentence in read_cupt(cfg.input)]
@@ -298,6 +310,7 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_tag(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     _require_directories(cfg.output)
     table = _load_table(cfg.embeddings) if cfg.embeddings else None
     model = load_model(cfg.model, embeddings=table)
@@ -319,10 +332,12 @@ def _cmd_tag(cfg: RunConfig) -> int:
             tags = tag_baseline(model, sentence, table=table)
             predicted.append(from_tags(tags, sentence, apply_filter=cfg.filter))
     atomic_write_text(cfg.output, write_cupt(predicted))
+    _summarize("tag", predicted, f"{_expressions(predicted)} expressions", start)
     return 0
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     _require_directories(cfg.report)
     gold = read_cupt(cfg.gold)
     pred = read_cupt(cfg.pred)
@@ -340,6 +355,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
         print()
         print(format_report(unseen_report, "unseen"))
     _dump_json(cfg.report, payload)
+    _summarize("eval", gold, f"{_expressions(gold)} gold and "
+               f"{_expressions(pred)} predicted expressions", start)
     return 0
 
 

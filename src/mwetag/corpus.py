@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable
 
 from .errors import CuptParseError, CuptWriteError, not_utf8
@@ -43,7 +44,11 @@ _EMPTY_NODE_ID_RE = re.compile(r"^\d+\.\d+$")
 @dataclass(frozen=True, slots=True)
 class Token:
     """One taggable token line. ``misc_columns`` keeps every column between
-    UPOS and the MWE annotation verbatim so files round-trip byte-identically."""
+    UPOS and the MWE annotation verbatim so files round-trip byte-identically.
+
+    Tokens are immutable values, so object identity means nothing: one
+    ``parse_cupt`` call holds each distinct form, lemma, UPOS and
+    ``misc_columns`` tuple once, and tokens with equal values share it."""
 
     id: int
     form: str
@@ -77,7 +82,8 @@ TagSequence = list[str]
 
 
 def parse_cupt(stream: Iterable[str]) -> Corpus:
-    """Parse a .cupt text stream into a list of sentences.
+    """Parse a .cupt text stream into a list of sentences. One U+FEFF
+    (a UTF-8 byte-order mark) at the start of the first line is dropped.
 
     Raises CuptParseError (with a 1-based line number) on malformed lines,
     on a bare ``k`` that references an expression never opened, on a
@@ -85,6 +91,9 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     same k twice.
     """
     sentences: Corpus = []
+    # one object per distinct form, lemma, UPOS, middle-column tuple and
+    # category of this parse; dropped with the call, so nothing outlives it
+    shared = {}.setdefault
     comments: list[str] = []
     tokens: list[Token] = []
     raw_rows: list[tuple[int, str]] = []
@@ -109,8 +118,10 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
         )
         comments, tokens, raw_rows, openers = [], [], [], {}
 
+    lines = iter(stream)
+    lines = chain((next(lines, "").removeprefix("\ufeff"),), lines)
     line_number = 0
-    for line_number, line in enumerate(stream, start=1):
+    for line_number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if line == "":
             flush(line_number)
@@ -141,7 +152,9 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
         form = columns[1]
         if form == "":
             raise CuptParseError("empty FORM column", line_number)
-        tokens.append(Token(token_id, form, columns[2], columns[3], tuple(columns[4:-1])))
+        lemma, upos, middle = columns[2], columns[3], tuple(columns[4:-1])
+        tokens.append(Token(token_id, shared(form, form), shared(lemma, lemma),
+                            shared(upos, upos), shared(middle, middle)))
         annotation = columns[-1]
         if annotation == "*" or annotation == "_":  # "_": underspecified slot in blind data
             continue
@@ -159,7 +172,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
                     raise CuptParseError(
                         f"expression {k} opened twice in one sentence", line_number
                     )
-                openers[k] = (category, [token_id], line_number)
+                openers[k] = (shared(category, category), [token_id], line_number)
             else:
                 if k not in openers:
                     raise CuptParseError(

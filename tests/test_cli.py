@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from mwetag.cli import RunConfig, resolve, run, _build_parser
-from mwetag.corpus import Sentence, Token, VmweInstance, write_cupt_file
+from mwetag.corpus import Sentence, Token, VmweInstance, read_cupt, write_cupt_file
 from mwetag.errors import ModelFormatError, UsageError
+from mwetag.evaluation import evaluate, format_report
 from mwetag.serialize import load_model, save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus, train
@@ -258,6 +259,45 @@ def test_eval_without_train_has_no_split(workdir, trained, tmp_path):
     data = json.loads(report.read_text())
     assert set(data) == {"overall"}
     assert data["overall"]["mwe"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize("first_line", ["", "# source_sent_id = x\n"],
+                         ids=["token-first", "comment-first"])
+def test_eval_reads_a_file_that_starts_with_a_byte_order_mark(
+    workdir, tmp_path, first_line
+):
+    plain, bom = tmp_path / "plain.cupt", tmp_path / "bom.cupt"
+    text = first_line + (workdir / "gold.cupt").read_text(encoding="utf-8")
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    for gold in (plain, bom):
+        assert run(["eval", "--gold", p(gold), "--pred", p(workdir / "gold.cupt"),
+                    "--report", p(gold.with_suffix(".json"))]) == 0
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_tag_prints_one_summary_line(workdir, small_tagger, tmp_path, capsys):
+    out = tmp_path / "pred.cupt"
+    assert run(["tag", "--model", p(small_tagger), "--input", p(workdir / "train.cupt"),
+                "--output", p(out), "--embeddings", p(workdir / "vecs.vec")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expressions = sum(len(s.vmwes) for s in read_cupt(out))
+    assert re.fullmatch(rf"tag: 12 sentences, \d+ tokens, {expressions} expressions, "
+                        r"\d+\.\d\d s\n", captured.err)
+
+
+def test_eval_prints_one_summary_line(workdir, tmp_path, capsys):
+    gold = synthetic_corpus(sentences=12, seed=3)
+    assert run(["eval", "--gold", p(workdir / "gold.cupt"), "--pred", p(workdir / "gold.cupt"),
+                "--report", p(tmp_path / "r.json")]) == 0
+    captured = capsys.readouterr()
+    report = evaluate(gold, gold)
+    assert captured.out == format_report(report, "overall") + "\n"
+    tokens = sum(len(s.tokens) for s in gold)
+    expressions = sum(len(s.vmwes) for s in gold)
+    assert re.fullmatch(rf"eval: 12 sentences, {tokens} tokens, {expressions} gold and "
+                        rf"{expressions} predicted expressions, \d+\.\d\d s\n", captured.err)
 
 
 def test_tag_without_embeddings_for_pretrained_model_exits_two(
