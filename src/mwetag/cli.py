@@ -218,14 +218,14 @@ def _require_directories(*paths: str):
             raise DataError(f"cannot write {path}: no directory {directory}")
 
 
-def _expressions(corpus) -> int:
-    return sum(len(sentence.vmwes) for sentence in corpus)
-
-
-def _summarize(command: str, corpus, expressions: str, start: float):
-    """The one stderr line of tag and eval: what was read, and in how long."""
+def _summarize(command: str, start: float, corpus, **expressions):
+    """The one stderr line of tag and eval: the sentences and tokens of
+    ``corpus``, the expressions of each named corpus, and the seconds since
+    ``start``."""
     tokens = sum(len(sentence.tokens) for sentence in corpus)
-    print(f"{command}: {len(corpus)} sentences, {tokens} tokens, {expressions}, "
+    found = " and ".join(f"{sum(len(sentence.vmwes) for sentence in named)} {name}"
+                         for name, named in expressions.items())
+    print(f"{command}: {len(corpus)} sentences, {tokens} tokens, {found} expressions, "
           f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
 
 
@@ -332,7 +332,7 @@ def _cmd_tag(cfg: RunConfig) -> int:
             tags = tag_baseline(model, sentence, table=table)
             predicted.append(from_tags(tags, sentence, apply_filter=cfg.filter))
     atomic_write_text(cfg.output, write_cupt(predicted))
-    _summarize("tag", predicted, f"{_expressions(predicted)} expressions", start)
+    _summarize("tag", start, predicted, predicted=predicted)
     return 0
 
 
@@ -355,8 +355,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         print()
         print(format_report(unseen_report, "unseen"))
     _dump_json(cfg.report, payload)
-    _summarize("eval", gold, f"{_expressions(gold)} gold and "
-               f"{_expressions(pred)} predicted expressions", start)
+    _summarize("eval", start, gold, gold=gold, predicted=pred)
     return 0
 
 

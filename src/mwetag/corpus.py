@@ -47,8 +47,9 @@ class Token:
     UPOS and the MWE annotation verbatim so files round-trip byte-identically.
 
     Tokens are immutable values, so object identity means nothing: one
-    ``parse_cupt`` call holds each distinct form, lemma, UPOS and
-    ``misc_columns`` tuple once, and tokens with equal values share it."""
+    ``parse_cupt`` call holds each distinct form, lemma, UPOS, middle
+    column and ``misc_columns`` tuple once, and tokens with equal values
+    share it."""
 
     id: int
     form: str
@@ -91,9 +92,11 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     same k twice.
     """
     sentences: Corpus = []
-    # one object per distinct form, lemma, UPOS, middle-column tuple and
-    # category of this parse; dropped with the call, so nothing outlives it
-    shared = {}.setdefault
+    # one object per distinct form, lemma, UPOS, middle column, middle-column
+    # tuple and category of this parse; dropped with the call, so nothing
+    # outlives it
+    table: dict = {}
+    shared = table.setdefault
     comments: list[str] = []
     tokens: list[Token] = []
     raw_rows: list[tuple[int, str]] = []
@@ -153,6 +156,8 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
         if form == "":
             raise CuptParseError("empty FORM column", line_number)
         lemma, upos, middle = columns[2], columns[3], tuple(columns[4:-1])
+        if middle not in table:  # a new tuple: share its columns before it
+            middle = tuple(map(shared, middle, middle))
         tokens.append(Token(token_id, shared(form, form), shared(lemma, lemma),
                             shared(upos, upos), shared(middle, middle)))
         annotation = columns[-1]

@@ -283,12 +283,12 @@ def test_tag_prints_one_summary_line(workdir, small_tagger, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     expressions = sum(len(s.vmwes) for s in read_cupt(out))
-    assert re.fullmatch(rf"tag: 12 sentences, \d+ tokens, {expressions} expressions, "
+    assert re.fullmatch(rf"tag: 12 sentences, \d+ tokens, {expressions} predicted expressions, "
                         r"\d+\.\d\d s\n", captured.err)
 
 
 def test_eval_prints_one_summary_line(workdir, tmp_path, capsys):
-    gold = synthetic_corpus(sentences=12, seed=3)
+    gold = read_cupt(workdir / "gold.cupt")
     assert run(["eval", "--gold", p(workdir / "gold.cupt"), "--pred", p(workdir / "gold.cupt"),
                 "--report", p(tmp_path / "r.json")]) == 0
     captured = capsys.readouterr()
@@ -296,7 +296,7 @@ def test_eval_prints_one_summary_line(workdir, tmp_path, capsys):
     assert captured.out == format_report(report, "overall") + "\n"
     tokens = sum(len(s.tokens) for s in gold)
     expressions = sum(len(s.vmwes) for s in gold)
-    assert re.fullmatch(rf"eval: 12 sentences, {tokens} tokens, {expressions} gold and "
+    assert re.fullmatch(rf"eval: {len(gold)} sentences, {tokens} tokens, {expressions} gold and "
                         rf"{expressions} predicted expressions, \d+\.\d\d s\n", captured.err)
 
 

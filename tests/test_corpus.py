@@ -306,6 +306,13 @@ def test_parse_keeps_nothing_once_the_corpus_is_dropped():
     assert left < 2048
 
 
+def test_parse_shares_equal_columns_of_distinct_middle_tuples():
+    # HEAD and MISC make every tuple new, as in a treebank; DEPREL repeats
+    tokens = parse_cupt(io.StringIO(distinct_text(50)))[0].tokens
+    assert len({token.misc_columns for token in tokens}) == 50
+    assert len({id(token.misc_columns[3]) for token in tokens}) == 1
+
+
 def test_parse_round_trips_a_corpus_of_distinct_values():
     text = distinct_text(300)
     corpus = parse_cupt(io.StringIO(text))
