@@ -1,41 +1,43 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""The tagger's layers as stages on plain float64 arrays, each with its
+backward pass.
 
-A Tape is an ordered record of executed operations. An operation records
-itself when any of its inputs is attached to a tape; its output inherits that
-tape. Leaf parameters (param) are created tape-free, so the same parameters
-can serve many tapes. There is one way onto a tape: wrap a network
-*input* as Tensor(data, tape=tape) for a fresh tape per forward pass, and
-every downstream operation records itself through _emit, the only caller of
-Tape.record. Running the same operations without any tape-attached input
-gives a pure, recording-free forward pass (the evaluation path).
+A stage is a layer function (conv1d_same, bilstm, dense) or a loss
+(softmax_cross_entropy here, chaincrf.crf_nll). Called without a tape it
+only computes its output: the evaluation path. Called with a Tape, it also
+records one backward closure that keeps only what that backward needs. The
+closure maps the gradient of the stage's output to the gradient of its
+input, and writes the gradient of each parameter it reads straight into
+that parameter's grad array, over what the array held. A stage whose input
+is a network input (conv1d_same reads the word vectors, which are never
+trained) computes no input gradient and returns None.
 
-Gradients accumulate in place: a parameter's .grad, which may be a view of a
-larger vector (param's grad argument), collects contributions across
-backward calls until zero_grad. backward runs a scalar loss's tape, the one
-its .tape names, once.
+A Tape is only the ordered list of one pass's closures; backward runs them
+once, last first, handing each one what the one after it returned. A
+parameter is a bare Param, its value array and the array its gradient is
+written into; the tagger's are views of one slot of its flat vectors. Since
+each stage writes its parameters' gradients rather than adding to them,
+no two stages of a pass may read the same Param.
 
-Most operations are single array primitives. The BiLSTM is the exception: it
-is one fused operation that records a single tape node per call, whatever the
-sequence length or batch size, and runs backprop through time by hand (see
-bilstm). It is also the one operation with dropout, at the fixed rates
-DROPOUT and RECURRENT_DROPOUT, drawn from a dropout stream when the caller
-passes one: a training pass passes it, an evaluation pass does not.
+The BiLSTM runs backprop through time by hand (see bilstm). It is also the
+one stage with dropout, at the fixed rates DROPOUT and RECURRENT_DROPOUT,
+drawn from a dropout stream when the caller passes one: a training pass
+passes it, an evaluation pass does not.
 
 The layers run on a padded batch of B sentences, a B x n x d block that is
-zero past each sentence's end; the sequence layers (bilstm, cross_entropy)
-also take the B sentence lengths.
+zero past each sentence's end; the sequence stages (bilstm,
+softmax_cross_entropy) also take the B sentence lengths.
 
-Every differentiable operation here is validated against central finite
-differences (grad_check), which is also the verification entry point exposed
-to callers.
+Every stage's backward is validated against central finite differences of
+its forward (grad_check), which is also the verification entry point
+exposed to callers.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,50 +45,33 @@ DROPOUT = 0.5  # BiLSTM input dropout, one mask per sentence and direction
 RECURRENT_DROPOUT = 0.2  # on the hidden state entering the recurrence
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "tape")
+class Param(NamedTuple):
+    """A trainable array and the array of its shape that a stage's
+    backward writes its gradient into."""
 
-    def __init__(self, data, tape: "Tape | None" = None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.tape = tape
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, tape={self.tape is not None})"
+    data: np.ndarray
+    grad: np.ndarray
 
 
-def param(data, grad=None) -> Tensor:
-    """A tape-free leaf whose gradient accumulates into grad, an array of
-    data's shape, or into zeros of its own."""
-    t = Tensor(data)
-    t.grad = np.zeros_like(t.data) if grad is None else grad
-    return t
+def param(data) -> Param:
+    """A Param over data as float64, with a gradient array of its own."""
+    data = np.asarray(data, dtype=np.float64)
+    return Param(data, np.zeros_like(data))
 
 
 class Tape:
-    """Ordered operation record for one reverse traversal; backward empties
-    it as it runs."""
+    """The backward closures of one pass's stages, in the order the stages
+    ran; backward empties it as it runs."""
 
     def __init__(self):
-        self._nodes = []
+        self._stages = []
         self._used = False
 
     def record(self, backward_fn):
-        self._nodes.append(backward_fn)
+        self._stages.append(backward_fn)
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._stages)
 
 
 class RngStream:
@@ -115,190 +100,81 @@ class RngStream:
         return RngStream((self.seed * 0x9E3779B97F4A7C15 + salt) % (2**63))
 
 
-def _tape_of(*tensors: Tensor) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.tape is not None:
-            if tape is not None and tape is not t.tape:
-                raise ValueError("operation mixes tensors from two tapes")
-            tape = t.tape
-    return tape
-
-
-def _wants_grad(t: Tensor) -> bool:
-    # a tape-free tensor has a .grad only if param gave it one
-    return t.grad is not None or t.tape is not None
-
-
-def _accumulate(t: Tensor, g):
-    if not _wants_grad(t):
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def _emit(out_data, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    tape = _tape_of(*inputs)
-    out = Tensor(out_data, tape=tape)
-    if tape is not None:
-
-        def node():
-            if out.grad is not None:
-                backward_fn(out.grad)
-
-        tape.record(node)
-    return out
-
-
-def backward(loss: Tensor):
-    """Populate gradients of every participating tensor by reverse traversal
-    of the tape the scalar loss is recorded on; a tape runs backward once."""
-    tape = loss.tape
-    if tape is None:
-        raise ValueError("loss is not recorded on a tape")
+def backward(tape: Tape, seed=1.0):
+    """Run a tape's stages once, last first: the last stage is handed seed,
+    the gradient of the scalar the pass computes with respect to that
+    stage's output (1.0 for a loss stage), and every other stage what the
+    stage after it returned. Returns what the first stage returned."""
     if tape._used:
         raise RuntimeError("backward already ran on this tape")
-    if loss.data.size != 1:
-        raise ValueError("loss must be a scalar")
     tape._used = True
-    loss.grad = np.ones_like(loss.data)
-    # Each node closes over its output tensor, whose .tape points back here.
-    # Dropping a node once it has run breaks that cycle, so the activations
-    # and gradients it holds are freed by reference counting right away and
-    # not whenever the cyclic garbage collector next runs.
-    nodes, tape._nodes = tape._nodes, []
-    while nodes:
-        nodes.pop()()
+    # a closure is dropped as soon as it has run, so the activations it
+    # holds are freed right away, while the stages before it still run
+    stages, tape._stages = tape._stages, []
+    g = seed
+    while stages:
+        g = stages.pop()(g)
+    return g
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# stages
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b, where the leading axes of a (a padded batch of sentences) are
-    one stack of rows: a single product over all of them."""
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    rows = a.data.reshape(-1, a.data.shape[-1])
-
-    def back(g):
-        g = g.reshape(-1, g.shape[-1])
-        _accumulate(a, (g @ b.data.T).reshape(a.data.shape))
-        _accumulate(b, rows.T @ g)
-
-    out = rows @ b.data
-    return _emit(out.reshape(*a.data.shape[:-1], out.shape[-1]), (a, b), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be a 1-D bias broadcast over a's rows."""
-    if a.shape != b.shape and not (b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]):
-        raise ValueError(f"add shape mismatch {a.shape} + {b.shape}")
-
-    def back(g):
-        _accumulate(a, g)
-        if b.data.ndim < g.ndim:  # a bias, summed over every row
-            g = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        _accumulate(b, g)
-
-    return _emit(a.data + b.data, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch {a.shape} * {b.shape}")
-
-    def back(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _emit(a.data * b.data, (a, b), back)
-
-
-def relu(x: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(x, g * (x.data > 0))
-
-    return _emit(np.maximum(x.data, 0.0), (x,), back)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenation along the last axis."""
-    widths = [p.data.shape[-1] for p in parts]
-
-    def back(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[..., offset : offset + w])
-            offset += w
-
-    return _emit(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _emit(np.asarray(x.data.sum()), (x,), back)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with max subtraction; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dot = (g * probs).sum(axis=-1, keepdims=True)
-        _accumulate(x, probs * (g - dot))
-
-    return _emit(probs, (x,), back)
-
-
-def cross_entropy(probs: Tensor, gold, lengths) -> Tensor:
-    """Negative log probability of the gold classes of a padded B x n x T
-    block of normalized rows (the output of softmax_rows) with B x n gold
-    indices: the sum over sentences of each one's mean over its own rows.
-    Entries past a sentence's end are ignored."""
+def softmax_cross_entropy(scores: np.ndarray, gold, lengths, tape: Tape | None = None) -> float:
+    """Softmax over the last axis (with max subtraction) of a padded
+    B x n x T block of scores, then the negative log probability of the
+    B x n gold classes: the sum over sentences of each one's mean over its
+    own rows. Entries past a sentence's end are ignored. The recorded
+    stage returns the gradient of the scores."""
     gold = np.asarray(gold, dtype=int)
-    block = probs.data
-    if gold.shape != block.shape[:-1]:
-        raise ValueError(f"need {block.shape[:-1]} gold indices, got {gold.shape}")
-    b_count, n, t_count = block.shape
+    if gold.shape != scores.shape[:-1]:
+        raise ValueError(f"need {scores.shape[:-1]} gold indices, got {gold.shape}")
+    b_count, n, t_count = scores.shape
     lengths = np.asarray(lengths, dtype=int)
     rows, cols = np.nonzero(np.arange(n) < lengths[:, None])
     labels = gold[rows, cols]
     if labels.min() < 0 or labels.max() >= t_count:
         raise ValueError("gold index out of range")
-    picked = block[rows, cols, labels]
+    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    picked = probs[rows, cols, labels]
     logs = np.zeros((b_count, n))
     logs[rows, cols] = np.log(picked)
-    loss = (-logs.sum(axis=1) / lengths).sum()
 
     def back(g):
-        gp = np.zeros_like(block)
+        # the gradient of the picked probabilities, then through the softmax
+        gp = np.zeros_like(probs)
         gp[rows, cols, labels] = -float(g) / (lengths[rows] * picked)
-        _accumulate(probs, gp)
+        dot = (gp * probs).sum(axis=-1, keepdims=True)
+        return probs * (gp - dot)
 
-    return _emit(np.asarray(loss), (probs,), back)
-
-
-# ---------------------------------------------------------------------------
-# layers
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b."""
-    return add(matmul(x, w), b)
+    if tape is not None:
+        tape.record(back)
+    return float((-logs.sum(axis=1) / lengths).sum())
 
 
-def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+def dense(x: np.ndarray, w: Param, b: Param, tape: Tape | None = None) -> np.ndarray:
+    """x @ w + b, where the leading axes of x (a padded batch of sentences)
+    are one stack of rows: a single product over all of them."""
+    if x.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"dense shape mismatch {x.shape} @ {w.data.shape}")
+    rows = x.reshape(-1, x.shape[-1])
+
+    def back(g):
+        g = g.reshape(-1, g.shape[-1])
+        np.matmul(rows.T, g, out=w.grad)
+        g.sum(axis=0, out=b.grad)
+        return (g @ w.data.T).reshape(x.shape)
+
+    if tape is not None:
+        tape.record(back)
+    out = rows @ w.data
+    return out.reshape(*x.shape[:-1], out.shape[-1]) + b.data
+
+
+def conv1d_same(x: np.ndarray, kernels: Param, bias: Param,
+                tape: Tape | None = None) -> np.ndarray:
     """1-D "same" convolution along each sentence of a padded block.
 
     x is B x n x d, kernels is f x k x d, bias is f; output is B x n x f,
@@ -306,13 +182,15 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     rows on the left and ceil((k-1)/2) on the right (an even k pads only on
     the right, keeping output row i aligned with input row i). Rows past a
     sentence's end must be zero, so that they act as its right padding.
+    x is a network input: the recorded stage writes the kernels' and the
+    bias's gradients and returns None.
     """
-    *lead, n, d = x.data.shape
+    *lead, n, d = x.shape
     f, k, d_k = kernels.data.shape
     if d_k != d:
         raise ValueError(f"conv channel mismatch: input {d}, kernels {d_k}")
     left = (k - 1) // 2
-    block = x.data.reshape(-1, n, d)
+    block = x.reshape(-1, n, d)
     padded = np.zeros((block.shape[0], n + k - 1, d))
     padded[:, left : left + n] = block
 
@@ -325,36 +203,30 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def back(g):
         g = g.reshape(-1, f)
-        _accumulate(bias, g.sum(axis=0))
-        if _wants_grad(kernels):
-            gk = np.empty_like(kernels.data)
-            for j in range(k):
-                gk[:, j, :] = g.T @ window(j)
-            _accumulate(kernels, gk)
-        if _wants_grad(x):
-            gp = np.zeros_like(padded)
-            for j in range(k):
-                gp[:, j : j + n] += (g @ kernels.data[:, j, :]).reshape(-1, n, d)
-            _accumulate(x, gp[:, left : left + n].reshape(x.data.shape))
+        g.sum(axis=0, out=bias.grad)
+        for j in range(k):
+            kernels.grad[:, j, :] = g.T @ window(j)
 
-    return _emit(out.reshape(*lead, n, f), (x, kernels, bias), back)
+    if tape is not None:
+        tape.record(back)
+    return out.reshape(*lead, n, f)
 
 
-@dataclass
-class LstmParams:
+class LstmParams(NamedTuple):
     """One direction of an LSTM: wx is d x 4h, wh is h x 4h, b is 4h, with
     gates packed [input, forget, candidate, output]."""
 
-    wx: Tensor
-    wh: Tensor
-    b: Tensor
+    wx: Param
+    wh: Param
+    b: Param
 
     @property
     def hidden(self) -> int:
         return self.wh.data.shape[0]
 
-    def tensors(self):
-        return [self.wx, self.wh, self.b]
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, saved):
@@ -376,11 +248,11 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
     (masked) hidden state entering each step and tanh of each new cell
     state (h per row). Only then is a function returned, back(d_out,
     scratch, d_in), mapping the gradient of out (len(xm) x h) to the
-    gradient of xm, written into d_in (len(xm) x d) and returned; it
-    accumulates the wx, wh and b gradients on the way. scratch is a list of
-    three caller-allocated arrays that back takes over and empties, so that
-    each is freed as soon as it is done: d_z (len(xm) x 4h), dc_dh
-    (len(xm) x h) and the weight-gradient product buffer (max(d, h) x 4h)."""
+    gradient of xm, written into d_in (len(xm) x d) and returned; it writes
+    the wx, wh and b gradients on the way. scratch is a list of two
+    caller-allocated arrays that back takes over and empties, so that each
+    is freed as soon as it is done: d_z (len(xm) x 4h) and dc_dh
+    (len(xm) x h)."""
     h = p.hidden
     wh = p.wh.data
     np.matmul(xm, p.wx.data, out=zx)
@@ -411,7 +283,7 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
         return None
 
     def back(d_out: np.ndarray, scratch: list, d_in: np.ndarray) -> np.ndarray:
-        d_z, dc_dh, prod = scratch
+        d_z, dc_dh = scratch
         scratch.clear()
         gi, gf, gg, go = (acts[:, k * h : (k + 1) * h] for k in range(4))
         gates = d_z.reshape(len(xm), 4, h)
@@ -442,27 +314,28 @@ def _lstm_direction(xm: np.ndarray, p: LstmParams, active, rec_mask, zx, out, sa
             if rec_mask is not None:
                 dh_next[:k] *= rec_mask[:k]
         del dc_dh  # the other direction may hold its buffers too: free it first
-        _accumulate(p.wx, np.matmul(xm.T, d_z, out=prod[: xm.shape[1]]))
-        _accumulate(p.wh, np.matmul(h_in.T, d_z, out=prod[:h]))
-        del prod
-        _accumulate(p.b, d_z.sum(axis=0))
+        np.matmul(xm.T, d_z, out=p.wx.grad)
+        np.matmul(h_in.T, d_z, out=p.wh.grad)
+        d_z.sum(axis=0, out=p.b.grad)
         return np.matmul(d_z, p.wx.data.T, out=d_in)
 
     return back
 
 
 def bilstm(
-    x: Tensor,
+    x: np.ndarray,
     forward_params: LstmParams,
     backward_params: LstmParams,
     lengths,
     rng: RngStream | None = None,
-) -> Tensor:
+    tape: Tape | None = None,
+) -> np.ndarray:
     """Bidirectional LSTM over a padded B x n x d block with the B sentence
     lengths; per-position outputs of the two directions are concatenated to
     B x n x 2h. Each sentence runs on its own, rows past its end are ignored
     on input and zero on output, and a sentence finished early simply stops
-    taking part in the steps.
+    taking part in the steps. The two directions may not share a parameter:
+    both would write its gradient.
 
     Given a dropout stream rng, input dropout (rate DROPOUT) applies one
     mask per sentence to x at every step and recurrent dropout (rate
@@ -474,29 +347,29 @@ def bilstm(
     at a time. Masks follow the inverted convention (scaled by 1/keep when
     drawn), so a call without rng applies no masks and no scaling.
 
-    The whole layer is one fused operation and records one tape node. Each
-    step runs every sentence still going as one (k x h) @ wh product. When
-    a tape records the call, each direction keeps the masked input, the
-    gate activations, the cell and (masked) hidden state entering each step
-    and tanh of each new cell state; backward runs backprop through time
-    over them by hand, again k sentences per step, then takes each of the
-    wx, wh, b and x gradients from a single product over all positions.
-    Tape-free calls keep none of them.
+    The whole layer is one stage, whatever the sequence length or batch
+    size. Each step runs every sentence still going as one (k x h) @ wh
+    product. When a tape records the call, each direction keeps the masked
+    input, the gate activations, the cell and (masked) hidden state
+    entering each step and tanh of each new cell state; backward runs
+    backprop through time over them by hand, again k sentences per step,
+    then takes each of the wx, wh, b and x gradients from a single product
+    over all positions. Tape-free calls keep none of them.
 
     The two directions share no state, forward or backward, so when the
     process may use two CPUs the backward direction runs on a second
     thread while this one runs the forward direction: once in the forward
-    pass and, if taped, once more in backprop through time (unless the two
-    directions share a parameter tensor, whose gradient both would write).
-    Each direction does the same operations in the same order as alone,
-    and the x gradient is summed after the join, forward direction first,
-    so the results are the same bits either way.
+    pass and, if taped, once more in backprop through time. Each direction
+    does the same operations in the same order as alone, and the x
+    gradient is summed after the join, forward direction first, so the
+    results are the same bits either way.
     """
-    block = x.data
-    b_count, n, d = block.shape
+    if any(np.may_share_memory(a.grad, b.grad)
+           for a in forward_params for b in backward_params):
+        raise ValueError("the two LSTM directions share a parameter")
+    b_count, n, d = x.shape
     lengths = np.asarray(lengths, dtype=int)
     params = (forward_params, backward_params)
-    inputs = (x, *forward_params.tensors(), *backward_params.tensors())
     h = forward_params.hidden
 
     # (input, recurrent) masks of each sentence and direction, in draw order
@@ -514,7 +387,6 @@ def bilstm(
     sentence = order[slot]
     active = running.sum(axis=1)
     rows = len(step)
-    record = _tape_of(*inputs) is not None
 
     # every rows-sized array is allocated here, on the calling thread: made
     # on the worker, they raised peak RSS (a second malloc arena)
@@ -523,11 +395,11 @@ def bilstm(
         pos = step if direction == 0 else lengths[sentence] - 1 - step
         in_masks, rec_masks = zip(*draws[direction::2])
         in_mask = _stack(in_masks, sentence)
-        xm = block[sentence, pos]
+        xm = x[sentence, pos]
         if in_mask is not None:
             xm *= in_mask
         saved = None
-        if record:
+        if tape is not None:
             saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
         outs.append(np.empty((rows, h)))
         calls.append((xm, p, active, _stack(rec_masks, order), np.empty((rows, 4 * h)),
@@ -547,20 +419,16 @@ def bilstm(
     def back(g):
         # before the buffers below: allocated after the join, it raised the
         # train pass's peak RSS by ~8 MB through where the heap placed it
-        d_x = np.zeros_like(block)
+        d_x = np.zeros((b_count, n, d))
 
         def task(direction):
             # the arrays a direction writes, allocated on this thread
             (pos, cols, _), back_rows = directions[direction], backs[direction]
             return partial(back_rows, g[sentence, pos, cols],
-                           [np.empty((rows, 4 * h)), np.empty((rows, h)),
-                            np.empty((max(d, h), 4 * h))],
+                           [np.empty((rows, 4 * h)), np.empty((rows, h))],
                            np.empty((rows, d)))
 
-        # two directions sharing a parameter would race on its gradient
-        shared = any(a is b for a in forward_params.tensors()
-                     for b in backward_params.tensors())
-        if threaded and not shared:
+        if threaded:
             d_rows = _both(task(0), task(1), threaded=True)
         else:  # one direction's buffers at a time
             d_rows = [task(0)(), task(1)()]
@@ -568,9 +436,11 @@ def bilstm(
             if in_mask is not None:
                 rows_grad *= in_mask
             d_x[sentence, pos] += rows_grad
-        _accumulate(x, d_x)
+        return d_x
 
-    return _emit(out, inputs, back)
+    if tape is not None:
+        tape.record(back)
+    return out
 
 
 def _both(first, second, threaded: bool):
@@ -610,21 +480,24 @@ def _stack(masks, index):
 # verification
 
 
-def grad_check(f, params: list[Tensor]) -> float:
-    """Compare tape gradients of the scalar loss f() against central finite
+def grad_check(loss, params: list[Param], seed=1.0) -> float:
+    """Compare the gradients backward writes against central finite
     differences, of step 1e-4, over every coordinate of every parameter.
 
-    Returns the max over coordinates of |a - n| / max(1e-8, |a| + |n|). The
-    function f must rebuild its computation (fresh tape) on each call and be
-    deterministic (no dropout stream, or a fresh one of a fixed seed per
-    call).
+    loss(tape) computes a scalar from the current parameter arrays and,
+    given a tape, records the stages it ran; backward seeded with seed must
+    then give that scalar's gradients. A stage's output probed as
+    sum(out * w) is checked by returning that sum, with seed w. loss must
+    be deterministic (no dropout stream, or a fresh one of a fixed seed per
+    call). Returns the max over coordinates of
+    |a - n| / max(1e-8, |a| + |n|).
     """
     for p in params:
-        p.zero_grad()
-    loss = f()
-    if not np.isfinite(loss.data):
+        p.grad[...] = 0.0
+    tape = Tape()
+    if not np.isfinite(loss(tape)):
         raise ValueError("loss is not finite")
-    backward(loss)
+    backward(tape, seed)
     analytic = [np.array(p.grad, copy=True) for p in params]
 
     step, worst = 1e-4, 0.0
@@ -633,9 +506,9 @@ def grad_check(f, params: list[Tensor]) -> float:
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + step
-            plus = float(f().data)
+            plus = float(loss(None))
             flat[idx] = original - step
-            minus = float(f().data)
+            minus = float(loss(None))
             flat[idx] = original
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise ValueError("loss is not finite during finite differencing")

@@ -7,16 +7,18 @@ Scores live in log-space. A labeling y of an n-token sentence scores
 with explicit start/stop vectors instead of padded boundary labels. Every
 function but brute_force takes a padded B x n x T block of B sentences
 (n, T >= 1) with their B lengths, plus trans (T x T), start and stop (T), all
-plain float arrays; a batch costs one pass of n vectorized steps instead of B
-passes. Entries past a sentence's length are ignored. The emission scores may
+plain float arrays (crf_nll takes the last three as autodiff Params, whose
+gradients it writes); a batch costs one pass of n vectorized steps instead
+of B passes. Entries past a sentence's length are ignored. The emission scores may
 come from any source: the neural tagger's projection layer or a sparse
 feature dot product. Shapes and finiteness are the callers' business: they
 are checked where the numbers enter or arise (model loading, the tagger's
 forward pass, the baseline objective), not here.
 
 nll_gradient is the one place that turns forward_backward marginals and a
-gold path into expected-minus-observed counts. crf_nll, the autodiff op, runs
-it in its backward pass; the sparse baseline calls it directly.
+gold path into expected-minus-observed counts. crf_nll, the neural tagger's
+CRF loss stage, runs it in its backward pass; the sparse baseline calls it
+directly.
 
 No transition is masked as impossible (for example O followed by a
 continuation label): decoding may emit such sequences and the corpus-level
@@ -26,8 +28,6 @@ orphan filter repairs them afterwards.
 from __future__ import annotations
 
 import numpy as np
-
-from .autodiff import Tensor, _accumulate, _emit
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -170,15 +170,15 @@ def nll_gradient(gamma, xi, gold, lengths):
     return d_scores, d_trans, d_start, d_stop
 
 
-def crf_nll(
-    scores: Tensor, trans: Tensor, start: Tensor, stop: Tensor, gold, lengths
-) -> Tensor:
+def crf_nll(scores, trans, start, stop, gold, lengths, tape=None) -> float:
     """Negative log-likelihood of the gold paths, log_partition - score(gold),
-    summed over the B sentences of a B x n x T block with B x n gold paths:
-    a scalar Tensor from one forward_backward and one score_path call, whose
-    backward pass is nll_gradient."""
-    arrays = (scores.data, trans.data, start.data, stop.data)
-    lengths, live = _masked(scores.data, lengths)
+    summed over the B sentences of a B x n x T block with B x n gold paths,
+    from one forward_backward and one score_path call. trans, start and stop
+    are autodiff Params. Given a tape, this is the CRF head's loss stage:
+    its backward runs nll_gradient, writes the transition gradients and
+    returns the gradient of the scores."""
+    arrays = (scores, trans.data, start.data, stop.data)
+    lengths, live = _masked(scores, lengths)
     gold = np.asarray(gold, dtype=int)
     if gold.shape != scores.shape[:-1]:
         raise ValueError(
@@ -189,15 +189,17 @@ def crf_nll(
         raise ValueError("gold label index out of range")
 
     gamma, xi, log_z = forward_backward(*arrays, lengths)
-    loss = np.sum(log_z - score_path(*arrays, gold, lengths))
 
     def back(g):
-        for x, grad in zip(
-            (scores, trans, start, stop), nll_gradient(gamma, xi, gold, lengths)
-        ):
-            _accumulate(x, g * grad)
+        d_scores, *chain = nll_gradient(gamma, xi, gold, lengths)
+        for p, grad in zip((trans, start, stop), chain):
+            np.multiply(g, grad, out=p.grad)
+        d_scores *= g
+        return d_scores
 
-    return _emit(np.asarray(loss), (scores, trans, start, stop), back)
+    if tape is not None:
+        tape.record(back)
+    return float(np.sum(log_z - score_path(*arrays, gold, lengths)))
 
 
 def brute_force(scores, trans, start, stop) -> tuple[list[int], float, float]:

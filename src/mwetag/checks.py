@@ -1,36 +1,33 @@
-"""Named gradient checks over every differentiable building block.
+"""Named gradient checks over every stage of the tagger's chain.
 
-Each check builds a small seeded instance, compares tape gradients against
-central finite differences over every parameter coordinate, and reports the
-max relative error. Sequence inputs are one-sentence (B = 1) padded blocks,
-the shape every layer takes. Piecewise-linear kinks (relu) make finite
-differences meaningless within a step (1e-4) of zero, so checks through
-relu redraw deterministically until every pre-activation clears a margin
-well above the step; the redraw is a property of the probe, not of the
-gradients under test. Checks with dropout pass every call a fresh dropout
-stream of one fixed seed, so each evaluation draws the same masks.
+Each check builds a small seeded instance, runs a stage's backward on
+arrays and compares the gradients it writes against central finite
+differences of the stage's forward over every parameter coordinate, then
+reports the max relative error. A layer's output is probed as sum(out * w),
+its backward seeded with w. Sequence inputs are one-sentence (B = 1) padded
+blocks, the shape every stage takes. Piecewise-linear kinks (relu) make
+finite differences meaningless within a step (1e-4) of zero, so checks
+through relu redraw deterministically until every pre-activation clears a
+margin well above the step; the redraw is a property of the probe, not of
+the gradients under test. Checks with dropout pass every call a fresh
+dropout stream of one fixed seed, so each evaluation draws the same masks.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .autodiff import (
     LstmParams,
     RngStream,
-    Tape,
-    Tensor,
-    add,
     bilstm,
     conv1d_same,
-    cross_entropy,
     dense,
     grad_check,
-    matmul,
     param,
-    relu,
-    softmax_rows,
-    sum_all,
+    softmax_cross_entropy,
 )
 from .chaincrf import crf_nll
 from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable
@@ -54,33 +51,27 @@ def _check_dense(stream: RngStream) -> float:
         raise RuntimeError("no kink-free dense draw found")
     w_t, b_t = param(w), param(b)
 
-    def build_loss():
-        return sum_all(relu(dense(Tensor(x, tape=Tape()), w_t, b_t)))
+    def relu_sum(tape):
+        return np.maximum(dense(x, w_t, b_t, tape), 0.0).sum()
 
-    return grad_check(build_loss, [w_t, b_t])
+    # the gradient of the sum of the relu outputs: 1 where the relu is on
+    return grad_check(relu_sum, [w_t, b_t], seed=(x @ w + b > 0) * 1.0)
 
 
 def _check_conv(stream: RngStream) -> float:
-    """Width-2 and width-3 banks on one input, summed."""
+    """Width-2 and width-3 banks on one input, each probed by its sum."""
     r = stream.child(1)
     x = r.uniform(-1.0, 1.0, (1, 5, 3))
-    params = []
-    banks = []
+    worst = 0.0
     for width in FILTER_WIDTHS:
         k = param(r.uniform(-1.0, 1.0, (2, width, 3)))
         b = param(r.uniform(-0.5, 0.5, 2))
-        params += [k, b]
-        banks.append((k, b))
 
-    def build_loss():
-        xt = Tensor(x, tape=Tape())
-        total = None
-        for k, b in banks:
-            term = sum_all(conv1d_same(xt, k, b))
-            total = term if total is None else add(total, term)
-        return total
+        def bank_sum(tape, k=k, b=b):
+            return conv1d_same(x, k, b, tape).sum()
 
-    return grad_check(build_loss, params)
+        worst = max(worst, grad_check(bank_sum, [k, b], seed=np.ones((1, 5, 2))))
+    return worst
 
 
 def _lstm_params(r: RngStream, d: int, h: int) -> LstmParams:
@@ -98,23 +89,24 @@ def _check_bilstm(stream: RngStream, dropped: bool) -> float:
     bwd = _lstm_params(r.child(1), 2, 2)
     mask_seed = stream.child(3).integers(0, 2**31)
 
-    def build_loss():
+    def output_sum(tape):
         rng = RngStream(mask_seed) if dropped else None
-        return sum_all(bilstm(Tensor(x, tape=Tape()), fwd, bwd, [4], rng))
+        return bilstm(x, fwd, bwd, [4], rng, tape).sum()
 
-    return grad_check(build_loss, fwd.tensors() + bwd.tensors())
+    return grad_check(output_sum, [*fwd, *bwd], seed=np.ones((1, 4, 4)))
 
 
 def _check_softmax_cross_entropy(stream: RngStream) -> float:
     r = stream.child(4)
     x = r.uniform(-1.0, 1.0, (1, 5, 3))
     w = param(r.uniform(-1.0, 1.0, (3, 4)))
+    zero_bias = param(np.zeros(4))
     gold = [[int(r.child(i).integers(0, 4)) for i in range(5)]]
 
-    def build_loss():
-        return cross_entropy(softmax_rows(matmul(Tensor(x, tape=Tape()), w)), gold, [5])
+    def ce_loss(tape):
+        return softmax_cross_entropy(dense(x, w, zero_bias, tape), gold, [5], tape)
 
-    return grad_check(build_loss, [w])
+    return grad_check(ce_loss, [w])
 
 
 def _check_crf_nll(stream: RngStream) -> float:
@@ -126,25 +118,25 @@ def _check_crf_nll(stream: RngStream) -> float:
     stop = param(r.uniform(-2.0, 2.0, t_count))
     gold = [[int(r.child(i).integers(0, t_count)) for i in range(n)]]
 
-    def build_loss():
-        carrier = Tensor(np.zeros((1, n, t_count)), tape=Tape())
-        return crf_nll(add(e_scores, carrier), trans, start, stop, gold, [n])
+    def nll(tape):
+        if tape is not None:  # a first stage: the scores' gradient, kept
+            tape.record(partial(np.copyto, e_scores.grad))
+        return crf_nll(e_scores.data, trans, start, stop, gold, [n], tape)
 
-    return grad_check(build_loss, [e_scores, trans, start, stop])
+    return grad_check(nll, [e_scores, trans, start, stop])
 
 
 def _conv_margin(model, word_input: np.ndarray) -> float:
-    """Smallest |pre-activation| the conv banks would see, using the same op
-    the forward pass runs (no tape, pure evaluation)."""
-    x = Tensor(word_input)
+    """Smallest |pre-activation| the conv banks would see, using the same
+    stage the forward pass runs (no tape, pure evaluation)."""
     margin = np.inf
     for width in FILTER_WIDTHS:
         pre = conv1d_same(
-            x,
+            word_input,
             model.params[f"conv{width}_kernels"],
             model.params[f"conv{width}_bias"],
         )
-        margin = min(margin, float(np.abs(pre.data).min()))
+        margin = min(margin, float(np.abs(pre).min()))
     return margin
 
 
@@ -175,10 +167,10 @@ def _check_tagger_loss(stream: RngStream, head: str) -> float:
     gold = [[tag_vocab[r.child(50 + i).integers(0, len(tag_vocab))] for i in range(n)]]
     mask_seed = r.child(99).integers(0, 2**31)
 
-    def build_loss():
-        return loss(model, batch, gold, RngStream(mask_seed), Tape())
+    def tagger_loss(tape):
+        return loss(model, batch, gold, RngStream(mask_seed), tape)
 
-    return grad_check(build_loss, list(model.params.values()))
+    return grad_check(tagger_loss, list(model.params.values()))
 
 
 CHECKS = (

@@ -39,6 +39,14 @@ VARIANTS = ("neural", "baseline-standard", "baseline-turian")
 # RunConfig annotations (before any " | None") and how a message names them
 _FIELD_TYPES = {"str": str, "int": int, "bool": bool}
 _TYPE_NAMES = {"str": "a string", "int": "an integer", "bool": "true or false"}
+# the files each command writes, each with the flags whose files it may not be
+_WRITES = {
+    "convert": {"output": ("input",)},
+    "train": {"model": ("report", "train", "dev", "embeddings"),
+              "report": ("train", "dev", "embeddings")},
+    "tag": {"output": ("input", "model", "embeddings")},
+    "eval": {"report": ("gold", "pred", "train")},
+}
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,11 @@ class RunConfig:
     batch_size: int | None = None
     variant: str = "neural"
     report: str | None = None
+
+    @property
+    def train_report(self) -> str:
+        """Where train writes its report: --report, else MODEL.train.json."""
+        return self.report or self.model + ".train.json"
 
     def require(self, *fields: str):
         missing = [f for f in fields if getattr(self, f) is None]
@@ -89,6 +102,16 @@ class RunConfig:
             self.require("model", "input", "output")
         elif self.subcommand == "eval":
             self.require("gold", "pred", "report")
+        paths = dataclasses.asdict(self)
+        if self.subcommand == "train":
+            paths["report"] = self.train_report
+        for written, others in _WRITES.get(self.subcommand, {}).items():
+            for other in others:
+                if paths[other] is not None and (
+                    os.path.realpath(paths[written]) == os.path.realpath(paths[other])
+                ):
+                    raise UsageError(f"--{written} and --{other} name the same file "
+                                     f"{paths[other]}")
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}")
         if self.head not in ("softmax", "crf"):
@@ -253,7 +276,7 @@ def _dump_json(path: str, payload: dict):
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    report_path = cfg.report or cfg.model + ".train.json"
+    report_path = cfg.train_report
     _require_directories(cfg.model, report_path)
     train_corpus = read_cupt(cfg.train)
     if cfg.variant == "neural":

@@ -11,9 +11,12 @@ cross-entropy and predicts by row argmax; the CRF head trains with sequence
 NLL and predicts with viterbi. A batch's loss is the sum of its sentences'
 losses.
 
-Pretrained embeddings are read through the encoding and never updated: the
-word input enters the network as a tape-attached input Tensor, the one way a
-forward pass records onto a tape.
+The network is one fixed chain of autodiff stages on plain arrays: the
+conv banks, the BiLSTM, the projection and the loss. A training pass
+records each stage's backward closure on a Tape, and backward walks them in
+reverse, writing every parameter's gradient into its slot of the model's
+gradient vector. Pretrained embeddings are read through the encoding and
+never updated: neither the word input nor the POS one-hot gets a gradient.
 
 Training is plain stochastic optimization with Adam at its standard
 constants (Kingma & Ba 2015): seeded epoch shuffle, one forward pass, tape
@@ -34,23 +37,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .autodiff import (
     LstmParams,
+    Param,
     RngStream,
     Tape,
-    Tensor,
     backward,
     bilstm,
-    concat_cols,
     conv1d_same,
-    cross_entropy,
     dense,
-    param,
-    relu,
-    softmax_rows,
+    softmax_cross_entropy,
 )
 from .chaincrf import crf_nll, viterbi
 from .corpus import Corpus, TagSequence, from_tags, to_tags
@@ -101,7 +101,7 @@ class TaggerConfig:
 class TaggerModel:
     """Every parameter value lives in one contiguous float64 vector, data
     (zeros unless given), and every gradient in a second one, grad. Each
-    params[name] Tensor's .data and .grad are views of one slot of them, the
+    params[name] Param's .data and .grad are views of one slot of them, the
     slots laid out in param_shapes order without overlap."""
 
     config: TaggerConfig
@@ -119,11 +119,11 @@ class TaggerModel:
         if self.data is None:
             self.data = np.zeros(sum(map(math.prod, shapes.values())))
         self.grad = np.zeros(self.data.shape)
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Param] = {}
         end = 0
         for name, shape in shapes.items():
             start, end = end, end + math.prod(shape)
-            self.params[name] = param(self.data[start:end].reshape(shape),
+            self.params[name] = Param(self.data[start:end].reshape(shape),
                                       self.grad[start:end].reshape(shape))
 
     def lstm(self, direction: str) -> LstmParams:
@@ -196,12 +196,12 @@ def build(
         pos_vocab=tuple(pos_vocab),
         embeddings=embeddings,
     )
-    for name, p in model.params.items():
-        if len(p.shape) == 3:  # conv kernels, filters x width x channels
-            f_count, width, in_dim = p.shape
-            p.data[...] = _glorot(rng, p.shape, width * in_dim, width * f_count)
-        elif len(p.shape) == 2 and name != "trans":
-            p.data[...] = _glorot(rng, p.shape, *p.shape)
+    for name, (data, _) in model.params.items():
+        if data.ndim == 3:  # conv kernels, filters x width x channels
+            f_count, width, in_dim = data.shape
+            data[...] = _glorot(rng, data.shape, width * in_dim, width * f_count)
+        elif data.ndim == 2 and name != "trans":
+            data[...] = _glorot(rng, data.shape, *data.shape)
     return model
 
 
@@ -233,13 +233,13 @@ def forward(
     inputs: Batch,
     rng: RngStream | None = None,
     tape: Tape | None = None,
-) -> Tensor:
+) -> np.ndarray:
     """Per-position label scores of a padded batch, B x n x T (rows past a
     sentence's end are not its scores). Raw scores for both heads: the
     softmax head normalizes at loss/prediction time. Pass a dropout stream
-    rng for the BiLSTM to draw its masks from, and a tape to record for
-    backward; with neither the pass is pure. Scores that overflowed or
-    became NaN raise NonFiniteError."""
+    rng for the BiLSTM to draw its masks from, and a tape to record the
+    stages on for backward; with neither the pass is pure. Scores that
+    overflowed or became NaN raise NonFiniteError."""
     p = model.params
     width, expected = inputs.word_input.shape[-1], model.emb_dim + N_SHAPE_FEATURES
     if width != expected:
@@ -247,20 +247,35 @@ def forward(
     if inputs.pos_input.shape[-1] != len(model.pos_vocab):
         raise ValueError("POS input does not match the model's POS vocabulary")
 
-    x = Tensor(inputs.word_input, tape=tape)
     # overflow shows up as the NonFiniteError below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        banks = [
-            relu(conv1d_same(x, p[f"conv{w}_kernels"], p[f"conv{w}_bias"]))
-            for w in FILTER_WIDTHS
-        ]
-        h = concat_cols(banks + [Tensor(inputs.pos_input, tape=tape)])
-        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), inputs.lengths, rng)
-        scores = dense(h, p["proj_w"], p["proj_b"])
-    if not np.isfinite(scores.data).all():
+        banks, bank_tapes = [], []
+        for w in FILTER_WIDTHS:
+            bank_tapes.append(None if tape is None else Tape())
+            pre = conv1d_same(inputs.word_input, p[f"conv{w}_kernels"],
+                              p[f"conv{w}_bias"], bank_tapes[-1])
+            banks.append(np.maximum(pre, 0.0))
+        h = np.concatenate(banks + [inputs.pos_input], axis=-1)
+        if tape is not None:
+            tape.record(partial(_banks_backward, [b > 0 for b in banks], bank_tapes))
+        h = bilstm(h, model.lstm("fwd"), model.lstm("bwd"), inputs.lengths, rng, tape)
+        scores = dense(h, p["proj_w"], p["proj_b"], tape)
+    if not np.isfinite(scores).all():
         raise NonFiniteError("emission scores are not finite (huge or non-finite "
                              "input vectors?)")
     return scores
+
+
+def _banks_backward(active: list, bank_tapes: list, g: np.ndarray) -> None:
+    """The stage of the ReLU conv banks and their concatenation with the POS
+    one-hot: given the gradient of the BiLSTM input, runs each bank's own
+    tape on the bank's columns of it, zero where the ReLU was off. The POS
+    columns are a network input and take no gradient."""
+    lo = 0
+    for on, bank_tape in zip(active, bank_tapes):
+        hi = lo + on.shape[-1]
+        backward(bank_tape, np.where(on, g[..., lo:hi], 0.0))
+        lo = hi
 
 
 def _gold_indices(model: TaggerModel, gold: TagSequence) -> list[int]:
@@ -276,10 +291,11 @@ def loss(
     golds: list[TagSequence],
     rng: RngStream | None = None,
     tape: Tape | None = None,
-) -> Tensor:
+) -> float:
     """Mean per-token cross-entropy (softmax head) or sequence NLL (CRF) of
     each sentence of a batch against its tag sequence, summed over the
-    batch; rng and tape are forward's."""
+    batch; rng and tape are forward's, and the tape's last stage is the
+    loss."""
     indices = np.zeros(inputs.word_input.shape[:-1], dtype=int)
     for row, tags, length in zip(indices, golds, inputs.lengths, strict=True):
         if len(tags) != length:
@@ -287,9 +303,9 @@ def loss(
         row[:length] = _gold_indices(model, tags)
     scores = forward(model, inputs, rng, tape)
     if model.config.head == "softmax":
-        return cross_entropy(softmax_rows(scores), indices, inputs.lengths)
+        return softmax_cross_entropy(scores, indices, inputs.lengths, tape)
     chain = [model.params[name] for name in ("trans", "trans_start", "trans_stop")]
-    return crf_nll(scores, *chain, indices, inputs.lengths)
+    return crf_nll(scores, *chain, indices, inputs.lengths, tape)
 
 
 def predict(model: TaggerModel, encodings: list[Batch]) -> list[TagSequence]:
@@ -300,7 +316,7 @@ def predict(model: TaggerModel, encodings: list[Batch]) -> list[TagSequence]:
     tags = []
     for lo in range(0, len(encodings), size):
         batch = pad(encodings[lo : lo + size])
-        scores = forward(model, batch).data
+        scores = forward(model, batch)
         if model.config.head == "softmax":
             paths = scores.argmax(axis=-1)
         else:
@@ -416,18 +432,18 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, count, cfg.batch_size):
             batch = sorted(order[lo : lo + cfg.batch_size])
-            model.grad.fill(0.0)
+            tape = Tape()
             try:
                 value = loss(
                     model, pad([encodings[i] for i in batch]), [gold[i] for i in batch],
-                    dropout_rng, Tape(),
+                    dropout_rng, tape,
                 )
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
                 ) from None
-            backward(value)
-            epoch_loss += value.item()
+            backward(tape)  # writes every slot of model.grad
+            epoch_loss += value
             model.grad /= len(batch)
             optimizer.step()
         report.losses.append(epoch_loss / count)

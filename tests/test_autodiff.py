@@ -1,5 +1,5 @@
-"""Tape mechanics, primitive correctness against hand oracles, and finite
-difference validation for every differentiable operation."""
+"""Stage and tape mechanics, stage correctness against hand oracles, and
+finite difference validation of every stage's backward."""
 
 import gc
 import os
@@ -17,29 +17,20 @@ from hypothesis import strategies as st
 
 from mwetag.autodiff import (
     LstmParams,
+    Param,
     RngStream,
     Tape,
-    Tensor,
     _lstm_direction,
-    add,
     backward,
     bilstm,
-    concat_cols,
     conv1d_same,
-    cross_entropy,
     dense,
     grad_check,
-    matmul,
-    mul,
     param,
-    relu,
-    softmax_rows,
-    sum_all,
+    softmax_cross_entropy,
 )
-
-
-def attach(data, tape):
-    return Tensor(data, tape=tape)
+from mwetag.embed import Batch, EmbeddingTable
+from mwetag.tagger import TaggerConfig, build, forward
 
 
 # ---------------------------------------------------------------------------
@@ -47,83 +38,72 @@ def attach(data, tape):
 
 
 def test_ops_without_tape_record_nothing():
-    a = param(np.ones((2, 2)))
-    b = param(np.ones((2, 2)))
-    out = matmul(a, b)
-    assert out.tape is None
-    np.testing.assert_allclose(out.data, 2 * np.ones((2, 2)))
+    w, b = param(np.ones((2, 2))), param(np.full(2, 0.5))
+    out = dense(np.ones((1, 2, 2)), w, b)
+    np.testing.assert_allclose(out, np.full((1, 2, 2), 2.5))
+    assert not w.grad.any() and not b.grad.any()
 
 
-def test_output_inherits_tape_from_input():
+def test_a_taped_stage_records_one_closure():
+    x = np.ones((1, 3, 2))
     tape = Tape()
-    a = attach(np.ones((2, 2)), tape)
-    b = param(np.ones((2, 2)))
-    out = matmul(a, b)
-    assert out.tape is tape
+    scores = dense(x, param(np.ones((2, 4))), param(np.zeros(4)), tape)
     assert len(tape) == 1
-
-
-def test_mixing_two_tapes_raises():
-    a = attach(np.ones((2, 2)), Tape())
-    b = attach(np.ones((2, 2)), Tape())
-    with pytest.raises(ValueError):
-        add(a, b)
+    conv1d_same(x, param(np.ones((2, 3, 2))), param(np.zeros(2)), tape)
+    assert len(tape) == 2
+    softmax_cross_entropy(scores, [[0, 1, 2]], [3], tape)
+    assert len(tape) == 3
 
 
 def test_backward_twice_raises():
     tape = Tape()
-    x = attach(np.ones((2, 2)), tape)
-    loss = sum_all(x)
-    backward(loss)
+    dense(np.ones((2, 2)), param(np.ones((2, 2))), param(np.zeros(2)), tape)
+    backward(tape, np.ones((2, 2)))
     with pytest.raises(RuntimeError):
-        backward(loss)
+        backward(tape, np.ones((2, 2)))
 
 
 def test_backward_frees_activations_without_the_cycle_collector():
-    """backward drops each node once it has run, so nothing recorded on the
-    tape waits for a gc pass: how much memory a later step sees must not
-    depend on when the collector last ran."""
-    w = param(np.ones((2, 2)))
+    """backward drops each closure once it has run, so what a later stage
+    kept is freed before the stages before it run, and no gc pass is
+    needed: how much memory a later step sees must not depend on when the
+    collector last ran."""
+    kept = np.ones(8)
+    freed = weakref.ref(kept)
+    seen = []
     tape = Tape()
+    tape.record(lambda g: seen.append(freed()))
+    tape.record(lambda g, kept=kept: g * kept)
+    del kept
     gc.disable()
     try:
-        hidden = relu(matmul(attach(np.ones((1, 2)), tape), w))
-        freed = weakref.ref(hidden.data)
-        backward(sum_all(hidden))
-        del hidden
-        assert freed() is None
-        assert len(tape) == 0
+        backward(tape)
     finally:
         gc.enable()
-    np.testing.assert_allclose(w.grad, np.ones((2, 2)))
+    assert seen == [None]
+    assert len(tape) == 0
 
 
-def test_backward_rejects_foreign_or_nonscalar_loss():
-    # backward runs the loss's own tape: a tape-free loss has none to run
-    with pytest.raises(ValueError, match="not recorded on a tape"):
-        backward(sum_all(param(np.ones((2, 2)))))
-    with pytest.raises(ValueError, match="scalar"):
-        backward(relu(attach(np.ones((2, 2)), Tape())))
-
-
-def test_grads_accumulate_across_tapes_until_zeroed():
+def test_backward_writes_each_grad_over_what_it_held():
     w = param(np.array([[2.0]]))
-    for _ in range(3):
+    w.grad[...] = 5.0
+    for scale in (1.0, 3.0):
         tape = Tape()
-        x = attach(np.array([[1.0]]), tape)
-        backward(sum_all(matmul(x, w)))
-    np.testing.assert_allclose(w.grad, [[3.0]])
-    w.zero_grad()
-    np.testing.assert_allclose(w.grad, [[0.0]])
+        dense(np.array([[scale]]), w, param(np.zeros(1)), tape)
+        backward(tape, np.ones((1, 1)))
+        np.testing.assert_allclose(w.grad, [[scale]])
 
 
 def test_unused_branch_grad_is_zero():
-    w = param(np.ones((2, 2)))
-    u = param(np.ones((2, 2)))
+    # the conv stage's input is a network input: it returns no gradient for
+    # it, and a parameter no stage read keeps its grad
+    kernels, bias, unused = (param(np.ones(shape)) for shape in ((2, 3, 2), 2, (2, 2)))
+    unused.grad[...] = 0.0
     tape = Tape()
-    x = attach(np.ones((2, 2)), tape)
-    backward(sum_all(matmul(x, w)))
-    np.testing.assert_allclose(u.grad, np.zeros((2, 2)))
+    conv1d_same(np.ones((1, 4, 2)), kernels, bias, tape)
+    assert backward(tape, np.ones((1, 4, 2))) is None
+    np.testing.assert_allclose(bias.grad, [4.0, 4.0])
+    np.testing.assert_allclose(unused.grad, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +161,21 @@ def naive_matmul(a, b):
     st.integers(0, 2**31 - 1),
 )
 def test_matmul_matches_naive_triple_loop(n, k, m, seed):
+    # dense is one matmul over the stacked rows, plus the bias
     rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=(n, k)), rng.normal(size=(k, m))
+    a, b, bias = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)
     np.testing.assert_allclose(
-        matmul(param(a), param(b)).data, naive_matmul(a, b), atol=1e-12
+        dense(a[None], param(b), param(bias))[0], naive_matmul(a, b) + bias, atol=1e-12
     )
 
 
 def test_conv_width2_hand_case():
     # input rows [1],[2],[3]; kernel rows [1],[1]: even width pads one zero
     # row on the right, so outputs are 1+2, 2+3, 3+0
-    x = param(np.array([[[1.0], [2.0], [3.0]]]))
+    x = np.array([[[1.0], [2.0], [3.0]]])
     kernels = param(np.array([[[1.0], [1.0]]]))
     out = conv1d_same(x, kernels, param(np.zeros(1)))
-    np.testing.assert_allclose(out.data, [[[3.0], [5.0], [3.0]]])
+    np.testing.assert_allclose(out, [[[3.0], [5.0], [3.0]]])
 
 
 def test_conv_width3_identity_kernel_recovers_input():
@@ -204,51 +185,59 @@ def test_conv_width3_identity_kernel_recovers_input():
     kernels = np.zeros((2, 3, 2))
     kernels[0, 1, 0] = 1.0
     kernels[1, 1, 1] = 1.0
-    out = conv1d_same(param(x), param(kernels), param(np.zeros(2)))
-    np.testing.assert_allclose(out.data, x)
+    out = conv1d_same(x, param(kernels), param(np.zeros(2)))
+    np.testing.assert_allclose(out, x)
 
 
 def test_conv_width3_hand_case_with_bias():
-    x = param(np.array([[[1.0], [2.0], [3.0]]]))
+    x = np.array([[[1.0], [2.0], [3.0]]])
     kernels = param(np.array([[[1.0], [10.0], [100.0]]]))
     out = conv1d_same(x, kernels, param(np.array([0.5])))
     # window (pad,1,2), (1,2,3), (2,3,pad) with taps 1,10,100 plus bias
-    np.testing.assert_allclose(out.data, [[[210.5], [321.5], [32.5]]])
+    np.testing.assert_allclose(out, [[[210.5], [321.5], [32.5]]])
 
 
 def test_conv_rejects_channel_mismatch():
     with pytest.raises(ValueError):
-        conv1d_same(param(np.ones((1, 3, 2))), param(np.ones((1, 2, 5))), param(np.zeros(1)))
+        conv1d_same(np.ones((1, 3, 2)), param(np.ones((1, 2, 5))), param(np.zeros(1)))
 
 
 def test_softmax_closed_form():
-    x = param(np.log(np.array([[1.0, 2.0, 3.0]])))
-    np.testing.assert_allclose(
-        softmax_rows(x).data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12
-    )
+    # probabilities 1/6, 2/6, 3/6: gold 2 costs -log(1/2), gold 0 -log(1/6)
+    scores = np.log(np.array([[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]]))
+    loss = softmax_cross_entropy(scores, [[2, 0]], [2])
+    np.testing.assert_allclose(loss, (np.log(2.0) + np.log(6.0)) / 2, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
 def test_softmax_rows_are_distributions(n, t, seed):
-    x = np.random.default_rng(seed).normal(scale=30.0, size=(n, t))
-    probs = softmax_rows(param(x)).data
-    assert (probs >= 0).all()
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(scale=30.0, size=(1, n, t))
+    gold = rng.integers(0, t, size=(1, n))
+    tapes = [Tape(), Tape()]
+    for tape in tapes:
+        softmax_cross_entropy(scores, gold, [n], tape)
+    # the gradient of a sentence's mean: its rows are (probs - one-hot) / n,
+    # scaled by the seed
+    probs = backward(tapes[0])[0] * n
+    np.testing.assert_allclose(backward(tapes[1], 3.0)[0] * n, 3.0 * probs, atol=1e-12)
+    probs[np.arange(n), gold[0]] += 1.0
+    assert (probs >= -1e-12).all()
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(n), atol=1e-12)
 
 
 def test_cross_entropy_uniform_is_log_num_classes():
-    probs = param(np.full((1, 3, 4), 0.25))
-    loss = cross_entropy(probs, [[0, 1, 3]], [3])
-    np.testing.assert_allclose(loss.item(), np.log(4.0))
+    loss = softmax_cross_entropy(np.zeros((1, 3, 4)), [[0, 1, 3]], [3])
+    np.testing.assert_allclose(loss, np.log(4.0))
 
 
 def test_cross_entropy_rejects_bad_gold():
-    probs = param(np.full((1, 2, 3), 1 / 3))
+    scores = np.zeros((1, 2, 3))
     with pytest.raises(ValueError):
-        cross_entropy(probs, [[0]], [2])
+        softmax_cross_entropy(scores, [[0]], [2])
     with pytest.raises(ValueError):
-        cross_entropy(probs, [[0, 3]], [2])
+        softmax_cross_entropy(scores, [[0, 3]], [2])
 
 
 def scalar_lstm_reference(x, wx, wh, b, rec_mask=None):
@@ -293,12 +282,12 @@ def test_bilstm_matches_scalar_reference_both_directions(n, d, h):
     x = rng.normal(size=(n, d))
     fwd = make_lstm_params(rng, d, h)
     bwd = make_lstm_params(rng, d, h)
-    out = bilstm(param(x[None]), fwd, bwd, [n])
+    out = bilstm(x[None], fwd, bwd, [n])
     assert out.shape == (1, n, 2 * h)
     expect_fwd = scalar_lstm_reference(x, fwd.wx.data, fwd.wh.data, fwd.b.data)
     expect_bwd = scalar_lstm_reference(x[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data)[::-1]
-    np.testing.assert_allclose(out.data[0, :, :h], expect_fwd, atol=1e-12)
-    np.testing.assert_allclose(out.data[0, :, h:], expect_bwd, atol=1e-12)
+    np.testing.assert_allclose(out[0, :, :h], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out[0, :, h:], expect_bwd, atol=1e-12)
 
 
 @pytest.mark.parametrize("dropped", [False, True], ids=["eval", "train"])
@@ -307,22 +296,19 @@ def test_bilstm_matches_scalar_reference_padded_batch(dropped):
     d, h, lengths = 3, 4, [1, 4, 2]
     fwd = make_lstm_params(rng, d, h)
     bwd = make_lstm_params(rng, d, h)
-    params = fwd.tensors() + bwd.tensors()
+    params = [*fwd, *bwd]
     # rows past each length are large noise that must not leak in
     block = rng.normal(scale=50.0, size=(3, 4, d))
     for b, n in enumerate(lengths):
         block[b, :n] = rng.normal(size=(n, d))
     weights = rng.normal(size=(3, 4, 2 * h))
 
-    def run(x_data, w, draws, lengths):
-        for p in params:
-            p.zero_grad()
+    def run(x, w, draws, lengths):
         tape = Tape()
-        x = attach(x_data, tape)
-        out = bilstm(x, fwd, bwd, lengths, draws if dropped else None)
+        out = bilstm(x, fwd, bwd, lengths, draws if dropped else None, tape)
         assert len(tape) == 1
-        backward(sum_all(mul(out, Tensor(w))))
-        return out.data, x.grad, [p.grad.copy() for p in params]
+        d_x = backward(tape, w)
+        return out, d_x, [p.grad.copy() for p in params]
 
     out, d_x, grads = run(block, weights, RngStream(21), lengths)
     assert out.shape == (3, 4, 2 * h)
@@ -365,7 +351,7 @@ def test_bilstm_without_tape_keeps_no_backprop_state():
     def peak(tape):
         tracemalloc.start()
         try:
-            bilstm(Tensor(block, tape=tape), fwd, bwd, lengths)
+            bilstm(block, fwd, bwd, lengths, tape=tape)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,9 +368,7 @@ def test_bilstm_train_masks_follow_documented_draw_order():
     x = rng.normal(size=(5, 3))
     fwd = make_lstm_params(rng, 3, 4)
     bwd = make_lstm_params(rng, 3, 4)
-    out = bilstm(
-        param(x[None]), fwd, bwd, [5], rng=RngStream(21),
-    )
+    out = bilstm(x[None], fwd, bwd, [5], rng=RngStream(21))
     # one mask per sequence per direction: forward-input, forward-recurrent,
     # backward-input, backward-recurrent
     draws = RngStream(21)
@@ -398,8 +382,8 @@ def test_bilstm_train_masks_follow_documented_draw_order():
     expect_bwd = scalar_lstm_reference(
         (x * in_bwd)[::-1], bwd.wx.data, bwd.wh.data, bwd.b.data, rec_bwd
     )[::-1]
-    np.testing.assert_allclose(out.data[0, :, :4], expect_fwd, atol=1e-12)
-    np.testing.assert_allclose(out.data[0, :, 4:], expect_bwd, atol=1e-12)
+    np.testing.assert_allclose(out[0, :, :4], expect_fwd, atol=1e-12)
+    np.testing.assert_allclose(out[0, :, 4:], expect_bwd, atol=1e-12)
 
 
 def test_bilstm_records_one_tape_node_whatever_the_length():
@@ -409,10 +393,9 @@ def test_bilstm_records_one_tape_node_whatever_the_length():
     counts = []
     for n in (1, 12):
         tape = Tape()
-        bilstm(attach(rng.normal(size=(1, n, 3)), tape), fwd, bwd, [n])
+        bilstm(rng.normal(size=(1, n, 3)), fwd, bwd, [n], tape=tape)
         counts.append(len(tape))
     assert counts == [1, 1]
-    assert bilstm(param(rng.normal(size=(1, 12, 3))), fwd, bwd, [12]).tape is None
 
 
 def test_bilstm_train_dropout_is_seed_deterministic():
@@ -422,7 +405,7 @@ def test_bilstm_train_dropout_is_seed_deterministic():
     bwd = make_lstm_params(rng, 3, 2)
 
     def run(seed):
-        return bilstm(param(x), fwd, bwd, [4], rng=RngStream(seed)).data
+        return bilstm(x, fwd, bwd, [4], rng=RngStream(seed))
 
     np.testing.assert_array_equal(run(9), run(9))
     assert not np.array_equal(run(9), run(10))
@@ -445,8 +428,6 @@ def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
     rows = len(step)
     out = np.zeros((b_count, n, 2 * h))
     d_x = np.zeros_like(block)
-    for p in fwd.tensors() + bwd.tensors():
-        p.zero_grad()
     runs = []
     for direction, p in enumerate((fwd, bwd)):
         pos = step if direction == 0 else lengths[sentence] - 1 - step
@@ -460,10 +441,10 @@ def sequential_bilstm(block, fwd, bwd, lengths, draws, weights):
         out[sentence, pos, cols] = out_rows
         runs.append((pos, cols, in_mask, back))
     for pos, cols, in_mask, back in runs:
-        scratch = [np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((max(d, h), 4 * h))]
+        scratch = [np.empty((rows, 4 * h)), np.empty((rows, h))]
         d_x[sentence, pos] += back(weights[sentence, pos, cols], scratch,
                                    np.empty((rows, d))) * in_mask
-    return out, d_x, [p.grad.copy() for p in fwd.tensors() + bwd.tensors()]
+    return out, d_x, [p.grad.copy() for p in (*fwd, *bwd)]
 
 
 def test_lstm_direction_backprop_keeps_the_plain_expressions_bits():
@@ -475,15 +456,15 @@ def test_lstm_direction_backprop_keeps_the_plain_expressions_bits():
     active = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)
     rows = lengths.sum()
     p = make_lstm_params(rng, d, h)
-    for t in p.tensors():
-        t.data *= 0.1
+    for t in p:
+        t.data[...] *= 0.1
     xm = rng.normal(size=(rows, d))
     rec_mask = RngStream(7).keep_mask(0.2, (8, h))
     saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
     back = _lstm_direction(xm, p, active, rec_mask, np.empty((rows, 4 * h)),
                            np.empty((rows, h)), saved)
     d_out = rng.normal(size=(rows, h))
-    scratch = [np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((d, 4 * h))]
+    scratch = [np.empty((rows, 4 * h)), np.empty((rows, h))]
     d_in = back(d_out, scratch, np.empty((rows, d)))
     assert scratch == []
 
@@ -538,26 +519,25 @@ def test_bilstm_threaded_directions_match_sequential_bits(monkeypatch, affinity,
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    for p in fwd.tensors() + bwd.tensors():
-        p.zero_grad()
+    for p in (*fwd, *bwd):
+        p.grad[...] = np.nan  # every entry must be written
     tape = Tape()
-    x = attach(block, tape)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as it can
     try:
-        out = bilstm(x, fwd, bwd, lengths, rng=RngStream(5))
-        backward(sum_all(mul(out, Tensor(weights))))
+        out = bilstm(block, fwd, bwd, lengths, RngStream(5), tape)
+        d_x = backward(tape, weights)
     finally:
         sys.setswitchinterval(interval)
     # one thread for the forward pass, one for backprop through time
     assert len(starts) == 2 * threads
-    np.testing.assert_array_equal(out.data, expect[0])
-    np.testing.assert_array_equal(x.grad, expect[1])
-    for p, g in zip(fwd.tensors() + bwd.tensors(), expect[2]):
+    np.testing.assert_array_equal(out, expect[0])
+    np.testing.assert_array_equal(d_x, expect[1])
+    for p, g in zip((*fwd, *bwd), expect[2]):
         np.testing.assert_array_equal(p.grad, g)
-    tape_free = bilstm(param(block), fwd, bwd, lengths, rng=RngStream(5))
+    tape_free = bilstm(block, fwd, bwd, lengths, rng=RngStream(5))
     assert len(starts) == 3 * threads
-    np.testing.assert_array_equal(tape_free.data, expect[0])
+    np.testing.assert_array_equal(tape_free, expect[0])
 
 
 def test_bilstm_raises_what_the_second_direction_raises(monkeypatch):
@@ -577,7 +557,7 @@ def test_bilstm_raises_what_the_second_direction_raises(monkeypatch):
     monkeypatch.setattr("mwetag.autodiff._lstm_direction", failing)
     threads = threading.active_count()
     with pytest.raises(KeyError, match="second direction"):
-        bilstm(param(rng.normal(size=(2, 3, 3))), fwd, bwd, [3, 2])
+        bilstm(rng.normal(size=(2, 3, 3)), fwd, bwd, [3, 2])
     assert seen and seen[0] is not threading.current_thread()
     assert threading.active_count() == threads
 
@@ -588,7 +568,7 @@ def test_bilstm_second_direction_keeps_the_callers_errstate(monkeypatch):
     bwd = make_lstm_params(rng, 3, 2)
     bwd.b.data[:] = -1000.0  # exp(1000) in the backward direction's sigmoid
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    x = param(rng.normal(size=(1, 3, 3)))
+    x = rng.normal(size=(1, 3, 3))
     # a thread under numpy's default error state would warn under "ignore"
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -619,10 +599,10 @@ def test_bilstm_raises_what_the_second_directions_backprop_raises(monkeypatch):
 
     monkeypatch.setattr("mwetag.autodiff._lstm_direction", direction)
     tape = Tape()
-    out = bilstm(attach(rng.normal(size=(2, 3, 3)), tape), fwd, bwd, [3, 2])
+    bilstm(rng.normal(size=(2, 3, 3)), fwd, bwd, [3, 2], tape=tape)
     threads = threading.active_count()
     with pytest.raises(KeyError, match="second direction's backprop"):
-        backward(sum_all(out))
+        backward(tape, np.ones((2, 3, 4)))
     assert seen and seen[0] is not threading.current_thread()
     assert threading.active_count() == threads
 
@@ -644,8 +624,8 @@ def test_bilstm_second_directions_backprop_keeps_the_callers_errstate(monkeypatc
     def run():
         tape = Tape()
         with np.errstate(all="ignore"):
-            loss = sum_all(mul(bilstm(attach(x, tape), fwd, bwd, [4]), Tensor(weights)))
-        backward(loss)
+            bilstm(x, fwd, bwd, [4], tape=tape)
+        backward(tape, weights)
 
     # a thread under numpy's default error state would warn under "ignore"
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -662,9 +642,9 @@ def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch)
     lengths = rng.integers(1, 16, size=8)
     fwd = make_lstm_params(rng, d, h)
     bwd = make_lstm_params(rng, d, h)
-    params = fwd.tensors() + bwd.tensors()
+    params = [*fwd, *bwd]
     for p in params:
-        p.data *= 0.1  # keep the gates off saturation
+        p.data[...] *= 0.1  # keep the gates off saturation
     block = np.zeros((8, lengths.max(), d))
     for b, n in enumerate(lengths):
         block[b, :n] = rng.normal(size=(n, d))
@@ -676,13 +656,10 @@ def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch)
 
     def run(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        for p in params:
-            p.zero_grad()
         tape = Tape()
-        x = attach(block, tape)
-        out = bilstm(x, fwd, bwd, lengths, rng=RngStream(6))
-        backward(sum_all(mul(out, Tensor(weights))))
-        return out.data, x.grad, [p.grad.copy() for p in params]
+        out = bilstm(block, fwd, bwd, lengths, RngStream(6), tape)
+        d_x = backward(tape, weights)
+        return out, d_x, [p.grad.copy() for p in params]
 
     inline = run({0})
     assert not starts
@@ -694,27 +671,20 @@ def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch)
         np.testing.assert_array_equal(g, expect)
 
 
-def test_bilstm_directions_sharing_a_parameter_backprop_on_one_thread(monkeypatch):
+def test_bilstm_refuses_directions_sharing_a_parameter():
+    # each direction writes its parameters' gradients: a shared one would
+    # keep only one direction's
     rng = np.random.default_rng(25)
-    shared = make_lstm_params(rng, 3, 2)
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
     block = rng.normal(size=(2, 3, 3))
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: (starts.append(thread), start(thread)))
-
-    def run(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        shared.wx.zero_grad()
-        tape = Tape()
-        backward(sum_all(bilstm(attach(block, tape), shared, shared, [3, 2])))
-        return shared.wx.grad.copy()
-
-    inline = run({0})
-    # the forward pass only reads the weights and may still use two threads;
-    # both directions' backprop adds into the one gradient, so it may not
-    np.testing.assert_array_equal(run({0, 1}), inline)
-    assert len(starts) == 1
+    # the same Params, one of them, or a view of one's gradient array
+    for other in (fwd, bwd._replace(b=fwd.b),
+                  bwd._replace(wh=Param(bwd.wh.data, fwd.wh.grad[:, :4]))):
+        with pytest.raises(ValueError, match="share a parameter"):
+            bilstm(block, fwd, other, [3, 2], tape=Tape())
+        with pytest.raises(ValueError, match="share a parameter"):
+            bilstm(block, other, fwd, [3, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -726,109 +696,93 @@ def test_bilstm_directions_sharing_a_parameter_backprop_on_one_thread(monkeypatc
 TOL = 1e-4
 
 
-def check(build, params):
-    err = grad_check(build, params)
+def check(loss, params, seed=1.0):
+    err = grad_check(loss, params, seed)
     assert err < TOL, f"gradient mismatch {err:.3e}"
 
 
 def test_grad_square_is_tight():
     theta = param(np.array([[3.0]]))
+    zero = param(np.zeros(1))
 
-    def build():
-        tape = Tape()
-        x = attach(np.array([[1.0]]), tape)
-        y = mul(matmul(x, theta), matmul(x, theta))
-        return sum_all(y)
+    def square(tape):
+        out = dense(np.array([[1.0]]), theta, zero, tape)
+        if tape is not None:
+            tape.record(lambda g: 2.0 * out * g)
+        return (out * out).sum()
 
     # d(theta^2) analytic vs central difference agrees to machine-ish level
-    assert grad_check(build, [theta]) < 1e-8
+    assert grad_check(square, [theta]) < 1e-8
     np.testing.assert_allclose(theta.grad, [[6.0]])
 
 
 def test_grad_matmul_add_mul():
+    # two chained dense stages, probed by sum(out * c)
     rng = np.random.default_rng(5)
     a = param(rng.normal(size=(3, 4)))
+    zero = param(np.zeros(4))
     b = param(rng.normal(size=(4, 2)))
     bias = param(rng.normal(size=2))
-    c = param(rng.normal(size=(3, 2)))
-    x_data = rng.normal(size=(3, 3))
+    c = rng.normal(size=(3, 2))
+    x = rng.normal(size=(3, 3))
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        out = mul(add(matmul(matmul(x, a), b), bias), c)
-        return sum_all(out)
+    def probe(tape):
+        return (dense(dense(x, a, zero, tape), b, bias, tape) * c).sum()
 
-    check(build, [a, b, bias, c])
-
-
-def test_grad_activations_and_scale():
-    rng = np.random.default_rng(6)
-    w = param(rng.normal(size=(3, 3)))
-    # keep relu pre-activations away from the kink
-    x_data = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(2, 3))
-
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        h = relu(matmul(x, w))
-        return sum_all(mul(h, h))
-
-    # confirm the margin actually holds for this seed
-    assert np.abs(x_data @ w.data).min() > 0.05
-    check(build, [w])
+    check(probe, [a, b, bias], seed=c)
 
 
 def test_grad_concat_cols():
-    rng = np.random.default_rng(7)
-    w = param(rng.normal(size=(4, 6)))
-    u = param(rng.normal(size=(4, 2)))
-    x_data = rng.normal(size=(3, 4))
+    # the conv banks' columns of the BiLSTM input, then the POS one-hot,
+    # through tagger.forward: a wrong column offset in the banks' backward
+    # changes the result
+    config = TaggerConfig(filters_per_width=2, lstm_hidden=2, head="crf", seed=0)
+    pos = np.zeros((1, 3, 2))
+    pos[0, [0, 1, 2], [0, 1, 0]] = 1.0
+    for salt in range(40, 140):
+        rng = RngStream(salt)
+        model = build(config, EmbeddingTable(3, {}), ("O", "B-X", "I-X"), ("UNK", "VERB"),
+                      rng)
+        word = rng.uniform(-1.0, 1.0, (1, 3, 10))
+        banks = [model.params[f"conv{w}_{part}"] for w in (2, 3)
+                 for part in ("kernels", "bias")]
+        # every pre-activation clear of the ReLU kink by more than the step
+        if all(np.abs(conv1d_same(word, *banks[i : i + 2])).min() > 5e-3 for i in (0, 2)):
+            break
+    batch = Batch(word, pos, np.array([3]))
+    weights = np.random.default_rng(7).normal(size=(1, 3, 3))
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        # unequal widths: a wrong column offset in backward changes the result
-        joined = concat_cols([matmul(x, u), matmul(x, w)])
-        return sum_all(mul(joined, joined))
+    def probe(tape):
+        return (forward(model, batch, tape=tape) * weights).sum()
 
-    check(build, [w, u])
+    check(probe, banks, seed=weights)
 
 
 def test_grad_softmax_cross_entropy():
     rng = np.random.default_rng(9)
     w = param(rng.normal(size=(4, 3)))
     b = param(rng.normal(size=3))
-    x_data = rng.normal(size=(1, 5, 4))
+    x = rng.normal(size=(1, 5, 4))
     gold = [[0, 2, 1, 1, 0]]
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        return cross_entropy(softmax_rows(dense(x, w, b)), gold, [5])
+    def ce(tape):
+        return softmax_cross_entropy(dense(x, w, b, tape), gold, [5], tape)
 
-    check(build, [w, b])
+    check(ce, [w, b])
 
 
 def test_grad_conv_both_widths():
     rng = np.random.default_rng(10)
-    k2 = param(rng.normal(size=(3, 2, 2)))
-    k3 = param(rng.normal(size=(2, 3, 2)))
-    b2 = param(rng.normal(size=3))
-    b3 = param(rng.normal(size=2))
-    x_data = rng.normal(size=(1, 4, 2))
+    x = rng.normal(size=(1, 4, 2))
+    for filters, width in ((3, 2), (2, 3)):
+        k = param(rng.normal(size=(filters, width, 2)))
+        b = param(rng.normal(size=filters))
+        w = rng.normal(size=(1, 4, filters))
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        return sum_all(
-            mul(
-                concat_cols([conv1d_same(x, k2, b2), conv1d_same(x, k3, b3)]),
-                concat_cols([conv1d_same(x, k2, b2), conv1d_same(x, k3, b3)]),
-            )
-        )
+        def probe(tape, k=k, b=b, w=w):
+            return (conv1d_same(x, k, b, tape) * w).sum()
 
-    check(build, [k2, k3, b2, b3])
+        check(probe, [k, b], seed=w)
 
 
 @pytest.mark.parametrize(
@@ -840,34 +794,32 @@ def test_grad_bilstm_eval(seed, n, h):
     rng = np.random.default_rng(seed)
     fwd = make_lstm_params(rng, 3, h)
     bwd = make_lstm_params(rng, 3, h)
-    x_data = rng.normal(size=(1, n, 3))
+    x = rng.normal(size=(1, n, 3))
+    w = rng.normal(size=(1, n, 2 * h))
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        h = bilstm(x, fwd, bwd, [n])
-        return sum_all(mul(h, h))
+    def probe(tape):
+        return (bilstm(x, fwd, bwd, [n], tape=tape) * w).sum()
 
-    check(build, fwd.tensors() + bwd.tensors())
+    check(probe, [*fwd, *bwd], seed=w)
 
 
 def test_grad_bilstm_train_with_frozen_masks():
     rng = np.random.default_rng(13)
     fwd = make_lstm_params(rng, 3, 2)
     bwd = make_lstm_params(rng, 3, 2)
-    x_data = rng.normal(size=(1, 4, 3))
+    x = rng.normal(size=(1, 4, 3))
+    w = rng.normal(size=(1, 4, 4))
 
-    def build():
+    def probe(tape):
         # fresh stream per call: identical masks on every evaluation
-        h = bilstm(attach(x_data, Tape()), fwd, bwd, [4], rng=RngStream(99))
-        return sum_all(mul(h, h))
+        return (bilstm(x, fwd, bwd, [4], RngStream(99), tape) * w).sum()
 
-    check(build, fwd.tensors() + bwd.tensors())
+    check(probe, [*fwd, *bwd], seed=w)
 
 
 def test_grad_full_stack_composite():
-    # conv banks -> concat -> bilstm -> dense -> softmax -> cross entropy,
-    # the full network shape in miniature
+    # conv banks -> relu -> concat -> bilstm -> dense -> softmax cross
+    # entropy, the full network shape in miniature, wired here by hand
     rng = np.random.default_rng(14)
     k2 = param(rng.normal(size=(2, 2, 3)))
     b2 = param(rng.normal(size=2))
@@ -877,25 +829,23 @@ def test_grad_full_stack_composite():
     bwd = make_lstm_params(rng, 4, 2)
     w = param(rng.normal(size=(4, 3)))
     b = param(rng.normal(size=3))
-    x_data = rng.normal(size=(1, 4, 3))
+    x = rng.normal(size=(1, 4, 3))
     gold = [[0, 1, 2, 1]]
-    params = [k2, b2, k3, b3, w, b] + fwd.tensors() + bwd.tensors()
+    params = [k2, b2, k3, b3, w, b, *fwd, *bwd]
 
-    def build():
-        tape = Tape()
-        x = attach(x_data, tape)
-        h = concat_cols([relu(conv1d_same(x, k2, b2)), relu(conv1d_same(x, k3, b3))])
-        h = bilstm(h, fwd, bwd, [4])
-        return cross_entropy(softmax_rows(dense(h, w, b)), gold, [4])
+    def ce(tape):
+        tapes = [None, None] if tape is None else [Tape(), Tape()]
+        pre = [conv1d_same(x, k2, b2, tapes[0]), conv1d_same(x, k3, b3, tapes[1])]
+        if tape is not None:
+            def banks(g):
+                backward(tapes[0], g[..., :2] * (pre[0] > 0))
+                backward(tapes[1], g[..., 2:] * (pre[1] > 0))
+
+            tape.record(banks)
+        h = bilstm(np.maximum(np.concatenate(pre, axis=-1), 0.0), fwd, bwd, [4], tape=tape)
+        return softmax_cross_entropy(dense(h, w, b, tape), gold, [4], tape)
 
     # relu margin for this fixed seed
-    assert np.abs(
-        np.concatenate(
-            [
-                conv1d_same(param(x_data), k2, b2).data,
-                conv1d_same(param(x_data), k3, b3).data,
-            ],
-            axis=-1,
-        )
-    ).min() > 0.01
-    check(build, params)
+    assert np.abs(np.concatenate(
+        [conv1d_same(x, k2, b2), conv1d_same(x, k3, b3)], axis=-1)).min() > 0.01
+    check(ce, params)

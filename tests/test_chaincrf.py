@@ -2,13 +2,14 @@
 written independently here (itertools over the label product, scalar sums)."""
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwetag.autodiff import Tape, Tensor, add, backward, grad_check, param
+from mwetag.autodiff import Tape, backward, grad_check, param
 from mwetag.chaincrf import (
     brute_force,
     crf_nll,
@@ -35,8 +36,9 @@ def zero_chain(t):
     return np.zeros((t, t)), np.zeros(t), np.zeros(t)
 
 
-def tensors(*arrays):
-    return [Tensor(a) for a in arrays]
+def loss_args(scores, trans, start, stop):
+    """crf_nll's leading arguments: the scores array and the chain Params."""
+    return [scores, param(trans), param(start), param(stop)]
 
 
 def one(fn, scores, *rest):
@@ -302,8 +304,8 @@ def test_viterbi_padded_batch_breaks_ties_to_lowest_index():
 
 
 def test_nll_zero_scores_single_position_is_ln2():
-    crf = tensors(np.zeros((1, 1, 2)), *zero_chain(2))
-    assert crf_nll(*crf, [[0]], [1]).item() == pytest.approx(np.log(2.0))
+    crf = loss_args(np.zeros((1, 1, 2)), *zero_chain(2))
+    assert crf_nll(*crf, [[0]], [1]) == pytest.approx(np.log(2.0))
 
 
 def test_nll_approaches_zero_when_gold_path_dominates():
@@ -312,7 +314,7 @@ def test_nll_approaches_zero_when_gold_path_dominates():
     gold = [2, 0, 1]
     for i, y in enumerate(gold):
         scores[0, i, y] = 0.0
-    assert abs(crf_nll(*tensors(scores, *zero_chain(3)), [gold], [3]).item()) < 1e-6
+    assert abs(crf_nll(*loss_args(scores, *zero_chain(3)), [gold], [3])) < 1e-6
 
 
 def test_nll_matches_enumeration_and_is_nonnegative():
@@ -323,14 +325,14 @@ def test_nll_matches_enumeration_and_is_nonnegative():
         gold = rng.integers(0, t_count, size=n)
         table = enumerate_scores(*crf)
         expected = oracle_log_z(table) - table[tuple(gold)]
-        scores, *chain = tensors(*crf)
-        loss = crf_nll(Tensor(scores.data[None]), *chain, [gold], [n]).item()
+        scores, *chain = loss_args(*crf)
+        loss = crf_nll(scores[None], *chain, [gold], [n])
         assert loss == pytest.approx(expected, abs=1e-8)
         assert loss >= -1e-10
 
 
 def test_nll_rejects_bad_gold():
-    crf = tensors(np.zeros((1, 2, 2)), *zero_chain(2))
+    crf = loss_args(np.zeros((1, 2, 2)), *zero_chain(2))
     with pytest.raises(ValueError):
         crf_nll(*crf, [[0]], [2])
     with pytest.raises(ValueError):
@@ -347,28 +349,42 @@ def test_nll_of_padded_batch_is_sum_of_sentences():
         block[b, :n] = rng.normal(scale=2.0, size=(n, t_count))
     # padding gold entries may hold anything
     gold[1, 1:] = -7
-    scores, *chain_t = [param(a) for a in (block, *chain)]
+    _, *chain_p = loss_args(block, *chain)
     tape = Tape()
-    batched = crf_nll(add(scores, Tensor(np.zeros_like(block), tape=tape)), *chain_t,
-                      gold, lengths)
-    backward(batched)
-    grads = [t.grad.copy() for t in (scores, *chain_t)]
+    batched = crf_nll(block, *chain_p, gold, lengths, tape)
+    d_scores = backward(tape)
     total = 0.0
-    summed = [np.zeros_like(g) for g in grads[1:]]
+    summed = [np.zeros_like(p.grad) for p in chain_p]
     for b, n in enumerate(lengths):
-        single = [param(a) for a in (block[b : b + 1, :n], *chain)]
+        single = [param(a) for a in chain]
         tape = Tape()
-        value = crf_nll(add(single[0], Tensor(np.zeros((1, n, t_count)), tape=tape)),
-                        *single[1:], gold[b : b + 1, :n], [n])
-        backward(value)
-        total += value.item()
-        np.testing.assert_allclose(grads[0][b, :n], single[0].grad[0], rtol=0, atol=1e-12)
-        assert not grads[0][b, n:].any()
-        for acc, t in zip(summed, single[1:]):
-            acc += t.grad
-    assert abs(batched.item() - total) < 1e-12
-    for g, acc in zip(grads[1:], summed):
-        np.testing.assert_allclose(g, acc, rtol=0, atol=1e-12)
+        total += crf_nll(block[b : b + 1, :n], *single, gold[b : b + 1, :n], [n], tape)
+        np.testing.assert_allclose(d_scores[b, :n], backward(tape)[0], rtol=0, atol=1e-12)
+        assert not d_scores[b, n:].any()
+        for acc, p in zip(summed, single):
+            acc += p.grad
+    assert abs(batched - total) < 1e-12
+    for p, acc in zip(chain_p, summed):
+        np.testing.assert_allclose(p.grad, acc, rtol=0, atol=1e-12)
+    # the stage scales what it returns and writes by its seed
+    doubled = [2.0 * p.grad for p in chain_p]
+    tape = Tape()
+    crf_nll(block, *chain_p, gold, lengths, tape)
+    np.testing.assert_array_equal(backward(tape, 2.0), 2.0 * d_scores)
+    for p, expect in zip(chain_p, doubled):
+        np.testing.assert_array_equal(p.grad, expect)
+
+
+def nll_of(e_scores, trans, start, stop, gold):
+    """crf_nll as grad_check's loss function, e_scores a Param too: a first
+    stage writes the gradient of the scores into e_scores.grad."""
+
+    def nll(tape):
+        if tape is not None:
+            tape.record(partial(np.copyto, e_scores.grad))
+        return crf_nll(e_scores.data, trans, start, stop, gold, [len(gold[0])], tape)
+
+    return nll
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -380,13 +396,8 @@ def test_nll_gradient_matches_finite_differences(seed):
     start = param(rng.normal(size=t_count))
     stop = param(rng.normal(size=t_count))
     gold = rng.integers(0, t_count, size=(1, n))
-
-    def build():
-        tape = Tape()
-        carrier = Tensor(np.zeros((1, n, t_count)), tape=tape)
-        return crf_nll(add(e_scores, carrier), trans, start, stop, gold, [n])
-
-    assert grad_check(build, [e_scores, trans, start, stop]) < 1e-4
+    nll = nll_of(e_scores, trans, start, stop, gold)
+    assert grad_check(nll, [e_scores, trans, start, stop]) < 1e-4
 
 
 def test_nll_gradient_single_position_start_stop():
@@ -395,17 +406,8 @@ def test_nll_gradient_single_position_start_stop():
     trans = param(rng.normal(size=(3, 3)))
     start = param(rng.normal(size=3))
     stop = param(rng.normal(size=3))
-
-    def build():
-        tape = Tape()
-        carrier = Tensor(np.zeros((1, 1, 3)), tape=tape)
-        return crf_nll(add(e_scores, carrier), trans, start, stop, [[1]], [1])
-
-    # n=1 has no transitions: trans gradient must be exactly zero
-    assert grad_check(build, [e_scores, start, stop]) < 1e-4
-    build_once = build()
-    from mwetag.autodiff import backward
-
-    trans.zero_grad()
-    backward(build_once)
+    trans.grad[...] = np.nan
+    nll = nll_of(e_scores, trans, start, stop, [[1]])
+    assert grad_check(nll, [e_scores, start, stop]) < 1e-4
+    # n=1 has no transitions: the trans gradient written must be exactly zero
     np.testing.assert_array_equal(trans.grad, np.zeros((3, 3)))

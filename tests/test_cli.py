@@ -883,6 +883,56 @@ def test_commands_check_the_output_directory_before_reading_anything(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, written, other",
+    [(["train", "--variant", "baseline-standard", "--train", "{a}", "--model", "{b}",
+       "--report", "{b}"], "model", "report"),
+     (["train", "--train", "{a}", "--model", "{a}", "--embeddings", "{c}"], "model", "train"),
+     (["train", "--train", "{a}", "--dev", "{b}", "--model", "{b}", "--embeddings", "{c}"],
+      "model", "dev"),
+     (["train", "--train", "{a}", "--model", "{c}", "--embeddings", "{c}"],
+      "model", "embeddings"),
+     # the report's default, MODEL.train.json
+     (["train", "--variant", "baseline-standard", "--train", "{b}.train.json",
+       "--model", "{b}"], "report", "train"),
+     (["train", "--train", "{a}", "--model", "{b}", "--embeddings", "{c}",
+       "--report", "{c}"], "report", "embeddings"),
+     (["tag", "--model", "{b}", "--input", "{a}", "--output", "{a}"], "output", "input"),
+     (["tag", "--model", "{b}", "--input", "{a}", "--output", "{b}"], "output", "model"),
+     (["tag", "--model", "{b}", "--input", "{a}", "--embeddings", "{c}",
+       "--output", "{c}"], "output", "embeddings"),
+     # the same file by another path: through a parent directory, a symlink
+     (["convert", "--input", "{a}", "--output", "{dir}/sub/../a"], "output", "input"),
+     (["eval", "--gold", "{a}", "--pred", "{b}", "--report", "{link}"], "report", "gold"),
+     (["eval", "--gold", "{a}", "--pred", "{b}", "--report", "{b}"], "report", "pred"),
+     (["eval", "--gold", "{a}", "--pred", "{b}", "--train", "{c}", "--report", "{c}"],
+      "report", "train")],
+    ids=["train-model-report", "train-model-train", "train-model-dev",
+         "train-model-embeddings", "train-default-report-train", "train-report-embeddings",
+         "tag-output-input", "tag-output-model", "tag-output-embeddings",
+         "convert-output-input", "eval-report-gold", "eval-report-pred", "eval-report-train"],
+)
+def test_an_output_may_not_name_another_file_of_the_command(
+    tmp_path, capsys, monkeypatch, argv, written, other
+):
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"read {path} before checking where to write")
+
+    for name in ("read_cupt", "load_model", "load_vec_file"):
+        monkeypatch.setattr(f"mwetag.cli.{name}", no_read)
+    paths = {name: p(tmp_path / name) for name in ("a", "b", "c", "b.train.json")}
+    for path in paths.values():
+        Path(path).write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    os.symlink(tmp_path / "a", tmp_path / "link")
+    paths.update(dir=p(tmp_path), link=p(tmp_path / "link"))
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --{written} and --{other} name the same file ")
+    assert all(Path(path).read_text() == "kept\n" for path in paths.values()
+               if path != paths["dir"])
+
+
 def test_failed_write_leaves_no_partial_output(workdir, tmp_path, capsys):
     target = tmp_path / "as_dir"
     target.mkdir()

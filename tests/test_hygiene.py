@@ -2,8 +2,9 @@
 only: every import is used (in the tests and the scripts too), every
 module-level _private function, class or constant is referenced somewhere in
 the package (a test's or script's somewhere in the package, the tests or the
-scripts), and every public function, class or method is referenced from the
-package, the scripts or the benchmark."""
+scripts), no package module imports another's _private name, and every
+public function, class or method is referenced from the package, the
+scripts or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -29,8 +30,8 @@ IMPORTERS = {
     for path in sorted((ROOT / folder).glob("*.py"))
 }
 # kept without a caller: the enumeration reference the CRF tests compare
-# against, and the op the autodiff tests use as a probe
-UNCALLED_PUBLIC = {"chaincrf.brute_force", "autodiff.mul"}
+# against
+UNCALLED_PUBLIC = {"chaincrf.brute_force"}
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -99,6 +100,16 @@ def test_every_private_module_name_is_referenced(module):
         if not any(_referenced(name, tree) for tree in scope.values())
     ]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_another_modules_private_name(module):
+    imported = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(MODULES[module]) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert imported == []
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:

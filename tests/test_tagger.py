@@ -1,6 +1,7 @@
 """Tagger structure, loss oracles (closed-form uniform losses), gradient
 checks through the whole network, and training-loop determinism."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -123,12 +124,12 @@ def names(prefix, count):
 def test_build_default_shapes():
     model = build(TaggerConfig(), EmbeddingTable(300, {}), names("TAG", 5), names("POS", 17),
                   RngStream(3))
-    assert model.params["conv2_kernels"].shape == (200, 2, 307)
-    assert model.params["conv3_kernels"].shape == (200, 3, 307)
-    assert model.params["lstm_fwd_wx"].shape == (417, 1200)  # 400 conv + 17 pos
-    assert model.params["lstm_fwd_wh"].shape == (300, 1200)
-    assert model.params["proj_w"].shape == (600, 5)
-    assert model.params["trans"].shape == (5, 5)
+    assert model.params["conv2_kernels"].data.shape == (200, 2, 307)
+    assert model.params["conv3_kernels"].data.shape == (200, 3, 307)
+    assert model.params["lstm_fwd_wx"].data.shape == (417, 1200)  # 400 conv + 17 pos
+    assert model.params["lstm_fwd_wh"].data.shape == (300, 1200)
+    assert model.params["proj_w"].data.shape == (600, 5)
+    assert model.params["trans"].data.shape == (5, 5)
     np.testing.assert_array_equal(model.params["trans"].data, np.zeros((5, 5)))
 
 
@@ -145,7 +146,7 @@ def test_build_same_seed_bit_identical():
 
 def test_build_single_tag_projection():
     model = build(small_config(), EmbeddingTable(8, {}), ("O",), ("UNK", "X"), RngStream(0))
-    assert model.params["proj_w"].shape == (10, 1)
+    assert model.params["proj_w"].data.shape == (10, 1)
 
 
 def test_build_for_corpus_derives_vocabularies():
@@ -171,17 +172,17 @@ def test_forward_shapes_and_eval_purity():
     enc = encodings_for(corpus, model)[0]
     e1 = forward(model, enc)
     e2 = forward(model, enc)
-    assert e1.data.shape == (1, 3, len(model.tag_vocab))
-    np.testing.assert_array_equal(e1.data, e2.data)
+    assert e1.shape == (1, 3, len(model.tag_vocab))
+    np.testing.assert_array_equal(e1, e2)
 
 
 def test_forward_train_mode_seeded_masks():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
     enc = encodings_for(corpus, model)[0]
-    a = forward(model, enc, RngStream(5)).data
-    b = forward(model, enc, RngStream(5)).data
-    c = forward(model, enc, RngStream(6)).data
+    a = forward(model, enc, RngStream(5))
+    b = forward(model, enc, RngStream(5))
+    c = forward(model, enc, RngStream(6))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -207,22 +208,23 @@ def test_batched_loss_is_sum_of_sentence_losses(head, dropped):
     params = list(model.params.values())
 
     def run(inputs, gold, rng):
-        value = loss(model, inputs, gold, rng if dropped else None, Tape())
-        backward(value)
-        return value.item()
+        tape = Tape()
+        value = loss(model, inputs, gold, rng if dropped else None, tape)
+        backward(tape)
+        return value
 
-    for p in params:
-        p.zero_grad()
     # with dropout the batch must draw the masks its sentences draw one at a time
     batched = run(pad(encodings), golds, RngStream(5))
     batch_grads = [p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
     draws = RngStream(5)
-    total = sum(run(enc, [gold], draws) for enc, gold in zip(encodings, golds))
+    total, summed = 0.0, [np.zeros_like(g) for g in batch_grads]
+    for enc, gold in zip(encodings, golds):
+        total += run(enc, [gold], draws)
+        for acc, p in zip(summed, params):
+            acc += p.grad
     assert abs(batched - total) < 1e-12
-    for g, p in zip(batch_grads, params):
-        np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
+    for g, acc in zip(batch_grads, summed):
+        np.testing.assert_allclose(g, acc, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def test_softmax_loss_uniform_is_ln_tag_count():
     zero_projection(model)
     enc = encodings_for(corpus, model)[0]
     value = loss(model, enc, [to_tags(corpus[0])])
-    assert value.item() == pytest.approx(np.log(len(model.tag_vocab)), abs=1e-12)
+    assert value == pytest.approx(np.log(len(model.tag_vocab)), abs=1e-12)
 
 
 def test_crf_loss_zeroed_single_token_is_ln2():
@@ -252,7 +254,7 @@ def test_crf_loss_zeroed_single_token_is_ln2():
     zero_projection(model)
     enc = encodings_for(corpus, model)[0]
     value = loss(model, enc, [to_tags(sentence)])
-    assert value.item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_loss_rejects_unknown_label_and_bad_length():
@@ -294,10 +296,37 @@ def test_grad_check_full_loss(head):
     enc = tiny_encoding()
     gold = [["TAG0", "TAG2", "TAG1"]]
 
-    def build_loss():
-        return loss(model, enc, gold, tape=Tape())
+    def full_loss(tape):
+        return loss(model, enc, gold, tape=tape)
 
-    assert grad_check(build_loss, list(model.params.values())) < 1e-4
+    assert grad_check(full_loss, list(model.params.values())) < 1e-4
+
+
+# sha256 of model.grad and of the loss after one training batch, as the
+# general-tape implementation computed them: the stage chain writes every
+# gradient with the same operations in the same order, so the same bits
+ONE_STEP_DIGESTS = {
+    "softmax": ("0ed9d1ec0bec18747b6d0fcd495755e47aeeb0c39c5a8c04541baf4902f54751",
+                "f39a4f68ee6375c9a7f9cfc0201c30cd5ee0bd4a3023e77b80dabb6d7eb131a0"),
+    "crf": ("f4dbb282a46fe1e351b4bd15b039e6b70e7bf4babd4d43ade896f4dd4a97a4ac",
+            "2d828e507fa2e649de9310fcc773155d62957f50958468d7d900a7d8df605251"),
+}
+
+
+@pytest.mark.parametrize("head", ["softmax", "crf"])
+def test_one_step_gradient_bits_match_parent(head):
+    corpus = synthetic_corpus(sentences=4, seed=4)
+    config = TaggerConfig(filters_per_width=4, lstm_hidden=5, epochs=1, batch_size=4,
+                          seed=11, head=head)
+    model = build_for_corpus(config, corpus, synthetic_embeddings(dim=8))
+    batch = pad(encodings_for(corpus, model))
+    model.grad.fill(np.nan)  # the backward pass must write every slot
+    tape = Tape()
+    value = loss(model, batch, [to_tags(s) for s in corpus], RngStream(5), tape)
+    backward(tape)
+    digests = (hashlib.sha256(model.grad.tobytes()).hexdigest(),
+               hashlib.sha256(np.float64(value).tobytes()).hexdigest())
+    assert digests == ONE_STEP_DIGESTS[head]
 
 
 # ---------------------------------------------------------------------------
