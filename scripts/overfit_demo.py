@@ -9,7 +9,6 @@ import time
 
 from mwetag.baseline import BaselineTrainOptions, tag_baseline, train_baseline
 from mwetag.corpus import from_tags, to_tags
-from mwetag.embed import encode
 from mwetag.evaluation import evaluate
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
@@ -41,8 +40,7 @@ def main():
         model = build_for_corpus(config, corpus, embeddings=table)
         best, report = train(model, corpus)
         elapsed = time.time() - started
-        encodings = [encode(s, table, best.pos_vocab) for s in corpus]
-        accuracy = token_accuracy(predict(best, encodings), corpus)
+        accuracy = token_accuracy(predict(best, corpus), corpus)
         scores = evaluate(corpus, predict_corpus(best, corpus))
         rows.append((f"neural/{head}", accuracy, scores.mwe.f1, elapsed))
         print(f"neural/{head}: final loss {report.losses[-1]:.4f}")

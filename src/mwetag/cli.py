@@ -41,11 +41,11 @@ _FIELD_TYPES = {"str": str, "int": int, "bool": bool}
 _TYPE_NAMES = {"str": "a string", "int": "an integer", "bool": "true or false"}
 # the files each command writes, each with the flags whose files it may not be
 _WRITES = {
-    "convert": {"output": ("input",)},
-    "train": {"model": ("report", "train", "dev", "embeddings"),
-              "report": ("train", "dev", "embeddings")},
-    "tag": {"output": ("input", "model", "embeddings")},
-    "eval": {"report": ("gold", "pred", "train")},
+    "convert": {"output": ("input", "config")},
+    "train": {"model": ("report", "train", "dev", "embeddings", "config"),
+              "report": ("train", "dev", "embeddings", "config")},
+    "tag": {"output": ("input", "model", "embeddings", "config")},
+    "eval": {"report": ("gold", "pred", "train", "config")},
 }
 
 
@@ -82,7 +82,9 @@ class RunConfig:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
             raise UsageError(f"{self.subcommand} requires {flags}")
 
-    def validate(self):
+    def validate(self, config_path: str | None = None):
+        """Raise UsageError on a bad value, a missing flag, or an output that
+        names another file of the command, config_path (--config) included."""
         # each field holds exactly its annotated type, or None where the
         # annotation allows it: a config file's "3", 2.5 or true is no int
         for field in dataclasses.fields(self):
@@ -102,7 +104,7 @@ class RunConfig:
             self.require("model", "input", "output")
         elif self.subcommand == "eval":
             self.require("gold", "pred", "report")
-        paths = dataclasses.asdict(self)
+        paths = dataclasses.asdict(self) | {"config": config_path}
         if self.subcommand == "train":
             paths["report"] = self.train_report
         for written, others in _WRITES.get(self.subcommand, {}).items():
@@ -210,11 +212,8 @@ def resolve(args: argparse.Namespace) -> RunConfig:
             values[name] = given
         elif name in overrides:
             values[name] = overrides[name]
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
-    config.validate()
+    config = RunConfig(**values)
+    config.validate(getattr(args, "config", None))
     if config.subcommand == "train" and config.variant != "neural":
         # a config file may hold them for other commands; a flag asks for them
         for name in ("dev", "batch_size", "head"):
@@ -259,16 +258,6 @@ def _cmd_convert(cfg: RunConfig) -> int:
     return 0
 
 
-def _train_report_tagger(report) -> dict:
-    # wall-clock timings stay out of the file so identical runs match bytewise
-    return {
-        "losses": report.losses,
-        "dev_token_accuracy": report.dev_token_accuracy,
-        "dev_mwe_f1": report.dev_mwe_f1,
-        "selected_epoch": report.selected_epoch,
-    }
-
-
 def _dump_json(path: str, payload: dict):
     atomic_write_text(
         path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -293,7 +282,8 @@ def _cmd_train(cfg: RunConfig) -> int:
         model = build_for_corpus(tagger_config, train_corpus, embeddings=table)
         best, report = train_tagger(model, train_corpus, dev_corpus)
         save_model(best, cfg.model)
-        _dump_json(report_path, _train_report_tagger(report))
+        # TrainReport holds no wall-clock timings: identical runs match bytewise
+        _dump_json(report_path, dataclasses.asdict(report))
         return 0
 
     variant = cfg.variant.removeprefix("baseline-")

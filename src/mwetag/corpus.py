@@ -74,9 +74,6 @@ class Sentence:
     # empty nodes, kept verbatim at their original position.
     raw_rows: tuple[tuple[int, str], ...] = ()
 
-    def __len__(self):
-        return len(self.tokens)
-
 
 Corpus = list[Sentence]
 TagSequence = list[str]
@@ -100,8 +97,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     comments: list[str] = []
     tokens: list[Token] = []
     raw_rows: list[tuple[int, str]] = []
-    openers: dict[int, tuple[str, list[int], int]] = {}  # k -> (cat, positions, line)
-    start_line = 1
+    openers: dict[int, tuple[str, list[int]]] = {}  # k -> (category, positions)
 
     def flush(line_number):
         nonlocal comments, tokens, raw_rows, openers
@@ -114,7 +110,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
             raise CuptParseError("token ids are not consecutive from 1", line_number)
         vmwes = tuple(
             VmweInstance(k, cat, tuple(positions))
-            for k, (cat, positions, _ln) in sorted(openers.items())
+            for k, (cat, positions) in sorted(openers.items())
         )
         sentences.append(
             Sentence(tuple(tokens), vmwes, tuple(comments), tuple(raw_rows))
@@ -128,7 +124,6 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
         line = line.rstrip("\n")
         if line == "":
             flush(line_number)
-            start_line = line_number + 1
             continue
         if line.startswith("#"):
             if tokens:
@@ -177,7 +172,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
                     raise CuptParseError(
                         f"expression {k} opened twice in one sentence", line_number
                     )
-                openers[k] = (shared(category, category), [token_id], line_number)
+                openers[k] = (shared(category, category), [token_id])
             else:
                 if k not in openers:
                     raise CuptParseError(
@@ -233,11 +228,15 @@ def write_cupt(corpus: Corpus) -> str:
 
 
 def read_cupt(path) -> Corpus:
+    """parse_cupt over a file; every CuptParseError names the file."""
     try:
         with open(path, encoding="utf-8") as stream:
             return parse_cupt(stream)
     except UnicodeDecodeError as exc:
         raise CuptParseError(not_utf8(path, exc)) from exc
+    except CuptParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # keeps its line_number
+        raise
 
 
 def write_cupt_file(corpus: Corpus, path):

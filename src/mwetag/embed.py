@@ -2,9 +2,9 @@
 
 The network consumes two inputs per sentence: a word matrix made of the
 pretrained embedding of each token followed by 7 binary shape features, and a
-one-hot POS matrix. A Batch holds them as zero-padded blocks: encode makes
-the one-sentence Batch and pad stacks Batches into one. These blocks are the
-whole input of the tagger, which attaches them to its tape as Tensors.
+one-hot POS matrix. encode builds them for a list of sentences as one Batch
+of zero-padded blocks, which is the whole input of one tagger pass; the
+tagger encodes each batch when it runs it and keeps no encodings beyond it.
 Embedding tables are immutable after loading and lookups are total (unknown
 words map to the zero vector).
 """
@@ -113,7 +113,8 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
 def _open_vec(path):
     """A text stream over a vector file, gzip detected by magic bytes. Text
     that is not UTF-8 and gzip data that is cut short or corrupt are a
-    VecLoadError naming the file."""
+    VecLoadError naming the file, and so is every VecLoadError of the
+    reader."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     opener = gzip.open if magic == b"\x1f\x8b" else open
@@ -124,6 +125,9 @@ def _open_vec(path):
         raise VecLoadError(not_utf8(path, exc)) from exc
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise VecLoadError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
+    except VecLoadError as exc:
+        exc.args = (f"{path}: {exc}",)  # keeps its line_number
+        raise
 
 
 def load_vec_file(path, expected_dim: int) -> EmbeddingTable:
@@ -155,7 +159,7 @@ def sniff_vec_dim(path) -> int:
             if len(parts) < 2:
                 raise VecLoadError("no vector values on line", line_number)
             return len(parts) - 1
-    raise VecLoadError("vector file holds no vectors", 0)
+        raise VecLoadError("vector file holds no vectors")
 
 
 def _is_upper(char: str) -> bool:
@@ -198,31 +202,20 @@ class Batch:
     lengths: np.ndarray
 
 
-def pad(batches: list[Batch]) -> Batch:
-    """Stack batches, in order, into one whose blocks are as long as the
-    longest sentence."""
-    lengths = np.concatenate([b.lengths for b in batches])
-    n = lengths.max(initial=0)
-    word_input = np.zeros((len(lengths), n, batches[0].word_input.shape[2]))
-    pos_input = np.zeros((len(lengths), n, batches[0].pos_input.shape[2]))
-    row = 0
-    for b in batches:
-        count, length = b.word_input.shape[:2]
-        word_input[row : row + count, :length] = b.word_input
-        pos_input[row : row + count, :length] = b.pos_input
-        row += count
-    return Batch(word_input, pos_input, lengths)
-
-
-def encode(sentence: Sentence, table: EmbeddingTable, pos_vocab: Sequence[str]) -> Batch:
-    """The inputs of one sentence, as a one-sentence Batch. A POS tag not in
-    pos_vocab takes column 0, the UNK slot of pos_vocabulary."""
-    n = len(sentence.tokens)
-    word_input = np.zeros((1, n, table.dimension + N_SHAPE_FEATURES))
-    pos_input = np.zeros((1, n, len(pos_vocab)))
+def encode(
+    sentences: Sequence[Sentence], table: EmbeddingTable, pos_vocab: Sequence[str]
+) -> Batch:
+    """The inputs of sentences, stacked in order into one Batch whose blocks
+    are as long as the longest sentence. A POS tag not in pos_vocab takes
+    column 0, the UNK slot of pos_vocabulary."""
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=int)
+    n, dim = lengths.max(initial=0), table.dimension
+    word_input = np.zeros((len(sentences), n, dim + N_SHAPE_FEATURES))
+    pos_input = np.zeros((len(sentences), n, len(pos_vocab)))
     pos_column = {upos: k for k, upos in enumerate(pos_vocab)}
-    for i, token in enumerate(sentence.tokens):
-        word_input[0, i, : table.dimension] = table.lookup(token.form)
-        word_input[0, i, table.dimension :] = shape_features(token.form)
-        pos_input[0, i, pos_column.get(token.upos, 0)] = 1.0
-    return Batch(word_input, pos_input, np.array([n]))
+    for words, pos, sentence in zip(word_input, pos_input, sentences):
+        for i, token in enumerate(sentence.tokens):
+            words[i, :dim] = table.lookup(token.form)
+            words[i, dim:] = shape_features(token.form)
+            pos[i, pos_column.get(token.upos, 0)] = 1.0
+    return Batch(word_input, pos_input, lengths)

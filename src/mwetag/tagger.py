@@ -1,15 +1,16 @@
 """ConvNet + BiLSTM sequence tagger with a softmax or chain-CRF head.
 
-The network runs on a padded batch of B sentences (an embed.Batch). The
-word input (embedding + shape features, B x n x (dim+7), zero past each
-sentence's end) runs through one ReLU convolution bank per filter width in
-FILTER_WIDTHS, the banks' activations are concatenated together with the
-POS one-hot block, a bidirectional LSTM with variational dropout reads each
-sentence up to its length, and a dense projection maps each position to
-per-label scores. The softmax head trains with each sentence's mean
-cross-entropy and predicts by row argmax; the CRF head trains with sequence
-NLL and predicts with viterbi. A batch's loss is the sum of its sentences'
-losses.
+The network runs on a padded batch of B sentences, an embed.Batch that
+embed.encode builds from them right before the pass; no encoding is kept
+beyond its batch. The word input (embedding + shape features,
+B x n x (dim+7), zero past each sentence's end) runs through one ReLU
+convolution bank per filter width in FILTER_WIDTHS, the banks' activations
+are concatenated together with the POS one-hot block, a bidirectional LSTM
+with variational dropout reads each sentence up to its length, and a dense
+projection maps each position to per-label scores. The softmax head trains
+with each sentence's mean cross-entropy and predicts by row argmax; the CRF
+head trains with sequence NLL and predicts with viterbi. A batch's loss is
+the sum of its sentences' losses.
 
 The network is one fixed chain of autodiff stages on plain arrays: the
 conv banks, the BiLSTM, the projection and the loss. A training pass
@@ -26,11 +27,12 @@ rates autodiff.DROPOUT and autodiff.RECURRENT_DROPOUT; an evaluation pass
 hands it none and draws no masks. All parameters share one flat value
 vector and all gradients a second one (TaggerModel), so zeroing, averaging
 and the Adam step each run over one vector, the step in cache-sized chunks.
-Within one batch, sentences are stacked in corpus order, which makes a
-full-batch run independent of the shuffle. With a dev corpus, which must not
-be empty, the returned snapshot is the epoch with the best dev MWE-based F1
-(ties to the earlier epoch); without one, the final state. Tagging runs
-batch_size sentences per forward pass.
+Within one training batch, sentences are encoded and stacked in corpus
+order, which makes a full-batch run independent of the shuffle. With a dev
+corpus, which must not be empty, the returned snapshot is the epoch with the
+best dev MWE-based F1 (ties to the earlier epoch); without one, the final
+state. Tagging, dev scoring included, encodes and runs batch_size sentences
+per forward pass, in order.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .autodiff import (
     softmax_cross_entropy,
 )
 from .chaincrf import crf_nll, viterbi
-from .corpus import Corpus, TagSequence, from_tags, to_tags
-from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, encode, pad
+from .corpus import Corpus, TagSequence, from_tags, tag_vocabulary, to_tags
+from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, encode, pos_vocabulary
 from .errors import NonFiniteError, TrainingDataError
 from .evaluation import mwe_scores
 
@@ -210,9 +212,6 @@ def build_for_corpus(
 ) -> TaggerModel:
     """Derive vocabularies from a training corpus and build the model over
     the pretrained table."""
-    from .corpus import tag_vocabulary
-    from .embed import pos_vocabulary
-
     if not corpus:
         raise TrainingDataError("training corpus is empty")
     return build(
@@ -222,10 +221,6 @@ def build_for_corpus(
         tuple(pos_vocabulary(corpus)),
         RngStream(config.seed).child(0),
     )
-
-
-def _encode(model: TaggerModel, sentence) -> Batch:
-    return encode(sentence, model.embeddings, model.pos_vocab)
 
 
 def forward(
@@ -308,14 +303,14 @@ def loss(
     return crf_nll(scores, *chain, indices, inputs.lengths, tape)
 
 
-def predict(model: TaggerModel, encodings: list[Batch]) -> list[TagSequence]:
-    """Most likely label sequence of every encoded sentence, batch_size
-    sentences per forward pass: row argmax (softmax head) or viterbi path
-    (CRF head). Ties go to the lower label index either way."""
+def predict(model: TaggerModel, sentences: Corpus) -> list[TagSequence]:
+    """Most likely label sequence of every sentence, batch_size sentences
+    encoded per forward pass: row argmax (softmax head) or viterbi path (CRF
+    head). Ties go to the lower label index either way."""
     p, vocab, size = model.params, model.tag_vocab, model.config.batch_size
     tags = []
-    for lo in range(0, len(encodings), size):
-        batch = pad(encodings[lo : lo + size])
+    for lo in range(0, len(sentences), size):
+        batch = encode(sentences[lo : lo + size], model.embeddings, model.pos_vocab)
         scores = forward(model, batch)
         if model.config.head == "softmax":
             paths = scores.argmax(axis=-1)
@@ -330,7 +325,7 @@ def predict_corpus(
     model: TaggerModel, corpus: Corpus, apply_filter: bool = True
 ) -> Corpus:
     """Re-annotate every sentence with predicted expressions."""
-    tagged = predict(model, [_encode(model, s) for s in corpus])
+    tagged = predict(model, corpus)
     return [
         from_tags(tags, sentence, apply_filter=apply_filter)
         for tags, sentence in zip(tagged, corpus)
@@ -382,12 +377,9 @@ class AdamOptimizer:
 
 
 def _dev_metrics(
-    model: TaggerModel,
-    dev: Corpus,
-    encodings: list[Batch],
-    gold: list[TagSequence],
+    model: TaggerModel, dev: Corpus, gold: list[TagSequence]
 ) -> tuple[float, float]:
-    tagged = predict(model, encodings)
+    tagged = predict(model, dev)
     pairs = [(a, b) for tags, labels in zip(tagged, gold) for a, b in zip(tags, labels)]
     token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
     predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]
@@ -412,8 +404,6 @@ def train(
         raise TrainingDataError("training corpus is empty")
     if dev_corpus is not None and not dev_corpus:
         raise TrainingDataError("dev corpus is empty")
-    encodings = [_encode(model, s) for s in train_corpus]
-    dev_encodings = [_encode(model, s) for s in dev_corpus or ()]
     gold = [to_tags(s) for s in train_corpus]
     dev_gold = [to_tags(s) for s in dev_corpus or ()]
     for tags in gold:
@@ -432,12 +422,11 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, count, cfg.batch_size):
             batch = sorted(order[lo : lo + cfg.batch_size])
+            inputs = encode([train_corpus[i] for i in batch], model.embeddings,
+                            model.pos_vocab)
             tape = Tape()
             try:
-                value = loss(
-                    model, pad([encodings[i] for i in batch]), [gold[i] for i in batch],
-                    dropout_rng, tape,
-                )
+                value = loss(model, inputs, [gold[i] for i in batch], dropout_rng, tape)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}: {exc}"
@@ -448,7 +437,7 @@ def train(
             optimizer.step()
         report.losses.append(epoch_loss / count)
         if dev_corpus is not None:
-            token_acc, dev_f1 = _dev_metrics(model, dev_corpus, dev_encodings, dev_gold)
+            token_acc, dev_f1 = _dev_metrics(model, dev_corpus, dev_gold)
             report.dev_token_accuracy.append(token_acc)
             report.dev_mwe_f1.append(dev_f1)
             if dev_f1 > best_f1:

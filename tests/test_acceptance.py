@@ -24,7 +24,6 @@ from mwetag.corpus import (
     write_cupt,
     write_cupt_file,
 )
-from mwetag.embed import encode
 from mwetag.evaluation import evaluate, f1, mwe_scores, seen_unseen
 from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
@@ -83,9 +82,9 @@ def test_criterion_3_gradient_suite():
 # 4. synthetic overfit, both heads
 
 
-def _token_accuracy(model, corpus, table):
+def _token_accuracy(model, corpus):
     right = total = 0
-    tagged = predict(model, [encode(s, table, model.pos_vocab) for s in corpus])
+    tagged = predict(model, corpus)
     for tags, sentence in zip(tagged, corpus):
         gold = to_tags(sentence)
         right += sum(a == b for a, b in zip(tags, gold))
@@ -112,7 +111,7 @@ def test_criterion_4_synthetic_overfit(tmp_path):
                               epochs=100, batch_size=8, seed=5)
         model = build_for_corpus(config, corpus, embeddings=table)
         best, _ = train(model, corpus)
-        accuracy = _token_accuracy(best, corpus, table)
+        accuracy = _token_accuracy(best, corpus)
         report = evaluate(corpus, predict_corpus(best, corpus))
         assert accuracy >= 0.99, f"{head}: accuracy {accuracy:.4f}"
         assert report.mwe.f1 >= 0.95, f"{head}: MWE F1 {report.mwe.f1:.4f}"

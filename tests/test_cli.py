@@ -118,6 +118,20 @@ def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1', ": Expecting ',' delimiter"),
+    ('["seed", 1]', " must hold a JSON object"),
+], ids=["not-json", "not-an-object"])
+def test_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, capsys, text,
+                                                              message):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(text)
+    assert run(["gradcheck", "--config", p(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config file {cfg_file}{message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", "3"),
     ("seed", "x"),
@@ -168,6 +182,12 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_zero_batch_size_is_usage_error(tmp_path, capsys):
+    assert run(["train", "--train", p(tmp_path / "t"), "--model", p(tmp_path / "m"),
+                "--embeddings", p(tmp_path / "e"), "--batch-size", "0"]) == 1
+    assert capsys.readouterr().err == "usage error: batch size must be positive\n"
+
+
 def test_tag_no_filter_resolves_false():
     parser = _build_parser()
     args = parser.parse_args(["tag", "--model", "m", "--input", "i",
@@ -210,7 +230,7 @@ def test_convert_malformed_cupt_exits_two_with_line_number(tmp_path, capsys):
     rc = run(["convert", "--input", p(bad), "--output", p(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "line 1" in err
+    assert f"error: {bad}: line 1: expected at least 5" in err
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +330,7 @@ def test_tag_without_embeddings_for_pretrained_model_exits_two(
     assert "--embeddings" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "train", "tag"])
+@pytest.mark.parametrize("command", ["eval", "eval-pred", "train", "tag"])
 def test_expression_listed_twice_on_a_token_exits_two(
     workdir, trained, tmp_path, capsys, command
 ):
@@ -322,6 +342,9 @@ def test_expression_listed_twice_on_a_token_exits_two(
     argv = {
         "eval": ["eval", "--gold", p(bad), "--pred", p(workdir / "gold.cupt"),
                  "--report", p(out)],
+        # the file at fault is named, whichever of the inputs it is
+        "eval-pred": ["eval", "--gold", p(workdir / "gold.cupt"), "--pred", p(bad),
+                      "--train", p(workdir / "train.cupt"), "--report", p(out)],
         "train": ["train", "--train", p(bad), "--embeddings", p(workdir / "vecs.vec"),
                   "--model", p(out)],
         "tag": ["tag", "--model", p(trained), "--input", p(bad), "--output", p(out),
@@ -330,8 +353,8 @@ def test_expression_listed_twice_on_a_token_exits_two(
     rc = run(argv)
     err = capsys.readouterr().err
     assert rc == 2
-    assert "line 2" in err and "listed twice" in err and "Traceback" not in err
-    assert not out.exists()
+    assert f"error: {bad}: line 2: expression 1 listed twice" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +427,10 @@ def bad_inputs(workdir, small_tagger, tmp_path_factory):
         "tagger": small_tagger,
     }
     files["zero_dim_vec"].write_text("2 0\nthe\na\n")
+    files["valueless_vec"] = root / "valueless.vec"
+    files["valueless_vec"].write_text("the\na 0.5\n")
+    files["empty_vec"] = root / "empty.vec"
+    files["empty_vec"].write_text("\n\n")
     # a Latin-1 byte in each kind of file, and a gzip vector file cut short
     corpus_text = (workdir / "train.cupt").read_text(encoding="utf-8")
     files["latin1_cupt"] = root / "latin1.cupt"
@@ -501,7 +528,7 @@ def _inf_last(header, vector):
 
 
 TRAIN = ["train", "--train", "{train}", "--model", "{out}.json"]
-HUGE_VEC = "line 1: squared norm overflows"
+HUGE_VEC = "huge.vec: line 1: squared norm overflows"
 TAG = ["tag", "--model", "{model}", "--input", "{train}", "--output", "{out}.cupt"]
 NOT_UTF8 = " is not UTF-8 text (byte 0x"
 
@@ -545,7 +572,7 @@ def _tag_file(name):
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v3, "retrain"),
         (TAG, "standard", as_format_v3, "retrain"),
         (TRAIN + ["--embeddings", "{zero_dim_vec}"], None, None,
-         "line 1: header dimension 0"),
+         "zero_dim.vec: line 1: header dimension 0"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v4, "retrain"),
         (TAG, "standard", as_format_v4, "retrain"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", as_format_v5, "retrain"),
@@ -586,6 +613,10 @@ def _tag_file(name):
          "header_2_63.model: corrupt model file: a header of 9223372036854775808 bytes"),
         (_tag_file("header_not_json"), None, None,
          "header_not_json.model: corrupt model file: header: "),
+        (TRAIN + ["--embeddings", "{valueless_vec}"], None, None,
+         "valueless.vec: line 1: no vector values on line"),
+        (TRAIN + ["--embeddings", "{empty_vec}"], None, None,
+         "empty.vec: vector file holds no vectors\n"),
     ],
     ids=[
         "train-nan-vec", "train-inf-vec", "train-huge-vec", "tag-huge-vec",
@@ -605,7 +636,8 @@ def _tag_file(name):
         "train-truncated-gzip-vec", "tag-latin1-model",
         "tagger-extended-body", "tagger-inf-body", "tagger-format-v6",
         "baseline-format-v6", "tag-bad-magic", "tag-header-past-eof",
-        "tag-header-2**63", "tag-header-not-json",
+        "tag-header-2**63", "tag-header-not-json", "train-valueless-vec",
+        "train-empty-vec",
     ],
 )
 def test_bad_numbers_and_malformed_models_exit_two(
@@ -906,11 +938,24 @@ def test_commands_check_the_output_directory_before_reading_anything(
      (["eval", "--gold", "{a}", "--pred", "{b}", "--report", "{link}"], "report", "gold"),
      (["eval", "--gold", "{a}", "--pred", "{b}", "--report", "{b}"], "report", "pred"),
      (["eval", "--gold", "{a}", "--pred", "{b}", "--train", "{c}", "--report", "{c}"],
-      "report", "train")],
+      "report", "train"),
+     # the config file, which {b}.train.json holds
+     (["train", "--variant", "baseline-standard", "--train", "{a}",
+       "--config", "{b}.train.json", "--model", "{b}.train.json"], "model", "config"),
+     (["train", "--variant", "baseline-standard", "--train", "{a}",
+       "--config", "{b}.train.json", "--model", "{b}"], "report", "config"),
+     (["tag", "--model", "{b}", "--input", "{a}", "--config", "{dir}/sub/../b.train.json",
+       "--output", "{b}.train.json"], "output", "config"),
+     (["convert", "--input", "{a}", "--config", "{b}.train.json",
+       "--output", "{b}.train.json"], "output", "config"),
+     (["eval", "--gold", "{a}", "--pred", "{b}", "--config", "{b}.train.json",
+       "--report", "{b}.train.json"], "report", "config")],
     ids=["train-model-report", "train-model-train", "train-model-dev",
          "train-model-embeddings", "train-default-report-train", "train-report-embeddings",
          "tag-output-input", "tag-output-model", "tag-output-embeddings",
-         "convert-output-input", "eval-report-gold", "eval-report-pred", "eval-report-train"],
+         "convert-output-input", "eval-report-gold", "eval-report-pred", "eval-report-train",
+         "train-model-config", "train-default-report-config", "tag-output-config",
+         "convert-output-config", "eval-report-config"],
 )
 def test_an_output_may_not_name_another_file_of_the_command(
     tmp_path, capsys, monkeypatch, argv, written, other
@@ -922,14 +967,14 @@ def test_an_output_may_not_name_another_file_of_the_command(
         monkeypatch.setattr(f"mwetag.cli.{name}", no_read)
     paths = {name: p(tmp_path / name) for name in ("a", "b", "c", "b.train.json")}
     for path in paths.values():
-        Path(path).write_text("kept\n")
+        Path(path).write_text("{}\n")  # a config file too: an empty JSON object
     (tmp_path / "sub").mkdir()
     os.symlink(tmp_path / "a", tmp_path / "link")
     paths.update(dir=p(tmp_path), link=p(tmp_path / "link"))
     assert run([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: --{written} and --{other} name the same file ")
-    assert all(Path(path).read_text() == "kept\n" for path in paths.values()
+    assert all(Path(path).read_text() == "{}\n" for path in paths.values()
                if path != paths["dir"])
 
 

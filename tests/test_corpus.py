@@ -139,6 +139,16 @@ def test_byte_round_trip_canonical():
     assert write_cupt(corpus) == CANONICAL
 
 
+def test_empty_node_after_the_last_token_round_trips():
+    empty_node = "5.1\tvu\tvoir\tVERB\t_\t_\t_\t_\t3:conj\t_\t*"
+    last = "5\ttest\ttest\tNOUN\t_\t_\t3\tobl\t_\t_\t*\n"
+    text = CANONICAL.replace(last, last + empty_node + "\n")
+    corpus = parse_cupt(io.StringIO(text))
+    assert len(corpus[0].tokens) == 5
+    assert corpus[0].raw_rows[-1] == (5, empty_node)
+    assert write_cupt(corpus) == text
+
+
 def test_ranged_line_excluded_from_positions():
     corpus = parse_cupt(io.StringIO(CANONICAL))
     sent = corpus[0]

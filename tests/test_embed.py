@@ -11,7 +11,6 @@ from mwetag.embed import (
     EmbeddingTable,
     encode,
     load_vec,
-    pad,
     load_vec_file,
     pos_vocabulary,
     shape_features,
@@ -134,7 +133,7 @@ def test_pos_vocabulary_sorted_with_unk():
 
 def test_unseen_pos_maps_to_unk():
     vocab = pos_vocabulary([sentence_of(["a"], ["VERB"])])
-    enc = encode(sentence_of(["a", "b"], ["ADJ", "VERB"]), EmbeddingTable(2, {}), vocab)
+    enc = encode([sentence_of(["a", "b"], ["ADJ", "VERB"])], EmbeddingTable(2, {}), vocab)
     np.testing.assert_array_equal(enc.pos_input[0], [[1, 0], [0, 1]])
 
 
@@ -142,7 +141,7 @@ def test_encode_shapes_and_rows():
     table = EmbeddingTable(3, {"cat": np.array([1.0, 2.0, 3.0])})
     vocab = ["UNK", "NOUN", "VERB"]
     sent = sentence_of(["cat", "Purrs", "2018"], ["NOUN", "VERB", "ADJ"])
-    enc = encode(sent, table, vocab)
+    enc = encode([sent], table, vocab)
     assert enc.word_input.shape == (1, 3, 10)
     assert enc.pos_input.shape == (1, 3, 3)
     np.testing.assert_array_equal(enc.lengths, [3])
@@ -158,35 +157,31 @@ def test_encode_deterministic_and_form_consistent():
     table = EmbeddingTable(2, {"a": np.array([5.0, 6.0])})
     vocab = ["UNK", "X"]
     sent = sentence_of(["a", "b", "a"], ["X", "X", "X"])
-    enc1 = encode(sent, table, vocab)
-    enc2 = encode(sent, table, vocab)
+    enc1 = encode([sent], table, vocab)
+    enc2 = encode([sent], table, vocab)
     np.testing.assert_array_equal(enc1.word_input, enc2.word_input)
     np.testing.assert_array_equal(enc1.word_input[0, 0, :2], enc1.word_input[0, 2, :2])
 
 
 def test_encode_copies_embeddings():
     table = EmbeddingTable(2, {"a": np.array([5.0, 6.0])})
-    enc = encode(sentence_of(["a"], ["X"]), table, ["UNK", "X"])
+    enc = encode([sentence_of(["a"], ["X"])], table, ["UNK", "X"])
     enc.word_input[0, 0, 0] = -1.0
     np.testing.assert_array_equal(table.lookup("a"), [5, 6])
 
 
-def test_pad_stacks_sentences_zero_past_each_end():
+def test_encode_stacks_sentences_zero_past_each_end():
     table = EmbeddingTable(2, {"a": np.array([5.0, 6.0])})
     vocab = ["UNK", "X"]
-    encodings = [
-        encode(sentence_of(forms, ["X"] * len(forms)), table, vocab)
-        for forms in (["a", "b"], ["a"], ["b", "a", "A"])
+    sentences = [
+        sentence_of(forms, ["X"] * len(forms)) for forms in (["a", "b"], ["a"], ["b", "a", "A"])
     ]
-    batch = pad(encodings)
+    batch = encode(sentences, table, vocab)
     np.testing.assert_array_equal(batch.lengths, [2, 1, 3])
     assert batch.word_input.shape == (3, 3, 9) and batch.pos_input.shape == (3, 3, 2)
-    for b, enc in enumerate(encodings):
-        (n,) = enc.lengths
-        np.testing.assert_array_equal(batch.word_input[b, :n], enc.word_input[0])
-        np.testing.assert_array_equal(batch.pos_input[b, :n], enc.pos_input[0])
+    for b, sentence in enumerate(sentences):
+        alone = encode([sentence], table, vocab)
+        (n,) = alone.lengths
+        np.testing.assert_array_equal(batch.word_input[b, :n], alone.word_input[0])
+        np.testing.assert_array_equal(batch.pos_input[b, :n], alone.pos_input[0])
         assert not batch.word_input[b, n:].any() and not batch.pos_input[b, n:].any()
-    # a stacked batch stacks again in order
-    again = pad([pad(encodings[:2]), encodings[2]])
-    for field in ("word_input", "pos_input", "lengths"):
-        np.testing.assert_array_equal(getattr(again, field), getattr(batch, field))

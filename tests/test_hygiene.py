@@ -153,3 +153,44 @@ def test_every_public_name_has_a_caller(module):
         if name not in REFERENCES and f"{module}.{qualified}" not in UNCALLED_PUBLIC
     ]
     assert unreferenced == []
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, outside the functions, lambdas and
+    classes nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    """function.name of each name not starting with _ that a function
+    assigns but that neither it nor a function nested in it reads. An
+    augmented assignment and a nonlocal or global declaration count as
+    reads."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned = {node.id for node in _own_nodes(function)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        read = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                read.update(node.names)
+        found += [f"{function.name}.{name}" for name in sorted(assigned - read)
+                  if not name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_local_is_read(module):
+    assert _unread_locals(MODULES[module]) == []

@@ -11,7 +11,7 @@ import pytest
 
 from mwetag.autodiff import DROPOUT, RECURRENT_DROPOUT, RngStream, Tape, backward, grad_check
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
-from mwetag.embed import Batch, EmbeddingTable, encode, pad, pos_vocabulary
+from mwetag.embed import Batch, EmbeddingTable, encode, pos_vocabulary
 from mwetag.errors import NonFiniteError, TrainingDataError
 from mwetag.evaluation import mwe_scores
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
@@ -162,14 +162,14 @@ def test_build_for_corpus_derives_vocabularies():
 # forward
 
 
-def encodings_for(corpus, model):
-    return [encode(s, model.embeddings, model.pos_vocab) for s in corpus]
+def batch_of(sentences, model):
+    return encode(sentences, model.embeddings, model.pos_vocab)
 
 
 def test_forward_shapes_and_eval_purity():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     e1 = forward(model, enc)
     e2 = forward(model, enc)
     assert e1.shape == (1, 3, len(model.tag_vocab))
@@ -179,7 +179,7 @@ def test_forward_shapes_and_eval_purity():
 def test_forward_train_mode_seeded_masks():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     a = forward(model, enc, RngStream(5))
     b = forward(model, enc, RngStream(5))
     c = forward(model, enc, RngStream(6))
@@ -190,7 +190,7 @@ def test_forward_train_mode_seeded_masks():
 def test_forward_rejects_wrong_input_width():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     bad = Batch(enc.word_input[..., :-1], enc.pos_input, enc.lengths)
     with pytest.raises(ValueError):
         forward(model, bad)
@@ -202,7 +202,6 @@ def test_forward_rejects_wrong_input_width():
 def test_batched_loss_is_sum_of_sentence_losses(head, dropped):
     corpus = synthetic_corpus(sentences=5, seed=4)
     model = build_for_corpus(small_config(head=head), corpus, synthetic_embeddings(dim=8))
-    encodings = encodings_for(corpus, model)
     golds = [to_tags(s) for s in corpus]
     assert len({len(g) for g in golds}) > 1  # the batch is padded
     params = list(model.params.values())
@@ -214,12 +213,12 @@ def test_batched_loss_is_sum_of_sentence_losses(head, dropped):
         return value
 
     # with dropout the batch must draw the masks its sentences draw one at a time
-    batched = run(pad(encodings), golds, RngStream(5))
+    batched = run(batch_of(corpus, model), golds, RngStream(5))
     batch_grads = [p.grad.copy() for p in params]
     draws = RngStream(5)
     total, summed = 0.0, [np.zeros_like(g) for g in batch_grads]
-    for enc, gold in zip(encodings, golds):
-        total += run(enc, [gold], draws)
+    for sentence, gold in zip(corpus, golds):
+        total += run(batch_of([sentence], model), [gold], draws)
         for acc, p in zip(summed, params):
             acc += p.grad
     assert abs(batched - total) < 1e-12
@@ -240,7 +239,7 @@ def test_softmax_loss_uniform_is_ln_tag_count():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(head="softmax"), corpus, toy_table(corpus))
     zero_projection(model)
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     value = loss(model, enc, [to_tags(corpus[0])])
     assert value == pytest.approx(np.log(len(model.tag_vocab)), abs=1e-12)
 
@@ -252,7 +251,7 @@ def test_crf_loss_zeroed_single_token_is_ln2():
     model = build_for_corpus(small_config(head="crf"), corpus, toy_table(corpus))
     assert len(model.tag_vocab) == 2
     zero_projection(model)
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     value = loss(model, enc, [to_tags(sentence)])
     assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -260,7 +259,7 @@ def test_crf_loss_zeroed_single_token_is_ln2():
 def test_loss_rejects_unknown_label_and_bad_length():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(), corpus, toy_table(corpus))
-    enc = encodings_for(corpus, model)[0]
+    enc = batch_of(corpus[:1], model)
     with pytest.raises(TrainingDataError):
         loss(model, enc, [["O", "B-NOPE", "O"]])
     with pytest.raises(TrainingDataError):
@@ -319,7 +318,7 @@ def test_one_step_gradient_bits_match_parent(head):
     config = TaggerConfig(filters_per_width=4, lstm_hidden=5, epochs=1, batch_size=4,
                           seed=11, head=head)
     model = build_for_corpus(config, corpus, synthetic_embeddings(dim=8))
-    batch = pad(encodings_for(corpus, model))
+    batch = batch_of(corpus, model)
     model.grad.fill(np.nan)  # the backward pass must write every slot
     tape = Tape()
     value = loss(model, batch, [to_tags(s) for s in corpus], RngStream(5), tape)
@@ -339,14 +338,13 @@ def test_predict_forced_label_is_constant():
         model = build_for_corpus(small_config(head=head), corpus, toy_table(corpus))
         zero_projection(model)
         model.params["proj_b"].data[model.tag_index["O"]] = 5.0
-        assert predict(model, encodings_for(corpus, model)[:1]) == [["O", "O", "O"]]
+        assert predict(model, corpus[:1]) == [["O", "O", "O"]]
 
 
 def test_predict_deterministic():
     corpus = toy_corpus()
     model = build_for_corpus(small_config(head="crf"), corpus, toy_table(corpus))
-    encodings = encodings_for(corpus, model)
-    assert predict(model, encodings) == predict(model, encodings)
+    assert predict(model, corpus) == predict(model, corpus)
 
 
 def test_predict_corpus_round_trips_shapes():
@@ -365,7 +363,7 @@ def test_tags_do_not_depend_on_batch_neighbours(head):
     config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head=head, epochs=4,
                           batch_size=8, seed=5, learning_rate=0.01)
     model, _ = train(build_for_corpus(config, corpus, synthetic_embeddings()), corpus)
-    alone = [predict(model, [enc])[0] for enc in encodings_for(corpus, model)]
+    alone = [predict(model, [sentence])[0] for sentence in corpus]
     assert 0 < sum(tag != "O" for tags in alone for tag in tags) < 200
     for apply_filter in (True, False):
         full = predict_corpus(model, corpus, apply_filter=apply_filter)
@@ -420,24 +418,29 @@ def test_without_dev_corpus_train_returns_the_trained_model():
     assert report.selected_epoch == 1
 
 
-def test_dev_corpus_is_encoded_once(monkeypatch):
+def test_train_encodes_each_batch_when_it_runs(monkeypatch):
     import mwetag.tagger as tagger_module
 
     train_corpus, dev = toy_corpus(), toy_corpus()[1:]
     model = build_for_corpus(small_config(epochs=3), train_corpus, toy_table(train_corpus))
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return encode(*args, **kwargs)
+    def counting(sentences, *args):
+        calls.append(list(sentences))
+        return encode(sentences, *args)
 
     monkeypatch.setattr(tagger_module, "encode", counting)
-    best, report = train(model, train_corpus, dev_corpus=dev)
-    assert len(calls) == len(train_corpus) + len(dev)
-    # the recorded dev scores are those of freshly encoded dev sentences
-    selected = report.selected_epoch
-    assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
-    assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
+    train(model, train_corpus, dev_corpus=dev)
+    # train indexes 0-4, dev 5-8; batch_size 2: per epoch three train batches
+    # in corpus order that hold each train sentence once, then dev in order
+    index = {id(s): i for i, s in enumerate(train_corpus + dev)}
+    batches = [[index[id(s)] for s in sentences] for sentences in calls]
+    assert len(batches) == 3 * 5
+    for lo in range(0, len(batches), 5):
+        epoch = batches[lo : lo + 3]
+        assert all(1 <= len(b) <= 2 and b == sorted(b) for b in epoch)
+        assert sorted(sum(epoch, [])) == [0, 1, 2, 3, 4]
+        assert batches[lo + 3 : lo + 5] == [[5, 6], [7, 8]]
 
 
 def test_dev_labels_are_built_once(monkeypatch):
@@ -458,7 +461,7 @@ def test_dev_labels_are_built_once(monkeypatch):
     selected = report.selected_epoch
     assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
     assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
-    predicted = predict(best, encodings_for(dev, best))
+    predicted = predict(best, dev)
     pairs = [(a, b) for tags, s in zip(predicted, dev) for a, b in zip(tags, to_tags(s))]
     accuracy = sum(a == b for a, b in pairs) / len(pairs)
     assert report.dev_token_accuracy[selected] == accuracy
