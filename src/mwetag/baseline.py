@@ -24,10 +24,11 @@ over every position of its corpus and _feature_ids maps the strings to ids.
 Tagging gets the same ids without strings: a model's tag index, built from
 feature_index on the first tag, codes each token's form, lemma and POS and
 looks the window's 26 integer keys up by one searchsorted. A feature unseen
-in training adds nothing on either path. Both score through _emissions,
-which returns the padded B x n x T block of summed weight rows plus the
-dense product: the fit scores its corpus as one block, tag_baseline its
-sentence as a one-sentence block.
+in training adds nothing on either path. Both take each sentence's turian
+block from _dense_rows (extract_features one row of it) and score through
+_emissions, which returns the padded B x n x T block of summed weight rows
+plus the dense product: the fit scores its corpus as one block,
+tag_baseline its sentence as a one-sentence block.
 """
 
 from __future__ import annotations
@@ -119,25 +120,27 @@ def extract_features(
         raise ValueError(f"unknown variant {variant!r}")
     if not (0 <= i < len(sentence.tokens)):
         raise ValueError(f"position {i} outside sentence of {len(sentence.tokens)}")
-    if variant == "turian" and table is None:
-        raise ValueError("turian variant needs an embedding table")
+    dense = _dense_rows(sentence, table)[i] if variant == "turian" else None
 
     v = _window_values(sentence, i)
     features = [prefix + v[slot] for prefix, slot in _UNIGRAMS]
     features += [prefix + "|".join(read(v)) for prefix, read in _NGRAMS]
-
-    dense = None
-    if variant == "turian":
-        blocks = []
-        n = len(sentence.tokens)
-        for d in WINDOW:
-            j = i + d
-            if 0 <= j < n:
-                blocks.append(table.lookup(sentence.tokens[j].form))
-            else:
-                blocks.append(np.zeros(table.dimension))
-        dense = np.concatenate(blocks)
     return features, dense
+
+
+def _dense_rows(sentence: Sentence, table: EmbeddingTable | None) -> np.ndarray:
+    """The sentence's n x 5*dim turian block: row i is the table's lookups
+    of position i's window, zero vectors past the sentence's ends."""
+    if table is None:
+        raise ValueError("turian variant needs an embedding table")
+    n = len(sentence.tokens)
+    # the lookups between two zero vectors at each end: position i's window
+    # is the 5 rows from row i on
+    vectors = np.zeros((n + 4, table.dimension))
+    for j, token in enumerate(sentence.tokens):
+        vectors[j + 2] = table.lookup(token.form)
+    windows = np.arange(n)[:, None] + np.arange(len(WINDOW))
+    return vectors[windows].reshape(n, len(WINDOW) * table.dimension)
 
 
 def param_shapes(
@@ -281,16 +284,15 @@ class BaselineModel:
 
 
 def _collect(sentences: Corpus, variant: str, table: EmbeddingTable | None):
-    """One pass over every position: the 26 feature strings of each, in
-    row-major order as one flat list, the turian dense rows stacked (None
-    for the standard variant) and the sentence lengths."""
-    names, dense_rows = [], []
+    """The 26 feature strings of every position, in row-major order as one
+    flat list, the sentences' turian blocks stacked (None for the standard
+    variant) and the sentence lengths."""
+    dense = (np.vstack([_dense_rows(s, table) for s in sentences])
+             if variant == "turian" else None)
+    names = []
     for sentence in sentences:
         for i in range(len(sentence.tokens)):
-            feats, dense = extract_features(sentence, i, variant, table)
-            names += feats
-            dense_rows.append(dense)
-    dense = np.vstack(dense_rows) if variant == "turian" else None
+            names += extract_features(sentence, i)[0]
     return names, dense, np.array([len(s.tokens) for s in sentences])
 
 
@@ -351,6 +353,8 @@ class BaselineProblem:
             raise TrainingDataError("training corpus is empty")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self.sigma = sigma
         self.tag_vocab = tuple(tag_vocab or tag_vocabulary(corpus))
@@ -373,14 +377,11 @@ class BaselineProblem:
         self.shapes = param_shapes(len(self.feature_index), self.emb_dim, t_count)
         self.size = sum(map(math.prod, self.shapes.values()))
 
-    def split(self, w: np.ndarray):
-        return _split(w, self.shapes)
-
     def _penalty(self, w: np.ndarray) -> float:
         return float(w @ w) / (2.0 * self.sigma**2)
 
     def loss(self, w: np.ndarray) -> float:
-        weights, dense_w, *chain = self.split(w)
+        weights, dense_w, *chain = _split(w, self.shapes)
         scores = _emissions(weights, self.ids, self.lengths, dense_w, self.dense)
         nll = log_partition(scores, *chain, self.lengths) - score_path(
             scores, *chain, self.gold, self.lengths
@@ -388,9 +389,9 @@ class BaselineProblem:
         return self._penalty(w) + float(nll.sum())
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        weights, dense_w, *chain = self.split(w)
+        weights, dense_w, *chain = _split(w, self.shapes)
         grad = w / self.sigma**2
-        g_weights, g_dense, *g_chain = self.split(grad)
+        g_weights, g_dense, *g_chain = _split(grad, self.shapes)
         scores = _emissions(weights, self.ids, self.lengths, dense_w, self.dense)
         gamma, xi, log_z = forward_backward(scores, *chain, self.lengths)
         nll = log_z - score_path(scores, *chain, self.gold, self.lengths)
@@ -575,22 +576,11 @@ def tag_baseline(
     training contribute nothing. The turian window's lookups read the table
     (zero vectors past the ends). Scores that overflow (huge dense input
     vectors) raise NonFiniteError."""
-    if model.variant == "turian" and table is None:
-        raise ValueError("turian variant needs an embedding table")
+    dense = _dense_rows(sentence, table) if model.variant == "turian" else None
     if model._tag_index is None:
         model._tag_index = _TagIndex(model.feature_index)
     ids = model._tag_index.feature_ids(sentence)
-    n = len(sentence.tokens)
-    dense = None
-    if model.variant == "turian":
-        # the lookups between two zero vectors at each end: position i's
-        # window is the 5 rows from row i on
-        vectors = np.zeros((n + 4, table.dimension))
-        for j, token in enumerate(sentence.tokens):
-            vectors[j + 2] = table.lookup(token.form)
-        windows = np.arange(n)[:, None] + np.arange(len(WINDOW))
-        dense = vectors[windows].reshape(n, len(WINDOW) * table.dimension)
-    lengths = np.array([n])
+    lengths = np.array([len(sentence.tokens)])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         scores = _emissions(model.weights, ids, lengths, model.dense, dense)
     if not np.isfinite(scores).all():

@@ -34,7 +34,7 @@ from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable
 from .tagger import FILTER_WIDTHS, TaggerConfig, build, loss
 
 SUITE_TOLERANCE = 1e-4
-DEFAULT_ROUNDS = 5
+SUITE_ROUNDS = 5  # seeded repetitions of every check
 _KINK_MARGIN = 5e-3  # far above the 1e-4 finite-difference step
 
 
@@ -185,10 +185,10 @@ CHECKS = (
 )
 
 
-def gradient_suite(seed: int = 0, rounds: int = DEFAULT_ROUNDS) -> dict[str, float]:
-    """Max relative error per check across ``rounds`` seeded repetitions."""
+def gradient_suite(seed: int = 0) -> dict[str, float]:
+    """Max relative error per check across SUITE_ROUNDS seeded repetitions."""
     results = {name: 0.0 for name, _ in CHECKS}
-    for round_index in range(rounds):
+    for round_index in range(SUITE_ROUNDS):
         base = RngStream(seed).child(round_index)
         for offset, (name, fn) in enumerate(CHECKS):
             results[name] = max(results[name], fn(base.child(offset)))

@@ -3,15 +3,18 @@ from DataError, so the command layer can map them to one exit code."""
 
 
 class DataError(Exception):
-    """Problem with user-supplied data or files (exit code 2 at the CLI)."""
+    """Problem with user-supplied data or files (exit code 2 at the CLI),
+    at line_number of its file when one is given."""
 
-
-class CuptParseError(DataError):
     def __init__(self, message, line_number=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+class CuptParseError(DataError):
+    pass
 
 
 class CuptWriteError(DataError):
@@ -19,11 +22,7 @@ class CuptWriteError(DataError):
 
 
 class VecLoadError(DataError):
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+    pass
 
 
 class ModelFormatError(DataError):

@@ -57,7 +57,7 @@ def test_criterion_2_crf_matches_enumeration():
             rng.uniform(-2.0, 2.0, t_count),
             rng.uniform(-2.0, 2.0, t_count),
         )
-        oracle_path, oracle_best, oracle_log_z = brute_force(*crf)
+        _, oracle_best, oracle_log_z = brute_force(*crf)
         block = (crf[0][None], *crf[1:])  # the B = 1 block of the sentence
         (path,), (score,) = viterbi(*block, [n])
         assert abs(score - oracle_best) < 1e-8

@@ -145,6 +145,7 @@ def test_child_streams_are_deterministic_and_distinct():
 def naive_matmul(a, b):
     n, k = a.shape
     k2, m = b.shape
+    assert k == k2
     out = np.zeros((n, m))
     for i in range(n):
         for j in range(m):

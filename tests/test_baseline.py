@@ -124,9 +124,9 @@ def test_extract_rejects_out_of_range_and_bad_variant():
         extract_features(FIVE, 5)
     with pytest.raises(ValueError):
         extract_features(FIVE, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'dense'"):
         extract_features(FIVE, 0, variant="dense")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="turian variant needs an embedding table"):
         extract_features(FIVE, 0, variant="turian")  # no table
 
 
@@ -211,6 +211,11 @@ def test_problem_rejects_empty_corpus_and_bad_sigma():
         BaselineProblem([])
     with pytest.raises(ValueError):
         BaselineProblem(toy_training_corpus(), sigma=0.0)
+    # checked by the problem itself, before any feature is extracted
+    with pytest.raises(ValueError, match="unknown variant 'dense'"):
+        BaselineProblem(toy_training_corpus(), "dense")
+    with pytest.raises(ValueError, match="turian variant needs an embedding table"):
+        BaselineProblem(toy_training_corpus(), "turian")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,7 @@ def test_turian_training_runs_and_tags():
     assert model.dense is not None
     assert model.dense.shape == (15, len(model.tag_vocab))
     assert tag_baseline(model, corpus[0], table) == to_tags(corpus[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="turian variant needs an embedding table"):
         tag_baseline(model, corpus[0])  # table omitted
 
 

@@ -267,7 +267,7 @@ def random_annotated(rng, categories=("A", "B")):
     for _ in range(rng.integers(1, 6)):
         n = int(rng.integers(1, 9))
         instances = []
-        for k in range(rng.integers(0, 3)):
+        for _ in range(rng.integers(0, 3)):
             size = int(rng.integers(1, min(n, 3) + 1))
             positions = sorted(rng.choice(n, size=size, replace=False) + 1)
             instances.append((str(rng.choice(categories)), [int(p) for p in positions]))

@@ -4,7 +4,8 @@ module-level _private function, class or constant is referenced somewhere in
 the package (a test's or script's somewhere in the package, the tests or the
 scripts), no package module imports another's _private name, and every
 public function, class or method is referenced from the package, the
-scripts or the benchmark."""
+scripts or the benchmark, and every local a function assigns is read (in the
+tests and the scripts too)."""
 
 import ast
 from pathlib import Path
@@ -191,6 +192,6 @@ def _unread_locals(tree: ast.Module) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(MODULES) + sorted(IMPORTERS))
 def test_every_local_is_read(module):
-    assert _unread_locals(MODULES[module]) == []
+    assert _unread_locals({**MODULES, **IMPORTERS}[module]) == []
