@@ -406,10 +406,7 @@ def bilstm(
                       outs[-1], saved))
         directions.append((pos, slice(direction * h, (direction + 1) * h), in_mask))
 
-    # CPUs this process may run on; a CPU quota of its cgroup is not seen
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    threaded = cpus >= 2  # on one CPU a second thread only costs time
+    threaded = _usable_cpus() >= 2  # on one CPU a second thread only costs time
     backs = _both(*(partial(_lstm_direction, *args) for args in calls), threaded)
 
     out = np.zeros((b_count, n, 2 * h))
@@ -443,11 +440,19 @@ def bilstm(
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or os.cpu_count()
+    where the platform has none. A CPU quota of its cgroup is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _both(first, second, threaded: bool):
     """(first(), second()). When threaded, second runs on a short-lived
     thread, under this thread's numpy error state, while this thread runs
-    first; what it raised is re-raised here after the join. Otherwise both
-    run here, first then second."""
+    first; what it raised is re-raised here after the join. Otherwise, or
+    when no thread can be started, both run here, first then second."""
     if not threaded:
         return first(), second()
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -461,7 +466,10 @@ def _both(first, second, threaded: bool):
             error.append(exc)
 
     worker = threading.Thread(target=work)
-    worker.start()
+    try:
+        worker.start()
+    except RuntimeError:  # "can't start new thread"
+        return first(), second()
     try:
         head = first()
     finally:

@@ -26,7 +26,8 @@ the BiLSTM a seeded dropout stream, from which it draws its masks at the
 rates autodiff.DROPOUT and autodiff.RECURRENT_DROPOUT; an evaluation pass
 hands it none and draws no masks. All parameters share one flat value
 vector and all gradients a second one (TaggerModel), so zeroing, averaging
-and the Adam step each run over one vector, the step in cache-sized chunks.
+and the Adam step each run over one vector, the step in cache-sized chunks
+(half of them on a second thread when the process may use two CPUs).
 Within one training batch, sentences are encoded and stacked in corpus
 order, which makes a full-batch run independent of the shuffle. With a dev
 corpus, which must not be empty, the returned snapshot is the epoch with the
@@ -43,6 +44,7 @@ from functools import partial
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (
     LstmParams,
     Param,
@@ -337,11 +339,18 @@ class AdamOptimizer:
     flat parameter and gradient vectors.
 
     The step updates m, v and the parameters in place, ADAM_CHUNK values at
-    a time through two chunk-sized scratch buffers, so each chunk stays in
-    cache across the step's passes and nothing is allocated per step. Its
-    operations and their order are those of the textbook expressions
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    a time through a pair of chunk-sized scratch buffers, so each chunk
+    stays in cache across the step's passes and nothing is allocated per
+    step. Its operations and their order are those of the textbook
+    expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= (lr * m_hat) / (sqrt(v_hat) + eps), so every bit matches them.
+
+    When the process may use two CPUs and the vectors span two chunks or
+    more, the chunks are split in two halves: this thread steps the first
+    half while a short-lived second thread steps the rest, each through a
+    scratch pair of its own. Every value still goes through the same
+    operations in the same order, so the bits are the same either way.
+    Otherwise the step runs here, as one loop over every chunk.
     """
 
     def __init__(self, data: np.ndarray, grad: np.ndarray, learning_rate: float):
@@ -350,16 +359,30 @@ class AdamOptimizer:
         self.m = np.zeros(data.shape)
         self.v = np.zeros(data.shape)
         self.t = 0
-        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        # one pair per half, both allocated here so the second thread
+        # allocates no arrays
+        self._scratch = [(np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)) for _ in range(2)]
 
     def step(self):
         self.t += 1
-        m_scale = 1.0 - ADAM_BETA1**self.t
-        v_scale = 1.0 - ADAM_BETA2**self.t
+        chunks = range(0, self.data.size, ADAM_CHUNK)
+        half = len(chunks) // 2
+        update = partial(self._update, 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t)
+        if half and autodiff._usable_cpus() >= 2:
+            autodiff._both(partial(update, chunks[:half], self._scratch[0]),
+                           partial(update, chunks[half:], self._scratch[1]), threaded=True)
+        else:
+            update(chunks, self._scratch[0])
+
+    def _update(self, m_scale: float, v_scale: float, chunks: range, scratch):
+        """The step over the chunks starting at the given offsets. It calls
+        numpy only: it may run on a second thread, where a call into a
+        function that a tracer wraps would use the tracer's one span stack
+        from two threads at once."""
         vectors = (self.data, self.grad, self.m, self.v)
-        for lo in range(0, self.data.size, ADAM_CHUNK):
+        for lo in chunks:
             p, g, m, v = (x[lo : lo + ADAM_CHUNK] for x in vectors)
-            a, b = (s[: g.size] for s in self._scratch)
+            a, b = (s[: g.size] for s in scratch)
             np.multiply(m, ADAM_BETA1, out=m)
             np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             np.add(m, a, out=m)

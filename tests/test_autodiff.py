@@ -20,6 +20,7 @@ from mwetag.autodiff import (
     Param,
     RngStream,
     Tape,
+    _both,
     _lstm_direction,
     backward,
     bilstm,
@@ -670,6 +671,52 @@ def test_bilstm_threaded_matches_one_cpu_bits_at_blocked_gemm_sizes(monkeypatch)
     np.testing.assert_array_equal(threaded[1], inline[1])
     for g, expect in zip(threaded[2], inline[2]):
         np.testing.assert_array_equal(g, expect)
+
+
+def refuse_threads(monkeypatch):
+    """Make every Thread.start fail as it does when the process may start
+    no more threads."""
+
+    def start(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def test_both_runs_inline_when_no_thread_can_be_started(monkeypatch):
+    refuse_threads(monkeypatch)
+    calls = []
+
+    def call(name):
+        calls.append((name, threading.current_thread()))
+        return name
+
+    assert _both(lambda: call("first"), lambda: call("second"), threaded=True) == (
+        "first", "second")
+    assert calls == [("first", threading.current_thread()),
+                     ("second", threading.current_thread())]
+
+
+def test_bilstm_runs_inline_when_no_thread_can_be_started(monkeypatch):
+    rng = np.random.default_rng(26)
+    lengths = [4, 2, 3]
+    fwd = make_lstm_params(rng, 3, 2)
+    bwd = make_lstm_params(rng, 3, 2)
+    block = rng.normal(size=(3, 4, 3))
+    weights = rng.normal(size=(3, 4, 4))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def run():
+        tape = Tape()
+        out = bilstm(block, fwd, bwd, lengths, RngStream(8), tape)
+        d_x = backward(tape, weights)
+        return out, d_x, [p.grad.copy() for p in (*fwd, *bwd)]
+
+    threaded = run()
+    refuse_threads(monkeypatch)
+    inline = run()
+    for got, expect in zip((*inline[:2], *inline[2]), (*threaded[:2], *threaded[2])):
+        np.testing.assert_array_equal(got, expect)
 
 
 def test_bilstm_refuses_directions_sharing_a_parameter():

@@ -3,6 +3,9 @@ checks through the whole network, and training-loop determinism."""
 
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -595,14 +598,133 @@ def warm_adam_step(shapes):
     return data, peak
 
 
-def test_warm_adam_step_allocates_less_than_the_largest_parameter():
+def count_thread_starts(monkeypatch):
+    """The list each started Thread is appended to."""
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (starts.append(thread), start(thread)))
+    return starts
+
+
+def allow_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def forbid_threads(monkeypatch):
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("no thread may start here")
+
+    monkeypatch.setattr(threading, "Thread", NoThread)
+
+
+def test_warm_adam_step_allocates_less_than_the_largest_parameter(monkeypatch):
+    allow_cpus(monkeypatch, {0, 1})
     data, peak = warm_adam_step(ADAM_SHAPES)
     largest = max(p.nbytes for p in adam_views(data, ADAM_SHAPES))
     assert peak < largest
 
 
-def test_warm_adam_step_over_several_chunks_allocates_less_than_a_chunk():
-    # a ufunc without out= would allocate a whole chunk-sized temporary
+def test_warm_adam_step_over_several_chunks_allocates_less_than_a_chunk(monkeypatch):
+    # a ufunc without out= would allocate a whole chunk-sized temporary; the
+    # second thread's half allocates none either
+    allow_cpus(monkeypatch, {0, 1})
+    starts = count_thread_starts(monkeypatch)
     data, peak = warm_adam_step(CHUNKED_SHAPES)
     assert data.size > ADAM_CHUNK
+    assert len(starts) == 2
     assert peak < ADAM_CHUNK * data.itemsize
+
+
+def adam_steps(size, steps=3):
+    """data, m and v after the given number of Adam steps over a seeded
+    vector of the given size, with gradients of mixed scales."""
+    rng = np.random.default_rng(6)
+    data, grad = rng.normal(size=size), np.zeros(size)
+    optimizer = AdamOptimizer(data, grad, 0.01)
+    for _ in range(steps):
+        grad[...] = rng.normal(size=size) * 10.0 ** rng.integers(-4, 2, size=size)
+        optimizer.step()
+    return data, optimizer.m, optimizer.v
+
+
+# one value, a chunk less one, exactly one chunk, one value over, and an
+# odd chunk count (5) whose last chunk is partial
+ADAM_SIZES = [1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 4 * ADAM_CHUNK + 100]
+
+
+@pytest.mark.parametrize("size", ADAM_SIZES)
+def test_threaded_adam_steps_match_inline_bits(monkeypatch, size):
+    allow_cpus(monkeypatch, {0})
+    with monkeypatch.context() as patch:
+        forbid_threads(patch)
+        inline = adam_steps(size)
+    allow_cpus(monkeypatch, {0, 1})
+    if size <= ADAM_CHUNK:  # one chunk: no thread on two CPUs either
+        forbid_threads(monkeypatch)
+        threaded = adam_steps(size)
+    else:
+        starts = count_thread_starts(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads as finely as it can
+        try:
+            threaded = adam_steps(size)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(starts) == 3
+    for got, expect in zip(threaded, inline):
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_adam_step_runs_inline_when_no_thread_can_be_started(monkeypatch):
+    size = 3 * ADAM_CHUNK + 7
+    allow_cpus(monkeypatch, {0, 1})
+    threaded = adam_steps(size)
+
+    def start(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for got, expect in zip(adam_steps(size), threaded):
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_adam_step_raises_an_overflow_in_the_second_threads_half(monkeypatch):
+    # three chunks: this thread steps the first, the second thread the rest
+    size = 3 * ADAM_CHUNK
+    data, grad = np.zeros(size), np.ones(size)
+    grad[-1] = 1e200  # (1 - b2) * g * g overflows in the last chunk only
+    allow_cpus(monkeypatch, {0, 1})
+    starts = count_thread_starts(monkeypatch)
+    optimizer = AdamOptimizer(data, grad, 0.001)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        optimizer.step()
+    assert len(starts) == 1
+    assert np.all(data[:ADAM_CHUNK] < 0.0)  # this thread's half was stepped
+
+
+def test_two_cpus_train_the_same_bits_as_one(monkeypatch):
+    # demo size: 14,760 values, in 15 chunks of 1,024 (the last partial) so
+    # the Adam step splits them too
+    monkeypatch.setattr("mwetag.tagger.ADAM_CHUNK", 1_024)
+    corpus = synthetic_corpus()
+    config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head="crf",
+                          epochs=2, batch_size=8, seed=5)
+    table = synthetic_embeddings()
+
+    def trained(cpus):
+        allow_cpus(monkeypatch, cpus)
+        model = build_for_corpus(config, corpus, embeddings=table)
+        train(model, corpus)
+        return model.data
+
+    with monkeypatch.context() as patch:
+        forbid_threads(patch)
+        one = trained({0})
+    starts = count_thread_starts(monkeypatch)
+    two = trained({0, 1})
+    steps = 2 * math.ceil(len(corpus) / 8)
+    assert one.size > 2 * 1_024
+    assert len(starts) == 3 * steps  # per batch: bilstm forward, its backprop, Adam
+    np.testing.assert_array_equal(two, one)
