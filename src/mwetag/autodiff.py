@@ -356,13 +356,12 @@ def bilstm(
     then takes each of the wx, wh, b and x gradients from a single product
     over all positions. Tape-free calls keep none of them.
 
-    The two directions share no state, forward or backward, so when the
-    process may use two CPUs the backward direction runs on a second
-    thread while this one runs the forward direction: once in the forward
-    pass and, if taped, once more in backprop through time. Each direction
-    does the same operations in the same order as alone, and the x
-    gradient is summed after the join, forward direction first, so the
-    results are the same bits either way.
+    The two directions share no state, so the forward pass and, if taped,
+    backprop through time each run them through _both: on two CPUs the
+    backward direction runs on a second thread while this one runs the
+    forward direction. Each direction does the same operations in the same
+    order as alone, and the x gradient is summed after the join, forward
+    direction first, so the results are the same bits either way.
     """
     if any(np.may_share_memory(a.grad, b.grad)
            for a in forward_params for b in backward_params):
@@ -390,7 +389,7 @@ def bilstm(
 
     # every rows-sized array is allocated here, on the calling thread: made
     # on the worker, they raised peak RSS (a second malloc arena)
-    directions, calls, outs = [], [], []
+    directions, works, outs = [], [], []
     for direction, p in enumerate(params):
         pos = step if direction == 0 else lengths[sentence] - 1 - step
         in_masks, rec_masks = zip(*draws[direction::2])
@@ -402,12 +401,11 @@ def bilstm(
         if tape is not None:
             saved = (np.empty((rows, 4 * h)), *(np.empty((rows, h)) for _ in range(3)))
         outs.append(np.empty((rows, h)))
-        calls.append((xm, p, active, _stack(rec_masks, order), np.empty((rows, 4 * h)),
-                      outs[-1], saved))
+        works.append(partial(_lstm_direction, xm, p, active, _stack(rec_masks, order),
+                             np.empty((rows, 4 * h)), outs[-1], saved))
         directions.append((pos, slice(direction * h, (direction + 1) * h), in_mask))
 
-    threaded = _usable_cpus() >= 2  # on one CPU a second thread only costs time
-    backs = _both(*(partial(_lstm_direction, *args) for args in calls), threaded)
+    backs = _both(lambda: works[0], lambda: works[1])
 
     out = np.zeros((b_count, n, 2 * h))
     for (pos, cols, _), rows_out in zip(directions, outs):
@@ -419,16 +417,13 @@ def bilstm(
         d_x = np.zeros((b_count, n, d))
 
         def task(direction):
-            # the arrays a direction writes, allocated on this thread
+            # the arrays a direction writes: on one CPU, one direction's at a time
             (pos, cols, _), back_rows = directions[direction], backs[direction]
             return partial(back_rows, g[sentence, pos, cols],
                            [np.empty((rows, 4 * h)), np.empty((rows, h))],
                            np.empty((rows, d)))
 
-        if threaded:
-            d_rows = _both(task(0), task(1), threaded=True)
-        else:  # one direction's buffers at a time
-            d_rows = [task(0)(), task(1)()]
+        d_rows = _both(partial(task, 0), partial(task, 1))
         for (pos, _, in_mask), rows_grad in zip(directions, d_rows):
             if in_mask is not None:
                 rows_grad *= in_mask
@@ -448,13 +443,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _both(first, second, threaded: bool):
-    """(first(), second()). When threaded, second runs on a short-lived
-    thread, under this thread's numpy error state, while this thread runs
-    first; what it raised is re-raised here after the join. Otherwise, or
-    when no thread can be started, both run here, first then second."""
-    if not threaded:
-        return first(), second()
+def _both(make_first, make_second):
+    """(first(), second()) of the works first = make_first() and second =
+    make_second(), each made here with the arrays it writes: the one place
+    that decides whether to use a second CPU. On two, both are made, then
+    second runs on a short-lived thread under this thread's numpy error
+    state while this thread runs first, and what second raised is re-raised
+    here after the join. On one, first is made and run, then second; so
+    are both, once made, where no thread can be started."""
+    if _usable_cpus() < 2:  # left to right: first returns before second is made
+        return make_first()(), make_second()()
+    first, second = make_first(), make_second()
     errstate = dict(np.geterr(), call=np.geterrcall())
     result, error = [None], []
 

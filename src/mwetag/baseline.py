@@ -4,7 +4,9 @@ Per position i (0-based), 26 symbolic features over the window i-2..i+2:
 forms, lemmas and POS at each of the five offsets, form and lemma bigrams
 around the center, four POS bigrams, three POS trigrams. Window slots beyond
 the sentence read sentinel tokens (BOS2 BOS ... EOS EOS2), so the count is
-26 at every position. Lemma placeholders ("_") are used verbatim as values.
+26 at every position (_window pads a sentence with them, for
+extract_features and the tag index). Lemma placeholders ("_") are used
+verbatim as values.
 
 The turian variant adds a dense block: the window's five embedding lookups
 concatenated (sentinel slots are zero vectors), weighted by one matrix per
@@ -43,12 +45,14 @@ import numpy as np
 
 from .autodiff import RngStream
 from .chaincrf import forward_backward, log_partition, nll_gradient, score_path, viterbi
-from .corpus import Corpus, Sentence, TagSequence, tag_vocabulary, to_tags
+from .corpus import Corpus, Sentence, TagSequence, Token, tag_vocabulary, to_tags
 from .embed import EmbeddingTable
 from .errors import DataError, NonFiniteError, TrainingDataError
 
 WINDOW = (-2, -1, 0, 1, 2)
-SENTINELS = {-2: "BOS2", -1: "BOS", 0: "EOS", 1: "EOS2"}
+# the tokens a window reads before a sentence (-2, -1) and after it (0, 1)
+SENTINELS = {d: Token(0, name, name, name, ())
+             for d, name in ((-2, "BOS2"), (-1, "BOS"), (0, "EOS"), (1, "EOS2"))}
 SYMBOLIC_TEMPLATE_COUNT = 26
 VARIANTS = ("standard", "turian")
 
@@ -58,8 +62,8 @@ def _offset_name(d: int) -> str:
 
 
 def _slot(d: int, kind: str) -> int:
-    """Index of offset d's form ("w"), lemma ("l") or POS ("p") in the
-    flat window of _window_values."""
+    """Index of offset d's form ("w"), lemma ("l") or POS ("p") in a
+    window's flat values: form, lemma and POS of each offset in turn."""
     return 3 * WINDOW.index(d) + "wlp".index(kind)
 
 
@@ -88,23 +92,12 @@ _NGRAMS = tuple(
 )
 
 
-def _window_values(sentence: Sentence, i: int) -> list[str]:
-    """Form, lemma and POS of each offset -2..+2, flat (15 values);
-    out-of-range slots read their sentinel three times."""
-    n = len(sentence.tokens)
-    values = []
-    for d in WINDOW:
-        j = i + d
-        if j < 0:
-            name = SENTINELS[max(j, -2)]
-            values += (name, name, name)
-        elif j >= n:
-            name = SENTINELS[min(j - n, 1)]
-            values += (name, name, name)
-        else:
-            token = sentence.tokens[j]
-            values += (token.form, token.lemma, token.upos)
-    return values
+def _window(tokens, lo: int, hi: int) -> list[Token]:
+    """The tokens at positions lo..hi-1 of a sentence's tokens, a position
+    past either end read as its sentinel: BOS2 BOS ... EOS EOS2."""
+    n = len(tokens)
+    return [tokens[j] if 0 <= j < n else SENTINELS[j if j < 0 else j - n]
+            for j in range(lo, hi)]
 
 
 def extract_features(
@@ -122,7 +115,9 @@ def extract_features(
         raise ValueError(f"position {i} outside sentence of {len(sentence.tokens)}")
     dense = _dense_rows(sentence, table)[i] if variant == "turian" else None
 
-    v = _window_values(sentence, i)
+    v = []
+    for token in _window(sentence.tokens, i + WINDOW[0], i + WINDOW[-1] + 1):
+        v += (token.form, token.lemma, token.upos)
     features = [prefix + v[slot] for prefix, slot in _UNIGRAMS]
     features += [prefix + "|".join(read(v)) for prefix, read in _NGRAMS]
     return features, dense
@@ -133,12 +128,11 @@ def _dense_rows(sentence: Sentence, table: EmbeddingTable | None) -> np.ndarray:
     of position i's window, zero vectors past the sentence's ends."""
     if table is None:
         raise ValueError("turian variant needs an embedding table")
-    n = len(sentence.tokens)
-    # the lookups between two zero vectors at each end: position i's window
-    # is the 5 rows from row i on
-    vectors = np.zeros((n + 4, table.dimension))
+    n, pad = len(sentence.tokens), -WINDOW[0]
+    # the lookups between the sentinels' zero rows: position i's window is rows i..i+4
+    vectors = np.zeros((n + len(WINDOW) - 1, table.dimension))
     for j, token in enumerate(sentence.tokens):
-        vectors[j + 2] = table.lookup(token.form)
+        vectors[j + pad] = table.lookup(token.form)
     windows = np.arange(n)[:, None] + np.arange(len(WINDOW))
     return vectors[windows].reshape(n, len(WINDOW) * table.dimension)
 
@@ -235,12 +229,11 @@ class _TagIndex:
         # id, and every miss's, is len(feature_index)
         self.keys = np.array([key for key, _ in pairs] + [_KEY_END], np.int64)
         self.ids = np.array([k for _, k in pairs] + [len(feature_index)], np.intp)
-        # form, lemma and POS codes of the sentinel tokens BOS2, BOS (head)
-        # and EOS, EOS2 (tail)
+        # the codes of the sentinels before (head) and after (tail) any sentence
         self.head, self.tail = (
-            [column.get(SENTINELS[d], u) for d in ends
-             for column, u in zip(self.columns, self.unseen)]
-            for ends in ((-2, -1), (0, 1))
+            [column.get(value, u) for t in _window((), lo, hi)
+             for column, u, value in zip(self.columns, self.unseen, (t.form, t.lemma, t.upos))]
+            for lo, hi in ((WINDOW[0], 0), (0, WINDOW[-1]))
         )
 
     def feature_ids(self, sentence: Sentence) -> np.ndarray:

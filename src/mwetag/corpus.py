@@ -36,9 +36,9 @@ from .errors import CuptParseError, CuptWriteError, not_utf8
 
 MIN_COLUMNS = 5  # id, form, lemma, upos, ... , mwe annotation
 
-_ANNOTATION_RE = re.compile(r"^\d+(:[^\s;:]+)?(;\d+(:[^\s;:]+)?)*$")
-_RANGE_ID_RE = re.compile(r"^\d+-\d+$")
-_EMPTY_NODE_ID_RE = re.compile(r"^\d+\.\d+$")
+# [0-9]: \d also matches other scripts' digits, and re.ASCII would narrow \s
+_ANNOTATION_RE = re.compile(r"^[0-9]+(:[^\s;:]+)?(;[0-9]+(:[^\s;:]+)?)*$")
+_RAW_ROW_ID_RE = re.compile(r"^[0-9]+[-.][0-9]+$")  # a range or an empty node
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +83,12 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     """Parse a .cupt text stream into a list of sentences. One U+FEFF
     (a UTF-8 byte-order mark) at the start of the first line is dropped.
 
-    Raises CuptParseError (with a 1-based line number) on malformed lines,
-    on a bare ``k`` that references an expression never opened, on a
-    repeated ``k:CAT`` opener for the same k, and on a token that lists the
-    same k twice.
+    A token line's id is the next of 1, 2, 3... in ASCII digits; a range id
+    (``3-4``) or an empty-node id (``3.1``) marks a raw row instead. Raises
+    CuptParseError (with a 1-based line number) on malformed lines, an id
+    that breaks that rule included, on a bare ``k`` that references an
+    expression never opened, on a repeated ``k:CAT`` opener for the same k,
+    and on a token that lists the same k twice.
     """
     sentences: Corpus = []
     # one object per distinct form, lemma, UPOS, middle column, middle-column
@@ -105,9 +107,6 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
             return
         if not tokens:
             raise CuptParseError("sentence block contains no token lines", line_number)
-        ids = [t.id for t in tokens]
-        if ids != list(range(1, len(tokens) + 1)):
-            raise CuptParseError("token ids are not consecutive from 1", line_number)
         vmwes = tuple(
             VmweInstance(k, cat, tuple(positions))
             for k, (cat, positions) in sorted(openers.items())
@@ -137,16 +136,14 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
                 line_number,
             )
         first = columns[0]
-        if first.isdigit() and first.isascii():  # a plain token id, the common case
-            token_id = int(first)
-        elif _RANGE_ID_RE.match(first) or _EMPTY_NODE_ID_RE.match(first):
-            raw_rows.append((len(tokens), line))
-            continue
-        else:
-            try:
-                token_id = int(first)
-            except ValueError:
-                raise CuptParseError(f"unparseable token id {first!r}", line_number) from None
+        if not (first.isascii() and first.isdigit()):  # not a plain token id
+            if _RAW_ROW_ID_RE.match(first):
+                raw_rows.append((len(tokens), line))
+                continue
+            raise CuptParseError(f"unparseable token id {first!r}", line_number)
+        token_id = len(tokens) + 1
+        if int(first) != token_id:
+            raise CuptParseError("token ids are not consecutive from 1", line_number)
         form = columns[1]
         if form == "":
             raise CuptParseError("empty FORM column", line_number)

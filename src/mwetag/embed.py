@@ -63,27 +63,15 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
     dimension other than expected_dim is a VecLoadError naming the line.
     """
     entries: dict[str, np.ndarray] = {}
-    first = True
     # overflow in the norm check is reported as a VecLoadError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for line_number, line in enumerate(stream, start=1):
-            parts = line.rstrip("\n").rstrip().split(" ")
-            if not parts or parts == [""]:
+        for line_number, parts, dim in _vec_lines(stream):
+            if dim is not None:
+                if dim != expected_dim:
+                    raise VecLoadError(
+                        f"header dimension {dim} != expected {expected_dim}", line_number
+                    )
                 continue
-            if first:
-                first = False
-                if len(parts) == 2:
-                    try:
-                        _count, dim = int(parts[0]), int(parts[1])
-                    except ValueError:
-                        pass
-                    else:
-                        if dim != expected_dim:
-                            raise VecLoadError(
-                                f"header dimension {dim} != expected {expected_dim}",
-                                line_number,
-                            )
-                        continue
             word, values = parts[0], parts[1:]
             if len(values) != expected_dim:
                 raise VecLoadError(
@@ -107,6 +95,24 @@ def load_vec(stream, expected_dim: int) -> EmbeddingTable:
                 continue
             entries[word] = vector
     return EmbeddingTable(expected_dim, entries)
+
+
+def _vec_lines(stream):
+    """(line number, fields, header dimension) of each non-blank line of a
+    vector file, split at spaces. The header dimension is the second field
+    of a first line of two integers, a `count dim` header, else None."""
+    header = True
+    for line_number, line in enumerate(stream, start=1):
+        parts = line.rstrip().split(" ")
+        if parts == [""]:
+            continue
+        dim = None
+        if header and len(parts) == 2:
+            with contextlib.suppress(ValueError):
+                int(parts[0])
+                dim = int(parts[1])
+        header = False
+        yield line_number, parts, dim
 
 
 @contextlib.contextmanager
@@ -141,21 +147,12 @@ def sniff_vec_dim(path) -> int:
     first line is a `count dim` pair, else the first data line's value
     count. A header dimension below 1 is a VecLoadError."""
     with _open_vec(path) as stream:
-        for line_number, line in enumerate(stream, start=1):
-            parts = line.rstrip("\n").rstrip().split(" ")
-            if not parts or parts == [""]:
-                continue
-            if len(parts) == 2:
-                try:
-                    int(parts[0])
-                    dim = int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    if dim < 1:
-                        raise VecLoadError(f"header dimension {dim} is not positive",
-                                           line_number)
-                    return dim
+        for line_number, parts, dim in _vec_lines(stream):
+            if dim is not None:
+                if dim < 1:
+                    raise VecLoadError(f"header dimension {dim} is not positive",
+                                       line_number)
+                return dim
             if len(parts) < 2:
                 raise VecLoadError("no vector values on line", line_number)
             return len(parts) - 1

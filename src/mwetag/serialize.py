@@ -153,7 +153,7 @@ def _baseline_from_dict(data: dict, body, embeddings: EmbeddingTable | None) -> 
     if variant not in VARIANTS:
         raise ModelFormatError(f"unknown baseline variant {variant!r}")
     sigma = _require(data, "sigma")
-    if not isinstance(sigma, (int, float)) or not (math.isfinite(sigma) and sigma > 0):
+    if type(sigma) not in (int, float) or not (math.isfinite(sigma) and sigma > 0):
         raise ModelFormatError(f"sigma must be a positive number, got {sigma!r}")
     tag_vocab = _require_strings(data, "tag_vocab")
     feature_names = _require_strings(data, "feature_names", allow_empty=True)

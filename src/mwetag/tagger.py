@@ -345,12 +345,11 @@ class AdamOptimizer:
     expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= (lr * m_hat) / (sqrt(v_hat) + eps), so every bit matches them.
 
-    When the process may use two CPUs and the vectors span two chunks or
-    more, the chunks are split in two halves: this thread steps the first
-    half while a short-lived second thread steps the rest, each through a
-    scratch pair of its own. Every value still goes through the same
-    operations in the same order, so the bits are the same either way.
-    Otherwise the step runs here, as one loop over every chunk.
+    When the vectors span two chunks or more, autodiff._both steps the
+    first half of the chunks and the rest, each through a scratch pair of
+    its own, on two threads where the process may use two CPUs. Every value
+    still goes through the same operations in the same order, so the bits
+    are the same either way. One chunk is stepped here.
     """
 
     def __init__(self, data: np.ndarray, grad: np.ndarray, learning_rate: float):
@@ -368,9 +367,9 @@ class AdamOptimizer:
         chunks = range(0, self.data.size, ADAM_CHUNK)
         half = len(chunks) // 2
         update = partial(self._update, 1.0 - ADAM_BETA1**self.t, 1.0 - ADAM_BETA2**self.t)
-        if half and autodiff._usable_cpus() >= 2:
-            autodiff._both(partial(update, chunks[:half], self._scratch[0]),
-                           partial(update, chunks[half:], self._scratch[1]), threaded=True)
+        if half:
+            autodiff._both(lambda: partial(update, chunks[:half], self._scratch[0]),
+                           lambda: partial(update, chunks[half:], self._scratch[1]))
         else:
             update(chunks, self._scratch[0])
 

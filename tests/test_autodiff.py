@@ -683,18 +683,55 @@ def refuse_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
 
 
+def recording_maker(events, name):
+    """A maker that records its making and its work's run, with the thread
+    each happened on, in events; the work returns name."""
+
+    def make():
+        events.append(("make", name, threading.current_thread()))
+
+        def run():
+            events.append(("run", name, threading.current_thread()))
+            return name
+
+        return run
+
+    return make
+
+
 def test_both_runs_inline_when_no_thread_can_be_started(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     refuse_threads(monkeypatch)
-    calls = []
-
-    def call(name):
-        calls.append((name, threading.current_thread()))
-        return name
-
-    assert _both(lambda: call("first"), lambda: call("second"), threaded=True) == (
+    events = []
+    here = threading.current_thread()
+    assert _both(recording_maker(events, "first"), recording_maker(events, "second")) == (
         "first", "second")
-    assert calls == [("first", threading.current_thread()),
-                     ("second", threading.current_thread())]
+    assert events == [("make", "first", here), ("make", "second", here),
+                      ("run", "first", here), ("run", "second", here)]
+
+
+def test_both_on_one_cpu_makes_the_second_work_after_the_first_returns(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    starts = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
+    events = []
+    here = threading.current_thread()
+    assert _both(recording_maker(events, "first"), recording_maker(events, "second")) == (
+        "first", "second")
+    assert events == [("make", "first", here), ("run", "first", here),
+                      ("make", "second", here), ("run", "second", here)]
+    assert starts == []
+
+
+def test_both_on_two_cpus_makes_both_works_here_before_either_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    events = []
+    here = threading.current_thread()
+    assert _both(recording_maker(events, "first"), recording_maker(events, "second")) == (
+        "first", "second")
+    assert events[:2] == [("make", "first", here), ("make", "second", here)]
+    ran = {name: thread for _, name, thread in events[2:]}
+    assert ran["first"] is here and ran["second"] is not here
 
 
 def test_bilstm_runs_inline_when_no_thread_can_be_started(monkeypatch):

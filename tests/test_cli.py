@@ -563,6 +563,7 @@ def _tag_file(name):
         (TAG + ["--embeddings", "{vecs}"], "turian",
          _slot_edit("dense", lambda values: values[:0]), "bytes"),
         (TAG, "standard", _set("sigma", 0.0), "sigma"),
+        (TAG, "standard", _set("sigma", True), "sigma must be a positive number, got True"),
         (TAG, "standard", _unknown_param, "bytes"),
         (TAG, "standard", _slot_edit("trans", lambda values: np.tile(values, 2)), "bytes"),
         (TAG + ["--embeddings", "{vecs}"], "tagger", cut_mid_value, "bytes"),
@@ -624,7 +625,7 @@ def _tag_file(name):
         "baseline-huge-weights", "tagger-nan-proj_b",
         "tagger-format-v1", "baseline-short-trans", "baseline-short-weights",
         "baseline-long-start", "baseline-dense-in-standard",
-        "turian-without-dense", "baseline-zero-sigma",
+        "turian-without-dense", "baseline-zero-sigma", "baseline-bool-sigma",
         "baseline-unknown-param", "baseline-repeated-param",
         "tagger-truncated-body", "tagger-format-v2", "baseline-short-payload",
         "baseline-format-v2", "tagger-format-v3", "baseline-format-v3",
@@ -841,9 +842,9 @@ def test_gradcheck_prints_per_op_lines_and_exit_reflects_tolerance(
     assert "FAIL" in capsys.readouterr().out
 
 
-def run_module(module, *args):
+def run_module(module, *args, environ=os.environ):
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", module, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -861,6 +862,51 @@ def test_python_dash_m_runs_the_cli(workdir, tmp_path, capsys):
     for module in ("mwetag", "mwetag.cli"):
         done = run_module(module, "gradcheck", "--no-such-flag")
         assert done.returncode == 1 and "--no-such-flag" in done.stderr
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_python_dash_m_trains_with_one_blas_thread_by_default(tmp_path):
+    """Two paper-size epochs over 50 sentences, the neural-crf workload's
+    corpus size: with the thread variables unset, the model file equals the
+    one trained with each at 1. On two CPUs, BLAS's own default of a thread
+    per CPU splits the products' sums in other places and changes the
+    last bits of the parameters."""
+    write_cupt_file(synthetic_corpus(50, seed=2024), tmp_path / "train.cupt")
+    write_vecs(tmp_path / "vecs.vec", 20)
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    models = []
+    for name, environ in (("unset", unset),
+                          ("one", dict(unset, **dict.fromkeys(BLAS_THREAD_VARIABLES, "1")))):
+        model = tmp_path / f"{name}.model"
+        done = run_module("mwetag", "train", "--train", p(tmp_path / "train.cupt"),
+                          "--embeddings", p(tmp_path / "vecs.vec"), "--model", p(model),
+                          "--epochs", "2", environ=environ)
+        assert done.returncode == 0, done.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+
+def test_main_keeps_a_thread_count_the_environment_sets(monkeypatch):
+    import mwetag.cli as cli_module
+    from mwetag.__main__ import main
+
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    seen = {}
+    monkeypatch.setattr(cli_module, "main",
+                        lambda: seen.update({k: os.environ[k] for k in BLAS_THREAD_VARIABLES}))
+    main()
+    assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def test_the_console_script_runs_the_module_entry_point():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = re.findall(r'^mwetag = "(.*)"$', pyproject.read_text(encoding="utf-8"), re.M)
+    assert scripts == ["mwetag.__main__:main"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -101,6 +102,37 @@ def test_parse_repeated_opener():
 def test_parse_rejects_expression_listed_twice_on_a_token(rows, message):
     with pytest.raises(CuptParseError, match=message):
         parse_cupt(io.StringIO(cupt_text(rows)))
+
+
+def with_cell(text, line, column, value):
+    """text with the given tab-separated column of its given 1-based line
+    replaced by value."""
+    lines = text.split("\n")
+    cells = lines[line - 1].split("\t")
+    cells[column] = value
+    lines[line - 1] = "\t".join(cells)
+    return "\n".join(lines)
+
+
+# a sign, a space, an Arabic-Indic and a fullwidth digit: int() reads each as 1
+@pytest.mark.parametrize("token_id", ["+1", " 1", "\u0661", "\uff11"])
+def test_parse_refuses_an_id_of_anything_but_ascii_digits(token_id):
+    message = re.escape(f"line 2: unparseable token id {token_id!r}")
+    with pytest.raises(CuptParseError, match=message):
+        parse_cupt(io.StringIO(with_cell(FIVE_TOKEN, 2, 0, token_id)))
+
+
+def test_parse_refuses_an_annotation_of_non_ascii_digits():
+    text = with_cell(FIVE_TOKEN, 4, -1, "\u0661:VID")
+    with pytest.raises(CuptParseError, match="line 4: malformed MWE annotation"):
+        parse_cupt(io.StringIO(text))
+
+
+@pytest.mark.parametrize("line, token_id", [(2, "2"), (4, "2"), (6, "7"), (4, "0")])
+def test_parse_reports_an_id_out_of_sequence_on_its_own_line(line, token_id):
+    with pytest.raises(CuptParseError,
+                       match=f"line {line}: token ids are not consecutive from 1"):
+        parse_cupt(io.StringIO(with_cell(FIVE_TOKEN, line, 0, token_id)))
 
 
 def test_parse_keeps_noncontiguous_instance_numbers():

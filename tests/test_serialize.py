@@ -695,11 +695,13 @@ def _huge_config(header, vector):
      ("tagger_model", _repeat("tag_vocab"), "tag_vocab repeats"),
      ("tagger_model", _repeat("pos_vocab"), "pos_vocab repeats"),
      ("baseline_model", _repeat("tag_vocab"), "tag_vocab repeats"),
-     ("baseline_model", _repeat("feature_names"), "feature_names repeats")],
+     ("baseline_model", _repeat("feature_names"), "feature_names repeats"),
+     ("baseline_model", _set_field("sigma", True),
+      "sigma must be a positive number, got True")],
     ids=["extra-param", "repeated-param", "vocab-shape-mismatch",
          "unhashable-tag", "bool-emb_dim", "huge-config-and-shapes",
          "repeated-tag", "repeated-pos", "baseline-repeated-tag",
-         "baseline-repeated-feature"],
+         "baseline-repeated-feature", "baseline-bool-sigma"],
 )
 def test_tagger_parameters_checked_against_config(request, model_name, mutate, message):
     header, vector = parts(request.getfixturevalue(model_name))
