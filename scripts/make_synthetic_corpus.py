@@ -7,7 +7,8 @@ the train/tag/eval subcommands. Same seeds, same bytes.
 import argparse
 import os
 
-from mwetag.corpus import write_cupt_file
+from mwetag.corpus import write_cupt
+from mwetag.serialize import atomic_write_text
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 
 
@@ -23,15 +24,15 @@ def main():
     os.makedirs(args.out_dir, exist_ok=True)
     corpus = synthetic_corpus(sentences=args.sentences, seed=args.corpus_seed)
     cupt_path = os.path.join(args.out_dir, "synthetic.cupt")
-    write_cupt_file(corpus, cupt_path)
+    atomic_write_text(cupt_path, write_cupt(corpus))
 
     table = synthetic_embeddings(dim=args.dim, seed=args.vector_seed)
     vec_path = os.path.join(args.out_dir, "synthetic.vec")
-    with open(vec_path, "w", encoding="utf-8") as handle:
-        handle.write(f"{len(vocabulary())} {args.dim}\n")
-        for word in vocabulary():
-            values = " ".join(repr(float(v)) for v in table.entries[word])
-            handle.write(f"{word} {values}\n")
+    lines = [f"{len(vocabulary())} {args.dim}\n"]
+    for word in vocabulary():
+        values = " ".join(repr(float(v)) for v in table.entries[word])
+        lines.append(f"{word} {values}\n")
+    atomic_write_text(vec_path, "".join(lines))
 
     instances = sum(len(s.vmwes) for s in corpus)
     print(f"wrote {cupt_path}: {len(corpus)} sentences, {instances} instances")

@@ -7,11 +7,11 @@ Small dimensions keep the whole run around a minute on one core.
 import argparse
 import time
 
-from mwetag.baseline import BaselineTrainOptions, tag_baseline, train_baseline
+from mwetag.baseline import VARIANTS, BaselineTrainOptions, tag_baseline, train_baseline
 from mwetag.corpus import from_tags, to_tags
 from mwetag.evaluation import evaluate
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
-from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
+from mwetag.tagger import HEADS, TaggerConfig, build_for_corpus, predict, predict_corpus, train
 
 
 def token_accuracy(tagged, corpus):
@@ -33,7 +33,7 @@ def main():
     table = synthetic_embeddings()
     rows = []
 
-    for head in ("softmax", "crf"):
+    for head in HEADS:
         config = TaggerConfig(filters_per_width=16, lstm_hidden=24, head=head,
                               epochs=args.epochs, batch_size=8, seed=args.seed)
         started = time.time()
@@ -45,7 +45,7 @@ def main():
         rows.append((f"neural/{head}", accuracy, scores.mwe.f1, elapsed))
         print(f"neural/{head}: final loss {report.losses[-1]:.4f}")
 
-    for variant in ("standard", "turian"):
+    for variant in VARIANTS:
         started = time.time()
         model = train_baseline(
             corpus, variant=variant,

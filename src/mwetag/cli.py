@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 
+from . import baseline
 from .baseline import BaselineTrainOptions, fit_baseline, tag_baseline
 from .checks import SUITE_TOLERANCE, format_suite, gradient_suite
 from .corpus import from_tags, read_cupt, to_tags, write_cupt
@@ -28,6 +29,7 @@ from .errors import DataError, UsageError, not_utf8
 from .evaluation import evaluate, format_report, report_to_dict, seen_unseen
 from .serialize import atomic_write_text, load_model, save_model
 from .tagger import (
+    HEADS,
     TaggerConfig,
     TaggerModel,
     build_for_corpus,
@@ -35,7 +37,7 @@ from .tagger import (
     train as train_tagger,
 )
 
-VARIANTS = ("neural", "baseline-standard", "baseline-turian")
+VARIANTS = ("neural", *(f"baseline-{variant}" for variant in baseline.VARIANTS))
 # RunConfig annotations (before any " | None") and how a message names them
 _FIELD_TYPES = {"str": str, "int": int, "bool": bool}
 _TYPE_NAMES = {"str": "a string", "int": "an integer", "bool": "true or false"}
@@ -116,7 +118,7 @@ class RunConfig:
                                      f"{paths[other]}")
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}")
-        if self.head not in ("softmax", "crf"):
+        if self.head not in HEADS:
             raise UsageError(f"unknown head {self.head!r}")
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, not {self.seed}")
@@ -152,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev")
     p.add_argument("--embeddings")
     p.add_argument("--model")
-    p.add_argument("--head", choices=["softmax", "crf"])
+    p.add_argument("--head", choices=HEADS)
     p.add_argument("--variant", choices=list(VARIANTS))
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)

@@ -14,7 +14,7 @@ Span annotations convert to one label per taggable token: ``B-CAT`` on the
 first component of an expression, ``I-CAT`` on the others, ``O`` elsewhere.
 A token inside several expressions gets its atoms semicolon-joined (in
 ascending expression number) and the joined string is treated as one atomic
-label throughout.
+label throughout. write_cupt's annotation column comes from the same walk.
 
 Decoding labels back to spans is total: ``B-CAT`` opens an instance, ``I-CAT``
 attaches to the nearest same-category instance opened strictly earlier. An
@@ -83,8 +83,8 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     """Parse a .cupt text stream into a list of sentences. One U+FEFF
     (a UTF-8 byte-order mark) at the start of the first line is dropped.
 
-    A token line's id is the next of 1, 2, 3... in ASCII digits; a range id
-    (``3-4``) or an empty-node id (``3.1``) marks a raw row instead. Raises
+    A token line's id is the next of 1, 2, 3... in ASCII digits, no leading
+    zero; a range id (``3-4``) or empty-node id (``3.1``) marks a raw row. Raises
     CuptParseError (with a 1-based line number) on malformed lines, an id
     that breaks that rule included, on a bare ``k`` that references an
     expression never opened, on a repeated ``k:CAT`` opener for the same k,
@@ -142,7 +142,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
                 continue
             raise CuptParseError(f"unparseable token id {first!r}", line_number)
         token_id = len(tokens) + 1
-        if int(first) != token_id:
+        if first != str(token_id):  # "01" too: an id has no leading zero
             raise CuptParseError("token ids are not consecutive from 1", line_number)
         form = columns[1]
         if form == "":
@@ -180,20 +180,24 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     return sentences
 
 
-def _annotation_strings(n_tokens: int, vmwes: Iterable[VmweInstance]) -> list[str]:
-    per_token: list[list[str]] = [[] for _ in range(n_tokens)]
-    for inst in sorted(vmwes, key=lambda v: v.vmwe_id):
+def _per_token(sentence: Sentence, first: str, later: str, none: str) -> list[str]:
+    """Per token, its expressions' atoms in vmwe_id order, semicolon-joined,
+    or none: first.format(k, category) on an expression's first component,
+    later.format(k, category) on the others. Raises CuptWriteError for an
+    expression with no positions or one outside 1..n."""
+    per_token: list[list[str]] = [[] for _ in sentence.tokens]
+    for inst in sorted(sentence.vmwes, key=lambda v: v.vmwe_id):
         if not inst.token_positions:
             raise CuptWriteError(f"expression {inst.vmwe_id} has no token positions")
+        opener = first.format(inst.vmwe_id, inst.category)
+        other = later.format(inst.vmwe_id, inst.category)
         for rank, pos in enumerate(inst.token_positions):
-            if not 1 <= pos <= n_tokens:
+            if not 1 <= pos <= len(per_token):
                 raise CuptWriteError(
                     f"expression {inst.vmwe_id} refers to missing token {pos}"
                 )
-            per_token[pos - 1].append(
-                f"{inst.vmwe_id}:{inst.category}" if rank == 0 else str(inst.vmwe_id)
-            )
-    return [";".join(items) if items else "*" for items in per_token]
+            per_token[pos - 1].append(other if rank else opener)
+    return [";".join(items) if items else none for items in per_token]
 
 
 def write_cupt(corpus: Corpus) -> str:
@@ -206,7 +210,7 @@ def write_cupt(corpus: Corpus) -> str:
     """
     chunks: list[str] = []
     for sentence in corpus:
-        annotations = _annotation_strings(len(sentence.tokens), sentence.vmwes)
+        annotations = _per_token(sentence, "{0}:{1}", "{0}", "*")
         raw_at: dict[int, list[str]] = {}
         for position, raw in sentence.raw_rows:
             raw_at.setdefault(position, []).append(raw)
@@ -236,21 +240,11 @@ def read_cupt(path) -> Corpus:
         raise
 
 
-def write_cupt_file(corpus: Corpus, path):
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(write_cupt(corpus))
-
-
 def to_tags(sentence: Sentence) -> TagSequence:
     """One label per taggable token: B-CAT on an expression's first component,
     I-CAT on the others, O outside; co-occurring atoms are semicolon-joined in
-    ascending expression number."""
-    atoms: list[list[str]] = [[] for _ in sentence.tokens]
-    for inst in sorted(sentence.vmwes, key=lambda v: v.vmwe_id):
-        for rank, pos in enumerate(inst.token_positions):
-            prefix = "B" if rank == 0 else "I"
-            atoms[pos - 1].append(f"{prefix}-{inst.category}")
-    return [";".join(a) if a else "O" for a in atoms]
+    ascending expression number. Raises CuptWriteError where write_cupt does."""
+    return _per_token(sentence, "B-{1}", "I-{1}", "O")
 
 
 def _split_atoms(label: str) -> list[str]:

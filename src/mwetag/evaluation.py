@@ -5,12 +5,12 @@ per-sentence intersection of position unions; MWE-based (strict) credits only
 instances whose exact token-position set matches. Both work on match keys:
 an instance's match key is (sentence index, its distinct token positions as a
 sorted tuple), built once per instance, so the order and repeats of positions
-do not matter. The general MWE score ignores the category label;
-per-category scores restrict both sides to one category first. Seen/unseen
+do not matter. evaluate's overall MWE score, by which training also picks its
+dev epoch, ignores the category label; its per-category scores restrict both
+sides to one category first. Seen/unseen
 partitioning keys instances by the multiset of their lowercased lemmas
 against the training corpus. All scores are fractions in [0,1]; rendering
-multiplies by 100 with two decimals. Ratios with zero denominator are
-defined as 0.
+multiplies by 100 with two decimals. Ratios with zero denominator are 0.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class SeenUnseenPartition:
-    """Gold test instances keyed as (sentence index, position set, category),
-    split by whether their lemma multiset occurs in training."""
+    """Gold test instances as (sentence index, positions as the instance lists
+    them, category), split by whether their lemma multiset occurs in training."""
 
     seen: tuple
     unseen: tuple
@@ -102,11 +102,6 @@ def _flat(groups: dict[str, list]) -> list:
     return [key for keys in groups.values() for key in keys]
 
 
-def _aligned_groups(gold: Corpus, pred: Corpus):
-    _check_aligned(gold, pred)
-    return _by_category(gold), _by_category(pred)
-
-
 def _mwe_counts(gold_keys, pred_keys):
     gold_keys, pred_keys = set(gold_keys), set(pred_keys)
     tp = len(gold_keys & pred_keys)
@@ -142,16 +137,10 @@ def _per_category(gold_groups: dict, pred_groups: dict) -> dict[str, EvalReport]
     }
 
 
-def mwe_scores(gold: Corpus, pred: Corpus) -> BasisScores:
-    """Strict scores: an instance counts iff its exact position set appears on
-    the other side, whatever its category."""
-    g, p = _aligned_groups(gold, pred)
-    return BasisScores.from_counts(*_mwe_counts(_flat(g), _flat(p)))
-
-
 def evaluate(gold: Corpus, pred: Corpus) -> EvalReport:
     """Overall token- and MWE-based scores plus per-category breakdown."""
-    g, p = _aligned_groups(gold, pred)
+    _check_aligned(gold, pred)
+    g, p = _by_category(gold), _by_category(pred)
     overall = _report(_flat(g), _flat(p))
     return replace(overall, per_category=_per_category(g, p))
 

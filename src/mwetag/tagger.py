@@ -1,4 +1,4 @@
-"""ConvNet + BiLSTM sequence tagger with a softmax or chain-CRF head.
+"""ConvNet + BiLSTM sequence tagger with a softmax or chain-CRF head (HEADS).
 
 The network runs on a padded batch of B sentences, an embed.Batch that
 embed.encode builds from them right before the pass; no encoding is kept
@@ -31,9 +31,9 @@ and the Adam step each run over one vector, the step in cache-sized chunks
 Within one training batch, sentences are encoded and stacked in corpus
 order, which makes a full-batch run independent of the shuffle. With a dev
 corpus, which must not be empty, the returned snapshot is the epoch with the
-best dev MWE-based F1 (ties to the earlier epoch); without one, the final
-state. Tagging, dev scoring included, encodes and runs batch_size sentences
-per forward pass, in order.
+best evaluate MWE-based F1 on dev (ties to the earlier epoch); without one,
+the final state. Tagging, dev scoring included, encodes and runs batch_size
+sentences per forward pass, in order.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .chaincrf import crf_nll, viterbi
 from .corpus import Corpus, TagSequence, from_tags, tag_vocabulary, to_tags
 from .embed import N_SHAPE_FEATURES, Batch, EmbeddingTable, encode, pos_vocabulary
 from .errors import NonFiniteError, TrainingDataError
-from .evaluation import mwe_scores
+from .evaluation import evaluate
 
 FILTER_WIDTHS = (2, 3)  # one ReLU convolution bank per width
 # Adam's standard moment decay rates and denominator guard
@@ -68,6 +68,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # values per pass of the Adam step: a chunk of each of the six vectors the
 # step touches (0.8 MB in all) stays in cache between its 14 passes
 ADAM_CHUNK = 16_384
+HEADS = ("softmax", "crf")  # a tagger's output layer: TaggerConfig.head
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class TaggerConfig:
             raise ValueError("layer sizes must be positive")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.head not in ("softmax", "crf"):
+        if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
@@ -405,7 +406,7 @@ def _dev_metrics(
     pairs = [(a, b) for tags, labels in zip(tagged, gold) for a, b in zip(tags, labels)]
     token_acc = sum(a == b for a, b in pairs) / len(pairs) if pairs else 0.0
     predicted = [from_tags(tags, s, apply_filter=True) for tags, s in zip(tagged, dev)]
-    return token_acc, mwe_scores(dev, predicted).f1
+    return token_acc, evaluate(dev, predicted).mwe.f1
 
 
 def train(

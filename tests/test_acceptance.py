@@ -22,9 +22,8 @@ from mwetag.corpus import (
     read_cupt,
     to_tags,
     write_cupt,
-    write_cupt_file,
 )
-from mwetag.evaluation import evaluate, f1, mwe_scores, seen_unseen
+from mwetag.evaluation import evaluate, f1, seen_unseen
 from mwetag.serialize import save_model
 from mwetag.synth import synthetic_corpus, synthetic_embeddings, vocabulary
 from mwetag.tagger import TaggerConfig, build_for_corpus, predict, predict_corpus, train
@@ -201,8 +200,8 @@ def test_criterion_6_filtering_ablation_direction():
     filtered = [from_tags(tags, skeleton, apply_filter=True)]
     unfiltered = [from_tags(tags, skeleton, apply_filter=False)]
 
-    mwe_filtered = mwe_scores([gold], filtered)
-    mwe_unfiltered = mwe_scores([gold], unfiltered)
+    mwe_filtered = evaluate([gold], filtered).mwe
+    mwe_unfiltered = evaluate([gold], unfiltered).mwe
     assert mwe_filtered.precision > mwe_unfiltered.precision
     assert mwe_filtered.recall == mwe_unfiltered.recall
 
@@ -243,7 +242,7 @@ def test_criterion_7_baseline_features_and_overfit():
 def test_criterion_8_end_to_end_determinism(tmp_path):
     corpus = synthetic_corpus(sentences=12, seed=3)
     train_file = tmp_path / "train.cupt"
-    write_cupt_file(corpus, train_file)
+    train_file.write_text(write_cupt(corpus), encoding="utf-8")
     table = synthetic_embeddings(dim=8, seed=1)
     vec_file = tmp_path / "vecs.vec"
     with open(vec_file, "w") as handle:

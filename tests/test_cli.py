@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mwetag.cli import RunConfig, resolve, run, _build_parser
-from mwetag.corpus import Sentence, Token, VmweInstance, read_cupt, write_cupt_file
+from mwetag.corpus import Sentence, Token, VmweInstance, read_cupt, write_cupt
 from mwetag.errors import ModelFormatError, UsageError
 from mwetag.evaluation import evaluate, format_report
 from mwetag.serialize import load_model, save_model
@@ -50,8 +50,8 @@ def workdir(tmp_path_factory):
     """Corpus, gold copy, and a vector file shared by the pipeline tests."""
     root = tmp_path_factory.mktemp("cli")
     corpus = synthetic_corpus(sentences=12, seed=3)
-    write_cupt_file(corpus, root / "train.cupt")
-    write_cupt_file(corpus, root / "gold.cupt")
+    (root / "train.cupt").write_text(write_cupt(corpus), encoding="utf-8")
+    (root / "gold.cupt").write_text(write_cupt(corpus), encoding="utf-8")
     write_vecs(root / "vecs.vec", 8)
     return root
 
@@ -210,7 +210,7 @@ def test_convert_emits_one_label_per_line(tmp_path):
     sentence = Sentence(tokens, (VmweInstance(2, "VID", (2, 4)),))
     src = tmp_path / "s.cupt"
     out = tmp_path / "s.tags"
-    write_cupt_file([sentence], src)
+    src.write_text(write_cupt([sentence]), encoding="utf-8")
     assert run(["convert", "--input", p(src), "--output", p(out)]) == 0
     assert out.read_text() == "O\nB-VID\nO\nI-VID\nO\n\n"
 
@@ -873,7 +873,8 @@ def test_python_dash_m_trains_with_one_blas_thread_by_default(tmp_path):
     one trained with each at 1. On two CPUs, BLAS's own default of a thread
     per CPU splits the products' sums in other places and changes the
     last bits of the parameters."""
-    write_cupt_file(synthetic_corpus(50, seed=2024), tmp_path / "train.cupt")
+    (tmp_path / "train.cupt").write_text(write_cupt(synthetic_corpus(50, seed=2024)),
+                                         encoding="utf-8")
     write_vecs(tmp_path / "vecs.vec", 20)
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     models = []

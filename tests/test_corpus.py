@@ -128,7 +128,8 @@ def test_parse_refuses_an_annotation_of_non_ascii_digits():
         parse_cupt(io.StringIO(text))
 
 
-@pytest.mark.parametrize("line, token_id", [(2, "2"), (4, "2"), (6, "7"), (4, "0")])
+@pytest.mark.parametrize("line, token_id",
+                         [(2, "2"), (4, "2"), (6, "7"), (4, "0"), (2, "01"), (4, "03")])
 def test_parse_reports_an_id_out_of_sequence_on_its_own_line(line, token_id):
     with pytest.raises(CuptParseError,
                        match=f"line {line}: token ids are not consecutive from 1"):
@@ -207,6 +208,18 @@ def test_write_instance_without_positions_rejected():
     sent = make_sentence(["a"], [VmweInstance(1, "VID", ())])
     with pytest.raises(CuptWriteError):
         write_cupt([sent])
+
+
+@pytest.mark.parametrize("positions, message", [
+    ((), "expression 1 has no token positions"),
+    ((0,), "expression 1 refers to missing token 0"),
+    ((1, 4), "expression 1 refers to missing token 4"),
+])
+def test_to_tags_refuses_what_write_cupt_refuses(positions, message):
+    sent = make_sentence(list("abc"), [VmweInstance(1, "VID", positions)])
+    for spell in (to_tags, lambda s: write_cupt([s])):
+        with pytest.raises(CuptWriteError, match=message):
+            spell(sent)
 
 
 def test_to_tags_simple():

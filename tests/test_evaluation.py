@@ -15,7 +15,6 @@ from mwetag.evaluation import (
     evaluate,
     f1,
     format_report,
-    mwe_scores,
     percent,
     report_to_dict,
     seen_unseen,
@@ -59,7 +58,7 @@ def test_f1_degenerate_cases():
 def test_mwe_exact_match_scores_one():
     gold = [sent(5, ("VID", [2, 4]))]
     pred = [sent(5, ("VID", [2, 4]))]
-    s = mwe_scores(gold, pred)
+    s = evaluate(gold, pred).mwe
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
     assert (s.tp, s.fp, s.fn) == (1, 0, 0)
 
@@ -67,7 +66,7 @@ def test_mwe_exact_match_scores_one():
 def test_mwe_partial_span_scores_zero():
     gold = [sent(5, ("VID", [2, 4]))]
     pred = [sent(5, ("VID", [2, 3]))]
-    s = mwe_scores(gold, pred)
+    s = evaluate(gold, pred).mwe
     assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
     assert (s.tp, s.fp, s.fn) == (0, 1, 1)
 
@@ -75,7 +74,7 @@ def test_mwe_partial_span_scores_zero():
 def test_mwe_hand_enumerated_half():
     gold = [sent(6, ("A", [1, 2]), ("B", [5]))]
     pred = [sent(6, ("A", [1, 2]), ("X", [6]))]
-    s = mwe_scores(gold, pred)
+    s = evaluate(gold, pred).mwe
     assert s.precision == pytest.approx(0.5)
     assert s.recall == pytest.approx(0.5)
     assert s.f1 == pytest.approx(0.5)
@@ -84,7 +83,7 @@ def test_mwe_hand_enumerated_half():
 def test_mwe_general_score_ignores_category():
     gold = [sent(4, ("VID", [1, 3]))]
     pred = [sent(4, ("LVC.full", [1, 3]))]
-    assert mwe_scores(gold, pred).f1 == 1.0
+    assert evaluate(gold, pred).mwe.f1 == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ def test_token_overlapping_instances_count_positions_once():
 
 def test_sentence_count_mismatch_raises():
     with pytest.raises(EvaluationError):
-        mwe_scores([sent(3)], [sent(3), sent(2)])
+        evaluate([sent(3)], [sent(3), sent(2)]).mwe
 
 
 def test_token_count_mismatch_raises():
@@ -145,7 +144,7 @@ def test_single_category_equals_overall():
     report = evaluate(gold, pred)
     per = report.per_category
     assert set(per) == {"VID"}
-    assert per["VID"].mwe == report.mwe == mwe_scores(gold, pred)
+    assert per["VID"].mwe == report.mwe == evaluate(gold, pred).mwe
     assert per["VID"].token == report.token
 
 
@@ -233,7 +232,7 @@ def test_all_seen_matches_overall_scores():
     assert not partition.unseen
     # the stray prediction {a, x} is unseen by its own lemma multiset
     assert unseen_rep.mwe.fp == 1
-    assert seen_rep.mwe.recall == mwe_scores(gold, pred).recall
+    assert seen_rep.mwe.recall == evaluate(gold, pred).mwe.recall
 
 
 def test_seen_unseen_two_two_partition():
@@ -328,8 +327,8 @@ def test_filtering_never_increases_predicted_tokens_or_mwe_fp():
         t_unf = evaluate(gold, unfiltered).token
         t_fil = evaluate(gold, filtered).token
         assert t_fil.tp + t_fil.fp <= t_unf.tp + t_unf.fp
-        m_unf = mwe_scores(gold, unfiltered)
-        m_fil = mwe_scores(gold, filtered)
+        m_unf = evaluate(gold, unfiltered).mwe
+        m_fil = evaluate(gold, filtered).mwe
         assert m_fil.fp <= m_unf.fp
 
 
@@ -435,7 +434,7 @@ def test_scores_match_frozenset_reference(corpora):
     token, mwe = scores_of(reference_counts(reference_items(gold), reference_items(pred)))
     report = evaluate(gold, pred)
     assert (report.token, report.mwe) == (token, mwe)
-    assert mwe_scores(gold, pred) == mwe
+    assert evaluate(gold, pred).mwe == mwe
     categories = {inst.category for s in gold + pred for inst in s.vmwes}
     assert sorted(report.per_category) == sorted(categories)
     for cat in categories:

@@ -4,8 +4,9 @@ module-level _private function, class or constant is referenced somewhere in
 the package (a test's or script's somewhere in the package, the tests or the
 scripts), no package module imports another's _private name, and every
 public function, class or method is referenced from the package, the
-scripts or the benchmark, and every local a function assigns is read (in the
-tests and the scripts too)."""
+scripts or the benchmark, every local a function assigns is read (in the
+tests and the scripts too), and the package opens files only for reading,
+so that every write goes through serialize._atomic_write."""
 
 import ast
 from pathlib import Path
@@ -195,3 +196,37 @@ def _unread_locals(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("module", sorted(MODULES) + sorted(IMPORTERS))
 def test_every_local_is_read(module):
     assert _unread_locals({**MODULES, **IMPORTERS}[module]) == []
+
+
+def _writing_opens(tree: ast.Module) -> list[int]:
+    """Line of each open, os.fdopen or Path.open call with a mode other than
+    r, rb or rt, and of each Path.write_text or write_bytes call, outside
+    serialize._atomic_write, whose temp file is the one file opened to be
+    written."""
+    exempt = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name == "_atomic_write"
+              for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif name in ("open", "fdopen"):
+            # open(file, mode), io.open, os.open and os.fdopen(fd, mode), but
+            # path.open(mode)
+            module = getattr(getattr(func, "value", None), "id", None)
+            at = 0 if name == "open" and module not in (None, "io", "os") else 1
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and mode.value in ("r", "rb", "rt")):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_files_are_opened_only_for_reading(module):
+    assert _writing_opens(MODULES[module]) == []

@@ -16,7 +16,7 @@ from mwetag.autodiff import DROPOUT, RECURRENT_DROPOUT, RngStream, Tape, backwar
 from mwetag.corpus import Sentence, Token, VmweInstance, from_tags, to_tags
 from mwetag.embed import Batch, EmbeddingTable, encode, pos_vocabulary
 from mwetag.errors import NonFiniteError, TrainingDataError
-from mwetag.evaluation import mwe_scores
+from mwetag.evaluation import evaluate
 from mwetag.synth import synthetic_corpus, synthetic_embeddings
 from mwetag.tagger import (
     ADAM_BETA1,
@@ -463,7 +463,7 @@ def test_dev_labels_are_built_once(monkeypatch):
     # the selected epoch's scores are those of labels built afresh
     selected = report.selected_epoch
     assert report.dev_mwe_f1[selected] == max(report.dev_mwe_f1)
-    assert mwe_scores(dev, predict_corpus(best, dev)).f1 == report.dev_mwe_f1[selected]
+    assert evaluate(dev, predict_corpus(best, dev)).mwe.f1 == report.dev_mwe_f1[selected]
     predicted = predict(best, dev)
     pairs = [(a, b) for tags, s in zip(predicted, dev) for a, b in zip(tags, to_tags(s))]
     accuracy = sum(a == b for a, b in pairs) / len(pairs)
