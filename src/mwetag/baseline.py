@@ -27,10 +27,10 @@ Tagging gets the same ids without strings: a model's tag index, built from
 feature_index on the first tag, codes each token's form, lemma and POS and
 looks the window's 26 integer keys up by one searchsorted. A feature unseen
 in training adds nothing on either path. Both take each sentence's turian
-block from _dense_rows (extract_features one row of it) and score through
-_emissions, which returns the padded B x n x T block of summed weight rows
-plus the dense product: the fit scores its corpus as one block,
-tag_baseline its sentence as a one-sentence block.
+block from _dense_rows and score through _emissions, which returns the
+padded B x n x T block of summed weight rows plus the dense product: the fit
+scores its corpus as one block, tag_baseline its sentence as a one-sentence
+block.
 """
 
 from __future__ import annotations
@@ -100,27 +100,17 @@ def _window(tokens, lo: int, hi: int) -> list[Token]:
             for j in range(lo, hi)]
 
 
-def extract_features(
-    sentence: Sentence,
-    i: int,
-    variant: str = "standard",
-    table: EmbeddingTable | None = None,
-):
-    """Features for position i (0-based): a list of exactly 26
-    "template:value" strings, plus the dense window block (5*dim values) for
-    the turian variant, None otherwise."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+def extract_features(sentence: Sentence, i: int) -> list[str]:
+    """The symbolic features of position i (0-based): exactly 26
+    "template:value" strings. The turian block is _dense_rows'."""
     if not (0 <= i < len(sentence.tokens)):
         raise ValueError(f"position {i} outside sentence of {len(sentence.tokens)}")
-    dense = _dense_rows(sentence, table)[i] if variant == "turian" else None
-
     v = []
     for token in _window(sentence.tokens, i + WINDOW[0], i + WINDOW[-1] + 1):
         v += (token.form, token.lemma, token.upos)
     features = [prefix + v[slot] for prefix, slot in _UNIGRAMS]
     features += [prefix + "|".join(read(v)) for prefix, read in _NGRAMS]
-    return features, dense
+    return features
 
 
 def _dense_rows(sentence: Sentence, table: EmbeddingTable | None) -> np.ndarray:
@@ -285,7 +275,7 @@ def _collect(sentences: Corpus, variant: str, table: EmbeddingTable | None):
     names = []
     for sentence in sentences:
         for i in range(len(sentence.tokens)):
-            names += extract_features(sentence, i)[0]
+            names += extract_features(sentence, i)
     return names, dense, np.array([len(s.tokens) for s in sentences])
 
 

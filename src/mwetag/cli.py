@@ -2,11 +2,11 @@
 
 Flag resolution order is CLI flag, then JSON config file (--config, same
 field names as RunConfig), then built-in default. Required-flag validation
-runs before any file is opened, and each command checks that its outputs'
-directories exist before it reads any input. All outputs go through
-write-to-temp plus rename, and identical inputs with the same seed produce
-byte-identical output files (training reports therefore carry no wall-clock
-timings).
+runs before any file is opened, and run checks that the directories of the
+command's outputs (_WRITES) exist before the command reads any input. All
+outputs go through write-to-temp plus rename, and identical inputs with the
+same seed produce byte-identical output files (training reports therefore
+carry no wall-clock timings).
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -78,6 +78,12 @@ class RunConfig:
         """Where train writes its report: --report, else MODEL.train.json."""
         return self.report or self.model + ".train.json"
 
+    @property
+    def outputs(self) -> dict[str, str]:
+        """The files the command writes, by their flags in _WRITES."""
+        paths = {flag: getattr(self, flag) for flag in _WRITES.get(self.subcommand, ())}
+        return paths | ({"report": self.train_report} if self.subcommand == "train" else {})
+
     def require(self, *fields: str):
         missing = [f for f in fields if getattr(self, f) is None]
         if missing:
@@ -106,9 +112,7 @@ class RunConfig:
             self.require("model", "input", "output")
         elif self.subcommand == "eval":
             self.require("gold", "pred", "report")
-        paths = dataclasses.asdict(self) | {"config": config_path}
-        if self.subcommand == "train":
-            paths["report"] = self.train_report
+        paths = dataclasses.asdict(self) | {"config": config_path} | self.outputs
         for written, others in _WRITES.get(self.subcommand, {}).items():
             for other in others:
                 if paths[other] is not None and (
@@ -253,8 +257,13 @@ def _summarize(command: str, start: float, corpus, **expressions):
           f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
 
 
+def _given(**values) -> dict:
+    """The values a flag or the config file set: the dataclass defaults stand
+    for the others."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _cmd_convert(cfg: RunConfig) -> int:
-    _require_directories(cfg.output)
     blocks = ["\n".join(to_tags(sentence)) + "\n\n" for sentence in read_cupt(cfg.input)]
     atomic_write_text(cfg.output, "".join(blocks))
     return 0
@@ -267,35 +276,22 @@ def _dump_json(path: str, payload: dict):
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    report_path = cfg.train_report
-    _require_directories(cfg.model, report_path)
     train_corpus = read_cupt(cfg.train)
     if cfg.variant == "neural":
         table = _load_table(cfg.embeddings)
         dev_corpus = read_cupt(cfg.dev) if cfg.dev else None
-        tagger_config = TaggerConfig(
-            head=cfg.head,
-            seed=cfg.seed,
-            epochs=cfg.epochs if cfg.epochs is not None else TaggerConfig().epochs,
-            batch_size=cfg.batch_size
-            if cfg.batch_size is not None
-            else TaggerConfig().batch_size,
-        )
+        tagger_config = TaggerConfig(head=cfg.head, seed=cfg.seed,
+                                     **_given(epochs=cfg.epochs, batch_size=cfg.batch_size))
         model = build_for_corpus(tagger_config, train_corpus, embeddings=table)
         best, report = train_tagger(model, train_corpus, dev_corpus)
         save_model(best, cfg.model)
         # TrainReport holds no wall-clock timings: identical runs match bytewise
-        _dump_json(report_path, dataclasses.asdict(report))
+        _dump_json(cfg.train_report, dataclasses.asdict(report))
         return 0
 
     variant = cfg.variant.removeprefix("baseline-")
     table = _load_table(cfg.embeddings) if variant == "turian" else None
-    options = BaselineTrainOptions(
-        max_iterations=cfg.epochs
-        if cfg.epochs is not None
-        else BaselineTrainOptions().max_iterations,
-        seed=cfg.seed,
-    )
+    options = BaselineTrainOptions(seed=cfg.seed, **_given(max_iterations=cfg.epochs))
     fit = fit_baseline(train_corpus, variant=variant, table=table, options=options)
     # how the fit ended goes to stderr, as a warning when it did not converge;
     # the report keeps the four keys perfbench's copy of this command writes
@@ -315,7 +311,7 @@ def _cmd_train(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     save_model(fit.model, cfg.model)
-    _dump_json(report_path, {
+    _dump_json(cfg.train_report, {
         "variant": cfg.variant,
         "final_objective": fit.objective,
         "grad_max_norm": fit.grad_max_norm,
@@ -326,7 +322,6 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 def _cmd_tag(cfg: RunConfig) -> int:
     start = time.perf_counter()
-    _require_directories(cfg.output)
     table = _load_table(cfg.embeddings) if cfg.embeddings else None
     model = load_model(cfg.model, embeddings=table)
     corpus = read_cupt(cfg.input)
@@ -353,7 +348,6 @@ def _cmd_tag(cfg: RunConfig) -> int:
 
 def _cmd_eval(cfg: RunConfig) -> int:
     start = time.perf_counter()
-    _require_directories(cfg.report)
     gold = read_cupt(cfg.gold)
     pred = read_cupt(cfg.pred)
     report = evaluate(gold, pred)
@@ -404,6 +398,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        _require_directories(*cfg.outputs.values())
         return _COMMANDS[cfg.subcommand](cfg)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

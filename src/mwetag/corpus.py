@@ -32,13 +32,13 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable
 
-from .errors import CuptParseError, CuptWriteError, not_utf8
+from .errors import CuptParseError, CuptWriteError, reading
 
 MIN_COLUMNS = 5  # id, form, lemma, upos, ... , mwe annotation
 
 # [0-9]: \d also matches other scripts' digits, and re.ASCII would narrow \s
 _ANNOTATION_RE = re.compile(r"^[0-9]+(:[^\s;:]+)?(;[0-9]+(:[^\s;:]+)?)*$")
-_RAW_ROW_ID_RE = re.compile(r"^[0-9]+[-.][0-9]+$")  # a range or an empty node
+_RAW_ROW_ID_RE = re.compile(r"^([0-9]+)([-.])([1-9][0-9]*)$")  # a range or an empty node
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +84,12 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     (a UTF-8 byte-order mark) at the start of the first line is dropped.
 
     A token line's id is the next of 1, 2, 3... in ASCII digits, no leading
-    zero; a range id (``3-4``) or empty-node id (``3.1``) marks a raw row. Raises
-    CuptParseError (with a 1-based line number) on malformed lines, an id
-    that breaks that rule included, on a bare ``k`` that references an
-    expression never opened, on a repeated ``k:CAT`` opener for the same k,
-    and on a token that lists the same k twice.
+    zero; a raw row's range id ``a-b`` has a the next word's id and a < b <= the
+    last word's, and its empty-node id ``i.j`` has i the previous word's (0 at the
+    start). Raises CuptParseError (with a 1-based line number) on malformed lines,
+    an id that breaks these rules included, on a bare ``k`` that references an
+    expression never opened, on a repeated ``k:CAT`` opener for the same k, and on
+    a token that lists the same k twice.
     """
     sentences: Corpus = []
     # one object per distinct form, lemma, UPOS, middle column, middle-column
@@ -99,14 +100,19 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
     comments: list[str] = []
     tokens: list[Token] = []
     raw_rows: list[tuple[int, str]] = []
+    ranges: list[tuple[str, int]] = []  # (last id, line number) of each range
     openers: dict[int, tuple[str, list[int]]] = {}  # k -> (category, positions)
 
     def flush(line_number):
-        nonlocal comments, tokens, raw_rows, openers
+        nonlocal comments, tokens, raw_rows, ranges, openers
         if not tokens and not comments and not raw_rows:
             return
         if not tokens:
             raise CuptParseError("sentence block contains no token lines", line_number)
+        last = str(len(tokens))
+        for end, at in ranges:
+            if (len(end), end) > (len(last), last):
+                raise CuptParseError(f"range ends past the last token {last}", at)
         vmwes = tuple(
             VmweInstance(k, cat, tuple(positions))
             for k, (cat, positions) in sorted(openers.items())
@@ -114,7 +120,7 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
         sentences.append(
             Sentence(tuple(tokens), vmwes, tuple(comments), tuple(raw_rows))
         )
-        comments, tokens, raw_rows, openers = [], [], [], {}
+        comments, tokens, raw_rows, ranges, openers = [], [], [], [], {}
 
     lines = iter(stream)
     lines = chain((next(lines, "").removeprefix("\ufeff"),), lines)
@@ -137,10 +143,18 @@ def parse_cupt(stream: Iterable[str]) -> Corpus:
             )
         first = columns[0]
         if not (first.isascii() and first.isdigit()):  # not a plain token id
-            if _RAW_ROW_ID_RE.match(first):
-                raw_rows.append((len(tokens), line))
-                continue
-            raise CuptParseError(f"unparseable token id {first!r}", line_number)
+            raw = _RAW_ROW_ID_RE.match(first)
+            if raw is None:
+                raise CuptParseError(f"unparseable token id {first!r}", line_number)
+            # ids have no leading zero, so (length, text) orders them by value
+            (start, kind, end), n = raw.groups(), len(tokens)
+            if kind == "-" and start == str(n + 1) and (len(end), end) > (len(start), start):
+                ranges.append((end, line_number))
+            elif kind == "-" or start != str(n):
+                raise CuptParseError(f"id {first} after token {n}: want {n + 1}-k with "
+                                     f"k > {n + 1}, or {n}.k", line_number)
+            raw_rows.append((n, line))
+            continue
         token_id = len(tokens) + 1
         if first != str(token_id):  # "01" too: an id has no leading zero
             raise CuptParseError("token ids are not consecutive from 1", line_number)
@@ -184,19 +198,20 @@ def _per_token(sentence: Sentence, first: str, later: str, none: str) -> list[st
     """Per token, its expressions' atoms in vmwe_id order, semicolon-joined,
     or none: first.format(k, category) on an expression's first component,
     later.format(k, category) on the others. Raises CuptWriteError for an
-    expression with no positions or one outside 1..n."""
+    expression with no positions, one outside 1..n, or positions that do not
+    strictly increase."""
     per_token: list[list[str]] = [[] for _ in sentence.tokens]
     for inst in sorted(sentence.vmwes, key=lambda v: v.vmwe_id):
-        if not inst.token_positions:
-            raise CuptWriteError(f"expression {inst.vmwe_id} has no token positions")
-        opener = first.format(inst.vmwe_id, inst.category)
-        other = later.format(inst.vmwe_id, inst.category)
-        for rank, pos in enumerate(inst.token_positions):
+        k, positions = inst.vmwe_id, inst.token_positions
+        if not positions:
+            raise CuptWriteError(f"expression {k} has no token positions")
+        opener, other = first.format(k, inst.category), later.format(k, inst.category)
+        for previous, pos in zip((0, *positions), positions):  # 0: before token 1
             if not 1 <= pos <= len(per_token):
-                raise CuptWriteError(
-                    f"expression {inst.vmwe_id} refers to missing token {pos}"
-                )
-            per_token[pos - 1].append(other if rank else opener)
+                raise CuptWriteError(f"expression {k} refers to missing token {pos}")
+            if pos <= previous:
+                raise CuptWriteError(f"expression {k} lists token {pos} after {previous}")
+            per_token[pos - 1].append(other if previous else opener)
     return [";".join(items) if items else none for items in per_token]
 
 
@@ -229,15 +244,10 @@ def write_cupt(corpus: Corpus) -> str:
 
 
 def read_cupt(path) -> Corpus:
-    """parse_cupt over a file; every CuptParseError names the file."""
-    try:
-        with open(path, encoding="utf-8") as stream:
-            return parse_cupt(stream)
-    except UnicodeDecodeError as exc:
-        raise CuptParseError(not_utf8(path, exc)) from exc
-    except CuptParseError as exc:
-        exc.args = (f"{path}: {exc}",)  # keeps its line_number
-        raise
+    """parse_cupt over a file; text that is not UTF-8 and every
+    CuptParseError are a CuptParseError naming the file (errors.reading)."""
+    with reading(path, CuptParseError), open(path, encoding="utf-8") as stream:
+        return parse_cupt(stream)
 
 
 def to_tags(sentence: Sentence) -> TagSequence:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Sentence
-from .errors import VecLoadError, not_utf8
+from .errors import VecLoadError, reading
 
 log = logging.getLogger(__name__)
 
@@ -118,22 +118,18 @@ def _vec_lines(stream):
 @contextlib.contextmanager
 def _open_vec(path):
     """A text stream over a vector file, gzip detected by magic bytes. Text
-    that is not UTF-8 and gzip data that is cut short or corrupt are a
-    VecLoadError naming the file, and so is every VecLoadError of the
-    reader."""
+    that is not UTF-8, gzip data that is cut short or corrupt and every
+    VecLoadError of the reader are a VecLoadError naming the file
+    (errors.reading)."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
     opener = gzip.open if magic == b"\x1f\x8b" else open
-    try:
-        with opener(path, "rt", encoding="utf-8") as stream:
-            yield stream
-    except UnicodeDecodeError as exc:
-        raise VecLoadError(not_utf8(path, exc)) from exc
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise VecLoadError(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-    except VecLoadError as exc:
-        exc.args = (f"{path}: {exc}",)  # keeps its line_number
-        raise
+    with reading(path, VecLoadError):
+        try:
+            with opener(path, "rt", encoding="utf-8") as stream:
+                yield stream
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise VecLoadError(f"truncated or corrupt gzip data ({exc})") from exc
 
 
 def load_vec_file(path, expected_dim: int) -> EmbeddingTable:

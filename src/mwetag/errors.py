@@ -1,5 +1,8 @@
 """Shared exception types. Everything a CLI run reports as a data error derives
-from DataError, so the command layer can map them to one exit code."""
+from DataError, so the command layer can map them to one exit code; reading
+names the file in each error of a file reader."""
+
+import contextlib
 
 
 class DataError(Exception):
@@ -45,6 +48,20 @@ class NonFiniteError(DataError):
 def not_utf8(path, exc: UnicodeDecodeError) -> str:
     """How a reader names a file that does not decode as UTF-8."""
     return f"{path} is not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
+@contextlib.contextmanager
+def reading(path, error: type[DataError]):
+    """Around the reading of path: text that is not UTF-8 becomes an error
+    of class error, and every error of that class names the file in front
+    of its message, keeping its line_number."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(not_utf8(path, exc)) from exc
+    except error as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class UsageError(Exception):

@@ -36,7 +36,7 @@ import numpy as np
 from .baseline import VARIANTS, BaselineModel
 from .baseline import param_shapes as baseline_shapes
 from .embed import EmbeddingTable
-from .errors import ModelFormatError, not_utf8
+from .errors import ModelFormatError, reading
 from .tagger import TaggerConfig, TaggerModel, param_shapes
 
 FORMAT_VERSION = 7
@@ -254,10 +254,7 @@ def _read_header(handle) -> dict:
 
 
 def load_model(path: str, embeddings: EmbeddingTable | None = None):
-    try:
-        with open(path, "rb") as handle:
-            return model_from_dict(_read_header(handle), handle, embeddings)
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(not_utf8(path, exc)) from exc
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+    """The model in the file at path; a header that is not UTF-8 and every
+    ModelFormatError are a ModelFormatError naming the file (errors.reading)."""
+    with reading(path, ModelFormatError), open(path, "rb") as handle:
+        return model_from_dict(_read_header(handle), handle, embeddings)

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from mwetag.baseline import SYMBOLIC_TEMPLATE_COUNT, BaselineTrainOptions, extract_features, tag_baseline, train_baseline
+from mwetag.baseline import (
+    SYMBOLIC_TEMPLATE_COUNT,
+    BaselineTrainOptions,
+    _dense_rows,
+    extract_features,
+    tag_baseline,
+    train_baseline,
+)
 from mwetag.chaincrf import brute_force, log_partition, score_path, viterbi
 from mwetag.checks import SUITE_TOLERANCE, gradient_suite
 from mwetag.cli import run
@@ -220,12 +227,10 @@ def test_criterion_7_baseline_features_and_overfit():
     table = synthetic_embeddings(dim=6, seed=2)
     for sentence in fixtures:
         for i in range(len(sentence.tokens)):
-            symbolic, dense = extract_features(sentence, i)
-            assert len(symbolic) == SYMBOLIC_TEMPLATE_COUNT
-            assert dense is None
-            symbolic, dense = extract_features(sentence, i, "turian", table)
-            assert len(symbolic) == SYMBOLIC_TEMPLATE_COUNT
-            assert dense.shape == (5 * table.dimension,)
+            symbolic = extract_features(sentence, i)
+            assert type(symbolic) is list and len(symbolic) == SYMBOLIC_TEMPLATE_COUNT
+        dense = _dense_rows(sentence, table)
+        assert dense.shape == (len(sentence.tokens), 5 * table.dimension)
 
     target = fixtures[0]
     model = train_baseline(

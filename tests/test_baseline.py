@@ -22,6 +22,7 @@ from mwetag.baseline import (
     _TEMPLATES,
     _TagIndex,
     _collect,
+    _dense_rows,
     _emissions,
     _feature_ids,
     _key_layout,
@@ -61,8 +62,8 @@ FIVE = make_sentence(
 
 
 def test_interior_position_hand_oracle():
-    feats, dense = extract_features(FIVE, 2)
-    assert dense is None
+    feats = extract_features(FIVE, 2)
+    assert type(feats) is list  # the strings alone: the turian block is _dense_rows'
     expected = [
         "w[-2]:The", "l[-2]:the", "p[-2]:DET",
         "w[-1]:cat", "l[-1]:cat", "p[-1]:NOUN",
@@ -82,7 +83,7 @@ def test_interior_position_hand_oracle():
 
 
 def test_sentence_start_uses_bos_sentinels():
-    feats, _ = extract_features(FIVE, 0)
+    feats = extract_features(FIVE, 0)
     assert len(feats) == 26
     assert "w[-2]:BOS2" in feats
     assert "w[-1]:BOS" in feats
@@ -92,14 +93,14 @@ def test_sentence_start_uses_bos_sentinels():
 
 
 def test_sentence_end_uses_eos_sentinels():
-    feats, _ = extract_features(FIVE, 4)
+    feats = extract_features(FIVE, 4)
     assert "w[+1]:EOS" in feats
     assert "w[+2]:EOS2" in feats
     assert "p[0]p[+1]p[+2]:NOUN|EOS|EOS2" in feats
 
 
 def test_single_token_sentence_is_all_sentinels():
-    feats, _ = extract_features(make_sentence([("x", "x", "X")]), 0)
+    feats = extract_features(make_sentence([("x", "x", "X")]), 0)
     assert len(feats) == 26
     assert "w[-2]:BOS2" in feats and "w[+2]:EOS2" in feats
 
@@ -114,20 +115,18 @@ def test_feature_count_always_26(n, seed):
     ]
     sentence = make_sentence(words)
     for i in range(n):
-        feats, _ = extract_features(sentence, i)
+        feats = extract_features(sentence, i)
         assert len(feats) == 26
         assert extract_features(sentence, i) == extract_features(sentence, i)
 
 
-def test_extract_rejects_out_of_range_and_bad_variant():
+def test_extract_rejects_out_of_range_and_dense_rows_no_table():
     with pytest.raises(ValueError):
         extract_features(FIVE, 5)
     with pytest.raises(ValueError):
         extract_features(FIVE, -1)
-    with pytest.raises(ValueError, match="unknown variant 'dense'"):
-        extract_features(FIVE, 0, variant="dense")
     with pytest.raises(ValueError, match="turian variant needs an embedding table"):
-        extract_features(FIVE, 0, variant="turian")  # no table
+        _dense_rows(FIVE, None)
 
 
 def five_table(dim=4, seed=3):
@@ -138,8 +137,8 @@ def five_table(dim=4, seed=3):
 
 def test_turian_dense_block_layout():
     table = five_table(dim=4)
-    feats, dense = extract_features(FIVE, 1, variant="turian", table=table)
-    assert len(feats) == 26
+    assert len(extract_features(FIVE, 1)) == 26
+    dense = _dense_rows(FIVE, table)[1]
     assert dense.shape == (20,)  # 5 offsets x dim 4
     # offset -2 is BOS at position 1 -> zeros; offsets -1..+2 are lookups
     np.testing.assert_array_equal(dense[:4], np.zeros(4))
@@ -151,7 +150,7 @@ def test_turian_dense_block_layout():
 
 def test_turian_block_is_5_dim_wide():
     table = five_table(dim=300 // 10)
-    _, dense = extract_features(FIVE, 2, variant="turian", table=table)
+    dense = _dense_rows(FIVE, table)[2]
     assert dense.shape == (5 * table.dimension,)
 
 
@@ -463,7 +462,7 @@ def test_unseen_features_contribute_nothing(monkeypatch):
     expected = np.zeros((2, len(model.tag_vocab)))
     seen = unseen = 0
     for i in range(2):
-        feats, _ = extract_features(novel, i)
+        feats = extract_features(novel, i)
         for feature in feats:
             if feature in model.feature_index:
                 expected[i] += model.weights[model.feature_index[feature]]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mwetag.baseline import BaselineTrainOptions
 from mwetag.cli import RunConfig, resolve, run, _build_parser
 from mwetag.corpus import Sentence, Token, VmweInstance, read_cupt, write_cupt
 from mwetag.errors import ModelFormatError, UsageError
@@ -819,6 +820,36 @@ def test_train_baseline_standard_needs_no_embeddings_flag():
     cfg.validate()  # must not raise
     with pytest.raises(UsageError, match="embeddings"):
         RunConfig(subcommand="train", train="t", model="m").validate()
+
+
+@pytest.mark.parametrize("variant", ["neural", "baseline-standard"])
+def test_train_without_epochs_or_batch_size_uses_the_dataclass_defaults(
+    workdir, tmp_path, monkeypatch, capsys, variant
+):
+    import mwetag.cli as cli_module
+
+    seen = {}
+
+    def capture(name):
+        def stand_in(*args, **kwargs):  # records the call, then ends the command
+            seen[name] = (args, kwargs)
+            raise ModelFormatError("stopped before the fit")
+        return stand_in
+
+    monkeypatch.setattr(cli_module, "train_tagger", capture("tagger"))
+    monkeypatch.setattr(cli_module, "fit_baseline", capture("baseline"))
+    argv = ["train", "--variant", variant, "--train", p(workdir / "train.cupt"),
+            "--embeddings", p(workdir / "vecs.vec"), "--model", p(tmp_path / "m")]
+    assert run(argv) == 2
+    assert "stopped before the fit" in capsys.readouterr().err
+    if variant == "neural":
+        config = seen["tagger"][0][0].config
+        assert (config.epochs, config.batch_size) == (TaggerConfig().epochs,
+                                                      TaggerConfig().batch_size)
+    else:
+        options = seen["baseline"][1]["options"]
+        assert options.max_iterations == BaselineTrainOptions().max_iterations
+    assert list(seen) == ["tagger" if variant == "neural" else "baseline"]
 
 
 # ---------------------------------------------------------------------------

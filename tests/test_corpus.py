@@ -190,6 +190,37 @@ def test_ranged_line_excluded_from_positions():
     assert sent.vmwes == (VmweInstance(1, "IRV", (2, 3)),)
 
 
+def with_raw_row(raw_id, before_line):
+    """A two-token sentence with a raw row of the given id inserted as its
+    given 1-based line (4: after the last token)."""
+    lines = cupt_text([("a", "*"), ("b", "*")]).split("\n")
+    lines.insert(before_line - 1, raw_id + "\tab" + "\t_" * 8 + "\t*")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("raw_id, line, message", [
+    ("3-9", 4, "line 4: range ends past the last token 2"),
+    ("2-3", 2, "line 2: id 2-3 after token 0: want 1-k with k > 1, or 0.k"),
+    ("3.1", 3, "line 3: id 3.1 after token 1: want 2-k with k > 2, or 1.k"),
+    ("2-2", 3, "line 3: id 2-2 after token 1"),
+    ("01.1", 3, "line 3: id 01.1 after token 1"),
+])
+def test_parse_refuses_a_raw_row_id_out_of_place(raw_id, line, message):
+    with pytest.raises(CuptParseError, match=re.escape(message)):
+        parse_cupt(io.StringIO(with_raw_row(raw_id, line)))
+
+
+def test_parse_keeps_an_empty_node_before_the_first_token():
+    text = with_raw_row("0.1", 2)
+    assert write_cupt(parse_cupt(io.StringIO(text))) == text
+
+
+def test_parse_orders_range_ends_past_the_int_digit_limit():
+    # 5,001 digits: more than int() converts from text by default
+    with pytest.raises(CuptParseError, match="line 4: range ends past the last token 2"):
+        parse_cupt(io.StringIO(with_raw_row("3-1" + "0" * 5000, 4)))
+
+
 def test_write_empty_corpus():
     assert write_cupt([]) == ""
 
@@ -214,6 +245,8 @@ def test_write_instance_without_positions_rejected():
     ((), "expression 1 has no token positions"),
     ((0,), "expression 1 refers to missing token 0"),
     ((1, 4), "expression 1 refers to missing token 4"),
+    ((3, 2), "expression 1 lists token 2 after 3"),
+    ((2, 2), "expression 1 lists token 2 after 2"),
 ])
 def test_to_tags_refuses_what_write_cupt_refuses(positions, message):
     sent = make_sentence(list("abc"), [VmweInstance(1, "VID", positions)])

@@ -1,4 +1,4 @@
-"""The README's stated model format and architecture match the code."""
+"""The README's stated model format, architecture and layout match the code."""
 
 import re
 from pathlib import Path
@@ -7,7 +7,8 @@ from mwetag.autodiff import DROPOUT, RECURRENT_DROPOUT
 from mwetag.serialize import FORMAT_VERSION
 from mwetag.tagger import FILTER_WIDTHS
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_readme_format_version_matches_serialize():
@@ -24,3 +25,10 @@ def test_readme_dropout_rates_match_autodiff():
     stated = re.findall(r"([\d.]+)\s+on\s+its\s+input,\s+([\d.]+)\s+on\s+the\s+"
                         r"recurrent\s+state", README)
     assert stated and {tuple(map(float, r)) for r in stated} == {(DROPOUT, RECURRENT_DROPOUT)}
+
+
+def test_readme_layout_names_every_module():
+    layout = README.split("## Layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"^  (\S+\.py)\s", layout, re.M))
+    modules = {path.name for path in (ROOT / "src" / "mwetag").glob("*.py")}
+    assert named == modules - {"__init__.py"}
