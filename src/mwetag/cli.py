@@ -3,10 +3,10 @@
 Flag resolution order is CLI flag, then JSON config file (--config, same
 field names as RunConfig), then built-in default. Required-flag validation
 runs before any file is opened, and run checks that the directories of the
-command's outputs (_WRITES) exist before the command reads any input. All
-outputs go through write-to-temp plus rename, and identical inputs with the
-same seed produce byte-identical output files (training reports therefore
-carry no wall-clock timings).
+command's outputs (_WRITES) exist, and that no output is a directory, before
+the command reads any input. All outputs go through write-to-temp plus
+rename, and identical inputs with the same seed produce byte-identical
+output files (training reports therefore carry no wall-clock timings).
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -65,7 +65,7 @@ class RunConfig:
     pred: str | None = None
     model: str | None = None
     embeddings: str | None = None
-    head: str = "crf"
+    head: str = TaggerConfig.head
     filter: bool = True
     seed: int = 1
     epochs: int | None = None
@@ -238,12 +238,15 @@ def _load_table(path: str):
 
 
 def _require_directories(*paths: str):
-    """Checked before any input is read: a missing directory would otherwise
-    fail only at the end, naming the temp file."""
+    """Checked before any input is read: a missing directory, or an output
+    that is itself a directory, would otherwise fail only at the end, naming
+    the temp file. A symbolic link is replaced, not followed."""
     for path in paths:
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise DataError(f"cannot write {path}: no directory {directory}")
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise DataError(f"cannot write {path}: it is a directory")
 
 
 def _summarize(command: str, start: float, corpus, **expressions):

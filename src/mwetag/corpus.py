@@ -41,12 +41,15 @@ _ANNOTATION_RE = re.compile(r"^[0-9]+(:[^\s;:]+)?(;[0-9]+(:[^\s;:]+)?)*$")
 _RAW_ROW_ID_RE = re.compile(r"^([0-9]+)([-.])([1-9][0-9]*)$")  # a range or an empty node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     """One taggable token line. ``misc_columns`` keeps every column between
     UPOS and the MWE annotation verbatim so files round-trip byte-identically.
 
-    Tokens are immutable values, so object identity means nothing: one
+    Tokens are values: not frozen, because a frozen dataclass sets each
+    field through ``object.__setattr__`` and a read builds one per token
+    line, but the package never assigns to a field, and like every corpus
+    record they are unhashable. So object identity means nothing: one
     ``parse_cupt`` call holds each distinct form, lemma, UPOS, middle
     column and ``misc_columns`` tuple once, and tokens with equal values
     share it."""
@@ -58,7 +61,7 @@ class Token:
     misc_columns: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VmweInstance:
     vmwe_id: int
     category: str

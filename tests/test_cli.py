@@ -822,6 +822,10 @@ def test_train_baseline_standard_needs_no_embeddings_flag():
         RunConfig(subcommand="train", train="t", model="m").validate()
 
 
+def test_the_head_default_is_the_taggers():
+    assert RunConfig("train").head == TaggerConfig().head
+
+
 @pytest.mark.parametrize("variant", ["neural", "baseline-standard"])
 def test_train_without_epochs_or_batch_size_uses_the_dataclass_defaults(
     workdir, tmp_path, monkeypatch, capsys, variant
@@ -991,6 +995,47 @@ def test_commands_check_the_output_directory_before_reading_anything(
     assert captured.err == f"error: cannot write {out}: no directory {missing}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--train", "{train}", "--embeddings", "{vecs}", "--model", "{out}"],
+     ["train", "--variant", "baseline-standard", "--train", "{train}",
+      "--model", "{m}", "--report", "{out}"],
+     ["tag", "--model", "{m}", "--input", "{train}", "--embeddings", "{vecs}",
+      "--output", "{out}"],
+     ["convert", "--input", "{train}", "--output", "{out}"],
+     ["eval", "--gold", "{train}", "--pred", "{train}", "--report", "{out}"]],
+    ids=["train-model", "train-report", "tag", "convert", "eval"],
+)
+def test_an_output_that_is_a_directory_fails_before_any_work(
+    workdir, tmp_path, capsys, monkeypatch, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("read, fitted or tagged before checking where to write")
+
+    for name in ("read_cupt", "load_model", "load_vec_file", "train_tagger",
+                 "fit_baseline", "predict_corpus", "tag_baseline"):
+        monkeypatch.setattr(f"mwetag.cli.{name}", no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"m": p(tmp_path / "m.json"), "train": p(workdir / "train.cupt"),
+             "vecs": p(workdir / "vecs.vec"), "out": p(out)}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: it is a directory\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_an_output_that_links_to_a_directory_replaces_the_link(workdir, tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(target, target_is_directory=True)
+    assert run(["convert", "--input", p(workdir / "train.cupt"), "--output", p(link)]) == 0
+    assert link.is_file() and not link.is_symlink()
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,16 @@ def test_parse_ignores_a_leading_byte_order_mark(text):
 REPEATED = cupt_text([("Take", "1:LVC.full"), ("a", "*"), ("walk", "1"), ("a", "*")]) * 2
 
 
+def test_corpus_records_are_slotted_and_not_frozen_since_a_read_builds_one_per_token():
+    # a frozen dataclass sets each field through object.__setattr__, which
+    # made building a Token about three times as slow
+    records = (Token(1, "a", "a", "X", ()), VmweInstance(1, "A", (1,)), Sentence(()))
+    for record in records:
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
+        assert type(record).__dataclass_params__.frozen is False
+
+
 def test_parse_shares_equal_values_within_a_parse():
     first, second = parse_cupt(io.StringIO(REPEATED))
     tokens = first.tokens + second.tokens

@@ -452,13 +452,6 @@ def test_scores_match_frozenset_reference(corpora):
     assert (unseen.token, unseen.mwe) == scores_of(unseen_counts)
 
 
-def test_corpus_records_are_slotted():
-    records = (Token(1, "a", "a", "X", ()), VmweInstance(1, "A", (1,)), Sentence(()))
-    for record in records:
-        assert "__slots__" in type(record).__dict__
-        assert not hasattr(record, "__dict__")
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -5,8 +5,9 @@ the package (a test's or script's somewhere in the package, the tests or the
 scripts), no package module imports another's _private name, and every
 public function, class or method is referenced from the package, the
 scripts or the benchmark, every local a function assigns is read (in the
-tests and the scripts too), and the package opens files only for reading,
-so that every write goes through serialize._atomic_write."""
+tests and the scripts too), the package opens files only for reading,
+so that every write goes through serialize._atomic_write, and no package
+module assigns a field of a corpus record, which is not frozen."""
 
 import ast
 from pathlib import Path
@@ -230,3 +231,41 @@ def _writing_opens(tree: ast.Module) -> list[int]:
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_files_are_opened_only_for_reading(module):
     assert _writing_opens(MODULES[module]) == []
+
+
+# the corpus records, slotted but not frozen (a read builds one per token):
+# the package treats them as values and builds a changed copy with replace
+RECORDS = ("Token", "VmweInstance", "Sentence")
+RECORD_FIELDS = {
+    item.target.id
+    for node in MODULES["corpus"].body
+    if isinstance(node, ast.ClassDef) and node.name in RECORDS
+    for item in node.body if isinstance(item, ast.AnnAssign)
+}
+
+
+def _record_field_assignments(tree: ast.Module) -> list[int]:
+    """Line of each attribute target named like a corpus-record field
+    (x.form = ..., x.tokens += ..., del x.vmwes), and of each setattr,
+    delattr or object.__setattr__ call with such a name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            if node.attr in RECORD_FIELDS:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func, name = node.func, node.args[1]
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if (called in ("setattr", "delattr", "__setattr__", "__delattr__")
+                    and isinstance(name, ast.Constant) and name.value in RECORD_FIELDS):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_record_fields_are_known():
+    assert {"form", "misc_columns", "token_positions", "tokens", "raw_rows"} <= RECORD_FIELDS
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_assigns_a_corpus_record_field(module):
+    assert _record_field_assignments(MODULES[module]) == []
